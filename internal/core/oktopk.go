@@ -23,7 +23,9 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"sort"
 
 	"repro/internal/allreduce"
 	"repro/internal/cluster"
@@ -66,23 +68,26 @@ type OkTopk struct {
 // returned Result's Update/Contributed slices point into this scratch
 // and stay valid until the next Reduce on the same instance.
 type scratch struct {
-	localIdx  []int32
-	regionIdx [][]int32
-	regionVal [][]float64
-	// red is the owned-region reduction buffer. It is kept all-zero
-	// between calls: splitAndReduce zeroes exactly the touched offsets
-	// while extracting the reduced values, so region-boundary changes
-	// (every τ iterations) can resize it freely.
+	// localIdx/localVal are the local selection as parallel (index,
+	// value) slices, indexes ascending; region r is the sub-slice between
+	// splits[r] and splits[r+1].
+	localIdx []int32
+	localVal []float64
+	splits   []int
+	// red is the owned-region reduction buffer and redMask the bitmap of
+	// its offsets that received a nonzero value. Both are kept all-zero
+	// between calls: splitAndReduce clears exactly the marked offsets
+	// while extracting the reduced values into redIdx/redVal, so
+	// region-boundary changes (every τ iterations) can resize them
+	// freely.
 	red     []float64
-	touched []int32
-	vals    []float64
-	// Merge scratch: the touched-index list is a concatenation of
-	// per-source sorted runs (one per accumulate call) whose end
-	// offsets land in runEnds; MergeRuns sorts it against mergeSpare
-	// without allocating. gidx/gidxEnds are the same machinery for the
-	// allgathered global index runs, and thScratch/gatherBuf back the
-	// periodic exact global-threshold re-evaluation.
-	runEnds    []int
+	redMask []uint64
+	redIdx  []int32
+	redVal  []float64
+	// gidx collects the allgathered global index runs, whose end offsets
+	// land in gidxEnds; MergeRuns sorts them against mergeSpare without
+	// allocating. thScratch/gatherBuf back the periodic exact
+	// global-threshold re-evaluation.
 	mergeSpare []int32
 	gidx       []int32
 	gidxEnds   []int
@@ -176,16 +181,17 @@ func (o *OkTopk) Reduce(cm cluster.Endpoint, acc []float64, t int) allreduce.Res
 	}
 	localTh := o.localCtl.ThresholdFor(t, acc, k)
 
-	// Local top-k selection by threshold: one O(n) scan, split directly
-	// into regions below. The index buffer is per-instance scratch.
+	// Local top-k selection by threshold: one O(n) scan that keeps the
+	// selected values beside their indexes, so nothing below reads acc
+	// again. Both buffers are per-instance scratch.
 	allreduce.ChargeScan(cm, o.cfg, n)
-	o.scratch.localIdx = topk.AppendSelectByThreshold(o.scratch.localIdx[:0], acc, localTh)
-	localIdx := o.scratch.localIdx
+	localIdx, localVal := topk.AppendSelectValuesByThreshold(o.scratch.localIdx[:0], o.scratch.localVal[:0], acc, localTh)
+	o.scratch.localIdx, o.scratch.localVal = localIdx, localVal
 
 	if p == 1 {
 		update := o.updateBuffer(n)
-		for _, idx := range localIdx {
-			update[idx] = acc[idx]
+		for i, idx := range localIdx {
+			update[idx] = localVal[i]
 		}
 		o.scratch.prevWritten = append(o.scratch.prevWritten, localIdx...)
 		o.scratch.contributed = append(o.scratch.contributed[:0], localIdx...)
@@ -203,7 +209,7 @@ func (o *OkTopk) Reduce(cm cluster.Endpoint, acc []float64, t int) allreduce.Res
 	}
 
 	// Line 8: split and reduce.
-	reducedIdx, reducedVal := o.splitAndReduce(cm, acc, localIdx, t)
+	reducedIdx, reducedVal := o.splitAndReduce(cm, localIdx, localVal, t)
 
 	// Lines 9-12: global threshold re-evaluation every τ′ iterations,
 	// from the allgathered reduced top-k values. (The chunk copy is
@@ -310,11 +316,41 @@ func quantRNG(rank, t int) *rand.Rand {
 	return rand.New(rand.NewSource(int64(t)*1_000_003 + int64(rank)))
 }
 
+// regionSplits returns the P+1 positions that cut the ascending index
+// list idx at the region boundaries: region r is idx[s[r]:s[r+1]], the
+// indexes in [bounds[r], bounds[r+1]). An index equal to a boundary
+// belongs to the region that starts there, and repeated boundaries give
+// empty regions.
+func regionSplits(dst []int, idx []int32, bounds []int) []int {
+	dst = dst[:0]
+	for _, b := range bounds {
+		dst = append(dst, sort.Search(len(idx), func(i int) bool { return int(idx[i]) >= b }))
+	}
+	return dst
+}
+
+// accumulateRegion folds one source's (index, value) pairs into the
+// owned-region buffer buf, whose offset 0 is index lo, and marks in
+// mask every offset that received a nonzero value.
+func accumulateRegion[T float32 | float64](buf []float64, mask []uint64, lo int, idxs []int32, vals []T) {
+	for i, idx := range idxs {
+		off := int(idx) - lo
+		v := float64(vals[i])
+		if v != 0 {
+			mask[off>>6] |= 1 << (off & 63)
+		}
+		buf[off] += v
+	}
+}
+
 // splitAndReduce sends each region's selected values to its owner with
 // the rotated, bucketed schedule of Figure 2 and reduces the owned
 // region. It returns the reduced region contents as parallel
-// index/value slices (indexes sorted ascending).
-func (o *OkTopk) splitAndReduce(cm cluster.Endpoint, acc []float64, localIdx []int32, t int) ([]int32, []float64) {
+// index/value slices, indexes strictly ascending: an index appears once
+// if any source contributed a nonzero value to it, with the sum of all
+// contributions as its value — also when that sum, or a partial sum on
+// the way, cancels to exactly zero.
+func (o *OkTopk) splitAndReduce(cm cluster.Endpoint, localIdx []int32, localVal []float64, t int) ([]int32, []float64) {
 	p, rank := cm.Size(), cm.Rank()
 	// The stochastic-quantization RNG is only needed with the extension
 	// enabled; seeding one costs more than a whole wire copy, so skip
@@ -326,26 +362,13 @@ func (o *OkTopk) splitAndReduce(cm cluster.Endpoint, acc []float64, localIdx []i
 	cm.Clock().SetPhase(netmodel.PhaseComm)
 	defer cm.Clock().SetPhase(netmodel.PhaseCompute)
 
-	// Slice the sorted selected indexes into regions with one pass. The
-	// region slices are per-instance scratch; wire copies are made at
-	// send time, so no other rank ever references them.
-	if len(o.scratch.regionIdx) < p {
-		o.scratch.regionIdx = make([][]int32, p)
-		o.scratch.regionVal = make([][]float64, p)
-	}
-	regionIdx := o.scratch.regionIdx[:p]
-	regionVal := o.scratch.regionVal[:p]
-	for r := range regionIdx {
-		regionIdx[r] = regionIdx[r][:0]
-		regionVal[r] = regionVal[r][:0]
-	}
-	j := 0
-	for _, idx := range localIdx {
-		for int(idx) >= o.boundaries[j+1] {
-			j++
-		}
-		regionIdx[j] = append(regionIdx[j], idx)
-		regionVal[j] = append(regionVal[j], acc[idx])
+	// The selection is index-sorted and regions are index ranges, so
+	// each region is a sub-slice of it. Wire copies are made at send
+	// time, so no other rank ever references the selection.
+	splits := regionSplits(o.scratch.splits, localIdx, o.boundaries)
+	o.scratch.splits = splits
+	region := func(r int) ([]int32, []float64) {
+		return localIdx[splits[r]:splits[r+1]], localVal[splits[r]:splits[r+1]]
 	}
 
 	// wire copies region dst into wire-format buffers drawn from this
@@ -353,59 +376,34 @@ func (o *OkTopk) splitAndReduce(cm cluster.Endpoint, acc []float64, localIdx []i
 	// them into its own pool after accumulating (ownership transfer).
 	// On the f32 wire the values are rounded here, at the edge.
 	wire := func(dst int) collectives.Chunk {
-		idx := cm.GetInt32s(len(regionIdx[dst]))
-		copy(idx, regionIdx[dst])
+		ridx, rval := region(dst)
+		idx := cm.GetInt32s(len(ridx))
+		copy(idx, ridx)
 		if o.cfg.QuantBits > 0 {
-			val := cm.GetFloats(len(regionVal[dst]))
-			copy(val, regionVal[dst])
+			val := cm.GetFloats(len(rval))
+			copy(val, rval)
 			return o.quantChunk(cm, qrng, idx, val)
 		}
 		if cm.Wire() == cluster.WireF32 {
-			val := cm.GetFloat32s(len(regionVal[dst]))
-			cluster.NarrowInto(val, regionVal[dst])
+			val := cm.GetFloat32s(len(rval))
+			cluster.NarrowInto(val, rval)
 			return collectives.Chunk{Data32: val, Aux: idx}
 		}
-		val := cm.GetFloats(len(regionVal[dst]))
-		copy(val, regionVal[dst])
+		val := cm.GetFloats(len(rval))
+		copy(val, rval)
 		return collectives.Chunk{Data: val, Aux: idx}
 	}
 
-	// Reduction buffer for my region (scratch, all-zero on entry), plus
-	// the touched-index set.
+	// Reduction buffer for my region and the bitmap of its touched
+	// offsets (scratch, both all-zero on entry).
 	lo, hi := o.boundaries[rank], o.boundaries[rank+1]
+	maskWords := (hi - lo + 63) / 64
 	if cap(o.scratch.red) < hi-lo {
 		o.scratch.red = make([]float64, hi-lo)
+		o.scratch.redMask = make([]uint64, maskWords)
 	}
 	buf := o.scratch.red[:hi-lo]
-	touched := o.scratch.touched[:0]
-	runEnds := o.scratch.runEnds[:0]
-	accumulate := func(idxs []int32, vals []float64) {
-		for i, idx := range idxs {
-			off := int(idx) - lo
-			if buf[off] == 0 && vals[i] != 0 {
-				touched = append(touched, idx)
-			}
-			buf[off] += vals[i]
-		}
-		// Each source's newly touched indexes arrive in ascending order,
-		// so touched is a concatenation of sorted runs.
-		runEnds = append(runEnds, len(touched))
-		cm.Clock().Compute(float64(len(idxs)))
-	}
-	// accumulate32 is accumulate for f32-wire payloads, widening each
-	// value back to compute precision as it folds in.
-	accumulate32 := func(idxs []int32, vals []float32) {
-		for i, idx := range idxs {
-			off := int(idx) - lo
-			v := float64(vals[i])
-			if buf[off] == 0 && v != 0 {
-				touched = append(touched, idx)
-			}
-			buf[off] += v
-		}
-		runEnds = append(runEnds, len(touched))
-		cm.Clock().Compute(float64(len(idxs)))
-	}
+	mask := o.scratch.redMask[:maskWords]
 	// receiveEach drains one region message per key in key order (the
 	// deterministic accumulation order), harvesting queued messages in
 	// batches under a single mailbox lock hold, and releases each
@@ -413,16 +411,19 @@ func (o *OkTopk) splitAndReduce(cm cluster.Endpoint, acc []float64, localIdx []i
 	receiveEach := func(keys []cluster.RecvKey) {
 		cm.RecvChunkEach(keys, func(i int, ch collectives.Chunk) {
 			if ch.Data32 != nil {
-				accumulate32(ch.Aux, ch.Data32)
+				accumulateRegion(buf, mask, lo, ch.Aux, ch.Data32)
 				cm.PutFloat32s(ch.Data32)
 			} else {
-				accumulate(ch.Aux, ch.Data)
+				accumulateRegion(buf, mask, lo, ch.Aux, ch.Data)
 				cm.PutFloats(ch.Data)
 			}
+			cm.Clock().Compute(float64(len(ch.Aux)))
 			cm.PutInt32s(ch.Aux)
 		})
 	}
-	accumulate(regionIdx[rank], regionVal[rank])
+	ownIdx, ownVal := region(rank)
+	accumulateRegion(buf, mask, lo, ownIdx, ownVal)
+	cm.Clock().Compute(float64(len(ownIdx)))
 
 	bucket := o.cfg.BucketSize
 	if bucket < 1 {
@@ -472,21 +473,20 @@ func (o *OkTopk) splitAndReduce(cm cluster.Endpoint, acc []float64, localIdx []i
 		}
 	}
 
-	touched, o.scratch.mergeSpare = sparse.MergeRuns(touched, runEnds, o.scratch.mergeSpare)
-	o.scratch.runEnds = runEnds[:0]
-	vals := o.scratch.vals
-	if cap(vals) < len(touched) {
-		vals = make([]float64, len(touched))
+	// Extract the marked offsets in ascending order, restoring the
+	// all-zero invariant of both buffers for the next call.
+	redIdx, redVal := o.scratch.redIdx[:0], o.scratch.redVal[:0]
+	for w, word := range mask {
+		for ; word != 0; word &= word - 1 {
+			off := w<<6 | bits.TrailingZeros64(word)
+			redIdx = append(redIdx, int32(lo+off))
+			redVal = append(redVal, buf[off])
+			buf[off] = 0
+		}
+		mask[w] = 0
 	}
-	vals = vals[:len(touched)]
-	for i, idx := range touched {
-		off := int(idx) - lo
-		vals[i] = buf[off]
-		buf[off] = 0 // restore the all-zero invariant for the next call
-	}
-	o.scratch.touched = touched
-	o.scratch.vals = vals
-	return touched, vals
+	o.scratch.redIdx, o.scratch.redVal = redIdx, redVal
+	return redIdx, redVal
 }
 
 // balanceAndAllgatherv selects the global top-k values of the owned

@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+
+	"repro/internal/topk"
 )
 
 // Vec is a sparse vector in COO format. Indexes are kept sorted and
@@ -113,18 +115,12 @@ func FromDense(d []float64) *Vec {
 	return v
 }
 
-// FromDenseThreshold builds a sparse vector from entries of d whose
-// absolute value is at least th. This is the O(n) threshold-based
-// sparsification kernel the paper's selection strategy relies on.
+// FromDenseThreshold builds a sparse vector from the nonzero entries of
+// d whose absolute value is at least th. This is the O(n)
+// threshold-based sparsification kernel the paper's selection strategy
+// relies on (topk's selection scan, keeping the values).
 func FromDenseThreshold(d []float64, th float64) *Vec {
-	v := New(len(d))
-	for i, x := range d {
-		if (x >= th || -x >= th) && x != 0 {
-			v.Indexes = append(v.Indexes, int32(i))
-			v.Values = append(v.Values, x)
-		}
-	}
-	return v
+	return FromDenseThresholdInto(nil, d, th)
 }
 
 // ZeroIndexes restores buf's all-zero invariant given the indexes
@@ -151,14 +147,7 @@ func FromDenseThresholdInto(dst *Vec, d []float64, th float64) *Vec {
 		dst = New(len(d))
 	}
 	dst.Dim = len(d)
-	dst.Indexes = dst.Indexes[:0]
-	dst.Values = dst.Values[:0]
-	for i, x := range d {
-		if (x >= th || -x >= th) && x != 0 {
-			dst.Indexes = append(dst.Indexes, int32(i))
-			dst.Values = append(dst.Values, x)
-		}
-	}
+	dst.Indexes, dst.Values = topk.AppendSelectValuesByThreshold(dst.Indexes[:0], dst.Values[:0], d, th)
 	return dst
 }
 

@@ -110,8 +110,9 @@ func recvVecChunk(cm cluster.Endpoint, pool *sparse.Pool, src, tag, dim int) *sp
 // localTopkInto selects the exact top-k entries of acc (by |value|) the
 // way the baselines do with torch.topk, charging the sort-based cost,
 // building the selection into the instance-owned dst (allocated on
-// first use). scratch backs the selection's |x| copy; both are returned
-// for the caller to retain across iterations.
+// first use). scratch backs the threshold's candidate set (O(k), see
+// topk.ThresholdInto); both are returned for the caller to retain across
+// iterations.
 func localTopkInto(cm cluster.Endpoint, cfg allreduce.Config, acc []float64, k int, scratch []float64, dst *sparse.Vec) (*sparse.Vec, []float64) {
 	allreduce.ChargeSort(cm, cfg, len(acc))
 	th, scratch := topk.ThresholdInto(acc, k, scratch)

@@ -13,7 +13,7 @@ type ReuseController struct {
 	evaluated bool      // true once the first evaluation has happened
 	evals     int       // number of exact evaluations performed (for cost accounting)
 	reuses    int       // number of cached reuses served
-	scratch   []float64 // |x| buffer reused across exact re-evaluations
+	scratch   []float64 // ThresholdInto candidate buffer, O(k), reused across exact re-evaluations
 }
 
 // NewReuseController returns a controller with re-evaluation period τ′.

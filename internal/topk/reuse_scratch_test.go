@@ -7,8 +7,8 @@ import (
 )
 
 // TestThresholdIntoMatchesThreshold: the scratch variant must be
-// bit-identical to the allocating one (same quickselect, same seeded
-// pivot RNG) and must not allocate in steady state.
+// bit-identical to the allocating one and must not allocate in steady
+// state.
 func TestThresholdIntoMatchesThreshold(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	x := make([]float64, 5000)

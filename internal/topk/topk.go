@@ -9,47 +9,111 @@
 // the largest |value|, as is standard for gradient sparsification.
 package topk
 
-import (
-	"math"
-	"math/rand"
-)
+import "math"
 
 // Threshold returns the k-th largest absolute value of x, i.e. the exact
 // threshold t such that selecting {i : |x_i| >= t} yields at least k
-// elements and {i : |x_i| > t} yields fewer than k. It runs quickselect
-// on a copy of the absolute values, O(n) on average. k must be in
-// [1, len(x)]; k > len(x) is clamped.
+// elements and {i : |x_i| > t} yields fewer than k. O(n) on average.
+// k must be in [1, len(x)]; k > len(x) is clamped.
 func Threshold(x []float64, k int) float64 {
 	th, _ := ThresholdInto(x, k, nil)
 	return th
 }
 
-// ThresholdInto is Threshold with a caller-provided scratch buffer for
-// the |x| copy, so steady-state re-evaluation paths (the Ok-Topk reuse
-// controllers, the baselines' per-iteration exact selection) stop
-// allocating O(n) per call. It returns the threshold and the (possibly
-// grown) scratch for the caller to retain.
+// Parameters of ThresholdInto's candidate filter. The guess g is the
+// sample's order statistic at rank ⌈1.5·sampleSize·k/n⌉ + sampleSlack:
+// half again the sample's expected share of the top k, plus a slack
+// that keeps the guess below the true threshold when that share is a
+// handful (at k/n = 1 % the rank is 43 where 20 are expected, five
+// standard deviations). Below sampleMinN the sample is not much
+// smaller than x, and once the rank passes a quarter of the sample the
+// filter keeps too much of x to pay for its scan.
+const (
+	sampleSize  = 2048
+	sampleSlack = 12
+	sampleMinN  = 8 * sampleSize
+)
+
+// ThresholdInto is Threshold with a caller-provided scratch buffer, so
+// steady-state re-evaluation paths (the Ok-Topk reuse controllers, the
+// baselines' per-iteration exact selection) do not allocate. It returns
+// the threshold and the (possibly grown) scratch for the caller to
+// retain.
+//
+// It is a filter-select in the manner of Floyd and Rivest's SELECT: a
+// fixed strided sample of x (no RNG, so equal inputs take equal paths)
+// gives a guess g meant to lie just below the k-th largest magnitude,
+// one scan collects the candidates {|x_i| >= g} into scratch, and
+// quickselect runs on those. Whenever at least k candidates pass, the
+// k-th largest of them is the k-th largest of x, so the result is exact
+// whatever g was; the guess only decides how many candidates there are
+// (about 1.5·k + sampleSlack·n/sampleSize of them, so scratch is O(k)
+// and not O(n)). When fewer than k pass, or the sample cannot help
+// (small n, large k/n), g = 0 makes every element a candidate, which is
+// the plain copy-and-quickselect.
+//
+// NaN entries are never candidates (no comparison with NaN holds) and
+// never reach quickselect, so they cannot break its termination: the
+// result is the k-th largest magnitude of the other entries, with k
+// clamped to their number, and +Inf when there are none.
 func ThresholdInto(x []float64, k int, scratch []float64) (float64, []float64) {
-	if len(x) == 0 || k <= 0 {
+	n := len(x)
+	if n == 0 || k <= 0 {
 		return math.Inf(1), scratch
 	}
-	if k > len(x) {
-		k = len(x)
+	if k > n {
+		k = n
 	}
-	if cap(scratch) < len(x) {
-		scratch = make([]float64, len(x))
+	g, want := 0.0, n
+	if r := (3*sampleSize*k+2*n-1)/(2*n) + sampleSlack; n >= sampleMinN && 4*r <= sampleSize {
+		var buf [sampleSize]float64
+		sample := buf[:0]
+		stride := n / sampleSize
+		for i := 0; i < sampleSize; i++ {
+			if a := math.Abs(x[i*stride]); a >= 0 { // not NaN
+				sample = append(sample, a)
+			}
+		}
+		if len(sample) >= r {
+			if g = quickselectDesc(sample, r-1); g > 0 {
+				// Room for the expected number of candidates and a quarter.
+				want = stride * r * 5 / 4
+			}
+		}
 	}
-	abs := scratch[:len(x)]
-	for i, v := range x {
-		abs[i] = math.Abs(v)
+	cand := magnitudesAtLeast(scratch, x, g, want)
+	if len(cand) < k && g > 0 {
+		// The sampled positions were unrepresentatively large: start over
+		// with every element a candidate.
+		cand = magnitudesAtLeast(cand, x, 0, n)
 	}
-	th := quickselectDesc(abs, k-1, rand.New(rand.NewSource(int64(len(x))*2654435761+int64(k))))
-	return th, scratch
+	if len(cand) == 0 {
+		return math.Inf(1), cand
+	}
+	if k > len(cand) {
+		k = len(cand)
+	}
+	return quickselectDesc(cand, k-1), cand
+}
+
+// magnitudesAtLeast collects every |x_i| >= g into buf, replaced when it
+// has no room for want values; g = 0 takes every entry that is not NaN.
+func magnitudesAtLeast(buf, x []float64, g float64, want int) []float64 {
+	if cap(buf) < want {
+		buf = make([]float64, 0, want)
+	}
+	buf = buf[:0]
+	for _, v := range x {
+		if a := math.Abs(v); a >= g {
+			buf = append(buf, a)
+		}
+	}
+	return buf
 }
 
 // quickselectDesc returns the element that would be at position idx if a
-// were sorted in descending order. It mutates a.
-func quickselectDesc(a []float64, idx int, r *rand.Rand) float64 {
+// were sorted in descending order. It mutates a, which must hold no NaN.
+func quickselectDesc(a []float64, idx int) float64 {
 	lo, hi := 0, len(a)-1
 	for {
 		if lo == hi {
@@ -135,6 +199,30 @@ func AppendSelectByThreshold(dst []int32, x []float64, th float64) []int32 {
 		}
 	}
 	return dst
+}
+
+// AppendSelectValuesByThreshold is AppendSelectByThreshold that also
+// appends each selected x_i to val, so a caller that needs the values
+// (Ok-Topk's split phase, the baselines' COO selections) gets them from
+// the one pass that has them in hand instead of re-reading x at k
+// scattered indexes afterwards.
+func AppendSelectValuesByThreshold(idx []int32, val []float64, x []float64, th float64) ([]int32, []float64) {
+	if th > 0 {
+		for i, v := range x {
+			if math.Abs(v) >= th {
+				idx = append(idx, int32(i))
+				val = append(val, v)
+			}
+		}
+		return idx, val
+	}
+	for i, v := range x {
+		if (v >= th || -v >= th) && v != 0 {
+			idx = append(idx, int32(i))
+			val = append(val, v)
+		}
+	}
+	return idx, val
 }
 
 // CountAbove returns |{i : |x_i| >= th, x_i ≠ 0}| without materializing
