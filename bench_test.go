@@ -18,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/netmodel"
-	"repro/internal/pipeline"
 	"repro/internal/sparse"
 	"repro/internal/tensor"
 	"repro/internal/topk"
@@ -312,78 +311,6 @@ func BenchmarkAblationNetwork(b *testing.B) {
 			ablationBench(b, func(c *allreduce.Config) {}, net.params)
 		})
 	}
-}
-
-// BenchmarkAblationQuantization sweeps the quantization extension: 0
-// bits (the paper's configuration) versus 4- and 8-bit values.
-func BenchmarkAblationQuantization(b *testing.B) {
-	for _, bits := range []int{0, 4, 8} {
-		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {
-			ablationBench(b, func(c *allreduce.Config) { c.QuantBits = bits }, netmodel.PizDaint())
-		})
-	}
-}
-
-// BenchmarkHybridPipeline measures the future-work extension: an S×R
-// hybrid grid with dense vs Ok-Topk stage-gradient reduction.
-func BenchmarkHybridPipeline(b *testing.B) {
-	for _, algo := range []string{"Dense", "OkTopk"} {
-		b.Run(algo, func(b *testing.B) {
-			cfg := pipeline.Config{
-				Stages: 2, Replicas: 4,
-				Widths:       []int{64, 256, 256, 10},
-				Microbatches: 4, MicrobatchSize: 4,
-				Algorithm: algo,
-				Reduce:    allreduce.Config{Density: 0.02, Tau: 8, TauPrime: 8},
-				LR:        0.05, Seed: 7,
-			}
-			p := cfg.Stages * cfg.Replicas
-			c := cluster.New(p, netmodel.PizDaint())
-			trainers := make([]*pipeline.Trainer, p)
-			for r := range trainers {
-				trainers[r] = pipeline.NewTrainer(cfg, r)
-			}
-			data := pipeline.NewDataset(11, 64, 10)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := c.Run(func(cm *cluster.Comm) error {
-					trainers[cm.Rank()].Step(cm, i+1, data)
-					return nil
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			agg := netmodel.AggregateStats(c.Stats())
-			b.ReportMetric(float64(agg.TotalSentWords)/float64(b.N), "words/iter")
-		})
-	}
-}
-
-// BenchmarkBitonicTopk compares the GPU-friendly bitonic selection
-// against quickselect (the §2 trade-off behind threshold reuse).
-func BenchmarkBitonicTopk(b *testing.B) {
-	r := tensor.RNG(13)
-	x := make([]float64, 1<<18)
-	for i := range x {
-		x[i] = r.NormFloat64()
-	}
-	b.Run("bitonic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			topk.BitonicThreshold(x, 1024)
-		}
-	})
-	b.Run("quickselect", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			topk.Threshold(x, 1024)
-		}
-	})
-	b.Run("sampled", func(b *testing.B) {
-		rr := tensor.RNG(14)
-		for i := 0; i < b.N; i++ {
-			topk.SampledThreshold(rr, x, 1024, 1<<14)
-		}
-	})
 }
 
 // --- Kernel micro-benchmarks (real wall time, -benchmem) ---

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"strings"
 	"testing"
 
@@ -60,5 +61,13 @@ func TestTable2Runs(t *testing.T) {
 	r.Render(&buf, results)
 	if !strings.Contains(buf.String(), "VGG-16") {
 		t.Errorf("table2 output missing model rows:\n%s", buf.String())
+	}
+}
+
+// TestNoOverlapFlag: DenseOvlp has one overlap model, so nothing selects
+// one.
+func TestNoOverlapFlag(t *testing.T) {
+	if f := flag.Lookup("overlap"); f != nil {
+		t.Errorf("-overlap is still a flag: %s", f.Usage)
 	}
 }

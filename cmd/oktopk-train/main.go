@@ -76,14 +76,13 @@ func main() {
 		tauPrime  = flag.Int("tauprime", 32, "threshold re-evaluation period τ′")
 		adam      = flag.Bool("adam", false, "use Adam on raw gradients (paper's BERT setup)")
 		seed      = flag.Int64("seed", 42, "deterministic seed")
-		evalEvery = flag.Int("eval", 20, "evaluate every N iterations")
+		evalEvery = flag.Int("eval", 20, "evaluate every N iterations (0 = only after the last)")
 		commodity = flag.Bool("commodity", false, "use commodity-cloud network constants")
 		topology  = flag.String("topology", "flat", "network topology preset: flat | fattree | nvlink")
 		nodeSize  = flag.Int("node-size", 0, "ranks per node for hierarchical topologies (0 = preset default; also sets the Hierarchical algorithm's grouping)")
 		straggler = flag.Float64("straggler", 0, "straggler severity s: ~12.5% of ranks compute (1+s)x slower with 0.1*s jitter, seeded from -seed (0 = off)")
 		workers   = flag.Int("workers", 0, "tensor-kernel worker count (0 = GOMAXPROCS; results are bit-identical at any setting)")
 		wire      = flag.String("wire", "f64", "collective wire format: f64 (seed behavior) or f32 (float32 values, half-word accounting)")
-		overlap   = flag.String("overlap", "sim", "DenseOvlp overlap model: sim (simulated bucket pipeline) or legacy (scalar discount)")
 		traceFile = flag.String("trace", "", "record the final iteration's message trace to this file")
 		ckptFile  = flag.String("checkpoint", "", "save training state to this file (periodically and at exit)")
 		ckptEvery = flag.Int("ckpt-every", 0, "checkpoint every N iterations (0 = only at exit; needs -checkpoint)")
@@ -99,18 +98,17 @@ func main() {
 	flag.Parse()
 	profiling.Start()
 	defer profiling.Stop()
+	if *evalEvery < 0 || *ckptEvery < 0 {
+		fmt.Fprintln(os.Stderr, "oktopk-train: -eval and -ckpt-every must not be negative")
+		flag.Usage()
+		profiling.Exit(2)
+	}
 	tensor.SetWorkers(*workers)
 	wm, err := cluster.ParseWire(*wire)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		profiling.Exit(2)
 	}
-	om, err := train.ParseOverlapMode(*overlap)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		profiling.Exit(2)
-	}
-
 	cfg := train.Config{
 		Workload:  *workload,
 		Algorithm: *algo,
@@ -120,7 +118,6 @@ func main() {
 		LR:        *lr,
 		Adam:      *adam || *workload == "BERT",
 		Wire:      wm,
-		Overlap:   om,
 		Reduce: allreduce.Config{
 			Density: *density, Tau: *tau, TauPrime: *tauPrime,
 		},
@@ -205,7 +202,7 @@ func main() {
 		}
 		st := s.RunIteration()
 		elapsed += st.IterSeconds
-		if it%*evalEvery == 0 || it == *iters {
+		if (*evalEvery > 0 && it%*evalEvery == 0) || it == *iters {
 			metric := s.Evaluate(200)
 			fmt.Printf("iter %5d  modeled-time %8.2fs  loss %7.4f  %s %.4f  "+
 				"[comp %.3fs spars %.3fs comm %.3fs]\n",

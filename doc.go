@@ -24,13 +24,11 @@
 //	internal/netmodel    α-β cost model and phase-attributed clocks
 //	internal/topk        selection strategies and threshold reuse
 //	internal/sparse      COO sparse vectors + single-owner Vec pools
-//	internal/quant       stochastic value quantization (QSGD-style)
 //	internal/nn          layers and the three workload models
 //	internal/data        synthetic Cifar/AN4/Wikipedia stand-ins
 //	internal/optimizer   SGD/Adam update rules and LR schedules
 //	internal/train       distributed training sessions
 //	internal/checkpoint  save/restore of distributed training state
-//	internal/pipeline    hybrid data+pipeline parallelism (paper §6)
 //	internal/tensor      deterministic parallel compute kernels (worker
 //	                     pool, row-owned GEMMs, Mat scratch) + seeded RNG
 //	internal/trace       per-message event recording and timelines
@@ -90,10 +88,9 @@
 // expose per-layer backward schedules (nn.LayerCost), netmodel clocks
 // grow a two-track overlap window, and the trainer issues each
 // gradient bucket's allreduce the moment its last contributing layer
-// finishes backward (-overlap {sim,legacy} on both commands; DESIGN.md
-// "Overlap engine"). Message traces and checkpoint/resume are wired
-// into both commands (-trace, and -checkpoint/-ckpt-every/-resume on
-// oktopk-train).
+// finishes backward (DESIGN.md "Overlap engine"). Message traces and
+// checkpoint/resume are wired into both commands (-trace, and
+// -checkpoint/-ckpt-every/-resume on oktopk-train).
 //
 // The benchmarks in bench_test.go regenerate each table/figure regime
 // under `go test -bench`; see DESIGN.md for the per-experiment index and

@@ -55,8 +55,9 @@ type Algorithm interface {
 	// OverlapsBackward reports whether the implementation overlaps its
 	// communication with backward computation (DenseOvlp). Such
 	// algorithms also implement Overlapped; the training loop drives
-	// their reduction bucket by bucket against the backward schedule
-	// (or, in legacy mode, applies the historical scalar discount).
+	// their reduction bucket by bucket against the backward schedule.
+	// One the loop cannot see as Overlapped (hidden behind a wrapper)
+	// gets the monolithic Reduce, charged in full.
 	OverlapsBackward() bool
 	Reduce(cm cluster.Endpoint, acc []float64, t int) Result
 }
@@ -117,12 +118,6 @@ type Config struct {
 	// NodeSize is the ranks-per-node the Hierarchical algorithm groups
 	// by (0 picks the topology's node size, falling back to 4).
 	NodeSize int
-	// QuantBits, when nonzero (2..8), enables the quantization extension
-	// in Ok-Topk: sparse values travel as QuantBits-bit stochastic
-	// levels (indexes stay exact), shrinking the value half of the wire
-	// volume by 64/QuantBits. 0 disables quantization (the paper's
-	// evaluated configuration).
-	QuantBits int
 	// SortFlops and ScanFlops are the modeled per-element costs (in
 	// flop-equivalents) of sort-based top-k selection and of an O(n)
 	// threshold scan. Sort-based selection on GPUs is memory-bound and
@@ -225,8 +220,8 @@ func (d *Dense) Reduce(cm cluster.Endpoint, acc []float64, t int) Result {
 // i's communication overlaps the backward computation that produces
 // bucket i+1. The training loop drives that pipeline through the
 // Overlapped interface (IssueBucket inside a netmodel overlap window);
-// Reduce remains the monolithic path used by legacy overlap mode and
-// volume measurements, producing bit-identical sums.
+// Reduce remains the monolithic path — volume measurements, and callers
+// that cannot see Overlapped — producing bit-identical sums.
 type DenseOvlp struct {
 	cfg    Config
 	sum    []float64

@@ -118,7 +118,6 @@ func (e *frameEncoder) int32s(x []int32) {
 
 func (e *frameEncoder) chunk(ch *Chunk) {
 	e.i64(int64(ch.Origin))
-	e.i64(int64(ch.WordsOverride))
 	var flags byte
 	if ch.Data != nil {
 		flags |= chunkHasData
@@ -312,7 +311,6 @@ func (d *frameDecoder) int32s() []int32 {
 func (d *frameDecoder) chunk() Chunk {
 	var ch Chunk
 	ch.Origin = int(d.i64())
-	ch.WordsOverride = int(d.i64())
 	flags := d.u8()
 	if flags&chunkHasData != 0 {
 		ch.Data = d.floats()

@@ -36,7 +36,7 @@ func randFloat64(rng *rand.Rand) float64 {
 }
 
 func randChunk(rng *rand.Rand) Chunk {
-	ch := Chunk{Origin: rng.Intn(64), WordsOverride: rng.Intn(3) * rng.Intn(1000)}
+	ch := Chunk{Origin: rng.Intn(64)}
 	// Data and Data32 are mutually exclusive in real payloads; nil-ness
 	// (empty vs absent) must survive the wire because receivers branch
 	// on it.
@@ -129,6 +129,22 @@ func TestFrameRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("case %d: round-trip mismatch:\nwant %+v\ngot  %+v", i, want, got)
 		}
+	}
+}
+
+// TestChunkFrameLayout pins a chunk's encoding to the bytes its fields
+// need: origin, presence flags and the present slices, with no slot for
+// anything a Chunk does not carry.
+func TestChunkFrameLayout(t *testing.T) {
+	msg := &Message{kind: payloadChunk, chunk: Chunk{
+		Origin: 3, Data: []float64{1, 2, 3}, Aux: []int32{4, 5},
+	}}
+	const (
+		envelope = 4 + 1 + 4*8 + 1 + 4 // length, type, src/tag/words/depart, kind, crc
+		chunk    = 8 + 1 + (4 + 3*8) + (4 + 2*4)
+	)
+	if got := len(appendDataFrame(nil, msg)); got != envelope+chunk {
+		t.Fatalf("chunk frame is %d bytes, want %d", got, envelope+chunk)
 	}
 }
 

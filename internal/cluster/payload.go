@@ -44,19 +44,12 @@ type Chunk struct {
 	Data   []float64
 	Data32 []float32 // f32-wire value payload (Data is nil)
 	Aux    []int32   // optional parallel index payload (COO indexes)
-	// WordsOverride, when positive, replaces the default wire-size
-	// accounting (one word per element). Compressed payloads — e.g.
-	// quantized values — set it to their packed size.
-	WordsOverride int
 }
 
 // Words returns the accounted wire size of the chunk: one word per
 // element for f64 values, half a word (ceil) per 4-byte element —
 // float32 value or int32 index — when the values ride the f32 wire.
 func (c Chunk) Words() int {
-	if c.WordsOverride > 0 {
-		return c.WordsOverride
-	}
 	if c.Data32 != nil {
 		return WireF32.Words(len(c.Data32) + len(c.Aux))
 	}

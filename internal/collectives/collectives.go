@@ -38,7 +38,6 @@ const (
 	tagAllgather = 2 << 20
 	tagBcast     = 3 << 20
 	tagReduce    = 4 << 20
-	tagGather    = 5 << 20
 	tagVGather   = 6 << 20
 )
 
@@ -166,32 +165,6 @@ func AllreduceRing(cm cluster.Endpoint, x []float64) {
 	}
 }
 
-// ReduceScatterBlock performs the reduce-scatter half of the ring
-// algorithm: on return each rank holds the fully reduced block r of the
-// input in x[blockRange(r)] (other regions hold partial garbage). It
-// returns the rank's block bounds.
-func ReduceScatterBlock(cm cluster.Endpoint, x []float64) (lo, hi int) {
-	p, rank, n := cm.Size(), cm.Rank(), len(x)
-	if p == 1 {
-		return 0, n
-	}
-	next := (rank + 1) % p
-	prev := (rank - 1 + p) % p
-	for s := 0; s < p-1; s++ {
-		sb := ((rank-s)%p + p) % p
-		rb := ((rank-s-1)%p + p) % p
-		slo, shi := blockRange(n, p, sb)
-		sendWire(cm, next, tagAllreduce+8192+s, x[slo:shi])
-		rlo, rhi := blockRange(n, p, rb)
-		recvAxpy(cm, prev, tagAllreduce+8192+s, x[rlo:rhi])
-	}
-	lo, hi = blockRange(n, p, (rank+1)%p)
-	// The block is complete and would leave through a follow-up gather;
-	// round it so its owner holds the same values the wire would carry.
-	cm.Wire().Round(x[lo:hi])
-	return lo, hi
-}
-
 // Allgather gathers each rank's equally sized block into a full vector on
 // every rank, using recursive doubling when P is a power of two and a
 // ring otherwise. out must have length len(block)*P; the caller's block
@@ -265,26 +238,21 @@ func AllgatherSizesInto(cm cluster.Endpoint, mySize int, sizes []int, scratch []
 	return sizes, scratch
 }
 
-// Chunk is a tagged variable-size payload for Allgatherv: the data
+// Chunk is a tagged variable-size payload for AllgathervInto: the data
 // contributed by one origin rank. It is an alias of the cluster
 // runtime's wire chunk, which travels without boxing.
 type Chunk = cluster.Chunk
 
-// Allgatherv gathers variable-size contributions from every rank onto
-// all ranks. The result is indexed by origin rank. Each element of a
-// chunk (value or aux index) is one word. The gathered chunks' Data/Aux
-// fan out to every rank and therefore must be freshly allocated by their
-// origin — never pooled.
-func Allgatherv(cm cluster.Endpoint, mine Chunk) []Chunk {
-	return AllgathervInto(cm, mine, make([]Chunk, cm.Size()))
-}
-
-// AllgathervInto is Allgatherv with a caller-retained result slice
-// (grown as needed and returned), using a recursive-doubling (for
-// power-of-two P) or ring schedule. The multi-chunk containers of the
-// recursive-doubling exchange come from the sender's rank pool and are
-// released into the receiver's, so steady-state calls allocate nothing.
-// The result is valid until the caller's next use of the scratch.
+// AllgathervInto gathers variable-size contributions from every rank
+// onto all ranks. The result is indexed by origin rank and accounted at
+// Chunk.Words per contribution. The gathered chunks' Data/Aux fan out to
+// every rank and therefore must be freshly allocated by their origin —
+// never pooled. The result slice is caller-retained (grown as needed and
+// returned) and valid until the caller's next use of it. The schedule is
+// recursive doubling (for power-of-two P) or a ring; the multi-chunk
+// containers of the recursive-doubling exchange come from the sender's
+// rank pool and are released into the receiver's, so steady-state calls
+// allocate nothing.
 func AllgathervInto(cm cluster.Endpoint, mine Chunk, result []Chunk) []Chunk {
 	p := cm.Size()
 	mine.Origin = cm.Rank()
@@ -387,26 +355,4 @@ func Reduce(cm cluster.Endpoint, root int, x []float64) {
 			recvAxpy(cm, (child+root)%p, tagReduce+d, x)
 		}
 	}
-}
-
-// GatherChunks collects one variable-size chunk per rank onto root (nil
-// on other ranks), via direct sends — the simple pattern TopkA-style
-// roots use. Payload ownership stays with the senders (root must not
-// release the gathered Data/Aux).
-func GatherChunks(cm cluster.Endpoint, root int, mine Chunk) []Chunk {
-	mine.Origin = cm.Rank()
-	if cm.Rank() != root {
-		cm.SendChunk(root, tagGather, mine, mine.Words())
-		return nil
-	}
-	out := make([]Chunk, cm.Size())
-	out[root] = mine
-	for r := 0; r < cm.Size(); r++ {
-		if r == root {
-			continue
-		}
-		ch := cm.RecvChunk(r, tagGather)
-		out[ch.Origin] = ch
-	}
-	return out
 }

@@ -91,54 +91,6 @@ func TestAllreduceRing(t *testing.T) {
 	}
 }
 
-func TestReduceScatterBlock(t *testing.T) {
-	for _, p := range []int{2, 4, 5, 8} {
-		n := 97
-		want := expectedSum(p, n)
-		runCluster(t, p, func(cm *cluster.Comm) error {
-			x := rankVector(cm.Rank(), n)
-			lo, hi := ReduceScatterBlock(cm, x)
-			if lo < 0 || hi > n || lo > hi {
-				t.Errorf("P=%d rank %d: bad block [%d,%d)", p, cm.Rank(), lo, hi)
-				return nil
-			}
-			for i := lo; i < hi; i++ {
-				if !almostEqual(x[i], want[i]) {
-					t.Errorf("P=%d rank %d: block elem %d = %v want %v", p, cm.Rank(), i, x[i], want[i])
-					return nil
-				}
-			}
-			return nil
-		})
-	}
-}
-
-func TestReduceScatterBlocksCoverSpace(t *testing.T) {
-	p, n := 8, 101
-	covered := make([]bool, n)
-	los := make([]int, p)
-	his := make([]int, p)
-	runCluster(t, p, func(cm *cluster.Comm) error {
-		x := rankVector(cm.Rank(), n)
-		lo, hi := ReduceScatterBlock(cm, x)
-		los[cm.Rank()], his[cm.Rank()] = lo, hi
-		return nil
-	})
-	for r := 0; r < p; r++ {
-		for i := los[r]; i < his[r]; i++ {
-			if covered[i] {
-				t.Fatalf("index %d owned by two ranks", i)
-			}
-			covered[i] = true
-		}
-	}
-	for i, c := range covered {
-		if !c {
-			t.Fatalf("index %d owned by no rank", i)
-		}
-	}
-}
-
 func TestAllgather(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 8, 16, 3, 6} {
 		bn := 5
@@ -188,7 +140,7 @@ func TestAllgatherv(t *testing.T) {
 			for i := range aux {
 				aux[i] = int32(cm.Rank()*10 + i)
 			}
-			got := Allgatherv(cm, Chunk{Data: data, Aux: aux})
+			got := AllgathervInto(cm, Chunk{Data: data, Aux: aux}, nil)
 			if len(got) != p {
 				t.Errorf("P=%d: got %d chunks", p, len(got))
 				return nil
@@ -257,27 +209,6 @@ func TestReduce(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestGatherChunks(t *testing.T) {
-	p := 6
-	root := 2
-	runCluster(t, p, func(cm *cluster.Comm) error {
-		mine := Chunk{Data: []float64{float64(cm.Rank())}}
-		got := GatherChunks(cm, root, mine)
-		if cm.Rank() != root {
-			if got != nil {
-				t.Errorf("rank %d: non-root got chunks", cm.Rank())
-			}
-			return nil
-		}
-		for r, ch := range got {
-			if len(ch.Data) != 1 || ch.Data[0] != float64(r) {
-				t.Errorf("root: chunk %d = %+v", r, ch)
-			}
-		}
-		return nil
-	})
 }
 
 // TestAllreduceVolume checks the bandwidth term of the dense allreduce

@@ -1,16 +1,12 @@
 package collectives
 
-import (
-	"repro/internal/cluster"
-	"repro/internal/tensor"
-)
+import "repro/internal/cluster"
 
-// This file adds the hierarchical collectives a multi-GPU-per-node
+// This file adds the hierarchical collective a multi-GPU-per-node
 // deployment needs (Piz Daint has one GPU per node, so the paper's
 // evaluation is flat; a general library is not): a two-level allreduce
 // that reduces within node-local groups first and exchanges only one
-// contribution per node across the network, plus a personalized
-// all-to-all exchange.
+// contribution per node across the network.
 
 // HierarchicalAllreduce sums x across all ranks using a two-level
 // schedule with nodeSize ranks per node: (1) intra-node reduce onto the
@@ -74,54 +70,4 @@ func HierarchicalAllreduce(cm *cluster.Comm, x []float64, nodeSize int) {
 		copy(x, res)
 		intra.PutFloats(res)
 	}
-}
-
-// Alltoall performs a personalized exchange: sendBlocks[r] goes to rank
-// r; the returned slice holds what every rank sent to the caller
-// (indexed by source). Blocks may have different sizes (an MPI
-// Alltoallv). The schedule is the rotated pattern Ok-Topk's split phase
-// uses, avoiding endpoint congestion. Received blocks (every entry but
-// the caller's own) are pooled hop buffers the caller owns and may
-// release with cm.PutFloats once consumed.
-func Alltoall(cm cluster.Endpoint, sendBlocks [][]float64) [][]float64 {
-	p, rank := cm.Size(), cm.Rank()
-	if len(sendBlocks) != p {
-		panic("collectives: alltoall needs one block per rank")
-	}
-	const tagA2A = 16 << 20
-	out := make([][]float64, p)
-	out[rank] = sendBlocks[rank]
-	for s := 1; s < p; s++ {
-		dst := (rank + s) % p
-		src := (rank - s + p) % p
-		sendWire(cm, dst, tagA2A+s, sendBlocks[dst])
-		out[src] = recvWireFloats(cm, src, tagA2A+s)
-	}
-	return out
-}
-
-// ReduceScatterV reduces x across ranks and leaves rank r with the fully
-// reduced slice [cuts[r], cuts[r+1]) (variable-size blocks). cuts must
-// have length P+1 with cuts[0]=0 and cuts[P]=len(x). Built on the
-// rotated alltoall.
-func ReduceScatterV(cm cluster.Endpoint, x []float64, cuts []int) []float64 {
-	p, rank := cm.Size(), cm.Rank()
-	if len(cuts) != p+1 || cuts[0] != 0 || cuts[p] != len(x) {
-		panic("collectives: bad cuts")
-	}
-	blocks := make([][]float64, p)
-	for r := 0; r < p; r++ {
-		blocks[r] = x[cuts[r]:cuts[r+1]]
-	}
-	got := Alltoall(cm, blocks)
-	mine := tensor.Copy(x[cuts[rank]:cuts[rank+1]])
-	for r, blk := range got {
-		if r == rank {
-			continue
-		}
-		cm.Clock().Compute(float64(len(blk)))
-		tensor.Axpy(1, blk, mine)
-		cm.PutFloats(blk)
-	}
-	return mine
 }

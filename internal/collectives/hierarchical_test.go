@@ -1,7 +1,6 @@
 package collectives
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/cluster"
@@ -171,72 +170,4 @@ func TestHierarchicalTrafficShape(t *testing.T) {
 	if two >= 1.3*flat {
 		t.Errorf("hierarchical traffic %v should not blow up vs flat %v", two, flat)
 	}
-}
-
-func TestAlltoall(t *testing.T) {
-	for _, p := range []int{2, 4, 7} {
-		runCluster(t, p, func(cm *cluster.Comm) error {
-			// Rank r sends to rank d a block of d+1 values tagged with
-			// the pair identity.
-			blocks := make([][]float64, p)
-			for d := 0; d < p; d++ {
-				blk := make([]float64, d+1)
-				for i := range blk {
-					blk[i] = float64(cm.Rank()*100 + d)
-				}
-				blocks[d] = blk
-			}
-			got := Alltoall(cm, blocks)
-			for src := 0; src < p; src++ {
-				if len(got[src]) != cm.Rank()+1 {
-					t.Errorf("P=%d rank %d: block from %d has %d values",
-						p, cm.Rank(), src, len(got[src]))
-					return nil
-				}
-				want := float64(src*100 + cm.Rank())
-				for _, v := range got[src] {
-					if v != want {
-						t.Errorf("P=%d rank %d: from %d got %v want %v", p, cm.Rank(), src, v, want)
-						return nil
-					}
-				}
-			}
-			return nil
-		})
-	}
-}
-
-func TestReduceScatterV(t *testing.T) {
-	p, n := 4, 50
-	cuts := []int{0, 5, 20, 35, 50} // deliberately uneven
-	want := expectedSum(p, n)
-	runCluster(t, p, func(cm *cluster.Comm) error {
-		x := rankVector(cm.Rank(), n)
-		mine := ReduceScatterV(cm, x, cuts)
-		lo, hi := cuts[cm.Rank()], cuts[cm.Rank()+1]
-		if len(mine) != hi-lo {
-			t.Errorf("rank %d: got %d values want %d", cm.Rank(), len(mine), hi-lo)
-			return nil
-		}
-		for i := range mine {
-			if math.Abs(mine[i]-want[lo+i]) > 1e-9 {
-				t.Errorf("rank %d: elem %d = %v want %v", cm.Rank(), i, mine[i], want[lo+i])
-				return nil
-			}
-		}
-		return nil
-	})
-}
-
-func TestReduceScatterVBadCutsPanics(t *testing.T) {
-	c := cluster.New(2, testParams())
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	_ = c.Run(func(cm *cluster.Comm) error {
-		ReduceScatterV(cm, make([]float64, 10), []int{0, 10})
-		return nil
-	})
 }

@@ -94,7 +94,7 @@ func recvCopy(cm cluster.Endpoint, src, tag int, dst []float64) {
 // caller as a pooled []float64 from this rank's pool (on the f32 wire
 // the values are widened into a fresh pool draw and the f32 buffer is
 // released immediately). The caller owns the result and releases it
-// with cm.PutFloats — the contract Bcast and Alltoall expose.
+// with cm.PutFloats — the contract Bcast exposes.
 func recvWireFloats(cm cluster.Endpoint, src, tag int) []float64 {
 	if cm.Wire() == cluster.WireF32 {
 		recv := cm.RecvFloat32(src, tag)

@@ -149,7 +149,7 @@ func TestSplitAndReduceEmitsEachIndexOnce(t *testing.T) {
 					o.boundaries = bounds
 					// Twice: the second call runs on the scratch the first left.
 					for it := 1; it <= 2; it++ {
-						gotIdx, gotVal := o.splitAndReduce(cm, idx, val, it)
+						gotIdx, gotVal := o.splitAndReduce(cm, idx, val)
 						lo := int32(bounds[rank])
 						if !slices.Equal(gotIdx, []int32{lo, lo + 1, lo + 2, lo + 3}) || !slices.Equal(gotVal, wantVal) {
 							return fmt.Errorf("rank %d call %d: reduced region is %v/%v, want indexes %d..%d once each with values %v",

@@ -24,14 +24,12 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/rand"
 	"sort"
 
 	"repro/internal/allreduce"
 	"repro/internal/cluster"
 	"repro/internal/collectives"
 	"repro/internal/netmodel"
-	"repro/internal/quant"
 	"repro/internal/sparse"
 	"repro/internal/topk"
 )
@@ -158,9 +156,6 @@ func (o *OkTopk) LastVolumeWords() int { return o.lastVolume }
 // and Gaussian-estimated thresholds.
 func (o *OkTopk) LocalThreshold() float64 { return o.localCtl.Current() }
 
-// GlobalThreshold returns the currently cached global top-k threshold.
-func (o *OkTopk) GlobalThreshold() float64 { return o.globalCtl.Current() }
-
 // Boundaries returns the current consensus region boundaries (nil before
 // the first Reduce).
 func (o *OkTopk) Boundaries() []int { return o.boundaries }
@@ -209,7 +204,7 @@ func (o *OkTopk) Reduce(cm cluster.Endpoint, acc []float64, t int) allreduce.Res
 	}
 
 	// Line 8: split and reduce.
-	reducedIdx, reducedVal := o.splitAndReduce(cm, localIdx, localVal, t)
+	reducedIdx, reducedVal := o.splitAndReduce(cm, localIdx, localVal)
 
 	// Lines 9-12: global threshold re-evaluation every τ′ iterations,
 	// from the allgathered reduced top-k values. (The chunk copy is
@@ -235,7 +230,7 @@ func (o *OkTopk) Reduce(cm cluster.Endpoint, acc []float64, t int) allreduce.Res
 	globalTh := o.globalCtl.Current()
 
 	// Line 13: balance and allgatherv.
-	update, globalIdx := o.balanceAndAllgatherv(cm, n, reducedIdx, reducedVal, globalTh, t)
+	update, globalIdx := o.balanceAndAllgatherv(cm, n, reducedIdx, reducedVal, globalTh)
 
 	o.lastVolume = int(cm.Clock().Snapshot().SentWords - volume0)
 
@@ -289,33 +284,6 @@ func (o *OkTopk) repartition(cm cluster.Endpoint, n int, localIdx []int32) []int
 	return bounds
 }
 
-// quantChunk packages (indexes, values) for transmission with the
-// quantization extension (Config.QuantBits > 0): values travel as
-// QuantBits-bit stochastic levels — the receiver observes the
-// dequantized values (quantization error is introduced exactly once, at
-// the source, so the f32 wire adds no second rounding) and the wire
-// accounting shrinks to the packed size plus the indexes at the active
-// wire mode's per-element width. The rng is deterministic per (rank,
-// iteration), keeping runs reproducible.
-func (o *OkTopk) quantChunk(cm cluster.Endpoint, rng *rand.Rand, idx []int32, val []float64) collectives.Chunk {
-	ch := collectives.Chunk{Data: val, Aux: idx}
-	if len(val) > 0 {
-		q := quant.Quantize(rng, val, o.cfg.QuantBits)
-		ch.Data = q.Dequantize()
-		ch.WordsOverride = q.Words() + cm.Wire().Words(len(idx))
-		// The chunk now carries the dequantized copy; val has no other
-		// referent at any call site, so recycle it.
-		cm.PutFloats(val)
-	}
-	return ch
-}
-
-// quantRNG returns the deterministic per-(rank, iteration) generator for
-// stochastic quantization.
-func quantRNG(rank, t int) *rand.Rand {
-	return rand.New(rand.NewSource(int64(t)*1_000_003 + int64(rank)))
-}
-
 // regionSplits returns the P+1 positions that cut the ascending index
 // list idx at the region boundaries: region r is idx[s[r]:s[r+1]], the
 // indexes in [bounds[r], bounds[r+1]). An index equal to a boundary
@@ -350,15 +318,8 @@ func accumulateRegion[T float32 | float64](buf []float64, mask []uint64, lo int,
 // if any source contributed a nonzero value to it, with the sum of all
 // contributions as its value — also when that sum, or a partial sum on
 // the way, cancels to exactly zero.
-func (o *OkTopk) splitAndReduce(cm cluster.Endpoint, localIdx []int32, localVal []float64, t int) ([]int32, []float64) {
+func (o *OkTopk) splitAndReduce(cm cluster.Endpoint, localIdx []int32, localVal []float64) ([]int32, []float64) {
 	p, rank := cm.Size(), cm.Rank()
-	// The stochastic-quantization RNG is only needed with the extension
-	// enabled; seeding one costs more than a whole wire copy, so skip
-	// it in the paper's (unquantized) configuration.
-	var qrng *rand.Rand
-	if o.cfg.QuantBits > 0 {
-		qrng = quantRNG(rank, t)
-	}
 	cm.Clock().SetPhase(netmodel.PhaseComm)
 	defer cm.Clock().SetPhase(netmodel.PhaseCompute)
 
@@ -379,11 +340,6 @@ func (o *OkTopk) splitAndReduce(cm cluster.Endpoint, localIdx []int32, localVal 
 		ridx, rval := region(dst)
 		idx := cm.GetInt32s(len(ridx))
 		copy(idx, ridx)
-		if o.cfg.QuantBits > 0 {
-			val := cm.GetFloats(len(rval))
-			copy(val, rval)
-			return o.quantChunk(cm, qrng, idx, val)
-		}
 		if cm.Wire() == cluster.WireF32 {
 			val := cm.GetFloat32s(len(rval))
 			cluster.NarrowInto(val, rval)
@@ -492,8 +448,8 @@ func (o *OkTopk) splitAndReduce(cm cluster.Endpoint, localIdx []int32, localVal 
 // balanceAndAllgatherv selects the global top-k values of the owned
 // region by the estimated global threshold, rebalances the selected data
 // across ranks when skewed, and allgathers everything (§3.1.2, Figure 3).
-func (o *OkTopk) balanceAndAllgatherv(cm cluster.Endpoint, n int, reducedIdx []int32, reducedVal []float64, globalTh float64, t int) ([]float64, []int32) {
-	p, rank := cm.Size(), cm.Rank()
+func (o *OkTopk) balanceAndAllgatherv(cm cluster.Endpoint, n int, reducedIdx []int32, reducedVal []float64, globalTh float64) ([]float64, []int32) {
+	p := cm.Size()
 
 	// ① Global top-k selection within my region (local scan). The
 	// selection is copied into exactly-sized fresh slices: its backing
@@ -547,14 +503,9 @@ func (o *OkTopk) balanceAndAllgatherv(cm cluster.Endpoint, n int, reducedIdx []i
 	// payload is fresh in wire format (selIdx/selVal were freshly
 	// allocated above); on the f32 wire every rank — the contributor
 	// included — scatters the same rounded values into its update.
-	var mine collectives.Chunk
-	switch {
-	case o.cfg.QuantBits > 0:
-		mine = o.quantChunk(cm, quantRNG(rank, t+1<<20), selIdx, selVal)
-	case cm.Wire() == cluster.WireF32:
+	mine := collectives.Chunk{Data: selVal, Aux: selIdx}
+	if cm.Wire() == cluster.WireF32 {
 		mine = collectives.Chunk{Data32: sparse.Narrow32(selVal), Aux: selIdx}
-	default:
-		mine = collectives.Chunk{Data: selVal, Aux: selIdx}
 	}
 	o.scratch.chunks = collectives.AllgathervInto(cm, mine, o.scratch.chunks)
 	update := o.updateBuffer(n)

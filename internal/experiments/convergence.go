@@ -68,7 +68,6 @@ func Convergence(cfg ConvergenceConfig) []Curve {
 			Reduce:    allreduce.Config{Density: cfg.Density, TauPrime: 8, Tau: 8},
 			Wire:      wireMode,
 			Topology:  topoMode,
-			Overlap:   overlapMode,
 		}
 		if adam {
 			tcfg.Schedule = func(t int) float64 {

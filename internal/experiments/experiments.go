@@ -30,9 +30,6 @@ var wireMode = cluster.WireF64
 // clusters. Call it before RunSpecs, never concurrently with one.
 func SetWire(w cluster.Wire) { wireMode = w }
 
-// WireMode returns the active experiment wire format.
-func WireMode() cluster.Wire { return wireMode }
-
 // topoMode is the network topology every experiment cluster is built
 // with. Like wireMode it is set once before any specs run (the
 // -topology/-node-size/-straggler flags on cmd/oktopk-bench) and only
@@ -44,9 +41,6 @@ var topoMode netmodel.Topology
 // SetTopology selects the topology for subsequently built experiment
 // clusters. Call it before RunSpecs, never concurrently with one.
 func SetTopology(t netmodel.Topology) { topoMode = t }
-
-// TopologyMode returns the active experiment topology.
-func TopologyMode() netmodel.Topology { return topoMode }
 
 // SyntheticGradients builds P gradient vectors of size n with realistic
 // heavy-tailed values: a near-zero Gaussian bulk plus `heavy` large

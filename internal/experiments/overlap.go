@@ -9,24 +9,9 @@ import (
 	"repro/internal/train"
 )
 
-// overlapMode is the backward/communication overlap model every
-// experiment session is built with. Like wireMode it is set once before
-// any specs run (the -overlap flag on cmd/oktopk-bench) and only read
-// afterwards; the legacy mode regenerates the pre-engine rows for
-// paired before/after comparisons.
-var overlapMode = train.OverlapSim
-
-// SetOverlapMode selects the overlap model for subsequently built
-// experiment sessions. Call it before RunSpecs, never concurrently with
-// one.
-func SetOverlapMode(m train.OverlapMode) { overlapMode = m }
-
-// OverlapModeActive returns the active overlap model.
-func OverlapModeActive() train.OverlapMode { return overlapMode }
-
 // OverlapPoint is one row of the overlap ablation: DenseOvlp at a fixed
 // bucket count, with the monolithic (1-bucket, nothing hidden) exposure
-// and the legacy scalar discount alongside for reference.
+// alongside for reference.
 type OverlapPoint struct {
 	Workload string
 	P        int
@@ -42,17 +27,12 @@ type OverlapPoint struct {
 	HiddenFrac float64
 	// Total is the mean modeled seconds per iteration.
 	Total float64
-	// LegacyExposed/LegacyTotal are the same configuration under the
-	// pre-engine scalar discount (bucket-count independent), kept for
-	// the paired before/after row.
-	LegacyExposed float64
-	LegacyTotal   float64
 }
 
-// overlapMeasure runs one DenseOvlp weak-scaling configuration under
-// the given overlap mode and bucket count and returns the mean
-// (comm, total) seconds per steady-state iteration.
-func overlapMeasure(workload string, p, batch, iters, buckets int, mode train.OverlapMode) (comm, total float64) {
+// overlapMeasure runs one DenseOvlp weak-scaling configuration at the
+// given bucket count and returns the mean (comm, total) seconds per
+// steady-state iteration.
+func overlapMeasure(workload string, p, batch, iters, buckets int) (comm, total float64) {
 	cfg := train.Config{
 		Workload:  workload,
 		Algorithm: "DenseOvlp",
@@ -64,7 +44,6 @@ func overlapMeasure(workload string, p, batch, iters, buckets int, mode train.Ov
 		Reduce:    allreduce.Config{Density: 0.01, TauPrime: 8, Tau: 8, DenseBuckets: buckets},
 		Wire:      wireMode,
 		Topology:  topoMode,
-		Overlap:   mode,
 	}
 	s := train.NewSession(cfg)
 	const warm = 2
@@ -88,19 +67,16 @@ func overlapMeasure(workload string, p, batch, iters, buckets int, mode train.Ov
 // layers — is always exposed, so hiding saturates below 100% even
 // before per-bucket latency overheads bite.
 func OverlapAblation(workload string, p, batch, iters int, buckets []int) []OverlapPoint {
-	baseComm, _ := overlapMeasure(workload, p, batch, iters, 1, train.OverlapSim)
-	legacyComm, legacyTotal := overlapMeasure(workload, p, batch, iters, 0, train.OverlapLegacy)
+	baseComm, _ := overlapMeasure(workload, p, batch, iters, 1)
 	var out []OverlapPoint
 	for _, nb := range buckets {
-		comm, total := overlapMeasure(workload, p, batch, iters, nb, train.OverlapSim)
+		comm, total := overlapMeasure(workload, p, batch, iters, nb)
 		out = append(out, OverlapPoint{
 			Workload: workload, P: p, Buckets: nb,
-			ExposedComm:   comm,
-			TotalComm:     baseComm,
-			HiddenFrac:    1 - comm/baseComm,
-			Total:         total,
-			LegacyExposed: legacyComm,
-			LegacyTotal:   legacyTotal,
+			ExposedComm: comm,
+			TotalComm:   baseComm,
+			HiddenFrac:  1 - comm/baseComm,
+			Total:       total,
 		})
 	}
 	return out
@@ -118,8 +94,4 @@ func PrintOverlapAblation(w io.Writer, ps []OverlapPoint) {
 		fmt.Fprintf(w, "  %-9d %-14.4f %-12s %-12.4f\n",
 			pt.Buckets, pt.ExposedComm, fmt.Sprintf("%.1f%%", pt.HiddenFrac*100), pt.Total)
 	}
-	fmt.Fprintf(w, "  %-9s %-14.4f %-12s %-12.4f\n",
-		"legacy", ps[0].LegacyExposed,
-		fmt.Sprintf("%.1f%%", (1-ps[0].LegacyExposed/ps[0].TotalComm)*100),
-		ps[0].LegacyTotal)
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/tensor"
-	"repro/internal/train"
 )
 
 // TestFig8DeterministicAcrossParallelWorkersWire: the fig8 runner — now
@@ -90,21 +89,5 @@ func TestOverlapAblationShape(t *testing.T) {
 				t.Fatalf("pipelining did not help: %v vs %v", eight.Total, one.Total)
 			}
 		})
-	}
-}
-
-// TestOverlapModeChangesDenseOvlp: the experiment-level -overlap switch
-// must actually reach the sessions — legacy and simulated modes
-// disagree on DenseOvlp's exposed communication.
-func TestOverlapModeChangesDenseOvlp(t *testing.T) {
-	defer SetOverlapMode(train.OverlapSim)
-	comm := map[train.OverlapMode]float64{}
-	for _, m := range []train.OverlapMode{train.OverlapSim, train.OverlapLegacy} {
-		SetOverlapMode(m)
-		bs := WeakScaling("VGG", 4, 8, 4, 0.02, []string{"DenseOvlp"})
-		comm[m] = bs[0].Comm
-	}
-	if comm[train.OverlapSim] == comm[train.OverlapLegacy] {
-		t.Fatalf("overlap mode ignored: both expose %v", comm[train.OverlapSim])
 	}
 }

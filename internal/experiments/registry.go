@@ -260,8 +260,7 @@ func Registry() []Runner {
 
 // ovlpRunner sweeps DenseOvlp's bucket count per workload, exposing the
 // imperfect-pipelining curve of the simulated backward/communication
-// overlap engine (plus the legacy scalar-discount row for the paired
-// before/after comparison).
+// overlap engine.
 func ovlpRunner() Runner {
 	id := "ovlp"
 	buckets := []int{1, 2, 4, 8, 16}
@@ -286,10 +285,6 @@ func ovlpRunner() Runner {
 								Metric{fmt.Sprintf("buckets=%d/hidden_frac", pt.Buckets), pt.HiddenFrac},
 							)
 						}
-						ms = append(ms,
-							Metric{"legacy/exposed_s", pts[0].LegacyExposed},
-							Metric{"legacy/total_s", pts[0].LegacyTotal},
-						)
 						return Outcome{Payload: pts, Metrics: ms}
 					},
 				})

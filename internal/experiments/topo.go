@@ -71,7 +71,6 @@ func TopoScenario(workload string, p, batch, iters int, density float64, algo st
 		Reduce:    allreduce.Config{Density: density, TauPrime: 8, Tau: 8},
 		Wire:      wireMode,
 		Topology:  topo,
-		Overlap:   overlapMode,
 	}
 	s := train.NewSession(cfg)
 	const warm = 2

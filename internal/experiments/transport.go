@@ -54,8 +54,8 @@ const tcpSmokeIters = 8
 func tcpSmokeConfig(seed int64) train.Config {
 	return train.Config{
 		Workload: "VGG", Algorithm: "OkTopk", P: 4, Batch: 4, Seed: seed, LR: 0.03,
-		Reduce: allreduce.Config{Density: 0.01, Tau: 16, TauPrime: 8},
-		Wire:   wireMode, Overlap: overlapMode,
+		Reduce:   allreduce.Config{Density: 0.01, Tau: 16, TauPrime: 8},
+		Wire:     wireMode,
 		Topology: topoMode,
 	}
 }

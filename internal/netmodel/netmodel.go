@@ -108,8 +108,8 @@ type Clock struct {
 
 	// Topology state. rank identifies this clock's position in the
 	// topology; hier/noisy cache which parts of params.Topo are live
-	// (both false on the flat network, which keeps every hot path on
-	// the exact pre-topology arithmetic). railUsers is the declared
+	// (both false on the flat network, where the stamps price every
+	// link at the plain α and β). railUsers is the declared
 	// number of ranks sharing this node's inter-node rail (0 = the
 	// topology default, NodeSize). outSends tracks completion times of
 	// this rank's in-flight inter-node transfers for the dynamic
@@ -261,50 +261,15 @@ func (c *Clock) Sleep(seconds float64) {
 	c.advance(c.cpu + seconds)
 }
 
-// StampSend reserves the send NIC for a message of the given word count
-// and returns its departure time. The CPU advances to the injection start
-// (it does not wait for the message to finish streaming), so non-blocking
-// sends posted back-to-back overlap their transfers, while the NIC gap
-// serializes their bandwidth — exactly the behaviour the bucketing
-// optimization (§3.1.1) exploits.
-func (c *Clock) StampSend(words int) float64 {
-	if words < 0 {
-		panic("netmodel: negative message size")
-	}
-	depart := c.cpu
-	if c.sendFree > depart {
-		depart = c.sendFree
-	}
-	c.sendFree = depart + float64(words)*c.params.Beta
-	c.advance(depart)
-	c.sentWords += int64(words)
-	c.sentMsgs++
-	return depart
-}
-
-// StampRecv accounts delivery of a message that departed the sender at
-// depart with the given size, and blocks the CPU until delivery finishes.
-// Delivery occupies the receive NIC for β·words, so concurrent arrivals
-// at one rank serialize (endpoint congestion).
-func (c *Clock) StampRecv(depart float64, words int) {
-	if words < 0 {
-		panic("netmodel: negative message size")
-	}
-	start := depart + c.params.Alpha
-	if c.recvFree > start {
-		start = c.recvFree
-	}
-	done := start + float64(words)*c.params.Beta
-	c.recvFree = done
-	c.advance(done)
-	c.recvWords += int64(words)
-	c.recvMsgs++
-}
-
-// StampSendTo is the topology-aware send stamp: it prices the transfer
-// by the link between this rank and dst. On the flat topology (or with
-// no hierarchy configured) it is exactly StampSend — bit-identical by
-// delegation. With hierarchy active:
+// StampSendTo reserves the send NIC for a message of the given word
+// count to rank dst and returns its departure time. The CPU advances to
+// the injection start (it does not wait for the message to finish
+// streaming), so non-blocking sends posted back-to-back overlap their
+// transfers, while the NIC gap serializes their bandwidth — exactly the
+// behaviour the bucketing optimization (§3.1.1) exploits.
+//
+// The transfer is priced by the link between this rank and dst. On the
+// flat network that is the plain β. With hierarchy active:
 //
 //   - intra-node transfers stream at β·IntraBetaFrac with no sharing
 //     (the node-local link is not the contended rail);
@@ -313,40 +278,39 @@ func (c *Clock) StampRecv(depart float64, words int) {
 //     sender's own backlog — the number of its earlier inter-node
 //     transfers still streaming when the CPU posts this one. The
 //     backlog term is what makes a bucket burst (DenseOvlp issuing
-//     reductions while pipeline activation hops are in flight) degrade
-//     its own bandwidth; the static term charges for node neighbours
-//     on the same rail. Both terms are monotone: more sharers never
-//     speed a transfer up.
+//     reductions back to back) degrade its own bandwidth; the static
+//     term charges for node neighbours on the same rail. Both terms are
+//     monotone: more sharers never speed a transfer up.
 func (c *Clock) StampSendTo(dst, words int) float64 {
-	if !c.hier {
-		return c.StampSend(words)
-	}
 	if words < 0 {
 		panic("netmodel: negative message size")
 	}
-	t := c.params.Topo
 	depart := c.cpu
 	if c.sendFree > depart {
 		depart = c.sendFree
 	}
-	var beta float64
-	if t.SameNode(c.rank, dst) {
-		beta = t.intraBeta(c.params.Beta)
-	} else {
-		// Prune completed transfers as of the CPU's post time, then
-		// count the survivors as backlog.
-		live := c.outSends[:0]
-		for _, done := range c.outSends {
-			if done > c.cpu {
-				live = append(live, done)
+	beta := c.params.Beta
+	inter := false
+	if c.hier {
+		t := c.params.Topo
+		if t.SameNode(c.rank, dst) {
+			beta = t.intraBeta(beta)
+		} else {
+			inter = true
+			// Prune completed transfers as of the CPU's post time, then
+			// count the survivors as backlog.
+			live := c.outSends[:0]
+			for _, done := range c.outSends {
+				if done > c.cpu {
+					live = append(live, done)
+				}
 			}
+			c.outSends = live
+			beta = t.sharedBeta(beta, c.effRailUsers()-1+len(c.outSends))
 		}
-		c.outSends = live
-		sharers := c.effRailUsers() - 1 + len(c.outSends)
-		beta = t.sharedBeta(c.params.Beta, sharers)
 	}
 	c.sendFree = depart + float64(words)*beta
-	if !t.SameNode(c.rank, dst) {
+	if inter {
 		c.outSends = append(c.outSends, c.sendFree)
 	}
 	c.advance(depart)
@@ -355,27 +319,28 @@ func (c *Clock) StampSendTo(dst, words int) float64 {
 	return depart
 }
 
-// StampRecvFrom is the topology-aware receive stamp. Flat topologies
-// delegate to StampRecv exactly. With hierarchy active, intra-node
-// deliveries pay α·IntraAlphaFrac and β·IntraBetaFrac; inter-node
-// deliveries pay full α and the statically shared β (the receiver
-// cannot see the sender's dynamic backlog — that is priced at the send
-// side — but its own node neighbours contend for its rail too).
+// StampRecvFrom accounts delivery of a message from rank src that
+// departed at depart with the given size, and blocks the CPU until
+// delivery finishes. Delivery occupies the receive NIC for β·words, so
+// concurrent arrivals at one rank serialize (endpoint congestion). With
+// hierarchy active, intra-node deliveries pay α·IntraAlphaFrac and
+// β·IntraBetaFrac; inter-node deliveries pay full α and the statically
+// shared β (the receiver cannot see the sender's dynamic backlog — that
+// is priced at the send side — but its own node neighbours contend for
+// its rail too).
 func (c *Clock) StampRecvFrom(src int, depart float64, words int) {
-	if !c.hier {
-		c.StampRecv(depart, words)
-		return
-	}
 	if words < 0 {
 		panic("netmodel: negative message size")
 	}
-	t := c.params.Topo
 	alpha, beta := c.params.Alpha, c.params.Beta
-	if t.SameNode(c.rank, src) {
-		alpha = t.intraAlpha(alpha)
-		beta = t.intraBeta(beta)
-	} else {
-		beta = t.sharedBeta(beta, c.effRailUsers()-1)
+	if c.hier {
+		t := c.params.Topo
+		if t.SameNode(c.rank, src) {
+			alpha = t.intraAlpha(alpha)
+			beta = t.intraBeta(beta)
+		} else {
+			beta = t.sharedBeta(beta, c.effRailUsers()-1)
+		}
 	}
 	start := depart + alpha
 	if c.recvFree > start {
@@ -401,13 +366,13 @@ func (c *Clock) DrainSends() { c.advance(c.sendFree) }
 //
 // Between BeginOverlap and EndOverlap the clock splits into two tracks:
 //
-//   - the COMPUTE track (OverlapCompute / OverlapSleep) models the
-//     backward pass burning through its per-layer schedule; it never
-//     waits for communication;
-//   - the COMM track is the ordinary cpu/NIC machinery — StampSend,
-//     StampRecv and message-folding Compute charges advance it exactly
-//     as outside a window. OverlapReady pins it to the compute track
-//     before each issue: communication whose input a layer just
+//   - the COMPUTE track (OverlapSleep) models the backward pass
+//     burning through its per-layer schedule; it never waits for
+//     communication;
+//   - the COMM track is the ordinary cpu/NIC machinery — StampSendTo,
+//     StampRecvFrom and message-folding Compute charges advance it
+//     exactly as outside a window. OverlapReady pins it to the compute
+//     track before each issue: communication whose input a layer just
 //     produced cannot depart before that layer's backward finished.
 //
 // EndOverlap closes the window at T = max(compute, comm) and rewrites
@@ -439,12 +404,6 @@ func (c *Clock) BeginOverlap() {
 
 // InOverlap reports whether an overlap window is open.
 func (c *Clock) InOverlap() bool { return c.inOverlap }
-
-// OverlapCompute charges flops floating-point operations to the
-// window's compute track.
-func (c *Clock) OverlapCompute(flops float64) {
-	c.OverlapSleep(flops * c.params.Gamma)
-}
 
 // OverlapSleep charges a fixed duration of local work to the window's
 // compute track. Straggler/jitter scaling applies exactly as for Sleep

@@ -9,11 +9,11 @@ func TestSingleMessageCost(t *testing.T) {
 	p := Params{Alpha: 1e-6, Beta: 1e-9, Gamma: 1e-12}
 	snd := NewClock(p)
 	rcv := NewClock(p)
-	depart := snd.StampSend(1000)
+	depart := snd.StampSendTo(1, 1000)
 	if depart != 0 {
 		t.Fatalf("departure %v want 0", depart)
 	}
-	rcv.StampRecv(depart, 1000)
+	rcv.StampRecvFrom(0, depart, 1000)
 	want := 1e-6 + 1000e-9
 	if math.Abs(rcv.Now()-want) > 1e-18 {
 		t.Fatalf("delivery at %v want %v (α+βL)", rcv.Now(), want)
@@ -23,8 +23,8 @@ func TestSingleMessageCost(t *testing.T) {
 func TestSenderNICSerializesInjection(t *testing.T) {
 	p := Params{Alpha: 1e-6, Beta: 1e-9}
 	snd := NewClock(p)
-	d1 := snd.StampSend(1000)
-	d2 := snd.StampSend(1000)
+	d1 := snd.StampSendTo(1, 1000)
+	d2 := snd.StampSendTo(1, 1000)
 	if math.Abs((d2-d1)-1000e-9) > 1e-18 {
 		t.Fatalf("second departure gap %v want βL", d2-d1)
 	}
@@ -45,7 +45,7 @@ func TestEndpointCongestion(t *testing.T) {
 	rcv := NewClock(p)
 	const L, senders = 500, 7
 	for s := 0; s < senders; s++ {
-		rcv.StampRecv(0, L)
+		rcv.StampRecvFrom(s+1, 0, L)
 	}
 	want := 1e-6 + senders*L*1e-9
 	if math.Abs(rcv.Now()-want) > 1e-15 {
@@ -87,9 +87,9 @@ func TestAdvanceToNeverRewinds(t *testing.T) {
 
 func TestCounters(t *testing.T) {
 	c := NewClock(Params{Beta: 1e-9})
-	c.StampSend(100)
-	c.StampSend(50)
-	c.StampRecv(0, 30)
+	c.StampSendTo(1, 100)
+	c.StampSendTo(2, 50)
+	c.StampRecvFrom(1, 0, 30)
 	s := c.Snapshot()
 	if s.SentWords != 150 || s.SentMsgs != 2 || s.RecvWords != 30 || s.RecvMsgs != 1 {
 		t.Fatalf("counters %+v", s)
@@ -106,8 +106,8 @@ func TestCounters(t *testing.T) {
 func TestNegativeArgsPanic(t *testing.T) {
 	c := NewClock(Params{})
 	for i, f := range []func(){
-		func() { c.StampSend(-1) },
-		func() { c.StampRecv(0, -1) },
+		func() { c.StampSendTo(1, -1) },
+		func() { c.StampRecvFrom(1, 0, -1) },
 		func() { c.Compute(-1) },
 		func() { c.Sleep(-1) },
 	} {

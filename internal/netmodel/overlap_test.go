@@ -18,8 +18,8 @@ func TestOverlapCommHidden(t *testing.T) {
 	c.OverlapReady()
 	// A short transfer on the comm track, fully under the remaining
 	// compute: send 1000 words, receive 1000 words.
-	depart := c.StampSend(1000)
-	c.StampRecv(depart, 1000)
+	depart := c.StampSendTo(1, 1000)
+	c.StampRecvFrom(1, depart, 1000)
 	c.OverlapSleep(0.5)
 	c.EndOverlap()
 	s := c.Snapshot()
@@ -43,9 +43,9 @@ func TestOverlapExposedRemainder(t *testing.T) {
 	c.BeginOverlap()
 	c.OverlapSleep(0.1)
 	c.OverlapReady()
-	depart := c.StampSend(1000) // departs at 0.1
-	c.StampRecv(depart, 1000)   // delivered at 0.1 + 1.0
-	c.OverlapSleep(0.1)         // compute track ends at 0.2
+	depart := c.StampSendTo(1, 1000) // departs at 0.1
+	c.StampRecvFrom(1, depart, 1000) // delivered at 0.1 + 1.0
+	c.OverlapSleep(0.1)              // compute track ends at 0.2
 	c.EndOverlap()
 	s := c.Snapshot()
 	wantEnd := 0.1 + float64(1000)*beta
@@ -67,7 +67,7 @@ func TestOverlapReadyPinsCommTrack(t *testing.T) {
 	c.BeginOverlap()
 	c.OverlapSleep(0.25)
 	c.OverlapReady()
-	if depart := c.StampSend(1); depart < 0.25 {
+	if depart := c.StampSendTo(1, 1); depart < 0.25 {
 		t.Fatalf("message departed at %v, before its data existed (0.25)", depart)
 	}
 	c.EndOverlap()
@@ -84,8 +84,8 @@ func TestOverlapWindowConsistency(t *testing.T) {
 		c.BeginOverlap()
 		c.OverlapSleep(0.05)
 		c.OverlapReady()
-		depart := c.StampSend(commWords)
-		c.StampRecv(depart, commWords)
+		depart := c.StampSendTo(1, commWords)
+		c.StampRecvFrom(1, depart, commWords)
 		c.OverlapSleep(0.05)
 		c.EndOverlap()
 		s := c.Snapshot()
@@ -114,8 +114,8 @@ func TestOverlapWindowConsistencyStraggler(t *testing.T) {
 		c.BeginOverlap()
 		c.OverlapSleep(0.05)
 		c.OverlapReady()
-		depart := c.StampSend(commWords)
-		c.StampRecv(depart, commWords)
+		depart := c.StampSendTo(1, commWords)
+		c.StampRecvFrom(1, depart, commWords)
 		c.OverlapSleep(0.05)
 		c.EndOverlap()
 		s := c.Snapshot()

@@ -23,9 +23,9 @@ import "fmt"
 //     bit-identical across scheduler parallelism, tensor worker counts,
 //     and transport backends.
 //
-// The zero Topology is the flat network: every Clock fast-paths to the
-// exact pre-topology arithmetic, so default output is byte-identical to
-// the flat model by construction.
+// The zero Topology is the flat network: none of the three applies, and
+// every Clock prices every link at the plain α and β and every compute
+// charge at the plain γ (TestGoldenFlatTopology pins that output).
 type Topology struct {
 	// NodeSize is the number of ranks per node; 0 or 1 means no
 	// hierarchy (every rank is its own node, all links inter-node).
@@ -53,7 +53,6 @@ type Topology struct {
 }
 
 // Active reports whether the topology differs from the flat network.
-// Inactive topologies take the flat fast path on every clock operation.
 func (t Topology) Active() bool {
 	return t.NodeSize > 1 || t.StragglerFrac > 0 || t.Jitter > 0
 }

@@ -17,35 +17,38 @@ func hierTopo() Topology {
 	return Topology{NodeSize: 4, IntraAlphaFrac: 0.25, IntraBetaFrac: 0.25, Share: 1}
 }
 
-// TestFlatDelegation: with no hierarchy configured, the topology-aware
-// stamps must be the flat stamps — bit-identical, not approximately —
-// because the flat fast path is what pins default output to the pre-
-// topology goldens. Straggler-only topologies (noisy but not
-// hierarchical) must delegate too.
-func TestFlatDelegation(t *testing.T) {
+// TestFlatStampClosedForm: without hierarchy the stamps are the α-β
+// model's closed form — depart = max(cpu, sendFree), delivery =
+// max(depart+α, recvFree) + words·β — to the bit, whoever the peer is:
+// this arithmetic is what pins default output to the flat goldens.
+// Straggler-only topologies (noisy but not hierarchical) price links
+// the same way.
+func TestFlatStampClosedForm(t *testing.T) {
 	for _, topo := range []Topology{
 		{},
 		{StragglerFrac: 0.25, StragglerSlow: 3, Jitter: 0.2, Seed: 99},
 	} {
-		flat := NewRankClock(PizDaint(), 2)
-		aware := NewRankClock(topoParams(topo), 2)
-		// Mirror an irregular stamp sequence on both clocks. The flat
-		// clock sees StampSend/StampRecv; the aware clock sees the *To
-		// variants with varying peers (peer identity must not matter
-		// without hierarchy).
-		words := []int{1, 1000, 7, 250000, 3}
-		for i, w := range words {
-			d1 := flat.StampSend(w)
-			d2 := aware.StampSendTo(i, w)
-			if math.Float64bits(d1) != math.Float64bits(d2) {
-				t.Fatalf("topo %+v: departure %d differs: %v vs %v", topo, i, d1, d2)
+		p := topoParams(topo)
+		c := NewRankClock(p, 2)
+		var cpu, sendFree, recvFree float64
+		for i, w := range []int{1, 1000, 7, 250000, 3} {
+			depart := math.Max(cpu, sendFree)
+			sendFree = depart + float64(w)*p.Beta
+			cpu = depart
+			if got := c.StampSendTo(i, w); math.Float64bits(got) != math.Float64bits(depart) {
+				t.Fatalf("topo %+v: departure %d is %v, closed form %v", topo, i, got, depart)
 			}
-			flat.StampRecv(d1, w)
-			aware.StampRecvFrom(i, d2, w)
-			if math.Float64bits(flat.Now()) != math.Float64bits(aware.Now()) {
-				t.Fatalf("topo %+v: clock diverged after recv %d: %v vs %v",
-					topo, i, flat.Now(), aware.Now())
+			done := math.Max(depart+p.Alpha, recvFree) + float64(w)*p.Beta
+			recvFree = done
+			cpu = math.Max(cpu, done)
+			c.StampRecvFrom(i, depart, w)
+			if math.Float64bits(c.Now()) != math.Float64bits(cpu) {
+				t.Fatalf("topo %+v: clock after recv %d is %v, closed form %v", topo, i, c.Now(), cpu)
 			}
+		}
+		c.DrainSends()
+		if want := math.Max(cpu, sendFree); math.Float64bits(c.Now()) != math.Float64bits(want) {
+			t.Fatalf("topo %+v: drained clock %v, closed form %v", topo, c.Now(), want)
 		}
 	}
 }

@@ -24,24 +24,6 @@ func TestSGDStep(t *testing.T) {
 	}
 }
 
-func TestMomentumAccumulates(t *testing.T) {
-	m := NewMomentum(1.0, 0.5)
-	p := []float64{0}
-	m.Apply(p, []float64{1}) // v=1, p=-1
-	m.Apply(p, []float64{1}) // v=1.5, p=-2.5
-	if math.Abs(p[0]+2.5) > 1e-15 {
-		t.Fatalf("p=%v", p[0])
-	}
-	// Velocity decays even with zero gradient.
-	m.Apply(p, []float64{0}) // v=0.75, p=-3.25
-	if math.Abs(p[0]+3.25) > 1e-15 {
-		t.Fatalf("p=%v after zero grad", p[0])
-	}
-	if m.Name() != "Momentum" {
-		t.Fatal("name")
-	}
-}
-
 func TestAdamFirstStepIsLRSized(t *testing.T) {
 	// With bias correction, the first Adam step is ≈lr·sign(g).
 	a := NewAdam(0.001, 0.9, 0.999, 0)

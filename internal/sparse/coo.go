@@ -3,8 +3,8 @@
 // k nonzeros is stored as k (index, value) pairs and therefore occupies
 // 2k words on the wire. The package provides construction from dense
 // vectors, sorted merging with value accumulation (the reduction kernel
-// of every sparse allreduce), densification, intersection of index sets,
-// and the fill-in statistics used to reproduce the paper's §5.2 numbers.
+// of every sparse allreduce), densification and intersection of index
+// sets.
 package sparse
 
 import (
@@ -187,16 +187,6 @@ func (v *Vec) Dense() []float64 {
 	return d
 }
 
-// AddInto accumulates v into the dense vector d (d must have length Dim).
-func (v *Vec) AddInto(d []float64) {
-	if len(d) != v.Dim {
-		panic("sparse: AddInto dimension mismatch")
-	}
-	for i, idx := range v.Indexes {
-		d[idx] += v.Values[i]
-	}
-}
-
 // Add returns the element-wise sum a+b as a new sparse vector. Both
 // inputs must share the same dimension. The merge is the standard
 // two-pointer walk over the sorted index lists; overlapping indexes are
@@ -318,16 +308,11 @@ func (v *Vec) Slice(lo, hi int32) *Vec {
 	return out
 }
 
-// Intersect returns the sorted indexes present in both a and b. Ok-Topk
-// uses this to find which local top-k values contributed to the global
-// top-k result (Algorithm 1 line 14).
-func Intersect(a, b []int32) []int32 {
-	return AppendIntersect(nil, a, b)
-}
-
-// AppendIntersect is Intersect appending into dst (typically a reused
-// scratch slice sliced to length zero), so steady-state callers avoid
-// reallocating the intersection buffer every iteration.
+// AppendIntersect appends the sorted indexes present in both a and b to
+// dst (typically a reused scratch slice sliced to length zero, so
+// steady-state callers avoid reallocating the intersection buffer every
+// iteration). Ok-Topk uses this to find which local top-k values
+// contributed to the global top-k result (Algorithm 1 line 14).
 func AppendIntersect(dst []int32, a, b []int32) []int32 {
 	out := dst
 	i, j := 0, 0
@@ -344,34 +329,4 @@ func AppendIntersect(dst []int32, a, b []int32) []int32 {
 		}
 	}
 	return out
-}
-
-// FillInStats describes how much a sparse reduction densified: InputNNZ
-// is the per-worker input size k, OutputNNZ the nonzeros of the reduced
-// result, and ExpansionDensity the output density OutputNNZ/Dim — the
-// quantity the paper reports as 13.2% (VGG) and 34.5% (LSTM) for
-// TopkDSA/TopkA in §5.2.
-type FillInStats struct {
-	Dim              int
-	InputNNZ         int
-	OutputNNZ        int
-	ExpansionDensity float64
-}
-
-// MeasureFillIn reduces the inputs and reports the fill-in statistics.
-func MeasureFillIn(vs []*Vec) FillInStats {
-	if len(vs) == 0 {
-		return FillInStats{}
-	}
-	sum := Reduce(vs)
-	in := 0
-	for _, v := range vs {
-		in += v.NNZ()
-	}
-	return FillInStats{
-		Dim:              sum.Dim,
-		InputNNZ:         in / len(vs),
-		OutputNNZ:        sum.NNZ(),
-		ExpansionDensity: sum.Density(),
-	}
 }

@@ -135,21 +135,12 @@ func TestSlice(t *testing.T) {
 }
 
 func TestIntersect(t *testing.T) {
-	got := Intersect([]int32{1, 3, 5, 7}, []int32{2, 3, 4, 5, 8})
+	got := AppendIntersect(nil, []int32{1, 3, 5, 7}, []int32{2, 3, 4, 5, 8})
 	if !reflect.DeepEqual(got, []int32{3, 5}) {
 		t.Fatalf("intersect %v", got)
 	}
-	if Intersect(nil, []int32{1}) != nil {
+	if AppendIntersect(nil, nil, []int32{1}) != nil {
 		t.Fatal("nil ∩ x must be nil")
-	}
-}
-
-func TestAddInto(t *testing.T) {
-	v := FromPairs(5, []int32{0, 4}, []float64{1, 2})
-	d := []float64{10, 0, 0, 0, 10}
-	v.AddInto(d)
-	if d[0] != 11 || d[4] != 12 {
-		t.Fatalf("AddInto: %v", d)
 	}
 }
 
@@ -160,28 +151,6 @@ func TestWordsAndDensity(t *testing.T) {
 	}
 	if v.Density() != 0.003 {
 		t.Fatalf("density=%v", v.Density())
-	}
-}
-
-func TestMeasureFillIn(t *testing.T) {
-	// 4 workers with disjoint 10-nonzero vectors: output nnz = 40.
-	var vs []*Vec
-	for w := 0; w < 4; w++ {
-		d := make([]float64, 1000)
-		for j := 0; j < 10; j++ {
-			d[w*100+j] = 1
-		}
-		vs = append(vs, FromDense(d))
-	}
-	st := MeasureFillIn(vs)
-	if st.InputNNZ != 10 || st.OutputNNZ != 40 {
-		t.Fatalf("fill-in stats %+v", st)
-	}
-	if math.Abs(st.ExpansionDensity-0.04) > 1e-12 {
-		t.Fatalf("density %v", st.ExpansionDensity)
-	}
-	if got := MeasureFillIn(nil); got.Dim != 0 {
-		t.Fatalf("empty fill-in %+v", got)
 	}
 }
 

@@ -22,9 +22,6 @@ func RNG(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
 
-// Zeros returns a freshly allocated zero vector of length n.
-func Zeros(n int) []float64 { return make([]float64, n) }
-
 // Fill sets every element of x to v.
 func Fill(x []float64, v float64) {
 	for i := range x {
@@ -85,17 +82,6 @@ func Norm2(x []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// AbsMax returns the largest absolute value in x (0 for empty x).
-func AbsMax(x []float64) float64 {
-	var m float64
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // Mean returns the arithmetic mean of x (0 for empty x).
 func Mean(x []float64) float64 {
 	if len(x) == 0 {
@@ -120,26 +106,6 @@ func Std(x []float64) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s / float64(len(x)))
-}
-
-// MeanStdAbs returns mean and standard deviation of |x_i|. Gaussiank uses
-// the statistics of absolute values to fit its threshold.
-func MeanStdAbs(x []float64) (mean, std float64) {
-	if len(x) == 0 {
-		return 0, 0
-	}
-	var s float64
-	for _, v := range x {
-		s += math.Abs(v)
-	}
-	mean = s / float64(len(x))
-	var q float64
-	for _, v := range x {
-		d := math.Abs(v) - mean
-		q += d * d
-	}
-	std = math.Sqrt(q / float64(len(x)))
-	return mean, std
 }
 
 // Mat is a dense row-major matrix.

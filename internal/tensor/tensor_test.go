@@ -63,17 +63,7 @@ func TestStats(t *testing.T) {
 	if math.Abs(Std(x)-math.Sqrt(2.5)) > 1e-12 {
 		t.Fatalf("std %v", Std(x))
 	}
-	m, s := MeanStdAbs(x)
-	if m != 1.5 {
-		t.Fatalf("meanabs %v", m)
-	}
-	if math.Abs(s-0.5) > 1e-12 {
-		t.Fatalf("stdabs %v", s)
-	}
-	if AbsMax(x) != 2 {
-		t.Fatal("absmax")
-	}
-	if Mean(nil) != 0 || Std(nil) != 0 || AbsMax(nil) != 0 {
+	if Mean(nil) != 0 || Std(nil) != 0 {
 		t.Fatal("empty stats")
 	}
 }

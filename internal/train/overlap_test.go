@@ -10,12 +10,11 @@ import (
 
 // overlapSession runs iters iterations of a DenseOvlp session and
 // returns the last iteration's stats.
-func overlapSession(t *testing.T, workload string, p, buckets int, mode OverlapMode) IterStats {
+func overlapSession(t *testing.T, workload string, p, buckets int) IterStats {
 	t.Helper()
 	cfg := quickCfg(workload, "DenseOvlp", p)
 	cfg.Adam = workload == "BERT"
 	cfg.Reduce.DenseBuckets = buckets
-	cfg.Overlap = mode
 	s := NewSession(cfg)
 	var last IterStats
 	s.RunIterations(3, func(st IterStats) { last = st })
@@ -29,7 +28,7 @@ func overlapSession(t *testing.T, workload string, p, buckets int, mode OverlapM
 func TestOverlapScheduleSumMatchesMonolithic(t *testing.T) {
 	for _, wl := range []string{"VGG", "LSTM", "BERT"} {
 		t.Run(wl, func(t *testing.T) {
-			ovlp := overlapSession(t, wl, 4, 0, OverlapSim)
+			ovlp := overlapSession(t, wl, 4, 0)
 			cfg := quickCfg(wl, "Dense", 4)
 			cfg.Adam = wl == "BERT"
 			s := NewSession(cfg)
@@ -50,7 +49,7 @@ func TestOverlapScheduleSumMatchesMonolithic(t *testing.T) {
 // TestOverlapPhaseSumIsWallTime: with the overlap engine the phase
 // breakdown must still sum to the iteration's wall time.
 func TestOverlapPhaseSumIsWallTime(t *testing.T) {
-	st := overlapSession(t, "VGG", 4, 0, OverlapSim)
+	st := overlapSession(t, "VGG", 4, 0)
 	sum := st.Phase[0] + st.Phase[1] + st.Phase[2]
 	if math.Abs(sum-st.IterSeconds) > 1e-12 {
 		t.Fatalf("phase sum %v != iteration seconds %v", sum, st.IterSeconds)
@@ -107,7 +106,7 @@ func TestExposedCommMonotoneInBuckets(t *testing.T) {
 		t.Run(wl, func(t *testing.T) {
 			var exposed []float64
 			for _, nb := range []int{1, 2, 4, 8} {
-				st := overlapSession(t, wl, 4, nb, OverlapSim)
+				st := overlapSession(t, wl, 4, nb)
 				exposed = append(exposed, st.Phase[netmodel.PhaseComm])
 			}
 			for i := 1; i < len(exposed); i++ {
@@ -122,21 +121,41 @@ func TestExposedCommMonotoneInBuckets(t *testing.T) {
 	}
 }
 
-// TestLegacyOverlapModeMatchesDiscount: the compatibility mode must
-// reproduce the pre-engine arithmetic exactly — monolithic reduction,
-// then hidden = min(0.45·comm, 0.9·compute) discounted.
-func TestLegacyOverlapModeMatchesDiscount(t *testing.T) {
-	legacy := overlapSession(t, "VGG", 4, 0, OverlapLegacy)
-	// A 1-bucket simulated run hides nothing, so it reports the
-	// monolithic communication time (modulo per-bucket latency, the
-	// legacy run's default 8 buckets cost a few α more).
-	mono := overlapSession(t, "VGG", 4, 1, OverlapSim)
-	comm := mono.Phase[netmodel.PhaseComm]
-	hidden := 0.45 * comm
-	if cap := 0.9 * mono.Phase[netmodel.PhaseCompute]; hidden > cap {
-		hidden = cap
+// algorithmOnly hides everything but allreduce.Algorithm, the way an
+// outside-in tracing wrapper does: the trainer cannot see Overlapped
+// behind it.
+type algorithmOnly struct{ allreduce.Algorithm }
+
+// notOverlapping additionally denies OverlapsBackward.
+type notOverlapping struct{ allreduce.Algorithm }
+
+func (notOverlapping) OverlapsBackward() bool { return false }
+
+// TestHiddenOverlappedChargedInFull: a DenseOvlp the trainer cannot
+// drive bucket by bucket runs its monolithic Reduce after the whole
+// backward pass, and its communication is charged in full — the same
+// phases, to the bit, as an algorithm that claims no overlap at all,
+// and more exposed communication than the pipeline leaves.
+func TestHiddenOverlappedChargedInFull(t *testing.T) {
+	run := func(wrap func(allreduce.Algorithm) allreduce.Algorithm) IterStats {
+		s := NewSession(quickCfg("VGG", "DenseOvlp", 4))
+		for _, tr := range s.Trainers {
+			tr.Algo = wrap(tr.Algo)
+		}
+		var last IterStats
+		s.RunIterations(3, func(st IterStats) { last = st })
+		return last
 	}
-	if math.Abs(legacy.Phase[netmodel.PhaseComm]-(comm-hidden)) > 2e-3 {
-		t.Fatalf("legacy exposed comm %v, want ≈%v", legacy.Phase[netmodel.PhaseComm], comm-hidden)
+	hidden := run(func(a allreduce.Algorithm) allreduce.Algorithm { return algorithmOnly{a} })
+	mono := run(func(a allreduce.Algorithm) allreduce.Algorithm { return notOverlapping{a} })
+	for ph := range hidden.Phase {
+		if math.Float64bits(hidden.Phase[ph]) != math.Float64bits(mono.Phase[ph]) {
+			t.Fatalf("phase %d: hidden DenseOvlp %v, monolithic reduction %v", ph, hidden.Phase[ph], mono.Phase[ph])
+		}
+	}
+	piped := overlapSession(t, "VGG", 4, 0)
+	if hidden.Phase[netmodel.PhaseComm] <= piped.Phase[netmodel.PhaseComm] {
+		t.Fatalf("monolithic comm %v not above the pipeline's exposed %v",
+			hidden.Phase[netmodel.PhaseComm], piped.Phase[netmodel.PhaseComm])
 	}
 }

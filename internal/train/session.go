@@ -112,12 +112,6 @@ type Config struct {
 	// systems ship float32 gradients). Compute stays float64 either way.
 	Wire cluster.Wire
 
-	// Overlap selects the backward/communication overlap model for
-	// DenseOvlp-style algorithms: the simulated bucket pipeline
-	// (OverlapSim, default) or the legacy scalar discount
-	// (OverlapLegacy).
-	Overlap OverlapMode
-
 	// CaptureAcc enables per-iteration accumulator capture (ξ studies).
 	CaptureAcc bool
 
@@ -239,7 +233,6 @@ func NewDistributedSession(cfg Config) (*Session, error) {
 			opt = optimizer.NewSGD(cfg.LR)
 		}
 		tr := NewTrainer(w, NewAlgorithm(cfg.Algorithm, cfg.Reduce), opt, cfg.Batch, cfg.Adam)
-		tr.Mode = cfg.Overlap
 		tr.CaptureAcc = cfg.CaptureAcc
 		s.Trainers[r] = tr
 		s.rngs[r] = tensor.RNG(cfg.Seed + 1000 + int64(r))
@@ -351,7 +344,7 @@ func (s *Session) RunIterations(count int, cb func(IterStats)) {
 }
 
 // Evaluate runs the rank-0 replica's held-out metric (all replicas hold
-// identical parameters, which EvaluateDivergence can assert).
+// identical parameters, which ReplicaDivergence can assert).
 func (s *Session) Evaluate(samples int) float64 {
 	r := tensor.RNG(s.Cfg.Seed + 999)
 	return s.Trainers[0].W.Evaluate(r, samples)

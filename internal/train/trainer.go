@@ -1,7 +1,6 @@
 package train
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/allreduce"
@@ -11,47 +10,6 @@ import (
 	"repro/internal/optimizer"
 	"repro/internal/tensor"
 )
-
-// OverlapMode selects how a backward-overlapping algorithm's
-// communication (DenseOvlp's bucket pipeline) is modeled.
-type OverlapMode int
-
-const (
-	// OverlapSim — the default — simulates the pipeline: the trainer
-	// threads the workload's per-layer backward schedule through a
-	// netmodel overlap window, launching each gradient bucket's
-	// allreduce the moment the last layer contributing to it finishes
-	// its backward, so only the exposed communication remainder reaches
-	// PhaseComm. No scalar discount is applied anywhere on this path.
-	OverlapSim OverlapMode = iota
-	// OverlapLegacy reproduces the pre-engine behavior for paired
-	// before/after comparisons: the reduction runs monolithically after
-	// the full backward pass and a scalar fraction (Trainer.Overlap,
-	// default 0.45, capped at 90% of compute) of its communication time
-	// is discounted post hoc.
-	OverlapLegacy
-)
-
-func (m OverlapMode) String() string {
-	switch m {
-	case OverlapSim:
-		return "sim"
-	case OverlapLegacy:
-		return "legacy"
-	}
-	return fmt.Sprintf("OverlapMode(%d)", int(m))
-}
-
-// ParseOverlapMode parses the -overlap flag values "sim" and "legacy".
-func ParseOverlapMode(s string) (OverlapMode, error) {
-	switch s {
-	case "sim":
-		return OverlapSim, nil
-	case "legacy":
-		return OverlapLegacy, nil
-	}
-	return OverlapSim, fmt.Errorf("train: unknown overlap mode %q (want sim or legacy)", s)
-}
 
 // BackwardFraction is the share of a workload's modeled compute+I/O
 // time spent in the backward pass (backward ≈ 2× forward for the
@@ -78,15 +36,6 @@ type Trainer struct {
 	Batch int
 	// LR is the current learning rate (schedules update it per step).
 	LR float64
-	// Mode selects the overlap model for backward-overlapping
-	// algorithms: the simulated bucket pipeline (default) or the legacy
-	// scalar discount.
-	Mode OverlapMode
-	// Overlap is the legacy-mode discount: the fraction of communication
-	// DenseOvlp hides behind backward computation (0.45 matched the
-	// Dense→DenseOvlp gap across the paper's Figures 8, 10 and 12
-	// before the pipeline was simulated). Unused in OverlapSim mode.
-	Overlap float64
 
 	residual []float64
 	acc      []float64
@@ -121,7 +70,6 @@ func NewTrainer(w Workload, algo allreduce.Algorithm, opt optimizer.Optimizer, b
 	return &Trainer{
 		W: w, Algo: algo, Opt: opt, Batch: batch, RawGrad: rawGrad,
 		LR:       opt.LR(),
-		Overlap:  0.45,
 		residual: make([]float64, w.N()),
 		acc:      make([]float64, w.N()),
 	}
@@ -242,30 +190,27 @@ func (tr *Trainer) Step(cm *cluster.Comm, t int, rng *rand.Rand) StepStats {
 	tr.W.ZeroGrads()
 	loss, correct, total := tr.W.ComputeBatch(rng, tr.Batch)
 
-	ov, pipelined := tr.Algo.(allreduce.Overlapped)
-	pipelined = pipelined && tr.Mode == OverlapSim && tr.Algo.OverlapsBackward()
-
 	comp := tr.W.ComputeSeconds(tr.Batch)
 	grads := tr.W.Grads()
 	scale := tr.LR
 	if tr.RawGrad {
 		scale = 1
 	}
+	// Algorithm 2 line 4: accumulate residuals (fused acc = ε + α·G).
+	tensor.ScaleAdd(tr.acc, scale, grads, tr.residual)
 	var res allreduce.Result
-	if pipelined {
+	if ov, ok := tr.Algo.(allreduce.Overlapped); ok && tr.Algo.OverlapsBackward() {
 		// Forward + I/O are charged up front; the backward window runs
 		// inside the overlap engine, concurrent with the bucket pipeline.
-		backward := comp * BackwardFraction
-		clk.Sleep(comp - backward)
-		// Algorithm 2 line 4: accumulate residuals (fused acc = ε + α·G).
-		tensor.ScaleAdd(tr.acc, scale, grads, tr.residual)
 		// Line 5, pipelined: bucket-by-bucket reduction against the
 		// backward schedule.
+		backward := comp * BackwardFraction
+		clk.Sleep(comp - backward)
 		res = tr.drivePipeline(cm, ov, backward, t)
 	} else {
+		// Line 5: the collective reduction after the whole backward pass,
+		// its communication charged in full.
 		clk.Sleep(comp)
-		tensor.ScaleAdd(tr.acc, scale, grads, tr.residual)
-		// Line 5: the collective reduction.
 		res = tr.Algo.Reduce(cm, tr.acc, t)
 	}
 	clk.SetPhase(netmodel.PhaseCompute)
@@ -318,17 +263,6 @@ func (tr *Trainer) Step(cm *cluster.Comm, t int, rng *rand.Rand) StepStats {
 	}
 	for i := 0; i < 3; i++ {
 		st.Phase[i] = after.PhaseTime[i] - before.PhaseTime[i]
-	}
-	// Legacy mode only: discount a fixed fraction of communication,
-	// capped by the compute time actually available. The simulated
-	// pipeline needs no correction — its exposed remainder is already
-	// what landed in PhaseComm.
-	if tr.Algo.OverlapsBackward() && !pipelined {
-		hidden := tr.Overlap * st.Phase[netmodel.PhaseComm]
-		if cap := 0.9 * st.Phase[netmodel.PhaseCompute]; hidden > cap {
-			hidden = cap
-		}
-		st.Phase[netmodel.PhaseComm] -= hidden
 	}
 	st.IterSeconds = st.Phase[0] + st.Phase[1] + st.Phase[2]
 	return st
