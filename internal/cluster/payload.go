@@ -30,6 +30,13 @@ package cluster
 // buffer that another rank can still observe — payloads that fan out to
 // several ranks (allgathered chunks, the old shared-broadcast payloads)
 // must be freshly allocated by the sender and must never be Put.
+//
+// Under tcp the message crosses as a copy, so step 3 happens twice:
+// the receiver owns the buffer the frame was decoded into, and the tcp
+// Deliver returns the sender's SendFloats / SendFloat32s buffer to the
+// sender's own pool as soon as the frame is encoded — that buffer was
+// handed over exclusively, so nothing else can still see it. Chunk
+// payloads may fan out and are never returned by the transport.
 
 import "sync"
 

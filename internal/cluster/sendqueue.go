@@ -14,8 +14,8 @@ package cluster
 
 import "sync"
 
-// frameBufPool is a locked LIFO of frame encode buffers, shared between
-// the rank goroutine (get, on encode) and the per-peer writer
+// frameBufPool is a locked freelist of frame encode buffers, shared
+// between the rank goroutine (get, on encode) and the per-peer writer
 // goroutines (put, after the socket write). Unlike the rank payload
 // pools it must lock: two goroutine classes touch it. poolCap bounds it
 // like every other freelist; overflow falls to the GC.
@@ -24,16 +24,34 @@ type frameBufPool struct {
 	free [][]byte
 }
 
-func (p *frameBufPool) get() []byte {
+// get returns an empty buffer with room for n bytes: the smallest
+// pooled one that fits, or a new one of exactly n. A frame of
+// dataFrameLen bytes is then encoded into it without regrowing, and a
+// large frame never takes a buffer a small one could have used. The
+// scan starts at the most recently returned buffer and stops at an
+// exact fit, the common case of a stream of equal frames.
+func (p *frameBufPool) get(n int) []byte {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if n := len(p.free); n > 0 {
-		b := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		return b[:0]
+	best := -1
+	for i := len(p.free) - 1; i >= 0; i-- {
+		if c := cap(p.free[i]); c >= n && (best < 0 || c < cap(p.free[best])) {
+			best = i
+			if c == n {
+				break
+			}
+		}
 	}
-	return nil
+	if best < 0 {
+		p.mu.Unlock()
+		return make([]byte, 0, n)
+	}
+	b := p.free[best]
+	last := len(p.free) - 1
+	p.free[best] = p.free[last]
+	p.free[last] = nil
+	p.free = p.free[:last]
+	p.mu.Unlock()
+	return b[:0]
 }
 
 func (p *frameBufPool) put(b []byte) {

@@ -23,25 +23,27 @@ package cluster
 // # Steady state: the corked, batched data plane
 //
 // Sends are asynchronous. The rank goroutine encodes each message into
-// an owned pooled frame buffer (never a shared scratch — the buffer
-// belongs to exactly one goroutine at a time, see sendqueue.go) and
-// pushes it onto the destination's bounded sendQueue; a per-peer writer
-// goroutine drains whatever is queued in one batch, writes the frames
-// back-to-back through a CorkBytes-sized bufio.Writer (which flushes
-// itself whenever the cork fills), and flushes once when the queue runs
-// dry. Back-to-back small frames therefore coalesce into single large
-// socket writes — one syscall for a burst instead of one per frame —
-// while a lone frame still departs immediately: the writer only ever
-// holds data while more is already queued behind it. A full queue
-// blocks the sender (bounded memory); a dead connection fails the queue
-// and poisons the mailbox, so an asynchronous send error surfaces at
-// the sender's next transport operation instead of being lost.
+// an owned pooled frame buffer of the frame's exact size (never a
+// shared scratch — the buffer belongs to exactly one goroutine at a
+// time, see sendqueue.go), returns an owned float payload to its own
+// pool, and pushes the frame onto the destination's bounded sendQueue;
+// a per-peer writer goroutine drains whatever is queued in one batch,
+// writes the frames back-to-back through a CorkBytes-sized bufio.Writer
+// (which flushes itself whenever the cork fills), and flushes once when
+// the queue runs dry. Back-to-back small frames therefore coalesce into
+// single large socket writes — one syscall for a burst instead of one
+// per frame — while a lone frame still departs immediately: the writer
+// only ever holds data while more is already queued behind it. A full
+// queue blocks the sender (bounded memory); a dead connection fails the
+// queue and poisons the mailbox, so an asynchronous send error surfaces
+// at the sender's next transport operation instead of being lost.
 //
 // One reader goroutine per connection decodes frames into the process's
-// single mailbox, reusing one frame-body buffer per connection and
-// rebuilding Message payloads from the local rank's pools (payload.go):
-// the pools are in shared mode under tcp — reader goroutines and the
-// rank goroutine both touch them — and the receiver-returns ownership
+// single mailbox, streaming each payload from the socket buffer
+// straight into a buffer from the local rank's pools (payload.go) and
+// publishing the message only once the frame's CRC has matched. The
+// pools are in shared mode under tcp — reader goroutines and the rank
+// goroutine both touch them — and the receiver-returns ownership
 // protocol is the same as inproc, so steady-state receives allocate
 // nothing. Heartbeat, abort and goodbye frames bypass the send queue
 // and write directly under the per-peer write mutex: failure detection
@@ -397,12 +399,7 @@ func (tr *tcpTransport) rendezvous(opts TCPOptions) error {
 					joined-1, tr.size-1, err)
 			}
 			conn.SetDeadline(deadline)
-			typ, body, err := readFrame(conn)
-			if err != nil || typ != frameHello {
-				conn.Close()
-				return fmt.Errorf("cluster: tcp rendezvous: rank 0 bad hello (type %d): %w", typ, err)
-			}
-			peer, addr, err := decodeHelloFrame(body)
+			peer, addr, err := (&frameReader{r: conn}).readHello()
 			if err != nil {
 				conn.Close()
 				return fmt.Errorf("cluster: tcp rendezvous: rank 0 bad hello: %w", err)
@@ -435,13 +432,12 @@ func (tr *tcpTransport) rendezvous(opts TCPOptions) error {
 	if err := writeFrame(conn0, appendHelloFrame(nil, tr.rank, ln.Addr().String())); err != nil {
 		return fmt.Errorf("cluster: tcp rendezvous: rank %d sending hello: %w", tr.rank, err)
 	}
-	typ, body, err := readFrame(conn0)
-	if err != nil || typ != frameTable {
-		return fmt.Errorf("cluster: tcp rendezvous: rank %d waiting for address table (type %d): %w", tr.rank, typ, err)
+	addrs, err := (&frameReader{r: conn0}).readTable()
+	if err != nil {
+		return fmt.Errorf("cluster: tcp rendezvous: rank %d waiting for address table: %w", tr.rank, err)
 	}
-	addrs, err := decodeTableFrame(body)
-	if err != nil || len(addrs) != tr.size {
-		return fmt.Errorf("cluster: tcp rendezvous: rank %d bad address table (%d entries): %w", tr.rank, len(addrs), err)
+	if len(addrs) != tr.size {
+		return fmt.Errorf("cluster: tcp rendezvous: rank %d bad address table (%d entries, want %d)", tr.rank, len(addrs), tr.size)
 	}
 
 	// Complete the mesh: dial every lower joining rank, accept every
@@ -466,13 +462,12 @@ func (tr *tcpTransport) rendezvous(opts TCPOptions) error {
 			return fmt.Errorf("cluster: tcp rendezvous: rank %d waiting for %d higher-rank dials: %w", tr.rank, need, err)
 		}
 		conn.SetDeadline(deadline)
-		typ, body, err := readFrame(conn)
-		if err != nil || typ != frameHello {
+		peer, _, err := (&frameReader{r: conn}).readHello()
+		if err != nil {
 			conn.Close()
-			return fmt.Errorf("cluster: tcp rendezvous: rank %d bad mesh hello (type %d): %w", tr.rank, typ, err)
+			return fmt.Errorf("cluster: tcp rendezvous: rank %d bad mesh hello: %w", tr.rank, err)
 		}
-		peer, _, err := decodeHelloFrame(body)
-		if err != nil || peer <= tr.rank || peer >= tr.size || tr.conns[peer] != nil {
+		if peer <= tr.rank || peer >= tr.size || tr.conns[peer] != nil {
 			conn.Close()
 			return fmt.Errorf("cluster: tcp rendezvous: rank %d duplicate or invalid mesh hello from rank %d", tr.rank, peer)
 		}
@@ -512,45 +507,39 @@ func (tr *tcpTransport) broadcastAbort(err error) {
 }
 
 // readLoop decodes one connection's frames into the mailbox until the
-// connection dies or the transport closes. The frame body lands in one
-// per-connection buffer reused across frames (this goroutine is its
-// only toucher — zero synchronization), and payloads decode into the
-// local rank's pools, so a steady-state receive allocates nothing.
+// connection dies or the transport closes. Its frameReader (this
+// goroutine is the only toucher — zero synchronization) reads each
+// payload from the socket buffer straight into a buffer from the local
+// rank's pools, so a steady-state receive allocates nothing and copies
+// each byte once; a message reaches the mailbox only after its CRC has
+// matched.
 func (tr *tcpTransport) readLoop(peer int, conn net.Conn) {
 	defer tr.readers.Done()
-	r := bufio.NewReaderSize(conn, 1<<16)
-	var body []byte // reused across frames; decoder copies out of it
+	fr := &frameReader{r: bufio.NewReaderSize(conn, 1<<16)}
 	for {
-		var typ byte
-		var err error
-		typ, body, err = readFrameInto(r, body)
+		pools := tr.pools.Load()
+		fr.pools = pools
+		msg, err := fr.readData()
 		if err != nil {
-			if errors.Is(err, ErrFrameCorrupt) && !tr.closed.Load() {
+			switch {
+			case tr.closed.Load():
+			case errors.Is(err, ErrFrameCorrupt):
 				// Integrity failure with the sender known: attribute it.
 				tr.fail(fmt.Errorf("corrupt frame from rank %d: %w", peer, err))
-				return
-			}
-			// EOF after the peer said goodbye (or after we closed) is a
-			// clean departure: ranks finish the job at different times, and
-			// a finished peer closing its end must not fail stragglers.
-			// EOF without a goodbye is a dead peer — poison, so every
-			// blocked receive surfaces a rank-attributed error.
-			if !tr.closed.Load() && !tr.byes[peer].Load() {
+			case errors.Is(err, errMalformedFrame):
+				tr.fail(fmt.Errorf("undecodable frame from rank %d: %w", peer, err))
+			case !tr.byes[peer].Load():
+				// EOF after the peer said goodbye (or after we closed) is
+				// a clean departure: ranks finish the job at different
+				// times, and a finished peer closing its end must not fail
+				// stragglers. EOF without a goodbye is a dead peer —
+				// poison, so every blocked receive surfaces a
+				// rank-attributed error.
 				tr.fail(fmt.Errorf("connection to rank %d lost: %w", peer, err))
 			}
 			return
 		}
 		tr.lastSeen[peer].Store(time.Now().UnixNano())
-		if typ != frameData {
-			tr.fail(fmt.Errorf("rank %d sent unexpected frame type %d mid-job", peer, typ))
-			return
-		}
-		pools := tr.pools.Load()
-		msg, err := decodeDataFrame(body, pools)
-		if err != nil {
-			tr.fail(fmt.Errorf("undecodable frame from rank %d: %w", peer, err))
-			return
-		}
 		switch msg.Tag {
 		case tagBye:
 			tr.byes[peer].Store(true)
@@ -695,17 +684,23 @@ func (tr *tcpTransport) writerLoop(dst int) {
 	}
 }
 
-// enqueue encodes msg into an owned pooled frame buffer and pushes it
-// onto dst's send queue, blocking while the queue is full. The buffer
-// belongs to the queue once push succeeds — the rank goroutine never
-// touches it again (no shared scratch: an in-flight frame can never be
-// overwritten by the next encode).
+// enqueue encodes msg into an owned pooled frame buffer sized to the
+// frame and pushes it onto dst's send queue, blocking while the queue
+// is full. The buffer belongs to the queue once push succeeds — the
+// rank goroutine never touches it again (no shared scratch: an
+// in-flight frame can never be overwritten by the next encode). A
+// message too large for any receiver to accept is refused here, before
+// anything is encoded or written.
 func (tr *tcpTransport) enqueue(dst int, msg *Message) error {
 	q := tr.queues[dst]
 	if q == nil {
 		return fmt.Errorf("no connection to rank %d", dst)
 	}
-	frame := appendDataFrame(tr.framePool.get(), msg)
+	size, err := dataFrameLen(msg)
+	if err != nil {
+		return fmt.Errorf("message to rank %d, tag %d: %w", dst, msg.Tag, err)
+	}
+	frame := appendDataFrame(tr.framePool.get(size), msg)
 	if tr.corruptNext {
 		tr.corruptNext = false
 		// Flip a payload bit after the CRC was computed: the frame goes
@@ -761,19 +756,27 @@ func (tr *tcpTransport) inject(src *Comm, dst int) {
 	}
 }
 
-// Deliver encodes and enqueues one data frame. The send is
-// asynchronous: a connection failure observed by the writer loop
-// surfaces here only if the queue already failed — otherwise it poisons
-// the mailbox and the sender trips over it at its next receive,
-// barrier, or gather.
+// Deliver encodes and enqueues one data frame, then returns the
+// message's owned float payload to the sender's pool: the frame holds
+// its own copy. The send is asynchronous: a connection failure
+// observed by the writer loop surfaces here only if the queue already
+// failed — otherwise it poisons the mailbox and the sender trips over
+// it at its next receive, barrier, or gather. A message refused by
+// enqueue fails here, attributed to the sending rank.
 func (tr *tcpTransport) Deliver(src *Comm, dst int, msg *Message) {
 	if tr.hook != nil {
 		tr.inject(src, dst)
 	}
 	err := tr.enqueue(dst, msg)
-	// Recycle only the Message shell. Its payload buffers may fan out to
-	// several destinations, so they are left to the GC (payload.go): on
-	// tcp the pools feed the send side and refill from the recv side.
+	// SendFloats and SendFloat32s hand their buffer over exclusively, so
+	// nobody else can see it once it is encoded. Chunk payloads may fan
+	// out to several destinations and are left to the GC (payload.go).
+	switch msg.kind {
+	case payloadFloats:
+		src.PutFloats(msg.floats)
+	case payloadFloats32:
+		src.PutFloat32s(msg.floats32)
+	}
 	src.release(msg)
 	if err != nil {
 		werr := fmt.Errorf("send to rank %d failed: %w", dst, err)
