@@ -103,6 +103,14 @@ func (c *Conv2D) Forward(x *tensor.Mat) *tensor.Mat {
 
 // Backward accumulates kernel/bias gradients and returns dx.
 func (c *Conv2D) Backward(dy *tensor.Mat) *tensor.Mat {
+	c.backwardParams(dy)
+	return c.backwardInput()
+}
+
+// backwardParams is the half of Backward that accumulates the kernel and
+// bias gradients; it leaves dy repacked in c.dout for backwardInput. A
+// first layer, whose input gradient nobody reads, calls only this half.
+func (c *Conv2D) backwardParams(dy *tensor.Mat) {
 	hw := c.H * c.W
 	// Repack dy (B × OutC*H*W) into (B*H*W) × OutC in parallel, then
 	// accumulate the bias gradient serially so its summation order is
@@ -127,11 +135,14 @@ func (c *Conv2D) Backward(dy *tensor.Mat) *tensor.Mat {
 		}
 	}
 	tensor.GemmTA(c.colCache, dout, c.gwMat)
+}
 
-	// dcol = dout · Wᵀ, then col2im scatters back to dx (per-image
-	// scatter regions are disjoint, so images parallelize).
-	c.dcol = tensor.EnsureMatUninit(c.dcol, c.batch*hw, c.InC*9)
-	tensor.MatMulTB(dout, c.wMat, c.dcol)
+// backwardInput is the other half of Backward: dcol = dout · Wᵀ, then
+// col2im scatters back to dx (per-image scatter regions are disjoint,
+// so images parallelize).
+func (c *Conv2D) backwardInput() *tensor.Mat {
+	c.dcol = tensor.EnsureMatUninit(c.dcol, c.batch*c.H*c.W, c.InC*9)
+	tensor.MatMulTB(c.dout, c.wMat, c.dcol)
 	c.dx = tensor.EnsureMatUninit(c.dx, c.batch, c.InC*c.H*c.W)
 	dcol, dx := c.dcol, c.dx
 	tensor.ParallelFor(c.batch, 1, func(blo, bhi int) {

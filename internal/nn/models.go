@@ -68,7 +68,8 @@ func (m *VGGNarrow) Loss(x *tensor.Mat, y []int) (float64, int) {
 	d := m.fc1.Backward(m.r4.Backward(m.fc2.Backward(dlogits)))
 	d = m.conv3.Backward(m.r3.Backward(m.pool3.Backward(d)))
 	d = m.conv2.Backward(m.r2.Backward(m.pool2.Backward(d)))
-	m.conv1.Backward(m.r1.Backward(m.pool1.Backward(d)))
+	// The input images need no gradient: conv1 skips its dx half.
+	m.conv1.backwardParams(m.r1.Backward(m.pool1.Backward(d)))
 	return loss, correct
 }
 

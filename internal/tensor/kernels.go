@@ -46,9 +46,9 @@ func axpyTo(y []float64, a float64, x []float64) {
 	}
 }
 
-// dot4 is the 4-accumulator unrolled inner product used by GemmTB. The
-// four partial sums break the add dependency chain; the summation order
-// is fixed, so every caller sees the same rounding.
+// dot4 is the 4-accumulator unrolled inner product used by GemmTB and
+// MatMulTB. The four partial sums break the add dependency chain; the
+// summation order is fixed, so every caller sees the same rounding.
 func dot4(x, y []float64) float64 {
 	y = y[:len(x)]
 	var s0, s1, s2, s3 float64
@@ -62,6 +62,89 @@ func dot4(x, y []float64) float64 {
 	s := (s0 + s1) + (s2 + s3)
 	for j := n; j < len(x); j++ {
 		s += x[j] * y[j]
+	}
+	return s
+}
+
+// Zero skipping in the backward kernels. Backprop through ReLU and
+// max-pool leaves most of a gradient exactly zero, and GemmTA/MatMulTB
+// drop every term with a zero gradient factor. That changes no bit:
+// under round-to-nearest x+y is −0 only when both are −0, so an
+// accumulator that starts at +0 is never −0, and adding the ±0 product
+// of a zero and a finite factor leaves it unchanged. Each surviving term
+// keeps its operands and its place in the order. A row takes the sparse
+// path by its own nonzero count only, so the choice is the same at any
+// worker count.
+//
+// sparseCap is the capacity of the stack-resident nonzero lists; a row
+// with more nonzeros than that, or than half its length, takes the
+// dense loop.
+const sparseCap = 64
+
+// nonzeros lists row's nonzero entries in ascending order into idx/val
+// and returns their count, or -1 if the row is dense.
+func nonzeros(row []float64, idx *[sparseCap]int32, val *[sparseCap]float64) int {
+	limit := min(len(row)/2, sparseCap)
+	nz := 0
+	for j, v := range row {
+		if v != 0 {
+			if nz == limit {
+				return -1
+			}
+			idx[nz], val[nz] = int32(j), v
+			nz++
+		}
+	}
+	return nz
+}
+
+// nonzerosByLane is nonzeros in dot4's summation order: the nonzeros of
+// the unrolled body lane by lane (index mod 4), each lane ascending,
+// then those of the tail. ends[l] is where lane l's run ends in idx/val,
+// ends[4] where the tail's does, which is also the count.
+func nonzerosByLane(row []float64, idx *[sparseCap]int32, val *[sparseCap]float64, ends *[5]int) int {
+	limit := min(len(row)/2, sparseCap)
+	n := len(row) &^ 3
+	nz := 0
+	for lane := 0; lane < 5; lane++ {
+		lo, hi, step := lane, n, 4
+		if lane == 4 {
+			lo, hi, step = n, len(row), 1
+		}
+		for j := lo; j < hi; j += step {
+			if v := row[j]; v != 0 {
+				if nz == limit {
+					return -1
+				}
+				idx[nz], val[nz] = int32(j), v
+				nz++
+			}
+		}
+		ends[lane] = nz
+	}
+	return nz
+}
+
+// sparseDot4 is dot4(x, y) for an x listed by nonzerosByLane: the same
+// partial sums over the same surviving terms in the same order.
+func sparseDot4(idx []int32, val []float64, ends *[5]int, y []float64) float64 {
+	var s0, s1, s2, s3 float64
+	t := 0
+	for ; t < ends[0]; t++ {
+		s0 += val[t] * y[idx[t]]
+	}
+	for ; t < ends[1]; t++ {
+		s1 += val[t] * y[idx[t]]
+	}
+	for ; t < ends[2]; t++ {
+		s2 += val[t] * y[idx[t]]
+	}
+	for ; t < ends[3]; t++ {
+		s3 += val[t] * y[idx[t]]
+	}
+	s := (s0 + s1) + (s2 + s3)
+	for ; t < ends[4]; t++ {
+		s += val[t] * y[idx[t]]
 	}
 	return s
 }
@@ -116,21 +199,40 @@ func gemmRow(crow, arow []float64, b *Mat) {
 // GemmTA computes C += Aᵀ * B where A is (K×M), B is (K×N), C is (M×N).
 // The partition is over output rows (columns of A); within a block the
 // loop stays k-major, so each C element still accumulates in ascending
-// k — the same order as the serial loop.
+// k — the same order as the serial loop. Terms with a zero factor on
+// either side are skipped (see sparseCap): B is the output gradient in
+// every backward pass, so a row of B that is all zero costs one scan,
+// and a sparse one updates only its nonzero columns of C.
 func GemmTA(a, b, c *Mat) {
 	if a.Rows != b.Rows || a.Cols != c.Rows || b.Cols != c.Cols {
 		panic("tensor: gemmTA shape mismatch")
 	}
 	grain := GrainFor(2 * a.Rows * b.Cols)
 	ParallelFor(a.Cols, grain, func(lo, hi int) {
+		var idx [sparseCap]int32
+		var val [sparseCap]float64
 		for k := 0; k < a.Rows; k++ {
 			arow := a.Row(k)[lo:hi]
 			brow := b.Row(k)
-			for ii, av := range arow {
-				if av == 0 {
-					continue
+			switch nz := nonzeros(brow, &idx, &val); {
+			case nz == 0: // the row adds nothing
+			case nz < 0:
+				for ii, av := range arow {
+					if av != 0 {
+						axpyTo(c.Row(lo+ii), av, brow)
+					}
 				}
-				axpyTo(c.Row(lo+ii), av, brow)
+			default:
+				cols, vals := idx[:nz], val[:nz]
+				for ii, av := range arow {
+					if av == 0 {
+						continue
+					}
+					crow := c.Row(lo + ii)
+					for t, j := range cols {
+						crow[j] += av * vals[t]
+					}
+				}
 			}
 		}
 	})
@@ -171,18 +273,34 @@ func MatMulBias(x, w *Mat, bias []float64, y *Mat) {
 	})
 }
 
-// MatMulTB computes C = A·Bᵀ (overwriting C), A (M×K), B (N×K).
+// MatMulTB computes C = A·Bᵀ (overwriting C), A (M×K), B (N×K). A is
+// the output gradient in every backward pass, and its zeros are skipped
+// (see sparseCap): an all-zero row of A gives a zero row of C, and a
+// sparse one computes each C element as dot4 over its nonzeros only.
 func MatMulTB(a, b, c *Mat) {
 	if a.Cols != b.Cols || a.Rows != c.Rows || b.Rows != c.Cols {
 		panic("tensor: matmulTB shape mismatch")
 	}
 	grain := GrainFor(2 * a.Cols * b.Rows)
 	ParallelFor(a.Rows, grain, func(lo, hi int) {
+		var idx [sparseCap]int32
+		var val [sparseCap]float64
+		var ends [5]int
 		for i := lo; i < hi; i++ {
 			arow := a.Row(i)
 			crow := c.Row(i)
-			for j := 0; j < b.Rows; j++ {
-				crow[j] = dot4(arow, b.Row(j))
+			switch nz := nonzerosByLane(arow, &idx, &val, &ends); {
+			case nz == 0:
+				clear(crow)
+			case nz < 0:
+				for j := range crow {
+					crow[j] = dot4(arow, b.Row(j))
+				}
+			default:
+				ks, vs := idx[:nz], val[:nz]
+				for j := range crow {
+					crow[j] = sparseDot4(ks, vs, &ends, b.Row(j))
+				}
 			}
 		}
 	})

@@ -23,6 +23,204 @@ func refGemm(a, b, c *Mat) {
 	}
 }
 
+// refGemmTA is GemmTA before it skipped zeros in B: every term with a
+// nonzero A factor, in ascending k, one axpy per (k, output row).
+func refGemmTA(a, b, c *Mat) {
+	for k := 0; k < a.Rows; k++ {
+		brow := b.Row(k)
+		for i, av := range a.Row(k) {
+			if av == 0 {
+				continue
+			}
+			axpyTo(c.Row(i), av, brow)
+		}
+	}
+}
+
+// refMatMulTB is MatMulTB before it skipped zeros in A: one full dot4
+// per output element.
+func refMatMulTB(a, b, c *Mat) {
+	for i := 0; i < a.Rows; i++ {
+		crow := c.Row(i)
+		for j := range crow {
+			crow[j] = dot4(a.Row(i), b.Row(j))
+		}
+	}
+}
+
+// gradMat returns a rows×cols matrix shaped like a backprop gradient:
+// every fourth row is all zero, every other entry is zero with
+// probability frac, zeros take either sign, and the rest are N(0, 1).
+func gradMat(seed int64, rows, cols int, frac float64) *Mat {
+	r := RNG(seed)
+	m := NewMat(rows, cols)
+	for i := range m.Data {
+		v := r.NormFloat64()
+		if i/cols%4 == 3 || r.Float64() < frac {
+			v = math.Copysign(0, v)
+		}
+		m.Data[i] = v
+	}
+	return m
+}
+
+// TestBackwardKernelsMatchReference pins the zero-skipping GemmTA and
+// MatMulTB to the loops they replaced, bit for bit, across gradient
+// densities, row lengths (the dot4 tail, the lane split, the list
+// capacity), all-zero rows, ±0 in both operands and worker counts. The
+// row length K is the gradient operand's: GemmTA's output width, and
+// MatMulTB's inner dimension.
+func TestBackwardKernelsMatchReference(t *testing.T) {
+	seed := int64(100)
+	for _, frac := range []float64{0, 0.5, 0.8, 0.97, 1} {
+		for _, k := range []int{1, 3, 4, 7, 16, 64, 65, 200} {
+			seed++
+			// GemmTA: C (40×k) += Aᵀ·B, A (24×40) activations, B (24×k)
+			// the gradient; C's zeros are made +0, since a −0 in C is a
+			// documented edge case (TestBackwardKernelsZeroSkipEdges).
+			a, b := gradMat(seed, 24, 40, 0.1), gradMat(seed+1000, 24, k, frac)
+			c0 := gradMat(seed+2000, 40, k, 0.1)
+			for i, v := range c0.Data {
+				c0.Data[i] = math.Abs(v)
+			}
+			wantTA := c0.Clone()
+			refGemmTA(a, b, wantTA)
+			// MatMulTB: C (48×11) = A·Bᵀ, A (48×k) the gradient, B (11×k)
+			// weights; C starts as garbage the kernel must overwrite.
+			ga, w := gradMat(seed+3000, 48, k, frac), gradMat(seed+4000, 11, k, 0.1)
+			wantTB := NewMat(48, 11)
+			refMatMulTB(ga, w, wantTB)
+			for _, workers := range []int{1, 2, 3, 8} {
+				withWorkers(t, workers, func() {
+					gotTA := c0.Clone()
+					GemmTA(a, b, gotTA)
+					if !matsEqual(wantTA, gotTA) {
+						t.Fatalf("GemmTA zero fraction %v K=%d workers=%d differs from reference", frac, k, workers)
+					}
+					gotTB := NewMat(48, 11)
+					Fill(gotTB.Data, math.NaN())
+					MatMulTB(ga, w, gotTB)
+					if !matsEqual(wantTB, gotTB) {
+						t.Fatalf("MatMulTB zero fraction %v K=%d workers=%d differs from reference", frac, k, workers)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestBackwardKernelsZeroSkipEdges pins the documented departures from
+// the reference loops, which only inputs no caller produces reach: a
+// zero gradient entry skips its partner even when that is NaN or ±Inf,
+// and a −0 already in GemmTA's C stays −0. A dense row still multiplies
+// every entry, as the reference does.
+func TestBackwardKernelsZeroSkipEdges(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	negZero := math.Copysign(0, -1)
+
+	// GemmTA, sparse B row (one nonzero of four): only column 1 is touched.
+	a := NewMatFrom(1, 1, []float64{inf})
+	b := NewMatFrom(1, 4, []float64{0, 2, negZero, 0})
+	c := NewMatFrom(1, 4, []float64{negZero, 1, 5, 0})
+	GemmTA(a, b, c)
+	if got := c.Row(0); math.Float64bits(got[0]) != math.Float64bits(negZero) ||
+		!math.IsInf(got[1], 1) || got[2] != 5 || math.Float64bits(got[3]) != 0 {
+		t.Fatalf("GemmTA sparse row: got %v, want [-0 +Inf 5 0]", got)
+	}
+	// The same with a dense B row (three nonzeros of four) is the reference.
+	b = NewMatFrom(1, 4, []float64{0, 2, 3, 4})
+	want, got := NewMatFrom(1, 4, []float64{negZero, 1, 5, 0}), NewMatFrom(1, 4, []float64{negZero, 1, 5, 0})
+	refGemmTA(a, b, want)
+	GemmTA(a, b, got)
+	if !math.IsNaN(got.Data[0]) || !matsEqual(want, got) {
+		t.Fatalf("GemmTA dense row: got %v, want %v", got.Data, want.Data)
+	}
+	// −0 in C meets +0 products: the reference gives +0, the kernel keeps −0.
+	a = NewMatFrom(1, 1, []float64{1})
+	b = NewMatFrom(1, 4, []float64{0, 2, 0, 0})
+	c = NewMatFrom(1, 4, []float64{negZero, 0, negZero, negZero})
+	GemmTA(a, b, c)
+	for _, j := range []int{0, 2, 3} {
+		if !math.Signbit(c.Data[j]) {
+			t.Fatalf("GemmTA: -0 in C at %d became %v", j, c.Data[j])
+		}
+	}
+
+	// MatMulTB, sparse A row: the NaN and Inf facing zeros are skipped.
+	w := NewMatFrom(2, 4, []float64{nan, inf, 1, negZero, 1, 1, 1, 1})
+	ga := NewMatFrom(2, 4, []float64{0, negZero, 3, 0, 0, 0, 0, 0})
+	out := NewMat(2, 2)
+	Fill(out.Data, 7)
+	MatMulTB(ga, w, out)
+	if want := []float64{3, 3, 0, 0}; !matsEqual(out, NewMatFrom(2, 2, want)) {
+		t.Fatalf("MatMulTB sparse and zero rows: got %v, want %v", out.Data, want)
+	}
+	// A dense A row multiplies the NaN like the reference.
+	ga = NewMatFrom(1, 4, []float64{1, 0, 3, 2})
+	w = NewMatFrom(1, 4, []float64{nan, inf, 1, 1})
+	out = NewMat(1, 1)
+	MatMulTB(ga, w, out)
+	if !math.IsNaN(out.Data[0]) {
+		t.Fatalf("MatMulTB dense row: got %v, want NaN", out.Data[0])
+	}
+}
+
+// FuzzBackwardKernels derives shapes, a zero mask and finite values from
+// the input and requires GemmTA and MatMulTB to equal their reference
+// loops bit for bit at one and three workers. Byte 3 is the zero
+// threshold; each later byte, read cyclically, is one matrix entry:
+// below the threshold a zero whose sign is the byte's low bit, else a
+// small finite value. The seed corpus is testdata/fuzz/FuzzBackwardKernels.
+func FuzzBackwardKernels(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 5 {
+			return
+		}
+		m, k, n, thresh, stream := 1+int(data[0])%12, 1+int(data[1])%150, 1+int(data[2])%12, data[3], data[4:]
+		e := 0
+		fill := func(rows, cols int) *Mat {
+			x := NewMat(rows, cols)
+			for i := range x.Data {
+				switch bt := stream[e%len(stream)]; {
+				case bt < thresh && bt&1 == 1:
+					x.Data[i] = math.Copysign(0, -1)
+				case bt < thresh:
+					x.Data[i] = 0
+				default:
+					x.Data[i] = float64(int8(bt)) / 16 * (1 + float64(e%5)/8)
+				}
+				e++
+			}
+			return x
+		}
+		// GemmTA: A (m×n) activations, B (m×k) the gradient, C (n×k).
+		a, b, c := fill(m, n), fill(m, k), fill(n, k)
+		for i, v := range c.Data {
+			c.Data[i] = math.Abs(v) // no −0 in C: the documented edge
+		}
+		wantTA := c.Clone()
+		refGemmTA(a, b, wantTA)
+		// MatMulTB: A (m×k) the gradient, B (n×k) weights, C (m×n).
+		ga, w := fill(m, k), fill(n, k)
+		wantTB := NewMat(m, n)
+		refMatMulTB(ga, w, wantTB)
+		for _, workers := range []int{1, 3} {
+			withWorkers(t, workers, func() {
+				gotTA := c.Clone()
+				GemmTA(a, b, gotTA)
+				if !matsEqual(wantTA, gotTA) {
+					t.Fatalf("GemmTA m=%d k=%d n=%d workers=%d differs from reference", m, k, n, workers)
+				}
+				gotTB := NewMat(m, n)
+				MatMulTB(ga, w, gotTB)
+				if !matsEqual(wantTB, gotTB) {
+					t.Fatalf("MatMulTB m=%d k=%d n=%d workers=%d differs from reference", m, k, n, workers)
+				}
+			})
+		}
+	})
+}
+
 func randMat(seed int64, rows, cols int) *Mat {
 	m := NewMat(rows, cols)
 	RandN(RNG(seed), m.Data, 1)

@@ -1,9 +1,12 @@
 // Package tensor provides the dense compute kernels used by the
 // neural-network substrate and the sparse-allreduce algorithms: seeded
 // random number generation, vector arithmetic (axpy, scale, dot) and
-// matrix multiplies (MatMul, Gemm, GemmTA, GemmTB) parallelized over a
-// shared worker pool with deterministic row-block ownership — results
-// are bit-identical at any worker count (SetWorkers). Everything
+// matrix multiplies (MatMul, Gemm, GemmTA, GemmTB, MatMulTB)
+// parallelized over a shared worker pool with deterministic row-block
+// ownership — results are bit-identical at any worker count
+// (SetWorkers). The backward kernels GemmTA and MatMulTB skip the zeros
+// of the output gradient without changing a bit of the result (see
+// sparseCap in kernels.go). Everything
 // operates on []float64 and plain row-major matrices; there is
 // deliberately no tensor abstraction beyond Mat, keeping the hot paths
 // transparent.
