@@ -1,17 +1,28 @@
 package repro
 
-// Allocation-budget regression guards for the zero-allocation steady
-// state of the collective stack: after the warm-up iteration (threshold
-// evaluation, pool filling), a full collective Reduce across all P=32
-// ranks must stay under a fixed allocation budget. The budgets are set
-// ~2× above the measured steady state (OkTopk ≈380, gTopk ≈95 allocs
-// per cluster-wide iteration, goroutine spawns included) and far below
-// the pre-pooling counts (OkTopk ≈5,600), so a reintroduced per-message
-// or per-iteration allocation trips the guard long before it undoes the
+// Allocation-budget regression guards for the steady state of the
+// collective stack and the training loop, in two currencies.
+//
+// Counts: after the warm-up iteration (threshold evaluation, pool
+// filling), a full collective Reduce across all P=32 ranks must stay
+// under a fixed allocation count. The budgets are set ~2× above the
+// measured steady state (OkTopk ≈380, gTopk ≈95 allocs per
+// cluster-wide iteration, goroutine spawns included) and far below the
+// pre-pooling counts (OkTopk ≈5,600), so a reintroduced per-message or
+// per-iteration allocation trips the guard long before it undoes the
 // optimization.
+//
+// Bytes: a low count does not make the steady state free of garbage —
+// one fresh k-sized payload per call is a single allocation. Under Go's
+// GC pacing that garbage let the heap grow to twice its live size
+// between collections, which is most of the benchmark's peak RSS
+// (BENCHMARK.json's peak_rss_mb on reduce-oktopk and train-vgg). So
+// TestSteadyStateBytes also bounds the bytes allocated per cluster-wide
+// Reduce and per training iteration.
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/allreduce"
@@ -21,12 +32,10 @@ import (
 	"repro/internal/train"
 )
 
-// steadyStateAllocs measures allocations per cluster-wide Reduce after
-// warm-up. Thresholds and boundaries use a huge re-evaluation period so
-// the measurement never crosses an amortized maintenance iteration.
-func steadyStateAllocs(t *testing.T, name string, wire cluster.Wire, p, n, k int) float64 {
+// reduceStep returns a function running one cluster-wide Reduce of the
+// named algorithm per call, with iteration numbers counting from 1.
+func reduceStep(t *testing.T, name string, wire cluster.Wire, cfg allreduce.Config, p, n, k int) func() {
 	t.Helper()
-	cfg := allreduce.Config{K: k, TauPrime: 1 << 20, Tau: 1 << 20}
 	grads := experiments.SyntheticGradients(77, p, n, k, 0.3)
 	algos := make([]allreduce.Algorithm, p)
 	for i := range algos {
@@ -34,7 +43,7 @@ func steadyStateAllocs(t *testing.T, name string, wire cluster.Wire, p, n, k int
 	}
 	c := cluster.NewWire(p, netmodel.PizDaint(), wire)
 	it := 0
-	step := func() {
+	return func() {
 		it++
 		if err := c.Run(func(cm *cluster.Comm) error {
 			algos[cm.Rank()].Reduce(cm, grads[cm.Rank()], it)
@@ -43,6 +52,14 @@ func steadyStateAllocs(t *testing.T, name string, wire cluster.Wire, p, n, k int
 			t.Fatal(err)
 		}
 	}
+}
+
+// steadyStateAllocs measures allocations per cluster-wide Reduce after
+// warm-up. Thresholds and boundaries use a huge re-evaluation period so
+// the measurement never crosses an amortized maintenance iteration.
+func steadyStateAllocs(t *testing.T, name string, wire cluster.Wire, p, n, k int) float64 {
+	t.Helper()
+	step := reduceStep(t, name, wire, allreduce.Config{K: k, TauPrime: 1 << 20, Tau: 1 << 20}, p, n, k)
 	// Warm-up: first iteration evaluates thresholds/boundaries, the next
 	// few fill the rank pools to their steady-state sizes.
 	for i := 0; i < 3; i++ {
@@ -82,5 +99,82 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// bytesPerCall returns the heap bytes allocated per call of step over
+// calls warm+1 .. warm+measure, from the runtime.MemStats.TotalAlloc
+// delta; the first warm calls run unmeasured.
+func bytesPerCall(step func(), warm, measure int) float64 {
+	for i := 0; i < warm; i++ {
+		step()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < measure; i++ {
+		step()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(measure)
+}
+
+// TestSteadyStateBytes bounds the bytes the steady state hands the GC.
+//
+// Per cluster-wide Reduce, every algorithm on both wires at P=8,
+// n=200k, k=2k, over iterations 33–64 with τ=τ′=16, so two threshold
+// and boundary re-evaluations fall inside the window: at most 4 KiB
+// (measured 0.9–2.4). What remains is the per-Run goroutine and closure
+// overhead. Before fan-out payloads were owned by their origin, the
+// allgather-based baselines allocated 129–257 KiB and Ok-Topk 35–39.
+//
+// Per Session.RunIteration of Ok-Topk at P=8, batch 4, over iterations
+// 65–128, which include the τ=τ′=32 maintenance steps: VGG at most
+// 64 KiB, LSTM 96 and BERT 128 (measured 38, 65 and 81; 843, 427 and
+// 1 422 when every batch, loss gradient and fan-out payload was fresh).
+// Most of what remains are the closures handed to tensor.ParallelFor,
+// which escape by construction, and the rank-pool misses of
+// variable-size split-phase messages.
+func TestSteadyStateBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement is not meaningful under -short race mixes")
+	}
+	const kib = 1024
+	names := append(append([]string(nil), train.AlgorithmNames...), "Hierarchical")
+	for _, wire := range testWireModes(t) {
+		for _, name := range names {
+			wire, name := wire, name
+			t.Run(fmt.Sprintf("Reduce/%s/P=8/wire=%s", name, wire), func(t *testing.T) {
+				const p, n, k, budget = 8, 200_000, 2_000, 4 * kib
+				step := reduceStep(t, name, wire, allreduce.Config{K: k, Tau: 16, TauPrime: 16}, p, n, k)
+				got := bytesPerCall(step, 32, 32)
+				t.Logf("%s allocates %.2f KiB per steady-state cluster-wide reduce (%s wire)", name, got/kib, wire)
+				if got > budget {
+					t.Fatalf("%s allocates %.2f KiB per steady-state reduce on the %s wire, budget %d KiB",
+						name, got/kib, wire, budget/kib)
+				}
+			})
+		}
+	}
+	for _, tc := range []struct {
+		workload string
+		budget   float64
+	}{
+		{"VGG", 64 * kib},
+		{"LSTM", 96 * kib},
+		{"BERT", 128 * kib},
+	} {
+		tc := tc
+		t.Run(fmt.Sprintf("RunIteration/%s/P=8", tc.workload), func(t *testing.T) {
+			s := train.NewSession(train.Config{
+				Workload: tc.workload, Algorithm: "OkTopk", P: 8, Batch: 4, Seed: 1,
+				Reduce: allreduce.Config{Density: 0.02, Tau: 32, TauPrime: 32},
+			})
+			got := bytesPerCall(func() { s.RunIteration() }, 64, 64)
+			t.Logf("%s allocates %.1f KiB per steady-state iteration", tc.workload, got/kib)
+			if got > tc.budget {
+				t.Fatalf("%s allocates %.1f KiB per steady-state iteration, budget %.0f KiB",
+					tc.workload, got/kib, tc.budget/kib)
+			}
+		})
 	}
 }

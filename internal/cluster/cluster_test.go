@@ -150,6 +150,39 @@ func TestMailboxQueueRecycles(t *testing.T) {
 	}
 }
 
+// TestFreelistBestFitAlternatingSizes: a rank whose requests alternate
+// between sizes (variable chunk sizes in flight at once) reaches zero
+// allocations. A LIFO pool that drops an undersized top buffer would
+// discard the small one whenever the large one is requested next, and
+// allocate on every get.
+func TestFreelistBestFitAlternatingSizes(t *testing.T) {
+	var f freelist[float64]
+	sizes := []int{40, 900, 7, 300}
+	bufs := make([][]float64, len(sizes))
+	round := func() {
+		for i, n := range sizes {
+			if bufs[i] = f.get(n); len(bufs[i]) != n {
+				t.Fatalf("get(%d) returned length %d", n, len(bufs[i]))
+			}
+		}
+		// Release in an order unrelated to the requests, as receivers do.
+		for _, i := range []int{3, 1, 2, 0} {
+			f.put(bufs[i])
+		}
+	}
+	round()
+	if got := testing.AllocsPerRun(50, round); got != 0 {
+		t.Fatalf("alternating request sizes allocate %.1f times per round, want 0", got)
+	}
+	if len(f.free) != len(sizes) {
+		t.Fatalf("pool holds %d buffers, want %d", len(f.free), len(sizes))
+	}
+	// Best fit: a request takes the smallest buffer that fits.
+	if b := f.get(8); cap(b) != 40 {
+		t.Fatalf("get(8) took a buffer of capacity %d, want the 40 one", cap(b))
+	}
+}
+
 func TestBarrierSynchronizesClocks(t *testing.T) {
 	c := New(4, params())
 	times := make([]float64, 4)

@@ -28,8 +28,10 @@ package cluster
 // Returning a buffer is always optional: a buffer that is never Put is
 // simply collected by the GC. What is NEVER allowed is releasing a
 // buffer that another rank can still observe — payloads that fan out to
-// several ranks (allgathered chunks, the old shared-broadcast payloads)
-// must be freshly allocated by the sender and must never be Put.
+// several ranks (allgathered chunks) are not pool buffers at all: they
+// stay owned by the instance that sent them, which reuses them only
+// once no rank can still read them (collectives.FanOut), and nobody
+// ever Puts them.
 //
 // Under tcp the message crosses as a copy, so step 3 happens twice:
 // the receiver owns the buffer the frame was decoded into, and the tcp
@@ -96,9 +98,10 @@ func (c Chunk) AppendValues(dst []float64) []float64 {
 // unbounded memory; overflowing buffers fall back to the GC.
 const poolCap = 256
 
-// freelist is a LIFO of reusable slices. get pops the most recent
-// buffer and reuses it when its capacity fits; an undersized buffer is
-// dropped rather than pushed back, so stale small buffers age out.
+// freelist is a pool of reusable slices. get is best-fit: it takes the
+// smallest pooled buffer whose capacity fits and leaves the ones that
+// are too small for smaller requests, so a stream of variable-size
+// chunks stops allocating once every size class it needs is pooled.
 // clearOnPut zeroes released elements first (needed when the element
 // type holds references — []Chunk payloads — so the GC can reclaim
 // them).
@@ -107,16 +110,29 @@ type freelist[T any] struct {
 	clearOnPut bool
 }
 
+// get returns a length-n buffer: the smallest pooled one with room for
+// n, or a new one of exactly n. The scan starts at the most recently
+// returned buffer and stops at an exact fit, the common case of a
+// stream of equal requests.
 func (f *freelist[T]) get(n int) []T {
-	if l := len(f.free); l > 0 {
-		s := f.free[l-1]
-		f.free[l-1] = nil
-		f.free = f.free[:l-1]
-		if cap(s) >= n {
-			return s[:n]
+	best := -1
+	for i := len(f.free) - 1; i >= 0; i-- {
+		if c := cap(f.free[i]); c >= n && (best < 0 || c < cap(f.free[best])) {
+			best = i
+			if c == n {
+				break
+			}
 		}
 	}
-	return make([]T, n)
+	if best < 0 {
+		return make([]T, n)
+	}
+	s := f.free[best]
+	last := len(f.free) - 1
+	f.free[best] = f.free[last]
+	f.free[last] = nil
+	f.free = f.free[:last]
+	return s[:n]
 }
 
 func (f *freelist[T]) put(s []T) {

@@ -17,52 +17,28 @@ import "sync"
 // frameBufPool is a locked freelist of frame encode buffers, shared
 // between the rank goroutine (get, on encode) and the per-peer writer
 // goroutines (put, after the socket write). Unlike the rank payload
-// pools it must lock: two goroutine classes touch it. poolCap bounds it
-// like every other freelist; overflow falls to the GC.
+// pools it must lock: two goroutine classes touch it. It is best-fit
+// and bounded by poolCap like every other freelist; overflow falls to
+// the GC.
 type frameBufPool struct {
 	mu   sync.Mutex
-	free [][]byte
+	free freelist[byte]
 }
 
 // get returns an empty buffer with room for n bytes: the smallest
 // pooled one that fits, or a new one of exactly n. A frame of
 // dataFrameLen bytes is then encoded into it without regrowing, and a
-// large frame never takes a buffer a small one could have used. The
-// scan starts at the most recently returned buffer and stops at an
-// exact fit, the common case of a stream of equal frames.
+// large frame never takes a buffer a small one could have used.
 func (p *frameBufPool) get(n int) []byte {
 	p.mu.Lock()
-	best := -1
-	for i := len(p.free) - 1; i >= 0; i-- {
-		if c := cap(p.free[i]); c >= n && (best < 0 || c < cap(p.free[best])) {
-			best = i
-			if c == n {
-				break
-			}
-		}
-	}
-	if best < 0 {
-		p.mu.Unlock()
-		return make([]byte, 0, n)
-	}
-	b := p.free[best]
-	last := len(p.free) - 1
-	p.free[best] = p.free[last]
-	p.free[last] = nil
-	p.free = p.free[:last]
-	p.mu.Unlock()
-	return b[:0]
+	defer p.mu.Unlock()
+	return p.free.get(n)[:0]
 }
 
 func (p *frameBufPool) put(b []byte) {
-	if b == nil {
-		return
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.free) < poolCap {
-		p.free = append(p.free, b)
-	}
+	p.free.put(b)
 }
 
 // sendQueue is one peer's bounded FIFO of encoded frames. push blocks

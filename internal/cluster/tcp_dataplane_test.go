@@ -195,7 +195,7 @@ func TestTCPOversizeRefusedAtSender(t *testing.T) {
 	tr := clusters[0].transport.(*tcpTransport)
 	tr.framePool.mu.Lock()
 	defer tr.framePool.mu.Unlock()
-	if n := len(tr.framePool.free); n != 0 {
+	if n := len(tr.framePool.free.free); n != 0 {
 		t.Errorf("sender encoded %d data frames, want none", n)
 	}
 }

@@ -245,14 +245,17 @@ type Chunk = cluster.Chunk
 
 // AllgathervInto gathers variable-size contributions from every rank
 // onto all ranks. The result is indexed by origin rank and accounted at
-// Chunk.Words per contribution. The gathered chunks' Data/Aux fan out to
-// every rank and therefore must be freshly allocated by their origin —
-// never pooled. The result slice is caller-retained (grown as needed and
-// returned) and valid until the caller's next use of it. The schedule is
-// recursive doubling (for power-of-two P) or a ring; the multi-chunk
-// containers of the recursive-doubling exchange come from the sender's
-// rank pool and are released into the receiver's, so steady-state calls
-// allocate nothing.
+// Chunk.Words per contribution. The gathered chunks' Data/Data32/Aux
+// fan out to every rank by reference, so they are never pooled: the
+// origin owns them and may rewrite them only once every rank has
+// finished with them, which FanOut's two slots per call site guarantee.
+// A rank must copy out what it keeps from the result before its next
+// call at the same site. The result slice is caller-retained (grown as
+// needed and returned) and valid until the caller's next use of it.
+// The schedule is recursive doubling (for power-of-two P) or a ring;
+// the multi-chunk containers of the recursive-doubling exchange come
+// from the sender's rank pool and are released into the receiver's, so
+// steady-state calls allocate nothing.
 func AllgathervInto(cm cluster.Endpoint, mine Chunk, result []Chunk) []Chunk {
 	p := cm.Size()
 	mine.Origin = cm.Rank()

@@ -59,12 +59,14 @@ type OkTopk struct {
 
 // scratch holds per-instance buffers reused across Reduce calls. A
 // rank's Reduce calls are serial, so reuse is safe as long as nothing
-// here is ever handed to another rank by reference: wire payloads are
-// copied into buffers drawn from the rank's pool and owned by the
-// message (released into the receiver's pool), and payloads that fan
-// out through the allgatherv are freshly allocated each call. The
-// returned Result's Update/Contributed slices point into this scratch
-// and stay valid until the next Reduce on the same instance.
+// here is handed to another rank by reference while it can still be
+// rewritten: point-to-point payloads are copied into buffers drawn from
+// the rank's pool and owned by the message (released into the
+// receiver's pool), and payloads that fan out through an allgatherv are
+// written into that call site's FanOut, whose two slots are reused only
+// once every rank has finished with them. The returned Result's
+// Update/Contributed slices point into this scratch and stay valid
+// until the next Reduce on the same instance.
 type scratch struct {
 	// localIdx/localVal are the local selection as parallel (index,
 	// value) slices, indexes ascending; region r is the sub-slice between
@@ -98,12 +100,19 @@ type scratch struct {
 	update      []float64
 	prevWritten []int32
 	contributed []int32
-	// Balance-phase scratch: the size allgather's int/float staging, the
-	// allgatherv result container, and the split-phase receive keys.
+	// Balance-phase scratch: the size allgather's int/float staging,
+	// rebalance's span offsets, the allgatherv result container, and the
+	// split-phase receive keys.
 	sizes      []int
 	sizeFloats []float64
+	offsets    []int
 	chunks     []collectives.Chunk
 	keys       []cluster.RecvKey
+	// The fan-out payloads, one FanOut per call site: the global
+	// selection, its rebalanced span (a second site, since rebalance
+	// reads the selection while writing it), and the reduced region's
+	// values gathered for the exact global threshold.
+	selOut, balOut, thOut collectives.FanOut
 }
 
 // updateBuffer returns the instance update buffer, logically all-zero,
@@ -207,16 +216,20 @@ func (o *OkTopk) Reduce(cm cluster.Endpoint, acc []float64, t int) allreduce.Res
 	reducedIdx, reducedVal := o.splitAndReduce(cm, localIdx, localVal)
 
 	// Lines 9-12: global threshold re-evaluation every τ′ iterations,
-	// from the allgathered reduced top-k values. (The chunk copy is
-	// required: allgathered payloads fan out to several ranks.)
+	// from the allgathered reduced top-k values. (The copy into the
+	// fan-out slot is required: the next call's splitAndReduce rewrites
+	// reducedVal.)
 	if o.globalCtl.ShouldReevaluate(t) {
-		var gch collectives.Chunk
-		if cm.Wire() == cluster.WireF32 {
-			gch = collectives.Chunk{Data32: sparse.Narrow32(reducedVal)}
-		} else {
-			gch = collectives.Chunk{Data: append([]float64(nil), reducedVal...)}
-		}
+		gch := o.scratch.thOut.Fill(cm, nil, reducedVal)
 		o.scratch.chunks = collectives.AllgathervInto(cm, gch, o.scratch.chunks)
+		total := 0
+		for _, ch := range o.scratch.chunks {
+			total += ch.NumValues()
+		}
+		if cap(o.scratch.gatherBuf) < total {
+			// Doubled: the gathered count drifts upward over training.
+			o.scratch.gatherBuf = make([]float64, 0, max(total, 2*cap(o.scratch.gatherBuf)))
+		}
 		all := o.scratch.gatherBuf[:0]
 		for _, ch := range o.scratch.chunks {
 			all = ch.AppendValues(all)
@@ -351,15 +364,18 @@ func (o *OkTopk) splitAndReduce(cm cluster.Endpoint, localIdx []int32, localVal 
 	}
 
 	// Reduction buffer for my region and the bitmap of its touched
-	// offsets (scratch, both all-zero on entry).
+	// offsets (scratch, both all-zero on entry). A repartition that
+	// widens the region past the high-water mark doubles both (up to the
+	// whole index space), so region widths that wander from one
+	// repartition to the next stop re-allocating after a few.
 	lo, hi := o.boundaries[rank], o.boundaries[rank+1]
-	maskWords := (hi - lo + 63) / 64
 	if cap(o.scratch.red) < hi-lo {
-		o.scratch.red = make([]float64, hi-lo)
-		o.scratch.redMask = make([]uint64, maskWords)
+		c := min(max(hi-lo, 2*cap(o.scratch.red)), o.boundaries[p])
+		o.scratch.red = make([]float64, c)
+		o.scratch.redMask = make([]uint64, (c+63)/64)
 	}
 	buf := o.scratch.red[:hi-lo]
-	mask := o.scratch.redMask[:maskWords]
+	mask := o.scratch.redMask[:(hi-lo+63)/64]
 	// receiveEach drains one region message per key in key order (the
 	// deterministic accumulation order), harvesting queued messages in
 	// batches under a single mailbox lock hold, and releases each
@@ -451,23 +467,16 @@ func (o *OkTopk) splitAndReduce(cm cluster.Endpoint, localIdx []int32, localVal 
 func (o *OkTopk) balanceAndAllgatherv(cm cluster.Endpoint, n int, reducedIdx []int32, reducedVal []float64, globalTh float64) ([]float64, []int32) {
 	p := cm.Size()
 
-	// ① Global top-k selection within my region (local scan). The
-	// selection is copied into exactly-sized fresh slices: its backing
-	// arrays fan out to every rank through the allgatherv below, so they
-	// must not alias instance scratch or pooled buffers.
+	// ① Global top-k selection within my region (local scan), written
+	// into this call's fan-out slot: its buffers reach every rank through
+	// the allgatherv below, or through rebalance's sends.
 	allreduce.ChargeScan(cm, o.cfg, len(reducedVal))
-	sel := 0
-	for _, v := range reducedVal {
-		if v >= globalTh || -v >= globalTh {
-			sel++
-		}
-	}
-	selIdx := make([]int32, 0, sel)
-	selVal := make([]float64, 0, sel)
+	sel := o.scratch.selOut.Next()
+	sel.Indexes, sel.Values = sel.Indexes[:0], sel.Values[:0]
 	for i, v := range reducedVal {
 		if v >= globalTh || -v >= globalTh {
-			selIdx = append(selIdx, reducedIdx[i])
-			selVal = append(selVal, v)
+			sel.Indexes = append(sel.Indexes, reducedIdx[i])
+			sel.Values = append(sel.Values, v)
 		}
 	}
 
@@ -476,7 +485,7 @@ func (o *OkTopk) balanceAndAllgatherv(cm cluster.Endpoint, n int, reducedIdx []i
 
 	// ② Package sizes: an allgather of one size per rank ((logP)α only).
 	var sizes []int
-	sizes, o.scratch.sizeFloats = collectives.AllgatherSizesInto(cm, len(selIdx),
+	sizes, o.scratch.sizeFloats = collectives.AllgatherSizesInto(cm, sel.NNZ(),
 		o.scratch.sizes, o.scratch.sizeFloats)
 	o.scratch.sizes = sizes
 	total := 0
@@ -493,21 +502,17 @@ func (o *OkTopk) balanceAndAllgatherv(cm cluster.Endpoint, n int, reducedIdx []i
 	// array into equal spans with point-to-point sends, computed from the
 	// size vector every rank already holds.
 	if o.cfg.DataBalance && total > 0 && float64(maxSize) > o.cfg.BalanceTrigger*mean {
-		selIdx, selVal = rebalance(cm, sizes, selIdx, selVal)
+		sel = o.rebalance(cm, sizes, sel)
 	}
 
 	// ④ Allgatherv (recursive doubling) of the (balanced) chunks. Each
 	// chunk's indexes are sorted and the rank-ordered chunks cover
 	// ascending spans, so the global index list is a merge of sorted
 	// runs (usually a pure concatenation, which MergeRuns detects). The
-	// payload is fresh in wire format (selIdx/selVal were freshly
-	// allocated above); on the f32 wire every rank — the contributor
-	// included — scatters the same rounded values into its update.
-	mine := collectives.Chunk{Data: selVal, Aux: selIdx}
-	if cm.Wire() == cluster.WireF32 {
-		mine = collectives.Chunk{Data32: sparse.Narrow32(selVal), Aux: selIdx}
-	}
-	o.scratch.chunks = collectives.AllgathervInto(cm, mine, o.scratch.chunks)
+	// payload is the fan-out slot in wire format; on the f32 wire every
+	// rank — the contributor included — scatters the same rounded values
+	// into its update.
+	o.scratch.chunks = collectives.AllgathervInto(cm, sel.Chunk(cm), o.scratch.chunks)
 	update := o.updateBuffer(n)
 	globalIdx := o.scratch.gidx[:0]
 	gidxEnds := o.scratch.gidxEnds[:0]
@@ -537,12 +542,16 @@ func (o *OkTopk) balanceAndAllgatherv(cm cluster.Endpoint, n int, reducedIdx []i
 // the same plan from the shared size vector, so only the overlapping
 // pieces move, with at most one message per (sender, receiver) pair —
 // bounded by Pα + 2k(P−1)/P·β in the worst case of full concentration.
-func rebalance(cm cluster.Endpoint, sizes []int, idx []int32, val []float64) ([]int32, []float64) {
+// It reads this call's selection sel and returns this call's slot of
+// the balanced span, which fans out next.
+func (o *OkTopk) rebalance(cm cluster.Endpoint, sizes []int, sel *collectives.FanOutSlot) *collectives.FanOutSlot {
 	p, rank := cm.Size(), cm.Rank()
-	offsets := make([]int, p+1)
+	idx, val := sel.Indexes, sel.Values
+	offsets := append(o.scratch.offsets[:0], 0)
 	for i, s := range sizes {
-		offsets[i+1] = offsets[i] + s
+		offsets = append(offsets, offsets[i]+s)
 	}
+	o.scratch.offsets = offsets
 	total := offsets[p]
 	target := func(r int) (int, int) {
 		lo := r * total / p
@@ -551,8 +560,8 @@ func rebalance(cm cluster.Endpoint, sizes []int, idx []int32, val []float64) ([]
 	}
 
 	myLo, myHi := offsets[rank], offsets[rank+1]
-	newIdx := make([]int32, 0, total/p+1)
-	newVal := make([]float64, 0, total/p+1)
+	out := o.scratch.balOut.Next()
+	newIdx, newVal := out.Indexes[:0], out.Values[:0]
 
 	// Send my pieces that belong to other ranks' targets; keep my own.
 	for r := 0; r < p; r++ {
@@ -599,7 +608,8 @@ func rebalance(cm cluster.Endpoint, sizes []int, idx []int32, val []float64) ([]
 			cm.PutFloat32s(ch.Data32)
 		}
 	}
-	return newIdx, newVal
+	out.Indexes, out.Values = newIdx, newVal
+	return out
 }
 
 func maxInt(a, b int) int {

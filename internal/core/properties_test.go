@@ -7,7 +7,9 @@ import (
 
 	"repro/internal/allreduce"
 	"repro/internal/cluster"
+	"repro/internal/collectives"
 	"repro/internal/netmodel"
+	"repro/internal/sparse"
 	"repro/internal/tensor"
 )
 
@@ -211,8 +213,9 @@ func TestRebalanceConservesPairs(t *testing.T) {
 		outIdx := make([][]int32, p)
 		outVal := make([][]float64, p)
 		if err := c.Run(func(cm *cluster.Comm) error {
-			i, v := rebalance(cm, sizes, owned[cm.Rank()], vals[cm.Rank()])
-			outIdx[cm.Rank()], outVal[cm.Rank()] = i, v
+			sel := &collectives.FanOutSlot{Vec: sparse.Vec{Indexes: owned[cm.Rank()], Values: vals[cm.Rank()]}}
+			out := New(allreduce.Config{}).rebalance(cm, sizes, sel)
+			outIdx[cm.Rank()], outVal[cm.Rank()] = out.Indexes, out.Values
 			return nil
 		}); err != nil {
 			return false

@@ -51,10 +51,20 @@ func NewImages(seed int64, classes int) *Images {
 	return d
 }
 
-// Batch samples batchSize labelled images using r.
-func (d *Images) Batch(r *rand.Rand, batchSize int) (*tensor.Mat, []int) {
-	x := tensor.NewMat(batchSize, d.C*d.H*d.W)
-	y := make([]int, batchSize)
+// ImageBatch is a batch of labelled images: row i of X packs image i
+// (C×H×W), Y[i] is its class. The caller owns it and passes it back to
+// every Batch call, which reuses its buffers.
+type ImageBatch struct {
+	X *tensor.Mat
+	Y []int
+}
+
+// Batch samples batchSize labelled images using r into b, overwriting
+// its previous contents.
+func (d *Images) Batch(r *rand.Rand, batchSize int, b *ImageBatch) {
+	b.X = tensor.EnsureMatUninit(b.X, batchSize, d.C*d.H*d.W)
+	b.Y = resize(b.Y, batchSize)
+	x, y := b.X, b.Y
 	for i := 0; i < batchSize; i++ {
 		cl := r.Intn(d.Classes)
 		y[i] = cl
@@ -74,7 +84,15 @@ func (d *Images) Batch(r *rand.Rand, batchSize int) (*tensor.Mat, []int) {
 			}
 		}
 	}
-	return x, y
+}
+
+// resize returns s with length n, reusing its array when it is large
+// enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Sequences is an AN4-like synthetic speech dataset: each class is a
@@ -110,15 +128,24 @@ func NewSequences(seed int64, classes, seqLen, frameDim int) *Sequences {
 	return d
 }
 
-// Batch samples batchSize labelled sequences; the result is a slice of
-// SeqLen matrices each batchSize×FrameDim (timestep-major, as the LSTM
-// consumes them).
-func (d *Sequences) Batch(r *rand.Rand, batchSize int) ([]*tensor.Mat, []int) {
-	seq := make([]*tensor.Mat, d.SeqLen)
-	for t := range seq {
-		seq[t] = tensor.NewMat(batchSize, d.FrameDim)
+// SeqBatch is a batch of labelled sequences: SeqLen matrices, each
+// batchSize×FrameDim (timestep-major, as the LSTM consumes them), and
+// the class of each sequence. The caller owns it and passes it back to
+// every Batch call, which reuses its buffers.
+type SeqBatch struct {
+	Seq []*tensor.Mat
+	Y   []int
+}
+
+// Batch samples batchSize labelled sequences using r into b,
+// overwriting its previous contents.
+func (d *Sequences) Batch(r *rand.Rand, batchSize int, b *SeqBatch) {
+	b.Seq = resize(b.Seq, d.SeqLen)
+	for t := range b.Seq {
+		b.Seq[t] = tensor.EnsureMatUninit(b.Seq[t], batchSize, d.FrameDim)
 	}
-	y := make([]int, batchSize)
+	b.Y = resize(b.Y, batchSize)
+	seq, y := b.Seq, b.Y
 	for i := 0; i < batchSize; i++ {
 		cl := r.Intn(d.Classes)
 		y[i] = cl
@@ -138,7 +165,6 @@ func (d *Sequences) Batch(r *rand.Rand, batchSize int) ([]*tensor.Mat, []int) {
 			}
 		}
 	}
-	return seq, y
 }
 
 // Corpus is a Wikipedia-like synthetic token stream: a Zipfian unigram
@@ -198,11 +224,23 @@ func (c *Corpus) sampleUnigram(r *rand.Rand) int {
 	return lo
 }
 
-// Batch samples masked-LM training sequences: 15% of positions are
-// replaced with [MASK] and their original ids become the targets.
-func (c *Corpus) Batch(r *rand.Rand, batchSize int) (ids [][]int, maskedPos [][]int, maskedTgt [][]int) {
+// TokenBatch is a batch of masked-LM sequences: per sequence, the
+// (masked) token ids, the masked positions and their original tokens.
+// The caller owns it and passes it back to every Batch call, which
+// reuses its buffers.
+type TokenBatch struct {
+	IDs, Pos, Tgt [][]int
+}
+
+// Batch samples masked-LM training sequences using r into tb,
+// overwriting its previous contents: 15% of positions are replaced
+// with [MASK] and their original ids become the targets.
+func (c *Corpus) Batch(r *rand.Rand, batchSize int, tb *TokenBatch) {
+	tb.IDs = resize(tb.IDs, batchSize)
+	tb.Pos = resize(tb.Pos, batchSize)
+	tb.Tgt = resize(tb.Tgt, batchSize)
 	for b := 0; b < batchSize; b++ {
-		seq := make([]int, c.SeqLen)
+		seq := resize(tb.IDs[b], c.SeqLen)
 		seq[0] = c.sampleUnigram(r)
 		for t := 1; t < c.SeqLen; t++ {
 			// Follow the bigram structure 80% of the time.
@@ -213,7 +251,7 @@ func (c *Corpus) Batch(r *rand.Rand, batchSize int) (ids [][]int, maskedPos [][]
 				seq[t] = c.sampleUnigram(r)
 			}
 		}
-		var pos, tgt []int
+		pos, tgt := tb.Pos[b][:0], tb.Tgt[b][:0]
 		for t := 0; t < c.SeqLen; t++ {
 			if r.Float64() < c.maskFrac {
 				pos = append(pos, t)
@@ -227,9 +265,6 @@ func (c *Corpus) Batch(r *rand.Rand, batchSize int) (ids [][]int, maskedPos [][]
 			tgt = append(tgt, seq[t])
 			seq[t] = MaskToken
 		}
-		ids = append(ids, seq)
-		maskedPos = append(maskedPos, pos)
-		maskedTgt = append(maskedTgt, tgt)
+		tb.IDs[b], tb.Pos[b], tb.Tgt[b] = seq, pos, tgt
 	}
-	return ids, maskedPos, maskedTgt
 }

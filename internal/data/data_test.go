@@ -1,6 +1,7 @@
 package data
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/tensor"
@@ -10,8 +11,10 @@ func TestImagesDeterministicAndLabeled(t *testing.T) {
 	d1 := NewImages(7, 10)
 	d2 := NewImages(7, 10)
 	r1, r2 := tensor.RNG(1), tensor.RNG(1)
-	x1, y1 := d1.Batch(r1, 8)
-	x2, y2 := d2.Batch(r2, 8)
+	var b1, b2 ImageBatch
+	d1.Batch(r1, 8, &b1)
+	d2.Batch(r2, 8, &b2)
+	x1, y1, x2, y2 := b1.X, b1.Y, b2.X, b2.Y
 	for i := range x1.Data {
 		if x1.Data[i] != x2.Data[i] {
 			t.Fatal("images not deterministic")
@@ -37,8 +40,10 @@ func TestImagesClassesDiffer(t *testing.T) {
 	r := tensor.RNG(2)
 	sums := make([][]float64, 10)
 	counts := make([]int, 10)
+	var batch ImageBatch
 	for b := 0; b < 100; b++ {
-		x, y := d.Batch(r, 16)
+		d.Batch(r, 16, &batch)
+		x, y := batch.X, batch.Y
 		for i, cl := range y {
 			if sums[cl] == nil {
 				sums[cl] = make([]float64, x.Cols)
@@ -76,7 +81,9 @@ func TestImagesClassesDiffer(t *testing.T) {
 func TestSequencesShape(t *testing.T) {
 	d := NewSequences(11, 12, 20, 40)
 	r := tensor.RNG(3)
-	seq, y := d.Batch(r, 6)
+	var b SeqBatch
+	d.Batch(r, 6, &b)
+	seq, y := b.Seq, b.Y
 	if len(seq) != 20 {
 		t.Fatalf("seq len %d", len(seq))
 	}
@@ -95,7 +102,9 @@ func TestSequencesShape(t *testing.T) {
 func TestCorpusMasking(t *testing.T) {
 	c := NewCorpus(13, 1000, 32)
 	r := tensor.RNG(4)
-	ids, pos, tgt := c.Batch(r, 16)
+	var tb TokenBatch
+	c.Batch(r, 16, &tb)
+	ids, pos, tgt := tb.IDs, tb.Pos, tb.Tgt
 	if len(ids) != 16 || len(pos) != 16 || len(tgt) != 16 {
 		t.Fatal("batch sizes")
 	}
@@ -136,9 +145,10 @@ func TestCorpusZipfSkew(t *testing.T) {
 	c := NewCorpus(17, 1000, 32)
 	r := tensor.RNG(5)
 	low, total := 0, 0
+	var tb TokenBatch
 	for b := 0; b < 50; b++ {
-		ids, _, _ := c.Batch(r, 8)
-		for _, seq := range ids {
+		c.Batch(r, 8, &tb)
+		for _, seq := range tb.IDs {
 			for _, id := range seq {
 				if id == MaskToken {
 					continue
@@ -162,9 +172,10 @@ func TestCorpusBigramStructure(t *testing.T) {
 	c := NewCorpus(19, 500, 16)
 	r := tensor.RNG(6)
 	hits, total := 0, 0
+	var tb TokenBatch
 	for b := 0; b < 200; b++ {
-		ids, _, _ := c.Batch(r, 4)
-		for _, seq := range ids {
+		c.Batch(r, 4, &tb)
+		for _, seq := range tb.IDs {
 			for t2 := 1; t2 < len(seq); t2++ {
 				if seq[t2] == MaskToken || seq[t2-1] == MaskToken {
 					continue
@@ -181,5 +192,36 @@ func TestCorpusBigramStructure(t *testing.T) {
 	}
 	if frac := float64(hits) / float64(total); frac < 0.5 {
 		t.Fatalf("only %.2f of transitions follow bigram structure", frac)
+	}
+}
+
+// TestBatchReuseMatchesFresh: a batch drawn into buffers that held a
+// larger and then a smaller batch equals one drawn into fresh buffers,
+// and both consume the same RNG draws.
+func TestBatchReuseMatchesFresh(t *testing.T) {
+	sizes := []int{8, 3, 8}
+	imgs := NewImages(7, 10)
+	seqs := NewSequences(11, 12, 20, 40)
+	corpus := NewCorpus(13, 1000, 32)
+	rReuse, rFresh := tensor.RNG(9), tensor.RNG(9)
+	var ib ImageBatch
+	var sb SeqBatch
+	var tb TokenBatch
+	for _, n := range sizes {
+		var ibF ImageBatch
+		var sbF SeqBatch
+		var tbF TokenBatch
+		imgs.Batch(rReuse, n, &ib)
+		imgs.Batch(rFresh, n, &ibF)
+		seqs.Batch(rReuse, n, &sb)
+		seqs.Batch(rFresh, n, &sbF)
+		corpus.Batch(rReuse, n, &tb)
+		corpus.Batch(rFresh, n, &tbF)
+		if !reflect.DeepEqual(ib, ibF) || !reflect.DeepEqual(sb, sbF) || !reflect.DeepEqual(tb, tbF) {
+			t.Fatalf("batch of %d drawn into reused buffers differs from a fresh one", n)
+		}
+	}
+	if rReuse.Int63() != rFresh.Int63() {
+		t.Fatal("reused and fresh batches consumed different RNG draws")
 	}
 }

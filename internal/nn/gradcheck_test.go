@@ -234,11 +234,14 @@ func TestSoftmaxCrossEntropyGradcheck(t *testing.T) {
 	tensor.RandN(r, logits.Data, 1)
 	targets := []int{1, 4, 0}
 	loss := func() float64 {
-		l, _, _ := SoftmaxCrossEntropy(logits, targets)
+		l, _, _ := SoftmaxCrossEntropy(logits, targets, nil)
 		return l
 	}
 	num := numericalGrad(logits.Data, loss)
-	_, _, d := SoftmaxCrossEntropy(logits, targets)
+	// A dirty buffer of another shape: the gradient overwrites all of it.
+	d := tensor.NewMat(2, 20)
+	tensor.RandN(r, d.Data, 1)
+	_, _, d = SoftmaxCrossEntropy(logits, targets, d)
 	checkGrads(t, "softmax-ce", d.Data, num, 1e-5)
 }
 

@@ -15,6 +15,7 @@ type VGGNarrow struct {
 	pool1, pool2, pool3 *MaxPool2
 	fc1, fc2            *Linear
 	Classes             int
+	dlogits             *tensor.Mat // loss gradient scratch
 }
 
 // VGGNarrowSize returns the parameter count for the given channel widths.
@@ -64,7 +65,8 @@ func (m *VGGNarrow) forward(x *tensor.Mat) *tensor.Mat {
 // the store, and returns the mean loss and correct-prediction count.
 func (m *VGGNarrow) Loss(x *tensor.Mat, y []int) (float64, int) {
 	logits := m.forward(x)
-	loss, correct, dlogits := SoftmaxCrossEntropy(logits, y)
+	loss, correct, dlogits := SoftmaxCrossEntropy(logits, y, m.dlogits)
+	m.dlogits = dlogits
 	d := m.fc1.Backward(m.r4.Backward(m.fc2.Backward(dlogits)))
 	d = m.conv3.Backward(m.r3.Backward(m.pool3.Backward(d)))
 	d = m.conv2.Backward(m.r2.Backward(m.pool2.Backward(d)))
@@ -101,6 +103,7 @@ type LSTMClassifier struct {
 	dec     *Linear
 	Classes int
 	SeqLen  int
+	dlogits *tensor.Mat // loss gradient scratch
 }
 
 // LSTMClassifierSize returns the parameter count.
@@ -135,7 +138,8 @@ func (m *LSTMClassifier) NumParams() int { return len(m.store.Params) }
 func (m *LSTMClassifier) Loss(seq []*tensor.Mat, y []int) (float64, int) {
 	h := m.lstm.Forward(seq)
 	logits := m.dec.Forward(h)
-	loss, correct, dlogits := SoftmaxCrossEntropy(logits, y)
+	loss, correct, dlogits := SoftmaxCrossEntropy(logits, y, m.dlogits)
+	m.dlogits = dlogits
 	m.lstm.Backward(m.dec.Backward(dlogits))
 	return loss, correct
 }
@@ -171,11 +175,12 @@ type TinyBERT struct {
 	Dim    int
 	SeqLen int
 
-	// per-Loss scratch (masked-row gather/scatter buffers)
+	// per-Loss scratch (masked-row gather/scatter buffers, loss gradient)
 	rows     []int
 	targets  []int
 	gathered *tensor.Mat
 	dh       *tensor.Mat
+	dlogits  *tensor.Mat
 }
 
 // TinyBERTSize returns the parameter count for the configuration.
@@ -243,7 +248,8 @@ func (m *TinyBERT) Loss(ids [][]int, maskedPos [][]int, maskedTgt [][]int) (floa
 		copy(gathered.Row(i), h.Row(ri))
 	}
 	logits := m.head.Forward(gathered)
-	loss, correct, dlogits := SoftmaxCrossEntropy(logits, targets)
+	loss, correct, dlogits := SoftmaxCrossEntropy(logits, targets, m.dlogits)
+	m.dlogits = dlogits
 	dGathered := m.head.Backward(dlogits)
 
 	// Scatter the masked-row gradients back into the sequence gradient.

@@ -153,13 +153,15 @@ func (a *ReLU) Backward(dy *tensor.Mat) *tensor.Mat {
 
 // SoftmaxCrossEntropy computes mean cross-entropy over a batch of logits
 // (B×C) against integer targets, returning the loss, the number of
-// correct argmax predictions, and the gradient w.r.t. the logits.
-func SoftmaxCrossEntropy(logits *tensor.Mat, targets []int) (loss float64, correct int, dlogits *tensor.Mat) {
+// correct argmax predictions, and the gradient w.r.t. the logits. The
+// gradient is written into dst, a caller-retained matrix resized to B×C
+// (nil allocates one), and returned.
+func SoftmaxCrossEntropy(logits *tensor.Mat, targets []int, dst *tensor.Mat) (loss float64, correct int, dlogits *tensor.Mat) {
 	if len(targets) != logits.Rows {
 		panic("nn: targets length mismatch")
 	}
 	b := logits.Rows
-	dlogits = tensor.NewMat(b, logits.Cols)
+	dlogits = tensor.EnsureMatUninit(dst, b, logits.Cols)
 	for i := 0; i < b; i++ {
 		row := logits.Row(i)
 		maxV := row[0]

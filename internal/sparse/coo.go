@@ -72,17 +72,6 @@ func (v *Vec) Validate() error {
 	return nil
 }
 
-// Narrow32 rounds x into a freshly allocated []float32 — the
-// convert-at-the-edge step for fan-out payloads on the f32 wire, which
-// must never alias pools or instance scratch.
-func Narrow32(x []float64) []float32 {
-	out := make([]float32, len(x))
-	for i, v := range x {
-		out[i] = float32(v)
-	}
-	return out
-}
-
 // SetWire fills v's contents from a received wire payload: indexes are
 // copied, and values arrive as exactly one of vals (f64 wire) or vals32
 // (f32 wire, widened back to compute precision here). v must have been

@@ -17,8 +17,8 @@ package sparse
 //
 // Returning a vector is optional — an un-Put vector is simply garbage
 // collected — but a vector that another rank can still observe must
-// never be Put (fan-out payloads, e.g. allgathered chunks, stay
-// freshly allocated).
+// never be Put (fan-out payloads, e.g. allgathered chunks, are owned by
+// their origin in a collectives.FanOut instead).
 type Pool struct {
 	free []*Vec
 }

@@ -27,9 +27,11 @@
 // rounded float32 values at half-word accounting on the f32 wire — and
 // the receiver widens them back into a compute-precision sparse.Vec
 // drawn from its own per-rank Pool before merging. Fan-out payloads
-// (allgathered chunks) stay freshly allocated, in wire format.
-// Result.Update and Result.Contributed are instance-owned scratch,
-// valid until the next Reduce on the same instance.
+// (allgathered chunks) are owned by the instance that contributes
+// them, in wire format, in a collectives.FanOut: two slots per call
+// site, reused by call parity once every rank has finished reading
+// them. Result.Update and Result.Contributed are instance-owned
+// scratch, valid until the next Reduce on the same instance.
 package sparsecoll
 
 import (
@@ -168,7 +170,7 @@ func (gs *gatherState) sumChunks(n int) (update []float64, globalNNZ int) {
 
 // gatherAndSum allgathers everyone's COO chunk and reduces into the
 // instance-owned update buffer. The chunk's Data/Aux fan out to every
-// rank and must be freshly allocated by the caller.
+// rank and must come from the caller's FanOut.
 func (gs *gatherState) gatherAndSum(cm cluster.Endpoint, mine collectives.Chunk, n int) (update []float64, globalNNZ int) {
 	cm.Clock().SetPhase(netmodel.PhaseComm)
 	gs.chunks = collectives.AllgathervInto(cm, mine, gs.chunks)
@@ -182,26 +184,12 @@ func (gs *gatherState) gatherAndSum(cm cluster.Endpoint, mine collectives.Chunk,
 	return update, nz
 }
 
-// freshChunk copies the selection into exactly-sized fresh slices in
-// the endpoint's wire format: allgathered payloads are shared read-only
-// by every rank, so they must not alias instance scratch or pools. At
-// P=1 the chunk never leaves the rank, so it stays float64 even on the
-// f32 wire (no edge crossed, no rounding).
-func freshChunk(cm cluster.Endpoint, sel *sparse.Vec) collectives.Chunk {
-	ch := collectives.Chunk{Aux: append([]int32(nil), sel.Indexes...)}
-	if cm.Wire() == cluster.WireF32 && cm.Size() > 1 {
-		ch.Data32 = sparse.Narrow32(sel.Values)
-	} else {
-		ch.Data = append([]float64(nil), sel.Values...)
-	}
-	return ch
-}
-
 // TopkA is the allgather-based sparse allreduce [36, 47].
 type TopkA struct {
 	cfg       allreduce.Config
 	thScratch []float64
 	sel       *sparse.Vec
+	out       collectives.FanOut // the selection's allgathered copy
 	gs        gatherState
 }
 
@@ -215,10 +203,11 @@ func (*TopkA) OverlapsBackward() bool { return false }
 func (a *TopkA) Reduce(cm cluster.Endpoint, acc []float64, t int) allreduce.Result {
 	k := a.cfg.KFor(len(acc))
 	a.sel, a.thScratch = localTopkInto(cm, a.cfg, acc, k, a.thScratch, a.sel)
-	mine := freshChunk(cm, a.sel)
+	mine := a.out.Fill(cm, a.sel.Indexes, a.sel.Values)
 	update, nz := a.gs.gatherAndSum(cm, mine, len(acc))
 	return allreduce.Result{
-		Update:      update,
+		Update: update,
+		// The slot outlives the next Reduce, which writes the other one.
 		Contributed: mine.Aux,
 		LocalK:      a.sel.NNZ(),
 		GlobalK:     nz,
@@ -234,6 +223,7 @@ type Gaussiank struct {
 	Adjust bool
 
 	sel *sparse.Vec
+	out collectives.FanOut // the selection's allgathered copy
 	gs  gatherState
 }
 
@@ -265,7 +255,7 @@ func (g *Gaussiank) Reduce(cm cluster.Endpoint, acc []float64, t int) allreduce.
 		th = adjTh
 	}
 	g.sel = sparse.FromDenseThresholdInto(g.sel, acc, th)
-	mine := freshChunk(cm, g.sel)
+	mine := g.out.Fill(cm, g.sel.Indexes, g.sel.Values)
 	update, nz := g.gs.gatherAndSum(cm, mine, len(acc))
 	return allreduce.Result{
 		Update:      update,
@@ -293,10 +283,13 @@ type TopkDSA struct {
 	// merge (ownership transfer).
 	pool sparse.Pool
 	// mergeA/mergeB ping-pong the recursive-halving partial sums, so
-	// the intermediate merges allocate nothing in steady state. Only
-	// the final level's result (whose buffers fan out through the
-	// allgatherv) is freshly allocated.
+	// the intermediate merges allocate nothing in steady state. The
+	// final level merges into a slot of out, whose buffers fan out
+	// through the allgatherv; the non-power-of-two fallback gathers its
+	// selection through the same FanOut (P is fixed, so a rank only
+	// ever takes one of the two paths).
 	mergeA, mergeB *sparse.Vec
+	out            collectives.FanOut
 	gs             gatherState
 }
 
@@ -333,7 +326,7 @@ func (d *TopkDSA) Reduce(cm cluster.Endpoint, acc []float64, t int) allreduce.Re
 	if p&(p-1) != 0 {
 		// Non-power-of-two: degrade to the allgather schedule, as
 		// SparCML's fallback does.
-		update, nz := d.gs.gatherAndSum(cm, freshChunk(cm, mine), n)
+		update, nz := d.gs.gatherAndSum(cm, d.out.Fill(cm, mine.Indexes, mine.Values), n)
 		d.fillSum += float64(nz) / float64(n)
 		d.fillCount++
 		return allreduce.Result{Update: update, Contributed: localIdx, LocalK: mine.NNZ(), GlobalK: nz}
@@ -345,6 +338,9 @@ func (d *TopkDSA) Reduce(cm cluster.Endpoint, acc []float64, t int) allreduce.Re
 	// sum of 2^(s+1) workers' contributions within it.
 	lo, hi := 0, n
 	cur := mine
+	// final is this call's fan-out slot, which the last level merges
+	// into; it stays nil at P = 1, where nothing is exchanged.
+	var final *collectives.FanOutSlot
 	for s, dist := 0, p/2; dist >= 1; s, dist = s+1, dist/2 {
 		partner := rank ^ dist
 		mid := lo + (hi-lo)/2
@@ -378,8 +374,9 @@ func (d *TopkDSA) Reduce(cm cluster.Endpoint, acc []float64, t int) allreduce.Re
 			d.mergeA, d.mergeB = d.mergeB, d.mergeA
 		} else {
 			// Final level: the result's buffers ride the allgatherv to
-			// every rank, so they must be freshly allocated.
-			cur = sparse.Add(kept, in)
+			// every rank, so they go into this call's fan-out slot.
+			final = d.out.Next()
+			cur = sparse.AddTo(&final.Vec, kept, in)
 		}
 		d.pool.Put(kept)
 		d.pool.Put(in)
@@ -389,14 +386,14 @@ func (d *TopkDSA) Reduce(cm cluster.Endpoint, acc []float64, t int) allreduce.Re
 	// Allgatherv of the owned reduced pieces (COO accounting; a dense
 	// fallback would only matter past ~50% piece density, which the
 	// recursive-halving phase already handled). The fan-out payload is
-	// fresh in wire format; on the f32 wire every rank — the owner
+	// the slot in wire format; on the f32 wire every rank — the owner
 	// included — reads the same rounded values.
-	final := collectives.Chunk{Data: cur.Values, Aux: cur.Indexes}
-	if cm.Wire() == cluster.WireF32 && p > 1 {
-		final = collectives.Chunk{Data32: sparse.Narrow32(cur.Values), Aux: cur.Indexes}
+	mineCh := collectives.Chunk{Data: cur.Values, Aux: cur.Indexes}
+	if final != nil {
+		mineCh = final.Chunk(cm)
 	}
 	gs := &d.gs
-	gs.chunks = collectives.AllgathervInto(cm, final, gs.chunks)
+	gs.chunks = collectives.AllgathervInto(cm, mineCh, gs.chunks)
 	update, nz := gs.sumChunks(n)
 	cm.Clock().SetPhase(netmodel.PhaseCompute)
 	d.fillSum += float64(nz) / float64(n)

@@ -338,6 +338,9 @@ func Ensure(x []float64, n int) []float64 {
 // EnsureMat resizes m to rows×cols, reusing its backing array when the
 // capacity suffices, and zeroes the contents — the steady-state
 // replacement for NewMat in per-step layer scratch. A nil m allocates.
+// A backing array that is too small is replaced by one at least twice
+// as large, so scratch whose shape varies per step (BERT's masked rows)
+// stops allocating once it reaches its high-water mark.
 func EnsureMat(m *Mat, rows, cols int) *Mat {
 	if rows < 0 || cols < 0 {
 		panic("tensor: negative matrix dimension")
@@ -347,7 +350,7 @@ func EnsureMat(m *Mat, rows, cols int) *Mat {
 		return NewMat(rows, cols)
 	}
 	if cap(m.Data) < n {
-		m.Data = make([]float64, n)
+		m.Data = grown(m.Data, n)
 	} else {
 		m.Data = m.Data[:n]
 		clear(m.Data)
@@ -368,10 +371,16 @@ func EnsureMatUninit(m *Mat, rows, cols int) *Mat {
 		return &Mat{Rows: rows, Cols: cols, Data: make([]float64, n)}
 	}
 	if cap(m.Data) < n {
-		m.Data = make([]float64, n)
+		m.Data = grown(m.Data, n)
 	} else {
 		m.Data = m.Data[:n]
 	}
 	m.Rows, m.Cols = rows, cols
 	return m
+}
+
+// grown returns a zeroed length-n replacement for x, which is too small,
+// with room for at least twice what x held.
+func grown(x []float64, n int) []float64 {
+	return make([]float64, n, max(n, 2*cap(x)))
 }

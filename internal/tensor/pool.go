@@ -50,8 +50,25 @@ func Workers() int {
 
 var (
 	poolOnce  sync.Once
-	poolTasks chan func()
+	poolTasks chan task
+	// waitGroups recycles ParallelFor's per-call WaitGroup, which the
+	// helpers reach through the queue and so would otherwise be a heap
+	// allocation per call.
+	waitGroups = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
 )
+
+// task is one block of a ParallelFor call, queued by value so that
+// dispatching it allocates nothing.
+type task struct {
+	body   func(lo, hi int)
+	lo, hi int
+	wg     *sync.WaitGroup
+}
+
+func (t task) run() {
+	t.body(t.lo, t.hi)
+	t.wg.Done()
+}
 
 // ensurePool starts the helper goroutines on first use. GOMAXPROCS−1
 // helpers plus the submitting goroutine saturate the machine without
@@ -66,11 +83,11 @@ func ensurePool() {
 		// task may only be parked if some helper will drain it;
 		// otherwise the non-blocking submit falls through and the chunk
 		// runs on the caller.
-		poolTasks = make(chan func(), 2*helpers)
+		poolTasks = make(chan task, 2*helpers)
 		for i := 0; i < helpers; i++ {
 			go func() {
-				for f := range poolTasks {
-					f()
+				for t := range poolTasks {
+					t.run()
 				}
 			}()
 		}
@@ -97,20 +114,17 @@ func ParallelFor(n, grain int, body func(lo, hi int)) {
 		return
 	}
 	ensurePool()
-	var wg sync.WaitGroup
+	wg := waitGroups.Get().(*sync.WaitGroup)
 	wg.Add(w - 1)
 	for t := 1; t < w; t++ {
-		lo, hi := t*n/w, (t+1)*n/w
-		task := func() {
-			body(lo, hi)
-			wg.Done()
-		}
+		tk := task{body: body, lo: t * n / w, hi: (t + 1) * n / w, wg: wg}
 		select {
-		case poolTasks <- task:
+		case poolTasks <- tk:
 		default:
-			task() // queue full: run on the caller rather than block
+			tk.run() // queue full: run on the caller rather than block
 		}
 	}
 	body(0, n/w)
 	wg.Wait()
+	waitGroups.Put(wg)
 }

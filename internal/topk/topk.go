@@ -97,10 +97,12 @@ func ThresholdInto(x []float64, k int, scratch []float64) (float64, []float64) {
 }
 
 // magnitudesAtLeast collects every |x_i| >= g into buf, replaced when it
-// has no room for want values; g = 0 takes every entry that is not NaN.
+// has no room for want values (by one at least twice as large, so a
+// candidate count that drifts upward over training stops re-allocating
+// after a few re-evaluations); g = 0 takes every entry that is not NaN.
 func magnitudesAtLeast(buf, x []float64, g float64, want int) []float64 {
 	if cap(buf) < want {
-		buf = make([]float64, 0, want)
+		buf = make([]float64, 0, max(want, 2*cap(buf)))
 	}
 	buf = buf[:0]
 	for _, v := range x {

@@ -135,6 +135,7 @@ type Session struct {
 	Trainers []*Trainer
 	rngs     []*rand.Rand
 	iter     int
+	stats    []StepStats // RunIteration's per-rank scratch
 }
 
 // IterStats aggregates one collective iteration.
@@ -218,6 +219,7 @@ func NewDistributedSession(cfg Config) (*Session, error) {
 		Cluster:  c,
 		Trainers: make([]*Trainer, cfg.P),
 		rngs:     make([]*rand.Rand, cfg.P),
+		stats:    make([]StepStats, cfg.P),
 	}
 	for _, r := range c.LocalRanks() {
 		var w Workload
@@ -274,7 +276,8 @@ func (s *Session) RunIteration() IterStats {
 			}
 		}
 	}
-	stats := make([]StepStats, s.Cfg.P)
+	stats := s.stats
+	clear(stats)
 	allLocal := s.Cluster.AllLocal()
 	err := s.Cluster.Run(func(cm *cluster.Comm) error {
 		st := s.Trainers[cm.Rank()].Step(cm, t, s.rngs[cm.Rank()])

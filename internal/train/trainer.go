@@ -37,8 +37,10 @@ type Trainer struct {
 	// LR is the current learning rate (schedules update it per step).
 	LR float64
 
+	// residual is the error-feedback vector ε, accumulated in place
+	// into the accumulator ε + α·G that the reduction reads (Algorithm 2
+	// line 4), then zeroed where the reduction consumed it (line 6).
 	residual []float64
-	acc      []float64
 	plan     *overlapPlan
 
 	// CaptureAcc makes Step retain copies of the accumulator (αG_i+ε_i),
@@ -71,7 +73,6 @@ func NewTrainer(w Workload, algo allreduce.Algorithm, opt optimizer.Optimizer, b
 		W: w, Algo: algo, Opt: opt, Batch: batch, RawGrad: rawGrad,
 		LR:       opt.LR(),
 		residual: make([]float64, w.N()),
-		acc:      make([]float64, w.N()),
 	}
 }
 
@@ -169,11 +170,11 @@ func (tr *Trainer) drivePipeline(cm *cluster.Comm, ov allreduce.Overlapped, back
 		clk.OverlapSleep(backward * e.frac)
 		for _, b := range e.buckets {
 			clk.OverlapReady()
-			ov.IssueBucket(cm, tr.acc, b)
+			ov.IssueBucket(cm, tr.residual, b)
 		}
 	}
 	clk.EndOverlap()
-	return ov.DrainOverlap(cm, tr.acc, t)
+	return ov.DrainOverlap(cm, tr.residual, t)
 }
 
 // Step runs iteration t (1-based) collectively with all other ranks.
@@ -196,8 +197,9 @@ func (tr *Trainer) Step(cm *cluster.Comm, t int, rng *rand.Rand) StepStats {
 	if tr.RawGrad {
 		scale = 1
 	}
-	// Algorithm 2 line 4: accumulate residuals (fused acc = ε + α·G).
-	tensor.ScaleAdd(tr.acc, scale, grads, tr.residual)
+	// Algorithm 2 line 4: accumulate residuals in place (ε ← ε + α·G,
+	// the accumulator the reduction reads).
+	tensor.ScaleAdd(tr.residual, scale, grads, tr.residual)
 	var res allreduce.Result
 	if ov, ok := tr.Algo.(allreduce.Overlapped); ok && tr.Algo.OverlapsBackward() {
 		// Forward + I/O are charged up front; the backward window runs
@@ -211,13 +213,13 @@ func (tr *Trainer) Step(cm *cluster.Comm, t int, rng *rand.Rand) StepStats {
 		// Line 5: the collective reduction after the whole backward pass,
 		// its communication charged in full.
 		clk.Sleep(comp)
-		res = tr.Algo.Reduce(cm, tr.acc, t)
+		res = tr.Algo.Reduce(cm, tr.residual, t)
 	}
 	clk.SetPhase(netmodel.PhaseCompute)
 
 	if tr.CaptureAcc {
 		// Capture before the update vector is scaled in place below.
-		tr.LastAcc = append(tr.LastAcc[:0], tr.acc...)
+		tr.LastAcc = append(tr.LastAcc[:0], tr.residual...)
 		tr.LastUpdate = append(tr.LastUpdate[:0], res.Update...)
 		tr.LastScaledGrad = tr.LastScaledGrad[:0]
 		for _, g := range grads {
@@ -231,7 +233,6 @@ func (tr *Trainer) Step(cm *cluster.Comm, t int, rng *rand.Rand) StepStats {
 			tr.residual[i] = 0
 		}
 	} else {
-		copy(tr.residual, tr.acc)
 		for _, idx := range res.Contributed {
 			tr.residual[idx] = 0
 		}

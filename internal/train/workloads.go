@@ -54,6 +54,8 @@ type Workload interface {
 type VGGWorkload struct {
 	model *nn.VGGNarrow
 	ds    *data.Images
+	// The training batch and Evaluate's, reused across calls.
+	batch, evalBatch data.ImageBatch
 }
 
 // NewVGGWorkload builds one worker's replica. modelSeed must be shared
@@ -82,8 +84,8 @@ func (w *VGGWorkload) ZeroGrads() { w.model.Store().ZeroGrads() }
 
 // ComputeBatch samples a batch and runs forward/backward.
 func (w *VGGWorkload) ComputeBatch(r *rand.Rand, batchSize int) (float64, int, int) {
-	x, y := w.ds.Batch(r, batchSize)
-	loss, correct := w.model.Loss(x, y)
+	w.ds.Batch(r, batchSize, &w.batch)
+	loss, correct := w.model.Loss(w.batch.X, w.batch.Y)
 	return loss, correct, batchSize
 }
 
@@ -97,10 +99,10 @@ func (w *VGGWorkload) Evaluate(r *rand.Rand, samples int) float64 {
 		if samples-done < b {
 			b = samples - done
 		}
-		x, y := w.ds.Batch(r, b)
-		pred := w.model.Predict(x)
+		w.ds.Batch(r, b, &w.evalBatch)
+		pred := w.model.Predict(w.evalBatch.X)
 		for i := range pred {
-			if pred[i] == y[i] {
+			if pred[i] == w.evalBatch.Y[i] {
 				correct++
 			}
 		}
@@ -129,6 +131,8 @@ func (w *VGGWorkload) BackwardSchedule() []nn.LayerCost { return w.model.Backwar
 type LSTMWorkload struct {
 	model *nn.LSTMClassifier
 	ds    *data.Sequences
+	// The training batch and Evaluate's, reused across calls.
+	batch, evalBatch data.SeqBatch
 }
 
 // NewLSTMWorkload builds one worker's replica.
@@ -157,8 +161,8 @@ func (w *LSTMWorkload) ZeroGrads() { w.model.Store().ZeroGrads() }
 
 // ComputeBatch samples sequences and runs BPTT.
 func (w *LSTMWorkload) ComputeBatch(r *rand.Rand, batchSize int) (float64, int, int) {
-	seq, y := w.ds.Batch(r, batchSize)
-	loss, correct := w.model.Loss(seq, y)
+	w.ds.Batch(r, batchSize, &w.batch)
+	loss, correct := w.model.Loss(w.batch.Seq, w.batch.Y)
 	return loss, correct, batchSize
 }
 
@@ -173,10 +177,10 @@ func (w *LSTMWorkload) Evaluate(r *rand.Rand, samples int) float64 {
 		if samples-done < b {
 			b = samples - done
 		}
-		seq, y := w.ds.Batch(r, b)
-		pred := w.model.Predict(seq)
+		w.ds.Batch(r, b, &w.evalBatch)
+		pred := w.model.Predict(w.evalBatch.Seq)
 		for i := range pred {
-			if pred[i] != y[i] {
+			if pred[i] != w.evalBatch.Y[i] {
 				wrong++
 			}
 		}
@@ -205,6 +209,8 @@ func (w *LSTMWorkload) BackwardSchedule() []nn.LayerCost { return w.model.Backwa
 type BERTWorkload struct {
 	model *nn.TinyBERT
 	ds    *data.Corpus
+	// The training batch and Evaluate's, reused across calls.
+	batch, evalBatch data.TokenBatch
 }
 
 // NewBERTWorkload builds one worker's replica.
@@ -233,10 +239,11 @@ func (w *BERTWorkload) ZeroGrads() { w.model.Store().ZeroGrads() }
 
 // ComputeBatch samples masked sequences and runs the MLM objective.
 func (w *BERTWorkload) ComputeBatch(r *rand.Rand, batchSize int) (float64, int, int) {
-	ids, pos, tgt := w.ds.Batch(r, batchSize)
-	loss, correct := w.model.Loss(ids, pos, tgt)
+	b := &w.batch
+	w.ds.Batch(r, batchSize, b)
+	loss, correct := w.model.Loss(b.IDs, b.Pos, b.Tgt)
 	total := 0
-	for _, p := range pos {
+	for _, p := range b.Pos {
 		total += len(p)
 	}
 	return loss, correct, total
@@ -249,8 +256,9 @@ func (w *BERTWorkload) Evaluate(r *rand.Rand, samples int) float64 {
 	batches := 0
 	const chunk = 8
 	for done := 0; done < samples; done += chunk {
-		ids, pos, tgt := w.ds.Batch(r, chunk)
-		loss, _ := w.model.Loss(ids, pos, tgt)
+		b := &w.evalBatch
+		w.ds.Batch(r, chunk, b)
+		loss, _ := w.model.Loss(b.IDs, b.Pos, b.Tgt)
 		sum += loss
 		batches++
 	}
