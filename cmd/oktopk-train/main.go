@@ -49,6 +49,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/allreduce"
@@ -103,6 +105,23 @@ func main() {
 		flag.Usage()
 		profiling.Exit(2)
 	}
+	// The workloads this command trains, with their default learning
+	// rates. Bad names and sizes are refused here, before either
+	// transport starts, instead of panicking inside every rank.
+	defaultLR := map[string]float64{"VGG": 0.03, "LSTM": 0.3, "BERT": 1e-3}
+	var bad string
+	switch _, known := defaultLR[*workload]; {
+	case *p < 1:
+		bad = fmt.Sprintf("-p %d: need at least one worker", *p)
+	case !known:
+		bad = fmt.Sprintf("unknown -workload %q (VGG | LSTM | BERT)", *workload)
+	case !slices.Contains(train.AlgorithmNames, *algo) && *algo != "Hierarchical":
+		bad = fmt.Sprintf("unknown -algo %q (%s | Hierarchical)", *algo, strings.Join(train.AlgorithmNames, " | "))
+	}
+	if bad != "" {
+		fmt.Fprintln(os.Stderr, "oktopk-train: "+bad)
+		profiling.Exit(2)
+	}
 	tensor.SetWorkers(*workers)
 	wm, err := cluster.ParseWire(*wire)
 	if err != nil {
@@ -123,14 +142,7 @@ func main() {
 		},
 	}
 	if cfg.LR == 0 {
-		switch *workload {
-		case "VGG":
-			cfg.LR = 0.03
-		case "LSTM":
-			cfg.LR = 0.3
-		case "BERT":
-			cfg.LR = 1e-3
-		}
+		cfg.LR = defaultLR[*workload]
 	}
 	if *commodity {
 		cfg.Net = netmodel.Commodity()

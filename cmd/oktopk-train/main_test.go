@@ -56,8 +56,9 @@ func TestEvalZeroReportsOnlyAtTheEnd(t *testing.T) {
 	}
 }
 
-// TestRejectedCommandLines: negative cadences are usage errors, and the
-// overlap model is no longer selectable.
+// TestRejectedCommandLines: negative cadences, an empty cluster and
+// unknown workload or algorithm names are usage errors, and the overlap
+// model is no longer selectable.
 func TestRejectedCommandLines(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -66,6 +67,10 @@ func TestRejectedCommandLines(t *testing.T) {
 		{[]string{"-eval", "-1"}, "must not be negative"},
 		{[]string{"-ckpt-every", "-4"}, "must not be negative"},
 		{[]string{"-overlap", "sim"}, "flag provided but not defined: -overlap"},
+		{[]string{"-p", "0"}, "need at least one worker"},
+		{[]string{"-workload", "nope"}, `unknown -workload "nope"`},
+		{[]string{"-algo", "nope"}, `unknown -algo "nope"`},
+		{[]string{"-transport", "tcp", "-p", "0"}, "need at least one worker"},
 	} {
 		code, out := command(t, tc.args...)
 		if code != 2 || !strings.Contains(out, tc.want) {

@@ -26,7 +26,7 @@
 //	internal/sparse      COO sparse vectors + single-owner Vec pools
 //	internal/nn          layers and the three workload models
 //	internal/data        synthetic Cifar/AN4/Wikipedia stand-ins
-//	internal/optimizer   SGD/Adam update rules and LR schedules
+//	internal/optimizer   Adam and the learning-rate schedules
 //	internal/train       distributed training sessions
 //	internal/checkpoint  save/restore of distributed training state
 //	internal/tensor      deterministic parallel compute kernels (worker
@@ -92,7 +92,8 @@
 // checkpoint/resume are wired into both commands (-trace, and
 // -checkpoint/-ckpt-every/-resume on oktopk-train).
 //
-// The benchmarks in bench_test.go regenerate each table/figure regime
-// under `go test -bench`; see DESIGN.md for the per-experiment index and
-// EXPERIMENTS.md for paper-vs-measured results.
+// `bash bench/run.sh` measures the system end to end and layer by layer
+// (BENCHMARK.json, bench/README.md); see DESIGN.md for the
+// per-experiment index and EXPERIMENTS.md for paper-vs-measured
+// results.
 package repro

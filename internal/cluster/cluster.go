@@ -517,12 +517,6 @@ func newCluster(params netmodel.Params, wire Wire, tr Transport) *Cluster {
 // Size returns the number of workers across the whole job.
 func (c *Cluster) Size() int { return c.size }
 
-// Wire returns the cluster's wire format.
-func (c *Cluster) Wire() Wire { return c.wire }
-
-// Transport reports which backend moves this cluster's messages.
-func (c *Cluster) Transport() TransportKind { return c.transport.Kind() }
-
 // LocalRanks lists the ranks hosted in this process, ascending. The
 // inproc transport hosts all of them; tcp hosts one.
 func (c *Cluster) LocalRanks() []int { return c.transport.Local() }

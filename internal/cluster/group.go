@@ -58,9 +58,6 @@ func (g *Group) Size() int { return len(g.ranks) }
 // Wire returns the underlying cluster's wire format.
 func (g *Group) Wire() Wire { return g.world.Wire() }
 
-// WorldRank translates a group rank to the world rank.
-func (g *Group) WorldRank(r int) int { return g.ranks[r] }
-
 // Clock exposes the underlying rank's clock.
 func (g *Group) Clock() *netmodel.Clock { return g.world.Clock() }
 

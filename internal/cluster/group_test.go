@@ -26,7 +26,7 @@ func TestGroupRankTranslation(t *testing.T) {
 		prev := (g.Rank() - 1 + g.Size()) % g.Size()
 		g.Send(next, 5, []float64{float64(cm.Rank())}, 1)
 		got := g.RecvFloat64(prev, 5)
-		wantWorld := g.WorldRank(prev)
+		wantWorld := g.ranks[prev]
 		if got[0] != float64(wantWorld) {
 			t.Errorf("rank %d: got %v want %v", cm.Rank(), got[0], wantWorld)
 		}

@@ -73,16 +73,6 @@ func (c Chunk) NumValues() int {
 	return len(c.Data)
 }
 
-// Value returns value i widened to compute precision. Hot loops should
-// branch on Data32 once per chunk instead; this is the cold-path and
-// test accessor.
-func (c Chunk) Value(i int) float64 {
-	if c.Data32 != nil {
-		return float64(c.Data32[i])
-	}
-	return c.Data[i]
-}
-
 // AppendValues appends every value, widened to float64, onto dst.
 func (c Chunk) AppendValues(dst []float64) []float64 {
 	if c.Data32 != nil {

@@ -64,7 +64,7 @@ func TestWireRound(t *testing.T) {
 // chunk accounting covers values plus indexes at half-word each.
 func TestFloat32PayloadRoundtrip(t *testing.T) {
 	c := NewWire(2, netmodel.Params{Alpha: 1e-6, Beta: 1e-9}, WireF32)
-	if c.Wire() != WireF32 {
+	if c.wire != WireF32 {
 		t.Fatal("cluster wire mode lost")
 	}
 	err := c.Run(func(cm *Comm) error {
@@ -89,7 +89,7 @@ func TestFloat32PayloadRoundtrip(t *testing.T) {
 			}
 			cm.PutFloat32s(got)
 			ch := cm.RecvChunk(0, 8)
-			if ch.NumValues() != 2 || ch.Value(0) != 0.5 || ch.Value(1) != 0.75 {
+			if ch.NumValues() != 2 || ch.AppendValues(nil)[0] != 0.5 || ch.AppendValues(nil)[1] != 0.75 {
 				t.Errorf("f32 chunk values = %v", ch.Data32)
 			}
 			if vs := ch.AppendValues(nil); len(vs) != 2 || vs[1] != 0.75 {

@@ -208,18 +208,13 @@ func Allgather(cm cluster.Endpoint, block []float64, out []float64) {
 	}
 }
 
-// AllgatherSizes exchanges one int per rank (e.g. variable buffer sizes)
-// and returns the full size vector. This is the (log P)α-only collective
-// the balance phase uses to plan data balancing.
-func AllgatherSizes(cm cluster.Endpoint, mySize int) []int {
-	sizes, _ := AllgatherSizesInto(cm, mySize, nil, nil)
-	return sizes
-}
-
-// AllgatherSizesInto is AllgatherSizes with caller-retained scratch: the
-// int result and the float wire staging buffer are reused across calls,
-// so the steady-state balance phase allocates nothing. Both (possibly
-// grown) slices are returned for the caller to keep.
+// AllgatherSizesInto exchanges one int per rank (e.g. variable buffer
+// sizes) and returns the full size vector. This is the (log P)α-only
+// collective the balance phase uses to plan data balancing. The int
+// result and the float wire staging buffer are caller-retained scratch,
+// reused across calls, so the steady-state balance phase allocates
+// nothing. Both (possibly grown) slices are returned for the caller to
+// keep.
 func AllgatherSizesInto(cm cluster.Endpoint, mySize int, sizes []int, scratch []float64) ([]int, []float64) {
 	p := cm.Size()
 	if cap(scratch) < p {

@@ -2,6 +2,7 @@ package collectives
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -118,7 +119,7 @@ func TestAllgather(t *testing.T) {
 func TestAllgatherSizes(t *testing.T) {
 	p := 8
 	runCluster(t, p, func(cm *cluster.Comm) error {
-		sizes := AllgatherSizes(cm, cm.Rank()*7+1)
+		sizes, _ := AllgatherSizesInto(cm, cm.Rank()*7+1, nil, nil)
 		for r, s := range sizes {
 			if s != r*7+1 {
 				t.Errorf("rank %d: sizes[%d]=%d want %d", cm.Rank(), r, s, r*7+1)
@@ -279,7 +280,7 @@ func TestTimeAdvances(t *testing.T) {
 // against accidental aliasing in rankVector/expectedSum).
 func TestHelpersConsistent(t *testing.T) {
 	x := rankVector(3, 10)
-	y := tensor.Copy(x)
+	y := slices.Clone(x)
 	tensor.Axpy(1, x, y)
 	for i := range y {
 		if !almostEqual(y[i], 2*x[i]) {

@@ -89,14 +89,15 @@ func checkGathered(result []Chunk, call int, wire cluster.Wire) error {
 			return fmt.Errorf("call %d: chunk %d has origin %d and %d/%d entries, want origin %d and %d",
 				call, origin, ch.Origin, len(ch.Aux), ch.NumValues(), origin, len(wantIdx))
 		}
+		vals := ch.AppendValues(nil)
 		for i := range wantIdx {
 			want := wantVal[i]
 			if wire == cluster.WireF32 {
 				want = float64(float32(want))
 			}
-			if ch.Aux[i] != wantIdx[i] || math.Float64bits(ch.Value(i)) != math.Float64bits(want) {
+			if ch.Aux[i] != wantIdx[i] || math.Float64bits(vals[i]) != math.Float64bits(want) {
 				return fmt.Errorf("call %d: origin %d entry %d is (%d, %v), want (%d, %v)",
-					call, origin, i, ch.Aux[i], ch.Value(i), wantIdx[i], want)
+					call, origin, i, ch.Aux[i], vals[i], wantIdx[i], want)
 			}
 		}
 	}

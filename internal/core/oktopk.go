@@ -153,9 +153,6 @@ func NewDefault(cfg allreduce.Config) *OkTopk {
 func (*OkTopk) Name() string           { return "OkTopk" }
 func (*OkTopk) OverlapsBackward() bool { return false }
 
-// Config returns the worker's effective configuration.
-func (o *OkTopk) Config() allreduce.Config { return o.cfg }
-
 // LastVolumeWords returns the number of words this rank sent during the
 // most recent Reduce (per-iteration steady-state traffic).
 func (o *OkTopk) LastVolumeWords() int { return o.lastVolume }
@@ -164,10 +161,6 @@ func (o *OkTopk) LastVolumeWords() int { return o.lastVolume }
 // top-k threshold; the Figure-4 experiment compares it against the exact
 // and Gaussian-estimated thresholds.
 func (o *OkTopk) LocalThreshold() float64 { return o.localCtl.Current() }
-
-// Boundaries returns the current consensus region boundaries (nil before
-// the first Reduce).
-func (o *OkTopk) Boundaries() []int { return o.boundaries }
 
 // Reduce implements Algorithm 1. It returns the dense global top-k
 // update u_t and the intersection of local and global top-k indexes.

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -334,7 +335,7 @@ func TestThresholdReuseStability(t *testing.T) {
 	for it := 1; it <= 12; it++ {
 		grads := make([][]float64, p)
 		for i := range grads {
-			g := tensor.Copy(base[i])
+			g := slices.Clone(base[i])
 			for j := range g {
 				g[j] *= 1 + 0.01*r.NormFloat64() // slow drift
 			}

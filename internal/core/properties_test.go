@@ -152,7 +152,7 @@ func TestRepartitionBoundariesMonotonic(t *testing.T) {
 			return false
 		}
 		for _, a := range algos {
-			b := a.Boundaries()
+			b := a.boundaries
 			if len(b) != p+1 || b[0] != 0 || b[p] != n {
 				return false
 			}
@@ -163,7 +163,7 @@ func TestRepartitionBoundariesMonotonic(t *testing.T) {
 			}
 			// All ranks must agree on the consensus boundaries.
 			for j := range b {
-				if b[j] != algos[0].Boundaries()[j] {
+				if b[j] != algos[0].boundaries[j] {
 					return false
 				}
 			}

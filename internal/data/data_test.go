@@ -66,11 +66,9 @@ func TestImagesClassesDiffer(t *testing.T) {
 	if a == -1 || b == -1 {
 		t.Skip("not enough samples per class")
 	}
-	tensor.Scale(1/float64(counts[a]), sums[a])
-	tensor.Scale(1/float64(counts[b]), sums[b])
 	var dist float64
 	for i := range sums[a] {
-		dlt := sums[a][i] - sums[b][i]
+		dlt := sums[a][i]/float64(counts[a]) - sums[b][i]/float64(counts[b])
 		dist += dlt * dlt
 	}
 	if dist < 1 {

@@ -92,20 +92,12 @@ type Table1Col struct {
 	Mean, Max map[string]float64
 }
 
-// Table1 prints the analytic cost-model terms of all algorithms next to
-// the per-rank volumes measured from the simulator (n=1M-scale synthetic
+// renderTable1 reassembles the Table 1 report from per-P measurement
+// columns: the analytic cost-model terms of all algorithms next to the
+// per-rank volumes measured from the simulator (n=1M-scale synthetic
 // gradient, steady state). The measured column validates the bandwidth
 // terms: TopkA/Gaussiank grow ∝P, TopkDSA sits between 4k and 2k+n,
 // gTopk grows with log P, Ok-Topk stays within [2k, 6k]·(P−1)/P.
-//
-// It is the serial composition of the registry's table1 specs; the
-// parallel scheduler produces the identical output through renderTable1.
-func Table1(w io.Writer, ps []int, n, k int) {
-	renderTable1(w, RunSpecs(table1Specs(ps, n, k), 1))
-}
-
-// renderTable1 reassembles the Table 1 report from per-P measurement
-// columns.
 func renderTable1(w io.Writer, rs []Result) {
 	var cols []Table1Col
 	for _, r := range rs {
@@ -161,17 +153,11 @@ func log2f(p int) float64 {
 	return l
 }
 
-// MeasureVolume runs two steady-state iterations of the named algorithm
-// on synthetic gradients and returns the mean per-rank words sent in the
-// second iteration.
-func MeasureVolume(name string, p, n, k int) float64 {
-	mean, _ := MeasureVolumeStats(name, p, n, k)
-	return mean
-}
-
-// MeasureVolumeStats additionally returns the busiest rank's sent words —
-// the quantity that exposes tree roots (gTopk) and unbalanced endpoints,
-// which per-rank means average away.
+// MeasureVolumeStats runs two steady-state iterations of the named
+// algorithm on synthetic gradients and returns the mean per-rank words
+// sent in the second iteration, and the busiest rank's — the quantity
+// that exposes tree roots (gTopk) and unbalanced endpoints, which
+// per-rank means average away.
 func MeasureVolumeStats(name string, p, n, k int) (mean, max float64) {
 	grads := SyntheticGradients(42, p, n, k, 0.3)
 	cfg := allreduce.Config{K: k, TauPrime: 2, Tau: 2}

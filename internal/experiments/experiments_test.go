@@ -11,11 +11,15 @@ import (
 // dwarf Ok-Topk; Ok-Topk stays within its analytic band.
 func TestTable1ShapeHolds(t *testing.T) {
 	n, k := 100000, 1000
-	topkA8 := MeasureVolume("TopkA", 8, n, k)
-	topkA32 := MeasureVolume("TopkA", 32, n, k)
-	ok8 := MeasureVolume("OkTopk", 8, n, k)
-	ok32 := MeasureVolume("OkTopk", 32, n, k)
-	dense32 := MeasureVolume("Dense", 32, n, k)
+	vol := func(name string, p int) float64 {
+		mean, _ := MeasureVolumeStats(name, p, n, k)
+		return mean
+	}
+	topkA8 := vol("TopkA", 8)
+	topkA32 := vol("TopkA", 32)
+	ok8 := vol("OkTopk", 8)
+	ok32 := vol("OkTopk", 32)
+	dense32 := vol("Dense", 32)
 
 	if topkA32 < 3.5*topkA8 {
 		t.Errorf("TopkA should scale ∝P: %v → %v", topkA8, topkA32)
@@ -36,7 +40,7 @@ func TestTable1ShapeHolds(t *testing.T) {
 		t.Errorf("dense volume %v, want ≈2n=%v", dense32, 2*n)
 	}
 	// gTopk grows with log P.
-	g8, g32 := MeasureVolume("gTopk", 8, n, k), MeasureVolume("gTopk", 32, n, k)
+	g8, g32 := vol("gTopk", 8), vol("gTopk", 32)
 	if g32 <= g8 {
 		t.Errorf("gTopk should grow with logP: %v → %v", g8, g32)
 	}
@@ -44,7 +48,7 @@ func TestTable1ShapeHolds(t *testing.T) {
 
 func TestTable1Prints(t *testing.T) {
 	var buf bytes.Buffer
-	Table1(&buf, []int{4, 8}, 20000, 200)
+	renderTable1(&buf, RunSpecs(table1Specs([]int{4, 8}, 20000, 200), 1))
 	out := buf.String()
 	for _, want := range []string{"Dense", "TopkA", "TopkDSA", "gTopk", "Gaussiank", "OkTopk", "2n(P-1)/P"} {
 		if !strings.Contains(out, want) {

@@ -19,7 +19,7 @@ import (
 // modeled makespans. A Hierarchical row (the two-level node-aware
 // allreduce) rides along: it loses on the flat network (extra hops, no
 // cheap links to exploit) and wins on islands, which is the ranking
-// flip BENCH_topology.json records.
+// flip the runner reports.
 
 // topoAlgorithms are the sweep's rows: the two dense baselines, the
 // node-aware dense schedule, and two sparse representatives.

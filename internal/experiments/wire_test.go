@@ -55,7 +55,7 @@ func TestWireModeChangesVolume(t *testing.T) {
 	vols := map[cluster.Wire]float64{}
 	for _, w := range []cluster.Wire{cluster.WireF64, cluster.WireF32} {
 		SetWire(w)
-		vols[w] = MeasureVolume("OkTopk", 8, 20000, 200)
+		vols[w], _ = MeasureVolumeStats("OkTopk", 8, 20000, 200)
 	}
 	ratio := vols[cluster.WireF32] / vols[cluster.WireF64]
 	if ratio > 0.55 || ratio < 0.45 {

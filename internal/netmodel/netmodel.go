@@ -140,10 +140,6 @@ type Clock struct {
 	recvMsgs  int64
 }
 
-// NewClock returns a zeroed clock with the given machine parameters,
-// positioned at rank 0 of the topology.
-func NewClock(p Params) *Clock { return NewRankClock(p, 0) }
-
 // NewRankClock returns a zeroed clock for the given rank. The rank
 // determines the clock's node under p.Topo and its straggler/jitter
 // draws; on the flat topology it is inert.
@@ -164,9 +160,6 @@ func (c *Clock) deriveTopo() {
 
 // Params returns the machine constants of this clock.
 func (c *Clock) Params() Params { return c.params }
-
-// Rank returns the topology position this clock was created for.
-func (c *Clock) Rank() int { return c.rank }
 
 // SetStep keys subsequent jitter draws to training iteration t. On the
 // flat topology (and with Jitter off) it is a plain store with no
@@ -200,7 +193,8 @@ func (c *Clock) effRailUsers() int {
 	return 1
 }
 
-// slowdown is this rank's local-compute multiplier at the current step.
+// slowdown is this rank's local-compute multiplier at the current step:
+// StragglerSlow (if the rank is a straggler) × (1 + Jitter·u).
 func (c *Clock) slowdown() float64 {
 	t := c.params.Topo
 	m := 1.0
@@ -401,9 +395,6 @@ func (c *Clock) BeginOverlap() {
 	c.ovComp = c.cpu
 	c.ovPhase = c.phaseTime
 }
-
-// InOverlap reports whether an overlap window is open.
-func (c *Clock) InOverlap() bool { return c.inOverlap }
 
 // OverlapSleep charges a fixed duration of local work to the window's
 // compute track. Straggler/jitter scaling applies exactly as for Sleep

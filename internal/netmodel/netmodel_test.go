@@ -7,8 +7,8 @@ import (
 
 func TestSingleMessageCost(t *testing.T) {
 	p := Params{Alpha: 1e-6, Beta: 1e-9, Gamma: 1e-12}
-	snd := NewClock(p)
-	rcv := NewClock(p)
+	snd := NewRankClock(p, 0)
+	rcv := NewRankClock(p, 0)
 	depart := snd.StampSendTo(1, 1000)
 	if depart != 0 {
 		t.Fatalf("departure %v want 0", depart)
@@ -22,7 +22,7 @@ func TestSingleMessageCost(t *testing.T) {
 
 func TestSenderNICSerializesInjection(t *testing.T) {
 	p := Params{Alpha: 1e-6, Beta: 1e-9}
-	snd := NewClock(p)
+	snd := NewRankClock(p, 0)
 	d1 := snd.StampSendTo(1, 1000)
 	d2 := snd.StampSendTo(1, 1000)
 	if math.Abs((d2-d1)-1000e-9) > 1e-18 {
@@ -42,7 +42,7 @@ func TestEndpointCongestion(t *testing.T) {
 	// P−1 messages arriving at one rank at the same time serialize on
 	// its receive NIC: last delivery ≈ α + (P−1)βL.
 	p := Params{Alpha: 1e-6, Beta: 1e-9}
-	rcv := NewClock(p)
+	rcv := NewRankClock(p, 0)
 	const L, senders = 500, 7
 	for s := 0; s < senders; s++ {
 		rcv.StampRecvFrom(s+1, 0, L)
@@ -54,7 +54,7 @@ func TestEndpointCongestion(t *testing.T) {
 }
 
 func TestComputeAndPhases(t *testing.T) {
-	c := NewClock(Params{Gamma: 1e-9})
+	c := NewRankClock(Params{Gamma: 1e-9}, 0)
 	c.SetPhase(PhaseCompute)
 	c.Compute(1000)
 	c.SetPhase(PhaseSparsify)
@@ -77,7 +77,7 @@ func TestComputeAndPhases(t *testing.T) {
 }
 
 func TestAdvanceToNeverRewinds(t *testing.T) {
-	c := NewClock(Params{})
+	c := NewRankClock(Params{}, 0)
 	c.Sleep(5)
 	c.AdvanceTo(3)
 	if c.Now() != 5 {
@@ -86,7 +86,7 @@ func TestAdvanceToNeverRewinds(t *testing.T) {
 }
 
 func TestCounters(t *testing.T) {
-	c := NewClock(Params{Beta: 1e-9})
+	c := NewRankClock(Params{Beta: 1e-9}, 0)
 	c.StampSendTo(1, 100)
 	c.StampSendTo(2, 50)
 	c.StampRecvFrom(1, 0, 30)
@@ -104,7 +104,7 @@ func TestCounters(t *testing.T) {
 }
 
 func TestNegativeArgsPanic(t *testing.T) {
-	c := NewClock(Params{})
+	c := NewRankClock(Params{}, 0)
 	for i, f := range []func(){
 		func() { c.StampSendTo(1, -1) },
 		func() { c.StampRecvFrom(1, 0, -1) },

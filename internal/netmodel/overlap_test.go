@@ -10,7 +10,7 @@ func approxEq(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
 // TestOverlapCommHidden: communication that finishes strictly under the
 // compute track costs no wall time and leaves PhaseComm untouched.
 func TestOverlapCommHidden(t *testing.T) {
-	c := NewClock(Params{Alpha: 1e-6, Beta: 1e-9, Gamma: 1e-12})
+	c := NewRankClock(Params{Alpha: 1e-6, Beta: 1e-9, Gamma: 1e-12}, 0)
 	c.SetPhase(PhaseCompute)
 	c.Sleep(1)
 	c.BeginOverlap()
@@ -38,7 +38,7 @@ func TestOverlapCommHidden(t *testing.T) {
 // track charges exactly the remainder to PhaseComm.
 func TestOverlapExposedRemainder(t *testing.T) {
 	beta := 1e-3
-	c := NewClock(Params{Alpha: 0, Beta: beta, Gamma: 1e-12})
+	c := NewRankClock(Params{Alpha: 0, Beta: beta, Gamma: 1e-12}, 0)
 	c.SetPhase(PhaseCompute)
 	c.BeginOverlap()
 	c.OverlapSleep(0.1)
@@ -63,7 +63,7 @@ func TestOverlapExposedRemainder(t *testing.T) {
 // TestOverlapReadyPinsCommTrack: communication issued mid-window cannot
 // depart before the compute track produced its input.
 func TestOverlapReadyPinsCommTrack(t *testing.T) {
-	c := NewClock(Params{Alpha: 0, Beta: 1e-9, Gamma: 1e-12})
+	c := NewRankClock(Params{Alpha: 0, Beta: 1e-9, Gamma: 1e-12}, 0)
 	c.BeginOverlap()
 	c.OverlapSleep(0.25)
 	c.OverlapReady()
@@ -78,7 +78,7 @@ func TestOverlapReadyPinsCommTrack(t *testing.T) {
 // relies on), whichever track finished last.
 func TestOverlapWindowConsistency(t *testing.T) {
 	for _, commWords := range []int{10, 100000000} {
-		c := NewClock(Params{Alpha: 1e-6, Beta: 1e-9, Gamma: 1e-12})
+		c := NewRankClock(Params{Alpha: 1e-6, Beta: 1e-9, Gamma: 1e-12}, 0)
 		c.SetPhase(PhaseCompute)
 		c.Sleep(0.3)
 		c.BeginOverlap()
@@ -93,7 +93,7 @@ func TestOverlapWindowConsistency(t *testing.T) {
 		if !approxEq(sum, s.Time) {
 			t.Fatalf("words=%d: phase sum %v != wall time %v", commWords, sum, s.Time)
 		}
-		if c.InOverlap() {
+		if c.inOverlap {
 			t.Fatal("window still open")
 		}
 	}
@@ -143,7 +143,7 @@ func TestOverlapMisusePanics(t *testing.T) {
 		}()
 		f()
 	}
-	c := NewClock(PizDaint())
+	c := NewRankClock(PizDaint(), 0)
 	expectPanic("EndOverlap", func() { c.EndOverlap() })
 	expectPanic("OverlapSleep", func() { c.OverlapSleep(1) })
 	expectPanic("OverlapReady", func() { c.OverlapReady() })

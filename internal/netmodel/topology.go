@@ -131,22 +131,6 @@ func (t Topology) JitterU(rank, step int) float64 {
 	return unit(uint64(t.Seed), uint64(rank), uint64(step), saltJitter)
 }
 
-// slowdown is the local-compute multiplier for rank at step:
-// StragglerSlow (if the rank is a straggler) × (1 + Jitter·u).
-func (t Topology) slowdown(rank, step int) float64 {
-	m := 1.0
-	if t.StragglerSlow > 1 && t.IsStraggler(rank) {
-		m = t.StragglerSlow
-	}
-	if t.Jitter > 0 {
-		m *= 1 + t.Jitter*t.JitterU(rank, step)
-	}
-	return m
-}
-
-// TopologyPresets lists the named presets BuildTopology accepts.
-func TopologyPresets() []string { return []string{"flat", "fattree", "nvlink"} }
-
 // BuildTopology resolves a named preset into a Topology:
 //
 //	flat     — the uniform network of the paper (straggler knobs still

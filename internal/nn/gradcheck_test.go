@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/tensor"
@@ -261,7 +262,7 @@ func TestVGGNarrowGradcheck(t *testing.T) {
 	// parameters across all layers.
 	m.Store().ZeroGrads()
 	m.Loss(x, y)
-	analytic := tensor.Copy(m.Store().Grads)
+	analytic := slices.Clone(m.Store().Grads)
 	spotCheck(t, "vgg", m.Store().Params, analytic, loss, 97)
 }
 
@@ -281,7 +282,7 @@ func TestLSTMClassifierGradcheck(t *testing.T) {
 	}
 	m.Store().ZeroGrads()
 	m.Loss(seq, y)
-	analytic := tensor.Copy(m.Store().Grads)
+	analytic := slices.Clone(m.Store().Grads)
 	num := numericalGrad(m.Store().Params, loss)
 	checkGrads(t, "lstm-classifier", analytic, num, 1e-4)
 }
@@ -298,7 +299,7 @@ func TestTinyBERTGradcheck(t *testing.T) {
 	}
 	m.Store().ZeroGrads()
 	m.Loss(ids, maskedPos, maskedTgt)
-	analytic := tensor.Copy(m.Store().Grads)
+	analytic := slices.Clone(m.Store().Grads)
 	spotCheck(t, "tinybert", m.Store().Params, analytic, loss, 37)
 }
 

@@ -1,77 +1,30 @@
-// Package optimizer implements the parameter-update rules used in the
-// paper's evaluation: plain SGD (VGG, LSTM) and Adam (BERT). Updates are
-// applied from a dense update vector u (the allreduce output divided by
-// P), matching the paper's structure where the sparse allreduce runs on
-// raw gradients and the optimizer is applied afterwards.
+// Package optimizer holds the update rules and learning-rate schedules
+// of the paper's evaluation. VGG and LSTM need no rule of their own:
+// Algorithm 2 folds the learning rate into the accumulator and the
+// trainer subtracts the averaged update directly. Adam (BERT) consumes
+// the averaged raw gradient after the sparse allreduce, matching the
+// paper's BERT structure.
 package optimizer
 
 import "math"
 
-// Optimizer applies an averaged gradient to a parameter vector.
-type Optimizer interface {
-	Name() string
-	// Apply updates params in place given the averaged gradient for this
-	// iteration. For sparse schemes most entries of avgGrad are zero;
-	// implementations may exploit that.
-	Apply(params, avgGrad []float64)
-	// LR returns the current learning rate (after any schedule).
-	LR() float64
-	// SetLR overrides the learning rate (schedules call this).
-	SetLR(lr float64)
-}
-
-// SGD is plain stochastic gradient descent: w ← w − lr·g.
-type SGD struct {
-	lr float64
-}
-
-// NewSGD returns an SGD optimizer with the given learning rate.
-func NewSGD(lr float64) *SGD { return &SGD{lr: lr} }
-
-// Name identifies the rule.
-func (s *SGD) Name() string { return "SGD" }
-
-// LR returns the current learning rate.
-func (s *SGD) LR() float64 { return s.lr }
-
-// SetLR sets the learning rate.
-func (s *SGD) SetLR(lr float64) { s.lr = lr }
-
-// Apply performs the descent step, skipping zero entries (the common
-// case for sparse updates).
-func (s *SGD) Apply(params, avgGrad []float64) {
-	for i, g := range avgGrad {
-		if g != 0 {
-			params[i] -= s.lr * g
-		}
-	}
-}
-
 // Adam implements Kingma & Ba with bias correction and decoupled weight
 // decay (the paper's BERT configuration: lr=2e-4, β1=0.9, β2=0.999,
-// weight decay 0.01, linear decay schedule applied by the caller).
+// weight decay 0.01, linear decay schedule applied by the caller). The
+// learning rate is the caller's: Apply takes it per step.
 type Adam struct {
-	lr, beta1, beta2, eps, wd float64
-	m, v                      []float64
-	t                         int
+	beta1, beta2, eps, wd float64
+	m, v                  []float64
+	t                     int
 }
 
 // NewAdam returns an Adam optimizer.
-func NewAdam(lr, beta1, beta2, weightDecay float64) *Adam {
-	return &Adam{lr: lr, beta1: beta1, beta2: beta2, eps: 1e-8, wd: weightDecay}
+func NewAdam(beta1, beta2, weightDecay float64) *Adam {
+	return &Adam{beta1: beta1, beta2: beta2, eps: 1e-8, wd: weightDecay}
 }
 
-// Name identifies the rule.
-func (a *Adam) Name() string { return "Adam" }
-
-// LR returns the current learning rate.
-func (a *Adam) LR() float64 { return a.lr }
-
-// SetLR sets the learning rate.
-func (a *Adam) SetLR(lr float64) { a.lr = lr }
-
-// Apply performs one Adam step.
-func (a *Adam) Apply(params, avgGrad []float64) {
+// Apply performs one Adam step at learning rate lr.
+func (a *Adam) Apply(params, avgGrad []float64, lr float64) {
 	if a.m == nil {
 		a.m = make([]float64, len(params))
 		a.v = make([]float64, len(params))
@@ -84,7 +37,7 @@ func (a *Adam) Apply(params, avgGrad []float64) {
 		a.v[i] = a.beta2*a.v[i] + (1-a.beta2)*g*g
 		mh := a.m[i] / c1
 		vh := a.v[i] / c2
-		params[i] -= a.lr * (mh/(math.Sqrt(vh)+a.eps) + a.wd*params[i])
+		params[i] -= lr * (mh/(math.Sqrt(vh)+a.eps) + a.wd*params[i])
 	}
 }
 

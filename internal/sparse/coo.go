@@ -33,18 +33,6 @@ func New(dim int) *Vec {
 // NNZ returns the number of stored nonzeros.
 func (v *Vec) NNZ() int { return len(v.Indexes) }
 
-// Words returns the wire size in words under the paper's COO accounting:
-// one word per value plus one word per index (2k total).
-func (v *Vec) Words() int { return 2 * len(v.Indexes) }
-
-// Density returns NNZ/Dim, the paper's "density" metric (k/n).
-func (v *Vec) Density() float64 {
-	if v.Dim == 0 {
-		return 0
-	}
-	return float64(v.NNZ()) / float64(v.Dim)
-}
-
 // Clone returns a deep copy of v.
 func (v *Vec) Clone() *Vec {
 	w := &Vec{Dim: v.Dim}

@@ -144,16 +144,6 @@ func TestIntersect(t *testing.T) {
 	}
 }
 
-func TestWordsAndDensity(t *testing.T) {
-	v := FromPairs(1000, []int32{1, 2, 3}, []float64{1, 1, 1})
-	if v.Words() != 6 {
-		t.Fatalf("words=%d", v.Words())
-	}
-	if v.Density() != 0.003 {
-		t.Fatalf("density=%v", v.Density())
-	}
-}
-
 func TestValidateCatchesCorruption(t *testing.T) {
 	cases := []*Vec{
 		{Dim: 5, Indexes: []int32{0, 0}, Values: []float64{1, 1}}, // dup

@@ -7,7 +7,8 @@ import (
 
 // BenchmarkMatMul measures the parallel GEMM at model-shaped sizes
 // (square, LSTM-gate-shaped, attention-projection-shaped). Throughput
-// is bytes of A+B+C per op. Numbers are tracked in BENCH_kernels.json.
+// is bytes of A+B+C per op; bench's tensor.matmul_gflops row tracks the
+// kernel over time.
 func BenchmarkMatMul(b *testing.B) {
 	sizes := [][3]int{{128, 128, 128}, {512, 64, 256}, {1024, 40, 512}}
 	for _, d := range sizes {

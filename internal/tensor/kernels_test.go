@@ -12,12 +12,12 @@ import (
 func refGemm(a, b, c *Mat) {
 	for i := 0; i < a.Rows; i++ {
 		for k := 0; k < a.Cols; k++ {
-			av := a.At(i, k)
+			av := at(a, i, k)
 			if av == 0 {
 				continue
 			}
 			for j := 0; j < b.Cols; j++ {
-				c.Set(i, j, c.At(i, j)+av*b.At(k, j))
+				c.Data[i*c.Cols+j] += av * at(b, k, j)
 			}
 		}
 	}
@@ -83,7 +83,7 @@ func TestBackwardKernelsMatchReference(t *testing.T) {
 			for i, v := range c0.Data {
 				c0.Data[i] = math.Abs(v)
 			}
-			wantTA := c0.Clone()
+			wantTA := cloneMat(c0)
 			refGemmTA(a, b, wantTA)
 			// MatMulTB: C (48×11) = A·Bᵀ, A (48×k) the gradient, B (11×k)
 			// weights; C starts as garbage the kernel must overwrite.
@@ -92,7 +92,7 @@ func TestBackwardKernelsMatchReference(t *testing.T) {
 			refMatMulTB(ga, w, wantTB)
 			for _, workers := range []int{1, 2, 3, 8} {
 				withWorkers(t, workers, func() {
-					gotTA := c0.Clone()
+					gotTA := cloneMat(c0)
 					GemmTA(a, b, gotTA)
 					if !matsEqual(wantTA, gotTA) {
 						t.Fatalf("GemmTA zero fraction %v K=%d workers=%d differs from reference", frac, k, workers)
@@ -198,7 +198,7 @@ func FuzzBackwardKernels(f *testing.F) {
 		for i, v := range c.Data {
 			c.Data[i] = math.Abs(v) // no −0 in C: the documented edge
 		}
-		wantTA := c.Clone()
+		wantTA := cloneMat(c)
 		refGemmTA(a, b, wantTA)
 		// MatMulTB: A (m×k) the gradient, B (n×k) weights, C (m×n).
 		ga, w := fill(m, k), fill(n, k)
@@ -206,7 +206,7 @@ func FuzzBackwardKernels(f *testing.F) {
 		refMatMulTB(ga, w, wantTB)
 		for _, workers := range []int{1, 3} {
 			withWorkers(t, workers, func() {
-				gotTA := c.Clone()
+				gotTA := cloneMat(c)
 				GemmTA(a, b, gotTA)
 				if !matsEqual(wantTA, gotTA) {
 					t.Fatalf("GemmTA m=%d k=%d n=%d workers=%d differs from reference", m, k, n, workers)
@@ -312,7 +312,7 @@ func TestKernelsDeterministicAcrossWorkers(t *testing.T) {
 	for _, kn := range kernels {
 		t.Run(kn.name, func(t *testing.T) {
 			var ref *Mat
-			withWorkers(t, 1, func() { ref = kn.run().Clone() })
+			withWorkers(t, 1, func() { ref = cloneMat(kn.run()) })
 			for _, w := range []int{2, 3, 4, 8} {
 				var got *Mat
 				withWorkers(t, w, func() { got = kn.run() })

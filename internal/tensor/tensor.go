@@ -1,6 +1,6 @@
 // Package tensor provides the dense compute kernels used by the
 // neural-network substrate and the sparse-allreduce algorithms: seeded
-// random number generation, vector arithmetic (axpy, scale, dot) and
+// random number generation, vector arithmetic (axpy, dot) and
 // matrix multiplies (MatMul, Gemm, GemmTA, GemmTB, MatMulTB)
 // parallelized over a shared worker pool with deterministic row-block
 // ownership — results are bit-identical at any worker count
@@ -32,26 +32,12 @@ func Fill(x []float64, v float64) {
 	}
 }
 
-// Copy returns a newly allocated copy of x.
-func Copy(x []float64) []float64 {
-	y := make([]float64, len(x))
-	copy(y, x)
-	return y
-}
-
 // Axpy computes y += a*x element-wise. x and y must have equal length.
 func Axpy(a float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("tensor: axpy length mismatch %d != %d", len(x), len(y)))
 	}
 	axpyTo(y, a, x)
-}
-
-// Scale multiplies every element of x by a in place.
-func Scale(a float64, x []float64) {
-	for i := range x {
-		x[i] *= a
-	}
 }
 
 // Add computes z = x + y into z. All three must have equal length.
@@ -97,20 +83,6 @@ func Mean(x []float64) float64 {
 	return s / float64(len(x))
 }
 
-// Std returns the population standard deviation of x.
-func Std(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	m := Mean(x)
-	var s float64
-	for _, v := range x {
-		d := v - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(x)))
-}
-
 // Mat is a dense row-major matrix.
 type Mat struct {
 	Rows, Cols int
@@ -133,19 +105,8 @@ func NewMatFrom(rows, cols int, data []float64) *Mat {
 	return &Mat{Rows: rows, Cols: cols, Data: data}
 }
 
-// At returns element (i, j).
-func (m *Mat) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
-// Set assigns element (i, j).
-func (m *Mat) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
 // Row returns a slice aliasing row i.
 func (m *Mat) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
-// Clone returns a deep copy of m.
-func (m *Mat) Clone() *Mat {
-	return &Mat{Rows: m.Rows, Cols: m.Cols, Data: Copy(m.Data)}
-}
 
 // RandN fills x with N(0, sigma) samples from r.
 func RandN(r *rand.Rand, x []float64, sigma float64) {

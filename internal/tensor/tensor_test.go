@@ -2,9 +2,15 @@ package tensor
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
+
+// at and cloneMat read and copy a Mat through its row-major Data.
+func at(m *Mat, i, j int) float64 { return m.Data[i*m.Cols+j] }
+
+func cloneMat(m *Mat) *Mat { return NewMatFrom(m.Rows, m.Cols, slices.Clone(m.Data)) }
 
 func TestAxpyDotNorm(t *testing.T) {
 	x := []float64{1, 2, 3}
@@ -35,15 +41,6 @@ func TestAxpyMismatchPanics(t *testing.T) {
 
 func TestScaleFillCopyAdd(t *testing.T) {
 	x := []float64{1, 2}
-	Scale(3, x)
-	if x[0] != 3 || x[1] != 6 {
-		t.Fatal("scale")
-	}
-	c := Copy(x)
-	c[0] = 99
-	if x[0] == 99 {
-		t.Fatal("copy aliases")
-	}
 	Fill(x, 7)
 	if x[0] != 7 || x[1] != 7 {
 		t.Fatal("fill")
@@ -60,30 +57,19 @@ func TestStats(t *testing.T) {
 	if Mean(x) != 0 {
 		t.Fatal("mean")
 	}
-	if math.Abs(Std(x)-math.Sqrt(2.5)) > 1e-12 {
-		t.Fatalf("std %v", Std(x))
-	}
-	if Mean(nil) != 0 || Std(nil) != 0 {
+	if Mean(nil) != 0 {
 		t.Fatal("empty stats")
 	}
 }
 
 func TestMatBasics(t *testing.T) {
 	m := NewMat(2, 3)
-	m.Set(1, 2, 5)
-	if m.At(1, 2) != 5 {
-		t.Fatal("at/set")
-	}
+	m.Data[5] = 5
 	if len(m.Row(1)) != 3 || m.Row(1)[2] != 5 {
 		t.Fatal("row")
 	}
-	c := m.Clone()
-	c.Set(0, 0, 9)
-	if m.At(0, 0) == 9 {
-		t.Fatal("clone aliases")
-	}
 	w := NewMatFrom(2, 2, []float64{1, 2, 3, 4})
-	if w.At(1, 0) != 3 {
+	if w.Row(1)[0] != 3 {
 		t.Fatal("from")
 	}
 }
@@ -104,9 +90,9 @@ func naiveGemm(a, b *Mat) *Mat {
 		for j := 0; j < b.Cols; j++ {
 			var s float64
 			for k := 0; k < a.Cols; k++ {
-				s += a.At(i, k) * b.At(k, j)
+				s += at(a, i, k) * at(b, k, j)
 			}
-			c.Set(i, j, s)
+			c.Data[i*c.Cols+j] = s
 		}
 	}
 	return c
@@ -133,14 +119,14 @@ func TestGemmVariants(t *testing.T) {
 	}
 
 	// GemmTA: C += Aᵀ·B with A stored transposed (5x7→7 rows... A is K×M).
-	at := NewMat(5, 7)
+	aT := NewMat(5, 7)
 	for i := 0; i < 7; i++ {
 		for k := 0; k < 5; k++ {
-			at.Set(k, i, a.At(i, k))
+			aT.Data[k*aT.Cols+i] = at(a, i, k)
 		}
 	}
 	cta := NewMat(7, 6)
-	GemmTA(at, b, cta)
+	GemmTA(aT, b, cta)
 	for i := range want.Data {
 		if math.Abs(cta.Data[i]-want.Data[i]) > 1e-12 {
 			t.Fatalf("gemmTA mismatch at %d", i)
@@ -151,7 +137,7 @@ func TestGemmVariants(t *testing.T) {
 	bt := NewMat(6, 5)
 	for k := 0; k < 5; k++ {
 		for j := 0; j < 6; j++ {
-			bt.Set(j, k, b.At(k, j))
+			bt.Data[j*bt.Cols+k] = at(b, k, j)
 		}
 	}
 	ctb := NewMat(7, 6)
@@ -197,8 +183,12 @@ func TestRandHelpers(t *testing.T) {
 		}
 	}
 	RandN(r, x, 2)
-	if math.Abs(Std(x)-2) > 0.3 {
-		t.Fatalf("randn sigma: %v", Std(x))
+	var ss float64
+	for _, v := range x {
+		ss += v * v
+	}
+	if sigma := math.Sqrt(ss / float64(len(x))); math.Abs(sigma-2) > 0.3 {
+		t.Fatalf("randn sigma: %v", sigma)
 	}
 }
 

@@ -11,8 +11,6 @@ type ReuseController struct {
 	period    int       // τ′, re-evaluation period in iterations
 	threshold float64   // cached exact threshold
 	evaluated bool      // true once the first evaluation has happened
-	evals     int       // number of exact evaluations performed (for cost accounting)
-	reuses    int       // number of cached reuses served
 	scratch   []float64 // ThresholdInto candidate buffer, O(k), reused across exact re-evaluations
 }
 
@@ -40,9 +38,6 @@ func (c *ReuseController) ThresholdFor(t int, x []float64, k int) float64 {
 	if c.ShouldReevaluate(t) {
 		c.threshold, c.scratch = ThresholdInto(x, k, c.scratch)
 		c.evaluated = true
-		c.evals++
-	} else {
-		c.reuses++
 	}
 	return c.threshold
 }
@@ -53,19 +48,8 @@ func (c *ReuseController) ThresholdFor(t int, x []float64, k int) float64 {
 func (c *ReuseController) Set(th float64) {
 	c.threshold = th
 	c.evaluated = true
-	c.evals++
 }
 
 // Current returns the cached threshold; valid only after the first
 // evaluation.
 func (c *ReuseController) Current() float64 { return c.threshold }
-
-// Evaluated reports whether a threshold has been computed at least once.
-func (c *ReuseController) Evaluated() bool { return c.evaluated }
-
-// Stats returns the number of exact evaluations and cached reuses, used
-// by the sparsification-overhead accounting in the experiment harness.
-func (c *ReuseController) Stats() (evals, reuses int) { return c.evals, c.reuses }
-
-// Period returns τ′.
-func (c *ReuseController) Period() int { return c.period }

@@ -163,25 +163,12 @@ func medianOfThree(a, b, c float64) float64 {
 	return b
 }
 
-// SelectIndexes returns the indexes of the (at least) k largest-magnitude
-// entries of x, sorted ascending by index. Ties at the threshold are all
-// included, matching threshold-scan semantics.
-func SelectIndexes(x []float64, k int) []int32 {
-	th := Threshold(x, k)
-	return SelectByThreshold(x, th)
-}
-
-// SelectByThreshold returns the sorted indexes whose |x_i| >= th using a
-// single O(n) scan — the kernel the paper calls "quite efficient on GPU".
-// Exact zeros are never selected: a zero carries no information and a COO
-// representation would not store it.
-func SelectByThreshold(x []float64, th float64) []int32 {
-	return AppendSelectByThreshold(nil, x, th)
-}
-
-// AppendSelectByThreshold is SelectByThreshold appending into dst
-// (typically a reused scratch slice sliced to length zero), so steady-
-// state callers avoid reallocating the index buffer every iteration.
+// AppendSelectByThreshold appends to dst the ascending indexes whose
+// |x_i| >= th, using a single O(n) scan — the kernel the paper calls
+// "quite efficient on GPU". dst is typically a reused scratch slice
+// sliced to length zero, so steady-state callers avoid reallocating the
+// index buffer every iteration. Exact zeros are never selected: a zero
+// carries no information and a COO representation would not store it.
 // For positive thresholds the scan is a single |x_i| >= th compare per
 // element (math.Abs lowers to one bit-clear instruction, and a positive
 // threshold already excludes zeros); the zero-check branch only runs

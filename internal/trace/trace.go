@@ -72,13 +72,6 @@ func (r *Recorder) Len() int {
 	return len(r.events)
 }
 
-// Reset clears the recorder.
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	r.events = r.events[:0]
-	r.mu.Unlock()
-}
-
 // WriteTimeline prints the sorted events, one per line, up to limit
 // (0 = all).
 func (r *Recorder) WriteTimeline(w io.Writer, limit int) {

@@ -17,10 +17,6 @@ func TestRecorderOrdersByTime(t *testing.T) {
 	if r.Len() != 2 {
 		t.Fatal("len")
 	}
-	r.Reset()
-	if r.Len() != 0 {
-		t.Fatal("reset")
-	}
 }
 
 func TestSummarizeCountsBothDirections(t *testing.T) {

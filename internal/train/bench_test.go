@@ -13,8 +13,9 @@ import (
 
 // BenchmarkTrainStep measures one full training iteration (forward,
 // backward, Ok-Topk reduce, update) per op on a single rank, isolating
-// the compute-kernel hot path the parallel kernel layer targets.
-// Numbers are tracked in BENCH_kernels.json.
+// the compute-kernel hot path the parallel kernel layer targets. BERT
+// trains with Adam on raw gradients, as in Session; VGG and LSTM use
+// Algorithm 2's inline update.
 func BenchmarkTrainStep(b *testing.B) {
 	cases := []struct {
 		workload string
@@ -28,7 +29,11 @@ func BenchmarkTrainStep(b *testing.B) {
 		b.Run(fmt.Sprintf("%s/batch=%d", tc.workload, tc.batch), func(b *testing.B) {
 			w := NewWorkload(tc.workload, 42, 43)
 			algo := NewAlgorithm("OkTopk", allreduce.Config{Density: 0.01, Tau: 8, TauPrime: 8})
-			tr := NewTrainer(w, algo, optimizer.NewSGD(0.05), tc.batch, tc.workload == "BERT")
+			var adam *optimizer.Adam
+			if tc.workload == "BERT" {
+				adam = optimizer.NewAdam(0.9, 0.999, 0.01)
+			}
+			tr := NewTrainer(w, algo, adam, 0.05, tc.batch)
 			c := cluster.New(1, netmodel.PizDaint())
 			rng := tensor.RNG(7)
 			b.ReportAllocs()

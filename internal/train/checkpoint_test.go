@@ -37,8 +37,8 @@ func TestCheckpointResumeMatchesContinuous(t *testing.T) {
 	if err := resumed.Restore(ck); err != nil {
 		t.Fatal(err)
 	}
-	if resumed.Iteration() != 4 {
-		t.Fatalf("iteration after restore: %d", resumed.Iteration())
+	if resumed.iter != 4 {
+		t.Fatalf("iteration after restore: %d", resumed.iter)
 	}
 	resumed.RunIterations(4, nil)
 

@@ -8,7 +8,6 @@ import (
 	"repro/internal/allreduce"
 	"repro/internal/cluster"
 	"repro/internal/netmodel"
-	"repro/internal/optimizer"
 	"repro/internal/tensor"
 )
 
@@ -22,7 +21,7 @@ func runSteps(t *testing.T, workload string, workers, p, iters int) []float64 {
 	for r := 0; r < p; r++ {
 		w := NewWorkload(workload, 42, 43)
 		algo := NewAlgorithm("OkTopk", allreduce.Config{Density: 0.02, Tau: 4, TauPrime: 4})
-		trainers[r] = NewTrainer(w, algo, optimizer.NewSGD(0.05), 4, false)
+		trainers[r] = NewTrainer(w, algo, nil, 0.05, 4)
 	}
 	c := cluster.New(p, netmodel.PizDaint())
 	for it := 1; it <= iters; it++ {

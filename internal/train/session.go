@@ -228,13 +228,11 @@ func NewDistributedSession(cfg Config) (*Session, error) {
 		} else {
 			w = NewWorkload(cfg.Workload, cfg.Seed, cfg.Seed+1)
 		}
-		var opt optimizer.Optimizer
+		var adam *optimizer.Adam
 		if cfg.Adam {
-			opt = optimizer.NewAdam(cfg.LR, 0.9, 0.999, 0.01)
-		} else {
-			opt = optimizer.NewSGD(cfg.LR)
+			adam = optimizer.NewAdam(0.9, 0.999, 0.01)
 		}
-		tr := NewTrainer(w, NewAlgorithm(cfg.Algorithm, cfg.Reduce), opt, cfg.Batch, cfg.Adam)
+		tr := NewTrainer(w, NewAlgorithm(cfg.Algorithm, cfg.Reduce), adam, cfg.LR, cfg.Batch)
 		tr.CaptureAcc = cfg.CaptureAcc
 		s.Trainers[r] = tr
 		s.rngs[r] = tensor.RNG(cfg.Seed + 1000 + int64(r))
@@ -256,9 +254,6 @@ func (s *Session) N() int {
 	panic("train: session has no local trainers")
 }
 
-// Iteration returns the number of completed iterations.
-func (s *Session) Iteration() int { return s.iter }
-
 // RunIteration executes one collective training step on all locally
 // hosted ranks and returns the aggregated statistics. On a
 // multi-process (tcp) session the aggregate is complete only in the
@@ -272,7 +267,6 @@ func (s *Session) RunIteration() IterStats {
 		for _, tr := range s.Trainers {
 			if tr != nil {
 				tr.LR = lr
-				tr.Opt.SetLR(lr)
 			}
 		}
 	}
@@ -366,8 +360,8 @@ func (s *Session) rankState(r int) checkpoint.RankState {
 		Residual: append([]float64(nil), tr.residual...),
 		Clock:    s.Cluster.Comm(r).Clock().State(),
 	}
-	if adam, ok := tr.Opt.(*optimizer.Adam); ok {
-		m, v, t := adam.State()
+	if tr.Adam != nil {
+		m, v, t := tr.Adam.State()
 		rs.AdamM = append([]float64(nil), m...)
 		rs.AdamV = append([]float64(nil), v...)
 		rs.AdamT = t
@@ -470,8 +464,8 @@ func (s *Session) Restore(c *checkpoint.Checkpoint) error {
 		rs := c.Ranks[r]
 		copy(tr.W.Params(), rs.Params)
 		copy(tr.residual, rs.Residual)
-		if adam, ok := tr.Opt.(*optimizer.Adam); ok && rs.AdamM != nil {
-			adam.SetState(rs.AdamM, rs.AdamV, rs.AdamT)
+		if tr.Adam != nil && rs.AdamM != nil {
+			tr.Adam.SetState(rs.AdamM, rs.AdamV, rs.AdamT)
 		}
 		s.Cluster.Comm(r).Clock().SetState(rs.Clock)
 	}

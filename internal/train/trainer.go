@@ -19,19 +19,18 @@ import (
 const BackwardFraction = 2.0 / 3.0
 
 // Trainer is one rank's training state: workload replica, reduction
-// algorithm instance, optimizer and residual (error-feedback) vector. It
-// implements Ok-Topk SGD (Algorithm 2) generalized over any
+// algorithm instance, optional Adam state and residual (error-feedback)
+// vector. It implements Ok-Topk SGD (Algorithm 2) generalized over any
 // allreduce.Algorithm: dense algorithms simply have empty residuals.
 type Trainer struct {
 	W    Workload
 	Algo allreduce.Algorithm
-	Opt  optimizer.Optimizer
-	// RawGrad selects the paper's BERT structure: the sparse allreduce
-	// runs on raw gradients and the stateful optimizer (Adam) consumes
-	// the averaged sparse gradient. When false (VGG/LSTM), the learning
-	// rate is folded into the accumulator and the averaged update is
-	// subtracted directly (Algorithm 2 line 7).
-	RawGrad bool
+	// Adam selects the paper's BERT structure: the sparse allreduce runs
+	// on raw gradients and Adam consumes the averaged sparse gradient.
+	// When nil (VGG/LSTM), the learning rate is folded into the
+	// accumulator and the averaged update is subtracted directly
+	// (Algorithm 2 line 7).
+	Adam *optimizer.Adam
 	// Batch is the per-worker batch size.
 	Batch int
 	// LR is the current learning rate (schedules update it per step).
@@ -67,11 +66,11 @@ type StepStats struct {
 	IterSeconds float64
 }
 
-// NewTrainer builds a per-rank trainer.
-func NewTrainer(w Workload, algo allreduce.Algorithm, opt optimizer.Optimizer, batch int, rawGrad bool) *Trainer {
+// NewTrainer builds a per-rank trainer; a nil adam selects Algorithm
+// 2's inline update.
+func NewTrainer(w Workload, algo allreduce.Algorithm, adam *optimizer.Adam, lr float64, batch int) *Trainer {
 	return &Trainer{
-		W: w, Algo: algo, Opt: opt, Batch: batch, RawGrad: rawGrad,
-		LR:       opt.LR(),
+		W: w, Algo: algo, Adam: adam, Batch: batch, LR: lr,
 		residual: make([]float64, w.N()),
 	}
 }
@@ -194,7 +193,7 @@ func (tr *Trainer) Step(cm *cluster.Comm, t int, rng *rand.Rand) StepStats {
 	comp := tr.W.ComputeSeconds(tr.Batch)
 	grads := tr.W.Grads()
 	scale := tr.LR
-	if tr.RawGrad {
+	if tr.Adam != nil {
 		scale = 1
 	}
 	// Algorithm 2 line 4: accumulate residuals in place (ε ← ε + α·G,
@@ -241,13 +240,13 @@ func (tr *Trainer) Step(cm *cluster.Comm, t int, rng *rand.Rand) StepStats {
 	// Line 7: apply the model update.
 	p := float64(cm.Size())
 	params := tr.W.Params()
-	if tr.RawGrad {
+	if tr.Adam != nil {
 		avg := res.Update
 		inv := 1 / p
 		for i := range avg {
 			avg[i] *= inv
 		}
-		tr.Opt.Apply(params, avg)
+		tr.Adam.Apply(params, avg, tr.LR)
 	} else {
 		inv := 1 / p
 		for i, v := range res.Update {
