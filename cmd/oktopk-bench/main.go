@@ -55,7 +55,7 @@ var (
 	outDir = flag.String("out", "",
 		"directory to write aggregated results.csv and results.md into")
 	workers = flag.Int("workers", 0,
-		"tensor-kernel worker count (0 = GOMAXPROCS; results are bit-identical at any setting)")
+		"upper bound on the blocks a tensor kernel splits into, fewer while other kernels run (0 = GOMAXPROCS; results are bit-identical at any setting)")
 	wire = flag.String("wire", "f64",
 		"collective wire format: f64 (seed behavior) or f32 (float32 values, half-word accounting)")
 	traceDir = flag.String("trace", "",

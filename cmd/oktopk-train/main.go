@@ -83,7 +83,7 @@ func main() {
 		topology  = flag.String("topology", "flat", "network topology preset: flat | fattree | nvlink")
 		nodeSize  = flag.Int("node-size", 0, "ranks per node for hierarchical topologies (0 = preset default; also sets the Hierarchical algorithm's grouping)")
 		straggler = flag.Float64("straggler", 0, "straggler severity s: ~12.5% of ranks compute (1+s)x slower with 0.1*s jitter, seeded from -seed (0 = off)")
-		workers   = flag.Int("workers", 0, "tensor-kernel worker count (0 = GOMAXPROCS; results are bit-identical at any setting)")
+		workers   = flag.Int("workers", 0, "upper bound on the blocks a tensor kernel splits into, fewer while other kernels run (0 = GOMAXPROCS; results are bit-identical at any setting)")
 		wire      = flag.String("wire", "f64", "collective wire format: f64 (seed behavior) or f32 (float32 values, half-word accounting)")
 		traceFile = flag.String("trace", "", "record the final iteration's message trace to this file")
 		ckptFile  = flag.String("checkpoint", "", "save training state to this file (periodically and at exit)")

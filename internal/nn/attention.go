@@ -20,14 +20,15 @@ type Embedding struct {
 // EmbeddingSize returns the parameter count.
 func EmbeddingSize(vocab, dim, maxLen int) int { return vocab*dim + maxLen*dim }
 
-// NewEmbedding binds and initializes token and position tables.
-func NewEmbedding(s *Store, r *rand.Rand, vocab, dim, maxLen int) *Embedding {
-	e := &Embedding{Vocab: vocab, Dim: dim, MaxLen: maxLen}
-	e.tok, e.gtok = s.Take(vocab * dim)
-	e.pos, e.gpos = s.Take(maxLen * dim)
+func (e *Embedding) bind(s *Store) {
+	e.tok, e.gtok = s.Take(e.Vocab * e.Dim)
+	e.pos, e.gpos = s.Take(e.MaxLen * e.Dim)
+}
+
+// init draws both tables from N(0, 0.02).
+func (e *Embedding) init(r *rand.Rand) {
 	tensor.RandN(r, e.tok, 0.02)
 	tensor.RandN(r, e.pos, 0.02)
-	return e
 }
 
 // Forward embeds a batch of equal-length token sequences into one matrix
@@ -77,14 +78,13 @@ type LayerNorm struct {
 // LayerNormSize returns the parameter count.
 func LayerNormSize(dim int) int { return 2 * dim }
 
-// NewLayerNorm binds parameters (γ=1, β=0).
-func NewLayerNorm(s *Store, dim int) *LayerNorm {
-	l := &LayerNorm{Dim: dim}
-	l.gamma, l.gg = s.Take(dim)
-	l.beta, l.gb = s.Take(dim)
-	tensor.Fill(l.gamma, 1)
-	return l
+func (l *LayerNorm) bind(s *Store) {
+	l.gamma, l.gg = s.Take(l.Dim)
+	l.beta, l.gb = s.Take(l.Dim)
 }
+
+// init sets γ=1; β starts at zero.
+func (l *LayerNorm) init(*rand.Rand) { tensor.Fill(l.gamma, 1) }
 
 const lnEps = 1e-5
 
@@ -177,17 +177,30 @@ type MultiHeadAttention struct {
 // MultiHeadAttentionSize returns the parameter count.
 func MultiHeadAttentionSize(dim int) int { return 4 * LinearSize(dim, dim) }
 
-// NewMultiHeadAttention binds the four projection layers.
-func NewMultiHeadAttention(s *Store, r *rand.Rand, dim, heads, seqLen int) *MultiHeadAttention {
+// newMultiHeadAttention returns an unbound layer with its four
+// projections.
+func newMultiHeadAttention(dim, heads, seqLen int) *MultiHeadAttention {
 	if dim%heads != 0 {
 		panic("nn: dim must divide by heads")
 	}
 	return &MultiHeadAttention{
 		Dim: dim, Heads: heads, SeqLen: seqLen,
-		wq: NewLinear(s, r, dim, dim),
-		wk: NewLinear(s, r, dim, dim),
-		wv: NewLinear(s, r, dim, dim),
-		wo: NewLinear(s, r, dim, dim),
+		wq: &Linear{In: dim, Out: dim},
+		wk: &Linear{In: dim, Out: dim},
+		wv: &Linear{In: dim, Out: dim},
+		wo: &Linear{In: dim, Out: dim},
+	}
+}
+
+func (m *MultiHeadAttention) bind(s *Store) {
+	for _, l := range [...]*Linear{m.wq, m.wk, m.wv, m.wo} {
+		l.bind(s)
+	}
+}
+
+func (m *MultiHeadAttention) init(r *rand.Rand) {
+	for _, l := range [...]*Linear{m.wq, m.wk, m.wv, m.wo} {
+		l.init(r)
 	}
 }
 
@@ -313,15 +326,33 @@ func EncoderBlockSize(dim, ffDim int) int {
 		LinearSize(dim, ffDim) + LinearSize(ffDim, dim)
 }
 
-// NewEncoderBlock binds one encoder layer.
-func NewEncoderBlock(s *Store, r *rand.Rand, dim, heads, seqLen, ffDim int) *EncoderBlock {
+// newEncoderBlock returns one unbound encoder layer.
+func newEncoderBlock(dim, heads, seqLen, ffDim int) *EncoderBlock {
 	return &EncoderBlock{
-		ln1:  NewLayerNorm(s, dim),
-		ln2:  NewLayerNorm(s, dim),
-		attn: NewMultiHeadAttention(s, r, dim, heads, seqLen),
-		ff1:  NewLinear(s, r, dim, ffDim),
-		ff2:  NewLinear(s, r, ffDim, dim),
+		ln1:  &LayerNorm{Dim: dim},
+		ln2:  &LayerNorm{Dim: dim},
+		attn: newMultiHeadAttention(dim, heads, seqLen),
+		ff1:  &Linear{In: dim, Out: ffDim},
+		ff2:  &Linear{In: ffDim, Out: dim},
 		act:  &ReLU{},
+	}
+}
+
+// layers lists an encoder block's parameter blocks in store order: both
+// layer norms, the attention projections, then the feed-forward layers.
+func (b *EncoderBlock) layers() [5]paramLayer {
+	return [5]paramLayer{b.ln1, b.ln2, b.attn, b.ff1, b.ff2}
+}
+
+func (b *EncoderBlock) bind(s *Store) {
+	for _, l := range b.layers() {
+		l.bind(s)
+	}
+}
+
+func (b *EncoderBlock) init(r *rand.Rand) {
+	for _, l := range b.layers() {
+		l.init(r)
 	}
 }
 

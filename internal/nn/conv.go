@@ -28,16 +28,15 @@ type Conv2D struct {
 // Conv2DSize returns the parameter count.
 func Conv2DSize(inC, outC int) int { return inC*9*outC + outC }
 
-// NewConv2D binds parameters and Xavier-initializes the kernel.
-func NewConv2D(s *Store, r *rand.Rand, inC, outC, h, w int) *Conv2D {
-	c := &Conv2D{InC: inC, OutC: outC, H: h, W: w}
-	c.w, c.gw = s.Take(inC * 9 * outC)
-	c.b, c.gb = s.Take(outC)
-	c.wMat = tensor.NewMatFrom(inC*9, outC, c.w)
-	c.gwMat = tensor.NewMatFrom(inC*9, outC, c.gw)
-	tensor.XavierInit(r, c.w, inC*9, outC)
-	return c
+func (c *Conv2D) bind(s *Store) {
+	c.w, c.gw = s.Take(c.InC * 9 * c.OutC)
+	c.b, c.gb = s.Take(c.OutC)
+	c.wMat = view(c.wMat, c.InC*9, c.OutC, c.w)
+	c.gwMat = view(c.gwMat, c.InC*9, c.OutC, c.gw)
 }
+
+// init draws the kernel Xavier-uniform; the bias starts at zero.
+func (c *Conv2D) init(r *rand.Rand) { tensor.XavierInit(r, c.w, c.InC*9, c.OutC) }
 
 // im2col lowers x (B rows of InC*H*W) into a (B*H*W) × (InC*9) matrix
 // where each row collects the 3×3 receptive field of one output pixel.

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -63,10 +64,15 @@ func scalarLossGrad(rows, cols int) *tensor.Mat {
 	return g
 }
 
+// bound gives layer l a store of its own, n parameters long, and draws
+// its initial parameters from r, as a model constructor does.
+func bound[L paramLayer](r *rand.Rand, n int, l L) (L, *Store) {
+	return l, newParams(n, r, l).store
+}
+
 func TestLinearGradcheck(t *testing.T) {
 	r := tensor.RNG(1)
-	s := NewStore(LinearSize(4, 3))
-	l := NewLinear(s, r, 4, 3)
+	l, s := bound(r, LinearSize(4, 3), &Linear{In: 4, Out: 3})
 	x := tensor.NewMat(2, 4)
 	tensor.RandN(r, x.Data, 1)
 
@@ -101,8 +107,7 @@ func TestReLUGradcheck(t *testing.T) {
 func TestConv2DGradcheck(t *testing.T) {
 	r := tensor.RNG(3)
 	h, w := 4, 4
-	s := NewStore(Conv2DSize(2, 3))
-	c := NewConv2D(s, r, 2, 3, h, w)
+	c, s := bound(r, Conv2DSize(2, 3), &Conv2D{InC: 2, OutC: 3, H: h, W: w})
 	x := tensor.NewMat(2, 2*h*w)
 	tensor.RandN(r, x.Data, 1)
 
@@ -132,8 +137,7 @@ func TestMaxPoolGradcheck(t *testing.T) {
 func TestLSTMGradcheck(t *testing.T) {
 	r := tensor.RNG(5)
 	in, hidden, steps, batch := 3, 4, 3, 2
-	s := NewStore(LSTMSize(in, hidden))
-	l := NewLSTM(s, r, in, hidden)
+	l, s := bound(r, LSTMSize(in, hidden), &LSTM{In: in, Hidden: hidden})
 	seq := make([]*tensor.Mat, steps)
 	for t2 := range seq {
 		seq[t2] = tensor.NewMat(batch, in)
@@ -154,8 +158,7 @@ func TestLSTMGradcheck(t *testing.T) {
 
 func TestLayerNormGradcheck(t *testing.T) {
 	r := tensor.RNG(6)
-	s := NewStore(LayerNormSize(6))
-	l := NewLayerNorm(s, 6)
+	l, s := bound(r, LayerNormSize(6), &LayerNorm{Dim: 6})
 	// Perturb γ/β away from identity so their gradients are nontrivial.
 	tensor.RandN(r, l.gamma, 0.5)
 	for i := range l.gamma {
@@ -179,8 +182,7 @@ func TestLayerNormGradcheck(t *testing.T) {
 func TestAttentionGradcheck(t *testing.T) {
 	r := tensor.RNG(7)
 	dim, heads, seqLen, batch := 4, 2, 3, 2
-	s := NewStore(MultiHeadAttentionSize(dim))
-	m := NewMultiHeadAttention(s, r, dim, heads, seqLen)
+	m, s := bound(r, MultiHeadAttentionSize(dim), newMultiHeadAttention(dim, heads, seqLen))
 	x := tensor.NewMat(batch*seqLen, dim)
 	tensor.RandN(r, x.Data, 1)
 
@@ -198,8 +200,7 @@ func TestAttentionGradcheck(t *testing.T) {
 func TestEncoderBlockGradcheck(t *testing.T) {
 	r := tensor.RNG(8)
 	dim, heads, seqLen, ff, batch := 4, 2, 3, 6, 2
-	s := NewStore(EncoderBlockSize(dim, ff))
-	b := NewEncoderBlock(s, r, dim, heads, seqLen, ff)
+	b, s := bound(r, EncoderBlockSize(dim, ff), newEncoderBlock(dim, heads, seqLen, ff))
 	x := tensor.NewMat(batch*seqLen, dim)
 	tensor.RandN(r, x.Data, 1)
 
@@ -217,8 +218,7 @@ func TestEncoderBlockGradcheck(t *testing.T) {
 func TestEmbeddingGradcheck(t *testing.T) {
 	r := tensor.RNG(9)
 	vocab, dim, seqLen := 7, 4, 3
-	s := NewStore(EmbeddingSize(vocab, dim, seqLen))
-	e := NewEmbedding(s, r, vocab, dim, seqLen)
+	e, s := bound(r, EmbeddingSize(vocab, dim, seqLen), &Embedding{Vocab: vocab, Dim: dim, MaxLen: seqLen})
 	ids := [][]int{{1, 3, 5}, {0, 3, 6}}
 
 	loss := func() float64 { return scalarLoss(e.Forward(ids)) }
@@ -336,15 +336,15 @@ func TestStoreExhaustionPanics(t *testing.T) {
 
 func TestModelSizes(t *testing.T) {
 	m := NewVGGNarrow(1, 16, 32, 64, 128, 10)
-	if m.NumParams() != VGGNarrowSize(16, 32, 64, 128, 10) {
+	if len(m.Store().Params) != VGGNarrowSize(16, 32, 64, 128, 10) {
 		t.Fatal("vgg size")
 	}
 	l := NewLSTMClassifier(1, 40, 128, 12, 20)
-	if l.NumParams() != LSTMClassifierSize(40, 128, 12) {
+	if len(l.Store().Params) != LSTMClassifierSize(40, 128, 12) {
 		t.Fatal("lstm size")
 	}
 	b := NewTinyBERT(1, 1000, 64, 4, 2, 32, 256)
-	if b.NumParams() != TinyBERTSize(1000, 64, 4, 2, 32, 256) {
+	if len(b.Store().Params) != TinyBERTSize(1000, 64, 4, 2, 32, 256) {
 		t.Fatal("bert size")
 	}
 }

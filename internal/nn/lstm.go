@@ -40,23 +40,25 @@ type LSTM struct {
 // LSTMSize returns the parameter count for the given dimensions.
 func LSTMSize(in, hidden int) int { return in*4*hidden + hidden*4*hidden + 4*hidden }
 
-// NewLSTM binds parameters and initializes with Xavier-uniform weights
-// and the customary forget-gate bias of 1.
-func NewLSTM(s *Store, r *rand.Rand, in, hidden int) *LSTM {
-	l := &LSTM{In: in, Hidden: hidden}
-	l.wx, l.gwx = s.Take(in * 4 * hidden)
-	l.wh, l.gwh = s.Take(hidden * 4 * hidden)
-	l.b, l.gb = s.Take(4 * hidden)
-	l.wxMat = tensor.NewMatFrom(in, 4*hidden, l.wx)
-	l.whMat = tensor.NewMatFrom(hidden, 4*hidden, l.wh)
-	l.gwxMat = tensor.NewMatFrom(in, 4*hidden, l.gwx)
-	l.gwhMat = tensor.NewMatFrom(hidden, 4*hidden, l.gwh)
-	tensor.XavierInit(r, l.wx, in, 4*hidden)
-	tensor.XavierInit(r, l.wh, hidden, 4*hidden)
-	for j := hidden; j < 2*hidden; j++ {
+func (l *LSTM) bind(s *Store) {
+	in, h4 := l.In, 4*l.Hidden
+	l.wx, l.gwx = s.Take(in * h4)
+	l.wh, l.gwh = s.Take(l.Hidden * h4)
+	l.b, l.gb = s.Take(h4)
+	l.wxMat = view(l.wxMat, in, h4, l.wx)
+	l.whMat = view(l.whMat, l.Hidden, h4, l.wh)
+	l.gwxMat = view(l.gwxMat, in, h4, l.gwx)
+	l.gwhMat = view(l.gwhMat, l.Hidden, h4, l.gwh)
+}
+
+// init draws Xavier-uniform weights and sets the customary forget-gate
+// bias of 1.
+func (l *LSTM) init(r *rand.Rand) {
+	tensor.XavierInit(r, l.wx, l.In, 4*l.Hidden)
+	tensor.XavierInit(r, l.wh, l.Hidden, 4*l.Hidden)
+	for j := l.Hidden; j < 2*l.Hidden; j++ {
 		l.b[j] = 1 // forget gate bias
 	}
-	return l
 }
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }

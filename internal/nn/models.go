@@ -9,7 +9,7 @@ import (
 // standing in for VGG-16 on Cifar-10 (see DESIGN.md for the
 // substitution rationale). Input rows pack 3×32×32 images.
 type VGGNarrow struct {
-	store               *Store
+	params
 	conv1, conv2, conv3 *Conv2D
 	r1, r2, r3, r4      *ReLU
 	pool1, pool2, pool3 *MaxPool2
@@ -26,32 +26,22 @@ func VGGNarrowSize(c1, c2, c3, hidden, classes int) int {
 
 // NewVGGNarrow constructs the model with the given widths.
 func NewVGGNarrow(seed int64, c1, c2, c3, hidden, classes int) *VGGNarrow {
-	r := tensor.RNG(seed)
-	s := NewStore(VGGNarrowSize(c1, c2, c3, hidden, classes))
 	m := &VGGNarrow{
-		store: s,
-		conv1: NewConv2D(s, r, 3, c1, 32, 32),
-		conv2: NewConv2D(s, r, c1, c2, 16, 16),
-		conv3: NewConv2D(s, r, c2, c3, 8, 8),
+		conv1: &Conv2D{InC: 3, OutC: c1, H: 32, W: 32},
+		conv2: &Conv2D{InC: c1, OutC: c2, H: 16, W: 16},
+		conv3: &Conv2D{InC: c2, OutC: c3, H: 8, W: 8},
 		r1:    &ReLU{}, r2: &ReLU{}, r3: &ReLU{}, r4: &ReLU{},
 		pool1:   NewMaxPool2(c1, 32, 32),
 		pool2:   NewMaxPool2(c2, 16, 16),
 		pool3:   NewMaxPool2(c3, 8, 8),
-		fc1:     NewLinear(s, r, c3*4*4, hidden),
-		fc2:     NewLinear(s, r, hidden, classes),
+		fc1:     &Linear{In: c3 * 4 * 4, Out: hidden},
+		fc2:     &Linear{In: hidden, Out: classes},
 		Classes: classes,
 	}
-	if !s.Full() {
-		panic("nn: VGGNarrow store sizing mismatch")
-	}
+	m.params = newParams(VGGNarrowSize(c1, c2, c3, hidden, classes), tensor.RNG(seed),
+		m.conv1, m.conv2, m.conv3, m.fc1, m.fc2)
 	return m
 }
-
-// Store exposes the flat parameter/gradient vectors.
-func (m *VGGNarrow) Store() *Store { return m.store }
-
-// NumParams returns the model size n.
-func (m *VGGNarrow) NumParams() int { return len(m.store.Params) }
 
 func (m *VGGNarrow) forward(x *tensor.Mat) *tensor.Mat {
 	h := m.pool1.Forward(m.r1.Forward(m.conv1.Forward(x)))
@@ -98,7 +88,7 @@ func (m *VGGNarrow) Predict(x *tensor.Mat) []int {
 // state, standing in for the AN4 LSTM (the WER-like metric is the
 // sequence error rate).
 type LSTMClassifier struct {
-	store   *Store
+	params
 	lstm    *LSTM
 	dec     *Linear
 	Classes int
@@ -113,26 +103,15 @@ func LSTMClassifierSize(in, hidden, classes int) int {
 
 // NewLSTMClassifier constructs the model.
 func NewLSTMClassifier(seed int64, in, hidden, classes, seqLen int) *LSTMClassifier {
-	r := tensor.RNG(seed)
-	s := NewStore(LSTMClassifierSize(in, hidden, classes))
 	m := &LSTMClassifier{
-		store:   s,
-		lstm:    NewLSTM(s, r, in, hidden),
-		dec:     NewLinear(s, r, hidden, classes),
+		lstm:    &LSTM{In: in, Hidden: hidden},
+		dec:     &Linear{In: hidden, Out: classes},
 		Classes: classes,
 		SeqLen:  seqLen,
 	}
-	if !s.Full() {
-		panic("nn: LSTMClassifier store sizing mismatch")
-	}
+	m.params = newParams(LSTMClassifierSize(in, hidden, classes), tensor.RNG(seed), m.lstm, m.dec)
 	return m
 }
-
-// Store exposes the flat parameter/gradient vectors.
-func (m *LSTMClassifier) Store() *Store { return m.store }
-
-// NumParams returns the model size n.
-func (m *LSTMClassifier) NumParams() int { return len(m.store.Params) }
 
 // Loss runs forward/BPTT on a batch of sequences.
 func (m *LSTMClassifier) Loss(seq []*tensor.Mat, y []int) (float64, int) {
@@ -166,7 +145,7 @@ func (m *LSTMClassifier) Predict(seq []*tensor.Mat) []int {
 // a stack of pre-norm transformer encoder blocks, a final layer norm and
 // a masked-LM head, standing in for BERT pre-training on Wikipedia.
 type TinyBERT struct {
-	store  *Store
+	params
 	emb    *Embedding
 	blocks []*EncoderBlock
 	lnF    *LayerNorm
@@ -193,32 +172,24 @@ func TinyBERTSize(vocab, dim, heads, layers, seqLen, ffDim int) int {
 
 // NewTinyBERT constructs the model.
 func NewTinyBERT(seed int64, vocab, dim, heads, layers, seqLen, ffDim int) *TinyBERT {
-	r := tensor.RNG(seed)
-	s := NewStore(TinyBERTSize(vocab, dim, heads, layers, seqLen, ffDim))
 	m := &TinyBERT{
-		store:  s,
-		emb:    NewEmbedding(s, r, vocab, dim, seqLen),
-		lnF:    nil,
+		emb:    &Embedding{Vocab: vocab, Dim: dim, MaxLen: seqLen},
+		lnF:    &LayerNorm{Dim: dim},
+		head:   &Linear{In: dim, Out: vocab},
 		Vocab:  vocab,
 		Dim:    dim,
 		SeqLen: seqLen,
 	}
+	order := []paramLayer{m.emb}
 	for l := 0; l < layers; l++ {
-		m.blocks = append(m.blocks, NewEncoderBlock(s, r, dim, heads, seqLen, ffDim))
+		blk := newEncoderBlock(dim, heads, seqLen, ffDim)
+		m.blocks = append(m.blocks, blk)
+		order = append(order, blk)
 	}
-	m.lnF = NewLayerNorm(s, dim)
-	m.head = NewLinear(s, r, dim, vocab)
-	if !s.Full() {
-		panic("nn: TinyBERT store sizing mismatch")
-	}
+	order = append(order, m.lnF, m.head)
+	m.params = newParams(TinyBERTSize(vocab, dim, heads, layers, seqLen, ffDim), tensor.RNG(seed), order...)
 	return m
 }
-
-// Store exposes the flat parameter/gradient vectors.
-func (m *TinyBERT) Store() *Store { return m.store }
-
-// NumParams returns the model size n.
-func (m *TinyBERT) NumParams() int { return len(m.store.Params) }
 
 // Loss runs the masked-LM objective: ids are the (masked) input token
 // sequences; maskedPos/maskedTgt give, per sequence, the masked

@@ -19,8 +19,9 @@ import (
 )
 
 // Store owns the flat parameter and gradient vectors of a model. Layers
-// bind sub-slices at construction, so no gather/scatter copies are needed
-// per iteration.
+// bind sub-slices of it, so no gather/scatter copies are needed per
+// iteration, and a model can be re-bound to another Store of the same
+// size (Bind) to compute on parameters it does not own.
 type Store struct {
 	Params []float64
 	Grads  []float64
@@ -54,6 +55,63 @@ func (s *Store) ZeroGrads() {
 	clear(s.Grads)
 }
 
+// paramLayer is a layer that holds a block of a Store.
+type paramLayer interface {
+	// bind points the layer's parameter and gradient views, and the
+	// matrices wrapping them, at the store's next block.
+	bind(s *Store)
+	// init draws the layer's initial parameters.
+	init(r *rand.Rand)
+}
+
+// params is what a model holds of its parameters: the Store it is
+// bound to and its parameter layers in store order, the one place that
+// order is written down.
+type params struct {
+	store  *Store
+	layers []paramLayer
+}
+
+// newParams binds layers to a new store of n parameters and draws their
+// initial parameters from r, in store order.
+func newParams(n int, r *rand.Rand, layers ...paramLayer) params {
+	p := params{layers: layers}
+	p.Bind(NewStore(n))
+	for _, l := range layers {
+		l.init(r)
+	}
+	return p
+}
+
+// Store exposes the flat parameter/gradient vectors the model is bound
+// to.
+func (p *params) Store() *Store { return p.store }
+
+// Bind re-points every layer's parameter and gradient views, and the
+// matrices wrapping them, at s, which must have the model's size: the
+// model then computes on, and accumulates gradients into, s. Once the
+// model has been bound for the first time it allocates nothing.
+func (p *params) Bind(s *Store) {
+	s.off = 0
+	for _, l := range p.layers {
+		l.bind(s)
+	}
+	if !s.Full() {
+		panic(fmt.Sprintf("nn: layers bind %d of the store's %d parameters", s.off, len(s.Params)))
+	}
+	p.store = s
+}
+
+// view returns m re-pointed at data as a rows×cols matrix, allocating
+// it only on first use.
+func view(m *tensor.Mat, rows, cols int, data []float64) *tensor.Mat {
+	if m == nil {
+		return tensor.NewMatFrom(rows, cols, data)
+	}
+	m.Data = data
+	return m
+}
+
 // Linear is a fully connected layer: y = x·W + b with x (B×in), W
 // (in×out), b (out). Activation and gradient outputs live in
 // per-instance scratch reused across steps: a returned matrix stays
@@ -67,17 +125,15 @@ type Linear struct {
 	y, dx       *tensor.Mat
 }
 
-// NewLinear binds a Linear layer's parameters from the store and
-// initializes W with Xavier-uniform samples.
-func NewLinear(s *Store, r *rand.Rand, in, out int) *Linear {
-	l := &Linear{In: in, Out: out}
-	l.w, l.gw = s.Take(in * out)
-	l.b, l.gb = s.Take(out)
-	l.wMat = tensor.NewMatFrom(in, out, l.w)
-	l.gwMat = tensor.NewMatFrom(in, out, l.gw)
-	tensor.XavierInit(r, l.w, in, out)
-	return l
+func (l *Linear) bind(s *Store) {
+	l.w, l.gw = s.Take(l.In * l.Out)
+	l.b, l.gb = s.Take(l.Out)
+	l.wMat = view(l.wMat, l.In, l.Out, l.w)
+	l.gwMat = view(l.gwMat, l.In, l.Out, l.gw)
 }
+
+// init draws W Xavier-uniform; b starts at zero.
+func (l *Linear) init(r *rand.Rand) { tensor.XavierInit(r, l.w, l.In, l.Out) }
 
 // LinearSize returns the parameter count of a Linear layer.
 func LinearSize(in, out int) int { return in*out + out }

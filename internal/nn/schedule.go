@@ -17,7 +17,7 @@ import "fmt"
 // workload's modeled backward seconds. Parameter-free layers (ReLU,
 // pooling, softmax) are folded into the parameterized layer whose
 // backward immediately precedes them in the flat-vector order, so the
-// blocks of a schedule tile [0, NumParams) exactly.
+// blocks of a schedule tile the model's Store exactly.
 
 // LayerCost is one backward-schedule entry.
 type LayerCost struct {

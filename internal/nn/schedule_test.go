@@ -20,14 +20,14 @@ func scheduleModels() []struct {
 		sched []LayerCost
 		n     int
 	}{
-		{"VGG", vgg.BackwardSchedule(), vgg.NumParams()},
-		{"LSTM", lstm.BackwardSchedule(), lstm.NumParams()},
-		{"BERT", bert.BackwardSchedule(), bert.NumParams()},
+		{"VGG", vgg.BackwardSchedule(), len(vgg.Store().Params)},
+		{"LSTM", lstm.BackwardSchedule(), len(lstm.Store().Params)},
+		{"BERT", bert.BackwardSchedule(), len(bert.Store().Params)},
 	}
 }
 
 // TestBackwardScheduleTilesParams: every schedule's parameter blocks
-// tile [0, NumParams) exactly — no gaps, no overlaps — so the overlap
+// tile the model's Store exactly — no gaps, no overlaps — so the overlap
 // engine retires every bucket.
 func TestBackwardScheduleTilesParams(t *testing.T) {
 	for _, m := range scheduleModels() {

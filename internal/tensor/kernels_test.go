@@ -270,7 +270,9 @@ func TestGemmMatchesNaive(t *testing.T) {
 
 // TestKernelsDeterministicAcrossWorkers is the kernel-layer determinism
 // contract: every GEMM variant is bit-identical at worker counts 1, 2,
-// 3, 4 and 8 (including counts exceeding GOMAXPROCS).
+// 3, 4 and 8 (including counts exceeding GOMAXPROCS). The kernels of a
+// training step are also bit-identical when eight goroutines call them
+// at once, which changes the number of blocks each call splits into.
 func TestKernelsDeterministicAcrossWorkers(t *testing.T) {
 	kernels := []struct {
 		name string
@@ -320,6 +322,30 @@ func TestKernelsDeterministicAcrossWorkers(t *testing.T) {
 					t.Fatalf("%s differs between workers=1 and workers=%d", kn.name, w)
 				}
 			}
+			switch kn.name {
+			case "MatMul", "GemmTA", "MatMulTB":
+			default:
+				return
+			}
+			withWorkers(t, 4, func() {
+				var wg sync.WaitGroup
+				differs := make([]bool, 8)
+				for g := range differs {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for rep := 0; rep < 20; rep++ {
+							differs[g] = differs[g] || !matsEqual(ref, kn.run())
+						}
+					}()
+				}
+				wg.Wait()
+				for g, d := range differs {
+					if d {
+						t.Fatalf("%s called from goroutine %d of 8 differs from a lone call", kn.name, g)
+					}
+				}
+			})
 		})
 	}
 }
@@ -366,6 +392,46 @@ func TestParallelForConcurrentCallers(t *testing.T) {
 			}(int64(g))
 		}
 		wg.Wait()
+	})
+}
+
+// TestParallelForForksOnlyOntoIdleWorkers checks the busy rule at two
+// workers: alone, a call splits into two blocks; while another call is
+// in progress, it runs as one block over the whole range.
+func TestParallelForForksOnlyOntoIdleWorkers(t *testing.T) {
+	const n = 1000
+	blocks := func() [][2]int {
+		var mu sync.Mutex
+		var got [][2]int
+		ParallelFor(n, 1, func(lo, hi int) {
+			mu.Lock()
+			got = append(got, [2]int{lo, hi})
+			mu.Unlock()
+		})
+		return got
+	}
+	withWorkers(t, 2, func() {
+		if got := blocks(); len(got) != 2 {
+			t.Fatalf("alone, the call ran blocks %v, want 2 blocks", got)
+		}
+		entered, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			ParallelFor(1, 1, func(lo, hi int) {
+				close(entered)
+				<-release
+			})
+		}()
+		<-entered
+		got := blocks()
+		close(release)
+		<-done
+		if len(got) != 1 || got[0] != [2]int{0, n} {
+			t.Fatalf("beside a call in progress, the call ran blocks %v, want one block over (0, %d)", got, n)
+		}
+		if got := blocks(); len(got) != 2 {
+			t.Fatalf("after the other call returned, the call ran blocks %v, want 2 blocks", got)
+		}
 	})
 }
 

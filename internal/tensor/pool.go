@@ -23,16 +23,28 @@ import (
 // callers — e.g. experiment specs running under the scheduler's own
 // pool — share the helpers without deadlock. ParallelFor bodies must not
 // call ParallelFor recursively; every kernel here is a leaf loop.
+//
+// A call forks only onto idle workers: it splits into Workers() minus
+// the number of other ParallelFor calls in progress, and never fewer
+// than one block. Each call in progress occupies a core with its
+// calling goroutine, so when as many goroutines run kernels as there
+// are cores — the compute engines of a training session — each runs
+// its kernels inline instead of queueing blocks behind the same busy
+// helpers and then waiting for them. Under the determinism contract the
+// block count changes only wall-clock time, never a result.
 
-// workerTarget is the number of blocks ParallelFor splits work into.
-// 0 means "use GOMAXPROCS at call time".
+// workerTarget is the upper bound on the blocks ParallelFor splits work
+// into. 0 means "use GOMAXPROCS at call time".
 var workerTarget atomic.Int32
 
-// SetWorkers sets the kernel parallelism: the number of row blocks each
-// parallel kernel is split into. n <= 0 resets to GOMAXPROCS. Results
-// are bit-identical at any setting; only wall-clock changes. Safe to
-// call concurrently with running kernels (takes effect on subsequent
-// calls).
+// inFlight counts the ParallelFor calls in progress.
+var inFlight atomic.Int32
+
+// SetWorkers sets the kernel parallelism: the upper bound on the row
+// blocks each parallel kernel is split into (fewer when other kernels
+// are running, see above). n <= 0 resets to GOMAXPROCS. Results are
+// bit-identical at any setting; only wall-clock changes. Safe to call
+// concurrently with running kernels (takes effect on subsequent calls).
 func SetWorkers(n int) {
 	if n < 0 {
 		n = 0
@@ -40,7 +52,7 @@ func SetWorkers(n int) {
 	workerTarget.Store(int32(n))
 }
 
-// Workers returns the current kernel parallelism target.
+// Workers returns the current kernel parallelism bound.
 func Workers() int {
 	if w := int(workerTarget.Load()); w > 0 {
 		return w
@@ -71,8 +83,9 @@ func (t task) run() {
 }
 
 // ensurePool starts the helper goroutines on first use. GOMAXPROCS−1
-// helpers plus the submitting goroutine saturate the machine without
-// oversubscribing it.
+// helpers plus one submitting goroutine saturate the machine without
+// oversubscribing it; more submitters in progress fork onto fewer
+// helpers each (see ParallelFor).
 func ensurePool() {
 	poolOnce.Do(func() {
 		helpers := runtime.GOMAXPROCS(0) - 1
@@ -95,9 +108,11 @@ func ensurePool() {
 }
 
 // ParallelFor runs body over [0, n) split into contiguous blocks, one
-// block per worker, and returns when all blocks are done. grain is the
-// minimum block size worth a dispatch; work below 2*grain runs inline.
-// body(lo, hi) must touch only state owned by indexes in [lo, hi).
+// block per idle worker, and returns when all blocks are done. grain is
+// the minimum block size worth a dispatch; work below 2*grain runs
+// inline, as does every call made while Workers()−1 others are in
+// progress. body(lo, hi) must touch only state owned by indexes in
+// [lo, hi).
 func ParallelFor(n, grain int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -105,7 +120,9 @@ func ParallelFor(n, grain int, body func(lo, hi int)) {
 	if grain < 1 {
 		grain = 1
 	}
-	w := Workers()
+	others := int(inFlight.Add(1)) - 1
+	defer inFlight.Add(-1)
+	w := Workers() - others
 	if maxW := n / grain; w > maxW {
 		w = maxW
 	}

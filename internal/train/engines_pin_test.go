@@ -1,9 +1,7 @@
 package train
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"runtime"
 	"testing"
@@ -81,15 +79,7 @@ func TestSharedEnginesPinned(t *testing.T) {
 						}
 					}
 				}
-				h := fnv.New64a()
-				var b [8]byte
-				for _, tr := range s.Trainers {
-					for _, v := range tr.W.Params() {
-						binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-						h.Write(b[:])
-					}
-				}
-				if got := h.Sum64(); got != tc.params {
+				if got := paramDigest(s.Trainers); got != tc.params {
 					t.Errorf("digest of every rank's parameters %#x, want %#x", got, tc.params)
 				}
 			})

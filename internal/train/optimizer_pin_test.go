@@ -58,15 +58,23 @@ func TestOptimizerPathsPinned(t *testing.T) {
 					t.Errorf("iteration %d: loss %v (bits %#x), want bits %#x", i+1, st.Loss, got, tc.loss[i])
 				}
 			}
-			h := fnv.New64a()
-			var b [8]byte
-			for _, v := range s.Trainers[0].W.Params() {
-				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-				h.Write(b[:])
-			}
-			if got := h.Sum64(); got != tc.params {
+			if got := paramDigest(s.Trainers[:1]); got != tc.params {
 				t.Errorf("rank 0 parameter digest %#x, want %#x", got, tc.params)
 			}
 		})
 	}
+}
+
+// paramDigest is the FNV-64a digest of the trainers' parameter bits, in
+// rank order.
+func paramDigest(trainers []*Trainer) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, tr := range trainers {
+		for _, v := range tr.W.Params() {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+	return h.Sum64()
 }

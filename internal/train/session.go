@@ -2,9 +2,11 @@
 // simulated cluster: P trainers (one per rank), each holding a workload
 // replica (VGG, LSTM or BERT), an error-feedback residual, and a
 // gradient-reduction algorithm, stepped collectively one iteration at a
-// time with per-phase modeled timing. It also provides the algorithm
-// and workload factories the experiments layer builds configurations
-// from, and checkpoint integration for stop/resume.
+// time with per-phase modeled timing. The local ranks share
+// min(local ranks, GOMAXPROCS) compute engines that hold the layer
+// scratch. It also provides the algorithm and workload factories the
+// experiments layer builds configurations from, and checkpoint
+// integration for stop/resume.
 package train
 
 import (
@@ -13,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"runtime"
 
 	"repro/internal/allreduce"
 	"repro/internal/checkpoint"
@@ -221,13 +224,13 @@ func NewDistributedSession(cfg Config) (*Session, error) {
 		rngs:     make([]*rand.Rand, cfg.P),
 		stats:    make([]StepStats, cfg.P),
 	}
-	for _, r := range c.LocalRanks() {
-		var w Workload
-		if r == 0 {
-			w = probe
-		} else {
-			w = NewWorkload(cfg.Workload, cfg.Seed, cfg.Seed+1)
-		}
+	// The local ranks own their parameters but share the probe's data
+	// generator and min(local ranks, GOMAXPROCS) compute engines: no
+	// more ranks can compute at once than there are cores.
+	local := c.LocalRanks()
+	ws := probe.(sharing).replicas(len(local), min(len(local), runtime.GOMAXPROCS(0)))
+	for i, r := range local {
+		w := ws[i]
 		var adam *optimizer.Adam
 		if cfg.Adam {
 			adam = optimizer.NewAdam(0.9, 0.999, 0.01)

@@ -17,7 +17,9 @@ import (
 // Workload is one worker's model replica plus its data source. All
 // replicas of a run are constructed with the same model seed (identical
 // initialization, as data-parallel training requires) but sample batches
-// with per-rank RNGs.
+// with per-rank RNGs. A replica owns its parameters and gradients; the
+// layer scratch it computes with belongs to a compute engine it borrows
+// for each ComputeBatch and Evaluate call (see replica).
 type Workload interface {
 	Name() string
 	// N is the number of model parameters (gradient components).
@@ -50,47 +52,137 @@ type Workload interface {
 	PaperN() int
 }
 
+// model is what a workload needs of an nn model.
+type model interface {
+	Store() *nn.Store
+	Bind(*nn.Store)
+	BackwardSchedule() []nn.LayerCost
+}
+
+// engine is one compute core's share of a workload: a model's layer
+// scratch (activations, caches, gradient work buffers) and the batch
+// buffers, bound for each borrowed batch to the borrower's parameters.
+type engine[M model, B any] struct {
+	model M
+	batch B
+}
+
+// replica is the state one rank owns of its workload — its parameters
+// and gradients — plus the pool of compute engines it borrows from to
+// compute on them. A workload built alone is its own one-engine pool;
+// a session shares one pool of min(local ranks, GOMAXPROCS) engines
+// between its local ranks. The pool is a buffered channel, so it is
+// also the gate that lets no more ranks compute at once than it holds
+// engines.
+type replica[M model, B any] struct {
+	store    *nn.Store
+	engines  chan *engine[M, B]
+	newModel func() M       // builds one more engine's model
+	sched    []nn.LayerCost // the model's backward schedule, read-only
+}
+
+// newReplica builds a workload's first replica: it owns the parameters
+// of a fresh model and is its own pool of that one engine.
+func newReplica[M model, B any](newModel func() M) replica[M, B] {
+	m := newModel()
+	engines := make(chan *engine[M, B], 1)
+	engines <- &engine[M, B]{model: m}
+	return replica[M, B]{store: m.Store(), engines: engines, newModel: newModel, sched: m.BackwardSchedule()}
+}
+
+// N returns the gradient size.
+func (w *replica[M, B]) N() int { return len(w.store.Params) }
+
+// Params exposes the flat parameter vector.
+func (w *replica[M, B]) Params() []float64 { return w.store.Params }
+
+// Grads exposes the flat gradient vector.
+func (w *replica[M, B]) Grads() []float64 { return w.store.Grads }
+
+// ZeroGrads clears gradients.
+func (w *replica[M, B]) ZeroGrads() { w.store.ZeroGrads() }
+
+// BackwardSchedule exposes the model's backward cost schedule.
+func (w *replica[M, B]) BackwardSchedule() []nn.LayerCost { return w.sched }
+
+// borrow takes an engine from the pool, waiting while every engine is
+// busy, and binds it to this rank's parameters. Nothing that waits on
+// another rank may run between borrow and release.
+func (w *replica[M, B]) borrow() *engine[M, B] {
+	e := <-w.engines
+	e.model.Bind(w.store)
+	return e
+}
+
+func (w *replica[M, B]) release(e *engine[M, B]) { w.engines <- e }
+
+// share widens w's pool to the given number of engines and returns
+// others more replicas over it, each owning a copy of w's parameters (replicas of a
+// data-parallel run start from identical parameters).
+func (w *replica[M, B]) share(others, engines int) []replica[M, B] {
+	pool := make(chan *engine[M, B], engines)
+	pool <- <-w.engines
+	for len(pool) < engines {
+		pool <- &engine[M, B]{model: w.newModel()}
+	}
+	w.engines = pool
+	out := make([]replica[M, B], others)
+	for i := range out {
+		out[i] = *w
+		out[i].store = nn.NewStore(w.N())
+		copy(out[i].store.Params, w.store.Params)
+	}
+	return out
+}
+
+// sharing is implemented by every workload NewWorkload builds: replicas
+// returns the receiver followed by ranks−1 more replicas, all borrowing
+// from one pool that holds the given number of compute engines.
+type sharing interface {
+	replicas(ranks, engines int) []Workload
+}
+
 // VGGWorkload is VGG-16/Cifar-10 (Table 2 row 1).
 type VGGWorkload struct {
-	model *nn.VGGNarrow
-	ds    *data.Images
-	// The training batch and Evaluate's, reused across calls.
-	batch, evalBatch data.ImageBatch
+	replica[*nn.VGGNarrow, data.ImageBatch]
+	ds *data.Images // read-only, shared by the replicas
 }
 
 // NewVGGWorkload builds one worker's replica. modelSeed must be shared
 // across ranks; dataSeed seeds the shared prototype bank.
 func NewVGGWorkload(modelSeed, dataSeed int64) *VGGWorkload {
 	return &VGGWorkload{
-		model: nn.NewVGGNarrow(modelSeed, 16, 32, 64, 128, 10),
-		ds:    data.NewImages(dataSeed, 10),
+		replica: newReplica[*nn.VGGNarrow, data.ImageBatch](func() *nn.VGGNarrow {
+			return nn.NewVGGNarrow(modelSeed, 16, 32, 64, 128, 10)
+		}),
+		ds: data.NewImages(dataSeed, 10),
 	}
+}
+
+func (w *VGGWorkload) replicas(ranks, engines int) []Workload {
+	out := []Workload{w}
+	for _, r := range w.share(ranks-1, engines) {
+		out = append(out, &VGGWorkload{replica: r, ds: w.ds})
+	}
+	return out
 }
 
 // Name identifies the workload.
 func (w *VGGWorkload) Name() string { return "VGG" }
 
-// N returns the gradient size.
-func (w *VGGWorkload) N() int { return w.model.NumParams() }
-
-// Params exposes the flat parameter vector.
-func (w *VGGWorkload) Params() []float64 { return w.model.Store().Params }
-
-// Grads exposes the flat gradient vector.
-func (w *VGGWorkload) Grads() []float64 { return w.model.Store().Grads }
-
-// ZeroGrads clears gradients.
-func (w *VGGWorkload) ZeroGrads() { w.model.Store().ZeroGrads() }
-
 // ComputeBatch samples a batch and runs forward/backward.
 func (w *VGGWorkload) ComputeBatch(r *rand.Rand, batchSize int) (float64, int, int) {
-	w.ds.Batch(r, batchSize, &w.batch)
-	loss, correct := w.model.Loss(w.batch.X, w.batch.Y)
+	e := w.borrow()
+	defer w.release(e)
+	w.ds.Batch(r, batchSize, &e.batch)
+	loss, correct := e.model.Loss(e.batch.X, e.batch.Y)
 	return loss, correct, batchSize
 }
 
 // Evaluate returns top-1 accuracy in [0,1] on held-out samples.
 func (w *VGGWorkload) Evaluate(r *rand.Rand, samples int) float64 {
+	e := w.borrow()
+	defer w.release(e)
 	correct := 0
 	const chunk = 32
 	done := 0
@@ -99,10 +191,10 @@ func (w *VGGWorkload) Evaluate(r *rand.Rand, samples int) float64 {
 		if samples-done < b {
 			b = samples - done
 		}
-		w.ds.Batch(r, b, &w.evalBatch)
-		pred := w.model.Predict(w.evalBatch.X)
+		w.ds.Batch(r, b, &e.batch)
+		pred := e.model.Predict(e.batch.X)
 		for i := range pred {
-			if pred[i] == w.evalBatch.Y[i] {
+			if pred[i] == e.batch.Y[i] {
 				correct++
 			}
 		}
@@ -123,52 +215,49 @@ func (w *VGGWorkload) ComputeSeconds(batchSize int) float64 {
 // PaperN is VGG-16's parameter count.
 func (w *VGGWorkload) PaperN() int { return 14728266 }
 
-// BackwardSchedule exposes the model's backward cost schedule.
-func (w *VGGWorkload) BackwardSchedule() []nn.LayerCost { return w.model.BackwardSchedule() }
-
 // LSTMWorkload is LSTM/AN4 (Table 2 row 2); the metric is a WER-like
 // sequence error rate.
 type LSTMWorkload struct {
-	model *nn.LSTMClassifier
-	ds    *data.Sequences
-	// The training batch and Evaluate's, reused across calls.
-	batch, evalBatch data.SeqBatch
+	replica[*nn.LSTMClassifier, data.SeqBatch]
+	ds *data.Sequences // read-only, shared by the replicas
 }
 
 // NewLSTMWorkload builds one worker's replica.
 func NewLSTMWorkload(modelSeed, dataSeed int64) *LSTMWorkload {
 	const seqLen, frameDim, classes, hidden = 20, 40, 12, 128
 	return &LSTMWorkload{
-		model: nn.NewLSTMClassifier(modelSeed, frameDim, hidden, classes, seqLen),
-		ds:    data.NewSequences(dataSeed, classes, seqLen, frameDim),
+		replica: newReplica[*nn.LSTMClassifier, data.SeqBatch](func() *nn.LSTMClassifier {
+			return nn.NewLSTMClassifier(modelSeed, frameDim, hidden, classes, seqLen)
+		}),
+		ds: data.NewSequences(dataSeed, classes, seqLen, frameDim),
 	}
+}
+
+func (w *LSTMWorkload) replicas(ranks, engines int) []Workload {
+	out := []Workload{w}
+	for _, r := range w.share(ranks-1, engines) {
+		out = append(out, &LSTMWorkload{replica: r, ds: w.ds})
+	}
+	return out
 }
 
 // Name identifies the workload.
 func (w *LSTMWorkload) Name() string { return "LSTM" }
 
-// N returns the gradient size.
-func (w *LSTMWorkload) N() int { return w.model.NumParams() }
-
-// Params exposes the flat parameter vector.
-func (w *LSTMWorkload) Params() []float64 { return w.model.Store().Params }
-
-// Grads exposes the flat gradient vector.
-func (w *LSTMWorkload) Grads() []float64 { return w.model.Store().Grads }
-
-// ZeroGrads clears gradients.
-func (w *LSTMWorkload) ZeroGrads() { w.model.Store().ZeroGrads() }
-
 // ComputeBatch samples sequences and runs BPTT.
 func (w *LSTMWorkload) ComputeBatch(r *rand.Rand, batchSize int) (float64, int, int) {
-	w.ds.Batch(r, batchSize, &w.batch)
-	loss, correct := w.model.Loss(w.batch.Seq, w.batch.Y)
+	e := w.borrow()
+	defer w.release(e)
+	w.ds.Batch(r, batchSize, &e.batch)
+	loss, correct := e.model.Loss(e.batch.Seq, e.batch.Y)
 	return loss, correct, batchSize
 }
 
 // Evaluate returns the sequence error rate (lower is better), the
 // WER-like metric for the speech substitution.
 func (w *LSTMWorkload) Evaluate(r *rand.Rand, samples int) float64 {
+	e := w.borrow()
+	defer w.release(e)
 	wrong := 0
 	const chunk = 16
 	done := 0
@@ -177,10 +266,10 @@ func (w *LSTMWorkload) Evaluate(r *rand.Rand, samples int) float64 {
 		if samples-done < b {
 			b = samples - done
 		}
-		w.ds.Batch(r, b, &w.evalBatch)
-		pred := w.model.Predict(w.evalBatch.Seq)
+		w.ds.Batch(r, b, &e.batch)
+		pred := e.model.Predict(e.batch.Seq)
 		for i := range pred {
-			if pred[i] != w.evalBatch.Y[i] {
+			if pred[i] != e.batch.Y[i] {
 				wrong++
 			}
 		}
@@ -201,47 +290,42 @@ func (w *LSTMWorkload) ComputeSeconds(batchSize int) float64 {
 // PaperN is the paper LSTM's parameter count.
 func (w *LSTMWorkload) PaperN() int { return 27569568 }
 
-// BackwardSchedule exposes the model's backward cost schedule.
-func (w *LSTMWorkload) BackwardSchedule() []nn.LayerCost { return w.model.BackwardSchedule() }
-
 // BERTWorkload is BERT/Wikipedia pre-training (Table 2 row 3); the
 // metric is the masked-LM loss on held-out batches.
 type BERTWorkload struct {
-	model *nn.TinyBERT
-	ds    *data.Corpus
-	// The training batch and Evaluate's, reused across calls.
-	batch, evalBatch data.TokenBatch
+	replica[*nn.TinyBERT, data.TokenBatch]
+	ds *data.Corpus // read-only, shared by the replicas
 }
 
 // NewBERTWorkload builds one worker's replica.
 func NewBERTWorkload(modelSeed, dataSeed int64) *BERTWorkload {
 	const vocab, dim, heads, layers, seqLen, ff = 1000, 64, 4, 2, 32, 256
 	return &BERTWorkload{
-		model: nn.NewTinyBERT(modelSeed, vocab, dim, heads, layers, seqLen, ff),
-		ds:    data.NewCorpus(dataSeed, vocab, seqLen),
+		replica: newReplica[*nn.TinyBERT, data.TokenBatch](func() *nn.TinyBERT {
+			return nn.NewTinyBERT(modelSeed, vocab, dim, heads, layers, seqLen, ff)
+		}),
+		ds: data.NewCorpus(dataSeed, vocab, seqLen),
 	}
+}
+
+func (w *BERTWorkload) replicas(ranks, engines int) []Workload {
+	out := []Workload{w}
+	for _, r := range w.share(ranks-1, engines) {
+		out = append(out, &BERTWorkload{replica: r, ds: w.ds})
+	}
+	return out
 }
 
 // Name identifies the workload.
 func (w *BERTWorkload) Name() string { return "BERT" }
 
-// N returns the gradient size.
-func (w *BERTWorkload) N() int { return w.model.NumParams() }
-
-// Params exposes the flat parameter vector.
-func (w *BERTWorkload) Params() []float64 { return w.model.Store().Params }
-
-// Grads exposes the flat gradient vector.
-func (w *BERTWorkload) Grads() []float64 { return w.model.Store().Grads }
-
-// ZeroGrads clears gradients.
-func (w *BERTWorkload) ZeroGrads() { w.model.Store().ZeroGrads() }
-
 // ComputeBatch samples masked sequences and runs the MLM objective.
 func (w *BERTWorkload) ComputeBatch(r *rand.Rand, batchSize int) (float64, int, int) {
-	b := &w.batch
+	e := w.borrow()
+	defer w.release(e)
+	b := &e.batch
 	w.ds.Batch(r, batchSize, b)
-	loss, correct := w.model.Loss(b.IDs, b.Pos, b.Tgt)
+	loss, correct := e.model.Loss(b.IDs, b.Pos, b.Tgt)
 	total := 0
 	for _, p := range b.Pos {
 		total += len(p)
@@ -252,13 +336,15 @@ func (w *BERTWorkload) ComputeBatch(r *rand.Rand, batchSize int) (float64, int, 
 // Evaluate returns the mean masked-LM loss on held-out batches (lower is
 // better). Gradients are clobbered; callers evaluate between steps.
 func (w *BERTWorkload) Evaluate(r *rand.Rand, samples int) float64 {
+	e := w.borrow()
+	defer w.release(e)
 	var sum float64
 	batches := 0
 	const chunk = 8
 	for done := 0; done < samples; done += chunk {
-		b := &w.evalBatch
+		b := &e.batch
 		w.ds.Batch(r, chunk, b)
-		loss, _ := w.model.Loss(b.IDs, b.Pos, b.Tgt)
+		loss, _ := e.model.Loss(b.IDs, b.Pos, b.Tgt)
 		sum += loss
 		batches++
 	}
@@ -277,9 +363,6 @@ func (w *BERTWorkload) ComputeSeconds(batchSize int) float64 {
 
 // PaperN is BERT-base-with-128-seq's parameter count from Table 2.
 func (w *BERTWorkload) PaperN() int { return 133547324 }
-
-// BackwardSchedule exposes the model's backward cost schedule.
-func (w *BERTWorkload) BackwardSchedule() []nn.LayerCost { return w.model.BackwardSchedule() }
 
 // NewWorkload constructs a workload by name ("VGG", "LSTM", "BERT").
 func NewWorkload(name string, modelSeed, dataSeed int64) Workload {
