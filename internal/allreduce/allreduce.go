@@ -192,8 +192,9 @@ func ChargeScan(cm cluster.Endpoint, cfg Config, n int) {
 }
 
 // Dense is the single-allreduce baseline: one Rabenseifner/ring allreduce
-// over the full aggregated gradient (2n(P−1)/P volume). The result
-// buffer is instance-owned scratch, fully overwritten each iteration.
+// over the full aggregated gradient (2n(P−1)/P volume). The allreduce
+// reads acc and writes the sum straight into the instance-owned result
+// buffer, which every call fully overwrites; acc is never copied.
 type Dense struct {
 	sum []float64
 }
@@ -209,8 +210,7 @@ func (d *Dense) Reduce(cm cluster.Endpoint, acc []float64, t int) Result {
 	cm.Clock().SetPhase(netmodel.PhaseComm)
 	sum := tensor.Ensure(d.sum, len(acc))
 	d.sum = sum
-	copy(sum, acc)
-	collectives.Allreduce(cm, sum)
+	collectives.AllreduceFrom(cm, acc, sum)
 	cm.Clock().SetPhase(netmodel.PhaseCompute)
 	return Result{Update: sum, All: true, LocalK: len(acc), GlobalK: len(acc)}
 }
@@ -251,16 +251,17 @@ func (d *DenseOvlp) BucketBounds(n, b int) (lo, hi int) {
 	return b * n / nb, (b + 1) * n / nb
 }
 
-// IssueBucket launches bucket b's allreduce over acc[lo:hi). Collective:
-// all ranks must issue the same buckets in the same order.
+// IssueBucket launches bucket b's allreduce over acc[lo:hi), reading
+// acc and writing the bucket's sum into the result buffer without
+// copying acc first. Collective: all ranks must issue the same buckets
+// in the same order.
 func (d *DenseOvlp) IssueBucket(cm cluster.Endpoint, acc []float64, b int) {
 	cm.Clock().SetPhase(netmodel.PhaseComm)
 	if d.issued == 0 {
 		d.sum = tensor.Ensure(d.sum, len(acc))
 	}
 	lo, hi := d.BucketBounds(len(acc), b)
-	copy(d.sum[lo:hi], acc[lo:hi])
-	collectives.Allreduce(cm, d.sum[lo:hi])
+	collectives.AllreduceFrom(cm, acc[lo:hi], d.sum[lo:hi])
 	d.issued++
 }
 

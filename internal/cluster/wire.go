@@ -59,7 +59,10 @@ func (w Wire) Words(elems int) int {
 // NarrowInto rounds src into the equal-length dst — the shared
 // float64→float32 send-edge conversion every f32 wire copy goes
 // through, so the narrowing semantics live in exactly one place.
+// Reslicing dst to len(src) up front keeps the loop free of
+// per-element bounds checks, as in every kernel of this file.
 func NarrowInto(dst []float32, src []float64) {
+	dst = dst[:len(src)]
 	for i, v := range src {
 		dst[i] = float32(v)
 	}
@@ -70,6 +73,7 @@ func NarrowInto(dst []float32, src []float64) {
 // a payload back to compute precision (accumulating receivers fuse
 // the widening into their own add loop).
 func WidenInto(dst []float64, src []float32) {
+	dst = dst[:len(src)]
 	for i, v := range src {
 		dst[i] = float64(v)
 	}
@@ -77,10 +81,11 @@ func WidenInto(dst []float64, src []float32) {
 
 // Round rounds x through the wire precision in place: a no-op on the
 // f64 wire, float64(float32(v)) per element on the f32 wire. Collective
-// algorithms apply it to data they keep locally but also transmit (the
-// owned block of a reduce-scatter, a broadcast root's buffer), so every
+// algorithms apply it to data they keep locally but also transmit (a
+// broadcast root's buffer, an allgather contributor's block), so every
 // rank ends up holding bit-identical values regardless of which side of
-// the wire it sat on.
+// the wire it sat on. The dense allreduce rounds its owned block in the
+// pass that narrows it instead (collectives.recvAddSend).
 func (w Wire) Round(x []float64) {
 	if w != WireF32 {
 		return

@@ -59,6 +59,45 @@ func TestWireRound(t *testing.T) {
 	}
 }
 
+// TestEdgeKernelsMatchReference: NarrowInto, WidenInto and Round equal their per-element references bit for bit at lengths 0–17
+// and 1M, over NaN, ±Inf, ±0, float64 and float32 denormals, float32
+// overflow and halfway ties.
+func TestEdgeKernelsMatchReference(t *testing.T) {
+	edge := []float64{
+		math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, -1e-310, 1e-40, -1e-45,
+		math.MaxFloat32 * 1.5, -math.MaxFloat64, 1 + 1.0/(1<<24), -1.0 / 3,
+	}
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 1 << 20} {
+		src := make([]float64, n)
+		for i := range src {
+			src[i] = edge[i%len(edge)] * (1 + float64(i%3)*0x1p-30)
+		}
+		narrow := make([]float32, n)
+		NarrowInto(narrow, src)
+		wide := make([]float64, n)
+		WidenInto(wide, narrow)
+		same := append([]float64(nil), src...)
+		WireF64.Round(same)
+		rounded := append([]float64(nil), src...)
+		WireF32.Round(rounded)
+		for i, v := range src {
+			f := float32(v)
+			r := math.Float64bits(float64(f))
+			switch {
+			case math.Float32bits(narrow[i]) != math.Float32bits(f):
+				t.Fatalf("n=%d: NarrowInto[%d] = %v, want %v", n, i, narrow[i], f)
+			case math.Float64bits(wide[i]) != r:
+				t.Fatalf("n=%d: WidenInto[%d] = %v, want %v", n, i, wide[i], float64(f))
+			case math.Float64bits(same[i]) != math.Float64bits(v):
+				t.Fatalf("n=%d: f64 Round changed [%d]", n, i)
+			case math.Float64bits(rounded[i]) != r:
+				t.Fatalf("n=%d: f32 Round[%d] = %v, want %v", n, i, rounded[i], float64(f))
+			}
+		}
+	}
+}
+
 // TestFloat32PayloadRoundtrip: SendFloat32s/RecvFloat32 transfer pooled
 // buffers between ranks with the declared word accounting, and the f32
 // chunk accounting covers values plus indexes at half-word each.

@@ -9,6 +9,11 @@
 //   - recursive-doubling allgather and allgatherv;
 //   - binomial-tree broadcast, reduce and gather.
 //
+// Both allreduce schedules also reduce out of a read-only source
+// (AllreduceFrom): each block's first write is source + received, so a
+// caller that keeps its input (the dense algorithms' acc) needs no copy
+// of it.
+//
 // Word accounting follows the paper: on the default f64 wire every
 // transmitted element (value or index) is one word. On the f32 wire
 // (cluster.WireF32) values are rounded to float32 at the send edge and
@@ -16,6 +21,8 @@
 // rank keeps data it also transmits (the owned block of a
 // reduce-scatter, a broadcast root's buffer), the kept copy is rounded
 // through the same precision so every rank holds bit-identical results.
+// The owned block is rounded in the same pass that completes its
+// reduction and narrows it for the first allgather send.
 //
 // All point-to-point payloads ride the typed, pooled message paths of
 // the cluster runtime (SendFloats/SendFloat32s/SendChunk/SendChunks),
@@ -65,34 +72,49 @@ func min(a, b int) int {
 }
 
 // Allreduce sums x element-wise across all ranks, leaving the full result
-// in x on every rank. It dispatches to Rabenseifner's algorithm for
+// in x on every rank: AllreduceFrom with x as its own source.
+func Allreduce(cm cluster.Endpoint, x []float64) {
+	AllreduceFrom(cm, x, x)
+}
+
+// AllreduceFrom sums src element-wise across all ranks and leaves the
+// full result in x on every rank. src is only read, and may be x
+// itself. Reducing from a separate src saves a caller that must keep
+// its input the copy into x: every schedule's first write to a block
+// of x is src + received. It dispatches to Rabenseifner's algorithm for
 // power-of-two cluster sizes and to the ring algorithm otherwise; both
 // achieve the 2n(P−1)/P bandwidth term.
-func Allreduce(cm cluster.Endpoint, x []float64) {
-	if cm.Size() == 1 {
-		return
+func AllreduceFrom(cm cluster.Endpoint, src, x []float64) {
+	if len(src) != len(x) {
+		panic("collectives: allreduce source and result lengths differ")
 	}
-	if isPow2(cm.Size()) {
-		allreduceRabenseifner(cm, x)
-	} else {
-		AllreduceRing(cm, x)
+	switch {
+	case cm.Size() == 1:
+		copy(x, src)
+	case isPow2(cm.Size()):
+		allreduceRabenseifner(cm, src, x)
+	default:
+		allreduceRing(cm, src, x)
 	}
 }
 
 // allreduceRabenseifner: recursive halving reduce-scatter, then recursive
-// doubling allgather. Requires power-of-two size.
-func allreduceRabenseifner(cm cluster.Endpoint, x []float64) {
+// doubling allgather. Requires power-of-two size P > 1.
+func allreduceRabenseifner(cm cluster.Endpoint, src, x []float64) {
 	p, rank, n := cm.Size(), cm.Rank(), len(x)
 	// Reduce-scatter by recursive halving. At step s the active range
 	// halves; each rank exchanges the half it will not own with its
-	// partner at distance p>>(s+1). Ranges are recorded so the reverse
-	// allgather handles odd-size halves exactly. The span stack is tiny
-	// (log₂P entries) and lives on the stack.
+	// partner at distance p>>(s+1). Step 0 reads src and writes the
+	// kept half of x for the first time; later steps work inside x.
+	// Ranges are recorded so the reverse allgather handles odd-size
+	// halves exactly. The span stack is tiny (log₂P entries) and lives
+	// on the stack.
 	lo, hi := 0, n
 	steps := bits.Len(uint(p)) - 1
 	type span struct{ lo, hi int }
 	var spanBuf [32]span
 	parents := spanBuf[:0]
+	from := src
 	for s := 0; s < steps; s++ {
 		dist := p >> (s + 1)
 		partner := rank ^ dist
@@ -105,16 +127,22 @@ func allreduceRabenseifner(cm cluster.Endpoint, x []float64) {
 		} else {
 			sendLo, sendHi, keepLo, keepHi = lo, mid, mid, hi
 		}
-		sendWire(cm, partner, tagAllreduce+s, x[sendLo:sendHi])
-		recvAxpy(cm, partner, tagAllreduce+s, x[keepLo:keepHi])
+		sendWire(cm, partner, tagAllreduce+s, from[sendLo:sendHi])
+		if s < steps-1 {
+			recvAddFrom(cm, partner, tagAllreduce+s, from[keepLo:keepHi], x[keepLo:keepHi])
+		} else {
+			// The last receive completes the owned block, which goes
+			// straight back to the same partner as the allgather's first
+			// send.
+			recvAddSend(cm, partner, tagAllreduce+s, from[keepLo:keepHi], x[keepLo:keepHi], partner, tagAllreduce+1024+s)
+		}
+		from = x
 		lo, hi = keepLo, keepHi
 	}
-	// The owned block now leaves through the allgather: round it through
-	// the wire precision so this rank keeps exactly what the others
-	// receive.
-	cm.Wire().Round(x[lo:hi])
 	// Allgather by recursive doubling: reverse the halving, restoring
-	// each parent range by exchanging the complementary half.
+	// each parent range by exchanging the complementary half. The first
+	// step's send, the owned block, already left with the last
+	// reduce-scatter receive.
 	for s := steps - 1; s >= 0; s-- {
 		dist := p >> (s + 1)
 		partner := rank ^ dist
@@ -125,42 +153,58 @@ func allreduceRabenseifner(cm cluster.Endpoint, x []float64) {
 		} else {
 			partnerLo, partnerHi = parent.lo, lo
 		}
-		sendWire(cm, partner, tagAllreduce+1024+s, x[lo:hi])
+		if s < steps-1 {
+			sendWire(cm, partner, tagAllreduce+1024+s, x[lo:hi])
+		}
 		recvCopy(cm, partner, tagAllreduce+1024+s, x[partnerLo:partnerHi])
 		lo, hi = parent.lo, parent.hi
 	}
 }
 
-// AllreduceRing is the bandwidth-optimal ring allreduce: P−1 steps of
-// reduce-scatter around the ring followed by P−1 steps of allgather.
+// AllreduceRing is the bandwidth-optimal ring allreduce of x in place:
+// P−1 steps of reduce-scatter around the ring followed by P−1 steps of
+// allgather.
 func AllreduceRing(cm cluster.Endpoint, x []float64) {
-	p, rank, n := cm.Size(), cm.Rank(), len(x)
-	if p == 1 {
+	if cm.Size() == 1 {
 		return
 	}
+	allreduceRing(cm, x, x)
+}
+
+// allreduceRing is the ring schedule reducing src into x. Requires
+// P > 1.
+func allreduceRing(cm cluster.Endpoint, src, x []float64) {
+	p, rank, n := cm.Size(), cm.Rank(), len(x)
 	next := (rank + 1) % p
 	prev := (rank - 1 + p) % p
 	// Reduce-scatter: at step s, send block (rank-s) and accumulate into
-	// block (rank-s-1).
+	// block (rank-s-1). Each block is received exactly once, so every
+	// receive is that block's first write, x[b] = src[b] + received;
+	// step 0 sends this rank's own block, which only src holds yet.
+	from := src
 	for s := 0; s < p-1; s++ {
 		sb := ((rank-s)%p + p) % p
 		rb := ((rank-s-1)%p + p) % p
 		slo, shi := blockRange(n, p, sb)
-		sendWire(cm, next, tagAllreduce+2048+s, x[slo:shi])
+		sendWire(cm, next, tagAllreduce+2048+s, from[slo:shi])
+		from = x
 		rlo, rhi := blockRange(n, p, rb)
-		recvAxpy(cm, prev, tagAllreduce+2048+s, x[rlo:rhi])
+		if s < p-2 {
+			recvAddFrom(cm, prev, tagAllreduce+2048+s, src[rlo:rhi], x[rlo:rhi])
+		} else {
+			// The last receive completes the owned block (rank+1),
+			// which leaves at once as the allgather's first send.
+			recvAddSend(cm, prev, tagAllreduce+2048+s, src[rlo:rhi], x[rlo:rhi], next, tagAllreduce+4096)
+		}
 	}
-	// Round the finished owned block through the wire precision before it
-	// circulates, so this rank keeps exactly what the others receive.
-	flo, fhi := blockRange(n, p, (rank+1)%p)
-	cm.Wire().Round(x[flo:fhi])
-	// Allgather ring: circulate the finished blocks.
+	// Allgather ring: circulate the finished blocks. Step 0's send, the
+	// owned block, already left with the last reduce-scatter receive.
 	for s := 0; s < p-1; s++ {
-		sb := ((rank-s+1)%p + p) % p
-		rb := ((rank-s)%p + p) % p
-		slo, shi := blockRange(n, p, sb)
-		sendWire(cm, next, tagAllreduce+4096+s, x[slo:shi])
-		rlo, rhi := blockRange(n, p, rb)
+		if s > 0 {
+			slo, shi := blockRange(n, p, ((rank-s+1)%p+p)%p)
+			sendWire(cm, next, tagAllreduce+4096+s, x[slo:shi])
+		}
+		rlo, rhi := blockRange(n, p, ((rank-s)%p+p)%p)
 		recvCopy(cm, prev, tagAllreduce+4096+s, x[rlo:rhi])
 	}
 }
@@ -350,7 +394,7 @@ func Reduce(cm cluster.Endpoint, root int, x []float64) {
 		}
 		child := vrank | d
 		if child < p {
-			recvAxpy(cm, (child+root)%p, tagReduce+d, x)
+			recvAddFrom(cm, (child+root)%p, tagReduce+d, x, x)
 		}
 	}
 }

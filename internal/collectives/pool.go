@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/sparse"
-	"repro/internal/tensor"
 )
 
 // Wire buffers come from the per-rank freelists owned by the cluster
@@ -23,6 +22,10 @@ import (
 // values are rounded to float32 into a pooled []float32 at half-word
 // accounting, and receivers widen them back as they fold. Compute stays
 // float64 either way — rounding happens exactly once per hop, here.
+//
+// A receiver may also send on a buffer it received and owns, as
+// recvAddSend does with the sums it writes over the payload: ownership
+// passes with the message exactly as for a fresh pool draw.
 //
 // Payloads that fan out to multiple ranks (AllgathervInto chunk
 // Data/Data32/Aux, which are stored into every rank's result) must NOT
@@ -129,27 +132,70 @@ func sendWire(cm cluster.Endpoint, dst, tag int, x []float64) {
 	cm.SendFloats(dst, tag, sendCopy(cm, x), len(x))
 }
 
-// recvAxpy receives one wire value payload, charges the len(dst)-flop
-// reduction AFTER the delivery (the reduction cannot start before the
-// data arrives, so it must never hide under the transfer), accumulates
-// the payload element-wise into dst and releases the buffer into this
-// rank's pool.
-func recvAxpy(cm cluster.Endpoint, src, tag int, dst []float64) {
+// recvAddFrom receives one wire value payload, charges the
+// len(dst)-flop reduction AFTER the delivery (the reduction cannot
+// start before the data arrives, so it must never hide under the
+// transfer), writes dst = from + payload element-wise and releases the
+// buffer into this rank's pool. from may be dst itself (an in-place
+// accumulate); a distinct from lets a collective reduce out of a
+// caller's read-only input without copying it first.
+func recvAddFrom(cm cluster.Endpoint, src, tag int, from, dst []float64) {
 	if cm.Wire() == cluster.WireF32 {
 		recv := cm.RecvFloat32(src, tag)
 		checkWireLen(len(recv), len(dst))
 		cm.Clock().Compute(float64(len(dst)))
-		for i, v := range recv {
-			dst[i] += float64(v)
-		}
+		addInto(dst, from, recv)
 		cm.PutFloat32s(recv)
 		return
 	}
 	recv := cm.RecvFloat64(src, tag)
 	checkWireLen(len(recv), len(dst))
 	cm.Clock().Compute(float64(len(dst)))
-	tensor.Axpy(1, recv, dst)
+	addInto(dst, from, recv)
 	cm.PutFloats(recv)
+}
+
+// recvAddSend is an allreduce's turn from reduce-scatter to allgather:
+// the last reduce-scatter receive completes this rank's owned block,
+// dst = from + payload, and the block leaves at once to `to` as the
+// first allgather message. On the f32 wire one pass adds, overwrites
+// the received buffer — which this rank owns — with the rounded sums,
+// and keeps exactly those values in dst; the buffer then goes on as
+// the message, so this rank holds what every other rank receives.
+func recvAddSend(cm cluster.Endpoint, src, tag int, from, dst []float64, to, sendTag int) {
+	if cm.Wire() != cluster.WireF32 {
+		recvAddFrom(cm, src, tag, from, dst)
+		sendWire(cm, to, sendTag, dst)
+		return
+	}
+	recv := cm.RecvFloat32(src, tag)
+	checkWireLen(len(recv), len(dst))
+	cm.Clock().Compute(float64(len(dst)))
+	addRound(dst, from, recv)
+	cm.SendFloat32s(to, sendTag, recv, cluster.WireF32.Words(len(dst)))
+}
+
+// addInto writes dst[i] = a[i] + float64(b[i]): the receive-edge
+// accumulate of both wires, one add per element (widening a float32
+// operand is exact). Reslicing the operands to len(dst) keeps the loop
+// free of per-element bounds checks.
+func addInto[T float32 | float64](dst, a []float64, b []T) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		dst[i] = a[i] + float64(b[i])
+	}
+}
+
+// addRound is the f32 wire's add for sums that go straight back out:
+// b[i] becomes float32(a[i] + float64(b[i])), the value sent on, and
+// dst[i] keeps its widening. One add and one rounding per element.
+func addRound(dst, a []float64, b []float32) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		f := float32(a[i] + float64(b[i]))
+		b[i] = f
+		dst[i] = float64(f)
+	}
 }
 
 // recvCopy receives one wire value payload, widens it into dst and
