@@ -129,7 +129,8 @@ func bytesPerCall(step func(), warm, measure int) float64 {
 //
 // Per Session.RunIteration of Ok-Topk at P=8, batch 4, over iterations
 // 65–128, which include the τ=τ′=32 maintenance steps: VGG at most
-// 64 KiB, LSTM 96 and BERT 128 (measured 38, 65 and 81; 843, 427 and
+// 64 KiB, LSTM 96 and BERT 128 (measured 41, 67 and 84 with the
+// per-iteration stats gather, 38, 65 and 81 before it; 843, 427 and
 // 1 422 when every batch, loss gradient and fan-out payload was fresh).
 // Most of what remains are the closures handed to tensor.ParallelFor,
 // which escape by construction, and the rank-pool misses of

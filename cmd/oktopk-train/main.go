@@ -20,10 +20,12 @@
 // -transport tcp runs the session as a real multi-process job: the
 // command relaunches itself as one worker process per rank, the ranks
 // form a TCP mesh (rank 0 is the rendezvous point), and the identical
-// collectives run over real sockets. Modeled time stays authoritative
-// and bit-identical to an inproc run; the summary additionally reports
-// the job's host wall-clock. Tracing needs the inproc transport;
-// checkpoint/resume work on both.
+// collectives run over real sockets. Both transports run the same
+// training loop (train.Session.Train), so the worker hosting rank 0
+// prints, and the command relays, exactly the progress lines an inproc
+// run prints: modeled time stays authoritative and bit-identical, and a
+// last line adds the job's host wall-clock. Tracing needs the inproc
+// transport; checkpoint/resume work on both.
 //
 // The tcp job is fault tolerant. Failure detection: every frame is
 // CRC-checked, and heartbeat probes (-hb-interval, -hb-miss) declare a
@@ -54,7 +56,6 @@ import (
 	"time"
 
 	"repro/internal/allreduce"
-	"repro/internal/checkpoint"
 	"repro/internal/cluster"
 	"repro/internal/netmodel"
 	"repro/internal/profiling"
@@ -106,8 +107,8 @@ func main() {
 		profiling.Exit(2)
 	}
 	// The workloads this command trains, with their default learning
-	// rates. Bad names and sizes are refused here, before either
-	// transport starts, instead of panicking inside every rank.
+	// rates. Bad names, sizes and flag pairings are refused here, before
+	// either transport starts, instead of panicking inside every rank.
 	defaultLR := map[string]float64{"VGG": 0.03, "LSTM": 0.3, "BERT": 1e-3}
 	var bad string
 	switch _, known := defaultLR[*workload]; {
@@ -117,6 +118,8 @@ func main() {
 		bad = fmt.Sprintf("unknown -workload %q (VGG | LSTM | BERT)", *workload)
 	case !slices.Contains(train.AlgorithmNames, *algo) && *algo != "Hierarchical":
 		bad = fmt.Sprintf("unknown -algo %q (%s | Hierarchical)", *algo, strings.Join(train.AlgorithmNames, " | "))
+	case *ckptEvery > 0 && *ckptFile == "":
+		bad = "-ckpt-every needs -checkpoint"
 	}
 	if bad != "" {
 		fmt.Fprintln(os.Stderr, "oktopk-train: "+bad)
@@ -159,52 +162,25 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		profiling.Exit(2)
 	}
+	job := train.Job{
+		Config: cfg, Iters: *iters, EvalEvery: *evalEvery,
+		Checkpoint: *ckptFile, CkptEvery: *ckptEvery, Resume: *resume,
+	}
 	if tk == cluster.TransportTCP {
 		if *traceFile != "" {
 			fmt.Fprintln(os.Stderr, "oktopk-train: -trace needs the inproc transport")
 			profiling.Exit(2)
 		}
-		profiling.Exit(runTCP(cfg, tcpRun{
-			iters: *iters, evalEvery: *evalEvery,
-			ckpt: *ckptFile, ckptEvery: *ckptEvery, resume: *resume,
+		profiling.Exit(runTCP(job, tcpRun{
 			timeout: *netTimeout, hbInterval: *hbInterval, hbMiss: *hbMiss,
 			maxRestarts: *maxRestarts, backoff: *restartBackoff,
 		}))
 	}
 	s := train.NewSession(cfg)
-	startIter := 1
-	var elapsed float64
-	if *resume != "" {
-		ck, err := checkpoint.LoadFile(*resume)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			profiling.Exit(1)
-		}
-		s.SkipTo(ck.Iteration)
-		if err := s.Restore(ck); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			profiling.Exit(1)
-		}
-		startIter = ck.Iteration + 1
-		elapsed = ck.SimSeconds
-		fmt.Printf("resumed %s/%s from %s at iteration %d\n", *workload, *algo, *resume, ck.Iteration)
-	}
 	fmt.Printf("training %s with %s on %d workers (n=%d, k=%d, batch=%d/worker)\n",
 		*workload, *algo, *p, s.N(), cfg.Reduce.KFor(s.N()), *batch)
-
-	save := func() {
-		if *ckptFile == "" {
-			return
-		}
-		c := s.Checkpoint()
-		c.SimSeconds = elapsed
-		if err := c.SaveFile(*ckptFile); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			profiling.Exit(1)
-		}
-	}
 	var rec *trace.Recorder
-	for it := startIter; it <= *iters; it++ {
+	_, err = s.Train(job, func(it int) {
 		if *traceFile != "" && it == *iters {
 			// Record only the final iteration: the steady-state schedule
 			// every iteration repeats, without the warm-up's threshold
@@ -212,20 +188,11 @@ func main() {
 			rec = trace.NewRecorder()
 			s.Cluster.SetRecorder(rec)
 		}
-		st := s.RunIteration()
-		elapsed += st.IterSeconds
-		if (*evalEvery > 0 && it%*evalEvery == 0) || it == *iters {
-			metric := s.Evaluate(200)
-			fmt.Printf("iter %5d  modeled-time %8.2fs  loss %7.4f  %s %.4f  "+
-				"[comp %.3fs spars %.3fs comm %.3fs]\n",
-				it, elapsed, st.Loss, s.MetricName(), metric,
-				st.Phase[0], st.Phase[1], st.Phase[2])
-		}
-		if *ckptEvery > 0 && it%*ckptEvery == 0 && it != *iters {
-			save()
-		}
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		profiling.Exit(1)
 	}
-	save()
 	if rec != nil {
 		s.Cluster.SetRecorder(nil)
 		f, err := os.Create(*traceFile)
@@ -251,15 +218,11 @@ func main() {
 
 // tcpRun bundles the tcp-job knobs of the command line.
 type tcpRun struct {
-	iters, evalEvery int
-	ckpt             string
-	ckptEvery        int
-	resume           string
-	timeout          time.Duration
-	hbInterval       time.Duration
-	hbMiss           int
-	maxRestarts      int
-	backoff          time.Duration
+	timeout     time.Duration
+	hbInterval  time.Duration
+	hbMiss      int
+	maxRestarts int
+	backoff     time.Duration
 }
 
 // runTCP executes the run as a real multi-process job: one worker
@@ -267,7 +230,8 @@ type tcpRun struct {
 // checkpoint on failure (up to -max-restarts times). Rank 0's progress
 // lines are relayed, and the summary pairs the authoritative modeled
 // time with the job's measured host wall-clock.
-func runTCP(cfg train.Config, r tcpRun) int {
+func runTCP(tj train.Job, r tcpRun) int {
+	cfg := tj.Config
 	fmt.Printf("training %s with %s on %d workers (tcp transport, one process per rank)\n",
 		cfg.Workload, cfg.Algorithm, cfg.P)
 	job := worker.Job{
@@ -275,10 +239,7 @@ func runTCP(cfg train.Config, r tcpRun) int {
 		TimeoutSec:      r.timeout.Seconds(),
 		HeartbeatMS:     int(r.hbInterval / time.Millisecond),
 		HeartbeatMisses: r.hbMiss,
-		Train: &worker.TrainJob{
-			Config: cfg, Iters: r.iters, EvalEvery: r.evalEvery,
-			Checkpoint: r.ckpt, CkptEvery: r.ckptEvery, Resume: r.resume,
-		},
+		Train:           &tj,
 	}
 	if r.hbInterval < 0 {
 		job.HeartbeatMS = -1 // sub-millisecond negatives still disable
@@ -293,8 +254,6 @@ func runTCP(cfg train.Config, r tcpRun) int {
 		fmt.Fprintln(os.Stderr, "oktopk-train: rank 0 produced no report")
 		return 1
 	}
-	fmt.Printf("iter %5d  modeled-time %8.2fs  loss %7.4f  %s %.4f\n",
-		out.Train.Iters, out.Train.SimSeconds, out.Train.Loss, out.Train.MetricName, out.Train.Metric)
 	// The attempt count only appears when a relaunch actually happened, so
 	// an unfailed run's output stays format-identical to earlier releases.
 	if out.Attempts > 1 {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -56,9 +57,10 @@ func TestEvalZeroReportsOnlyAtTheEnd(t *testing.T) {
 	}
 }
 
-// TestRejectedCommandLines: negative cadences, an empty cluster and
-// unknown workload or algorithm names are usage errors, and the overlap
-// model is no longer selectable.
+// TestRejectedCommandLines: negative cadences, a checkpoint cadence
+// without a checkpoint file, an empty cluster and unknown workload or
+// algorithm names are usage errors, and the overlap model is no longer
+// selectable.
 func TestRejectedCommandLines(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -71,10 +73,56 @@ func TestRejectedCommandLines(t *testing.T) {
 		{[]string{"-workload", "nope"}, `unknown -workload "nope"`},
 		{[]string{"-algo", "nope"}, `unknown -algo "nope"`},
 		{[]string{"-transport", "tcp", "-p", "0"}, "need at least one worker"},
+		{[]string{"-ckpt-every", "4"}, "-ckpt-every needs -checkpoint"},
 	} {
 		code, out := command(t, tc.args...)
 		if code != 2 || !strings.Contains(out, tc.want) {
 			t.Errorf("oktopk-train %v: exit %d, want 2 and %q:\n%s", tc.args, code, tc.want, out)
 		}
+	}
+}
+
+// iterLines runs oktopk-train with args and returns its progress lines.
+func iterLines(t *testing.T, args ...string) []string {
+	t.Helper()
+	code, out := command(t, args...)
+	if code != 0 {
+		t.Fatalf("oktopk-train %v: exit %d:\n%s", args, code, out)
+	}
+	var lines []string
+	for _, l := range strings.Split(out, "\n") {
+		if strings.HasPrefix(l, "iter ") {
+			lines = append(lines, l)
+		}
+	}
+	return lines
+}
+
+// TestTransportsPrintTheSameLines: both transports run one training
+// loop, so a tcp job relays exactly the progress lines an in-process
+// run prints, metric and phases included.
+func TestTransportsPrintTheSameLines(t *testing.T) {
+	args := []string{"-workload", "VGG", "-algo", "OkTopk", "-p", "2", "-iters", "3", "-eval", "1"}
+	inproc := iterLines(t, append([]string{"-transport", "inproc"}, args...)...)
+	tcp := iterLines(t, append([]string{"-transport", "tcp"}, args...)...)
+	if len(inproc) != 3 {
+		t.Fatalf("inproc printed %d progress lines, want 3:\n%s", len(inproc), strings.Join(inproc, "\n"))
+	}
+	if a, b := strings.Join(inproc, "\n"), strings.Join(tcp, "\n"); a != b {
+		t.Fatalf("progress lines differ\ninproc:\n%s\ntcp:\n%s", a, b)
+	}
+}
+
+// TestResumeMatchesAnUnbrokenRun: an in-process run checkpointed at
+// iteration 4 and resumed to 8 ends on the same line as a run that
+// never stopped (τ=4, τ′=2 put the checkpoint on a boundary of both).
+func TestResumeMatchesAnUnbrokenRun(t *testing.T) {
+	ck := filepath.Join(t.TempDir(), "ck.gob")
+	args := []string{"-workload", "VGG", "-algo", "OkTopk", "-p", "2", "-tau", "4", "-tauprime", "2", "-eval", "0"}
+	whole := iterLines(t, append([]string{"-iters", "8"}, args...)...)
+	iterLines(t, append([]string{"-iters", "4", "-checkpoint", ck, "-ckpt-every", "4"}, args...)...)
+	resumed := iterLines(t, append([]string{"-iters", "8", "-resume", ck}, args...)...)
+	if len(whole) != 1 || len(resumed) != 1 || whole[0] != resumed[0] {
+		t.Fatalf("final lines differ\nunbroken: %q\nresumed:  %q", whole, resumed)
 	}
 }

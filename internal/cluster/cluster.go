@@ -238,50 +238,32 @@ func (m *mailbox) expiredNow(seq uint64, deadline time.Time) (expired, stale boo
 // (zero = none) passes. FIFO order within one (src, tag) stream
 // preserves MPI's non-overtaking semantics. Queued messages are always
 // drained ahead of a failure report: data that arrived before the fault
-// stays deliverable. The deadline path lives in takeDeadline so the
-// inproc hot path never allocates (the timer's expired flag escapes).
+// stays deliverable. Only a blocked take with a deadline arms the
+// mailbox's reusable timer, so a take allocates nothing.
 func (m *mailbox) take(src, tag int, deadline time.Time) (*Message, error) {
-	if !deadline.IsZero() {
-		return m.takeDeadline(src, tag, deadline)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	q := m.queue(RecvKey{src, tag})
-	for q.empty() {
-		if m.err != nil {
-			return nil, m.err
-		}
-		m.waiting = true
-		m.cond.Wait()
-	}
-	m.waiting = false
-	return q.pop(), nil
-}
-
-// takeDeadline is take with a bound on the stall.
-func (m *mailbox) takeDeadline(src, tag int, deadline time.Time) (*Message, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	q := m.queue(RecvKey{src, tag})
 	var seq uint64
 	for q.empty() {
 		if m.err != nil {
+			m.stopDeadline(seq)
 			return nil, m.err
 		}
-		expired, stale := m.expiredNow(seq, deadline)
-		if expired {
-			return nil, fmt.Errorf("recv deadline exceeded waiting for (src=%d, tag=%d)", src, tag)
-		}
-		if seq == 0 || stale {
-			seq = m.armDeadline(deadline)
+		if !deadline.IsZero() {
+			expired, stale := m.expiredNow(seq, deadline)
+			if expired {
+				return nil, fmt.Errorf("recv deadline exceeded waiting for (src=%d, tag=%d)", src, tag)
+			}
+			if seq == 0 || stale {
+				seq = m.armDeadline(deadline)
+			}
 		}
 		m.waiting = true
 		m.cond.Wait()
 	}
 	m.waiting = false
-	if seq != 0 {
-		m.timer.Stop()
-	}
+	m.stopDeadline(seq)
 	return q.pop(), nil
 }
 
@@ -290,53 +272,10 @@ func (m *mailbox) takeDeadline(src, tag int, deadline time.Time) (*Message, erro
 // accumulation). Messages that are already queued are harvested in
 // batches under a single lock hold, so a receiver that fell behind a
 // burst of puts pays one lock round-trip per batch instead of one per
-// message. Poisoning and the deadline abort the wait exactly as in
-// take; messages already handed to deliver stay delivered. As with
-// take, the deadline variant is split out to keep the inproc hot path
-// allocation-free.
+// message. Poisoning and the deadline (zero = none, bounding each
+// stall) abort the wait exactly as in take; messages already handed to
+// deliver stay delivered.
 func (m *mailbox) takeEach(keys []RecvKey, deliver func(i int, msg *Message), deadline time.Time) error {
-	if !deadline.IsZero() {
-		return m.takeEachDeadline(keys, deliver, deadline)
-	}
-	var batch [16]*Message
-	i := 0
-	m.mu.Lock()
-	for i < len(keys) {
-		n := 0
-		for i+n < len(keys) && n < len(batch) {
-			q := m.queue(keys[i+n])
-			if q.empty() {
-				break
-			}
-			batch[n] = q.pop()
-			n++
-		}
-		if n == 0 {
-			if m.err != nil {
-				err := m.err
-				m.mu.Unlock()
-				return err
-			}
-			m.waiting = true
-			m.cond.Wait()
-			continue
-		}
-		m.waiting = false
-		m.mu.Unlock()
-		for j := 0; j < n; j++ {
-			deliver(i+j, batch[j])
-			batch[j] = nil
-		}
-		i += n
-		m.mu.Lock()
-	}
-	m.waiting = false
-	m.mu.Unlock()
-	return nil
-}
-
-// takeEachDeadline is takeEach with a bound on each stall.
-func (m *mailbox) takeEachDeadline(keys []RecvKey, deliver func(i int, msg *Message), deadline time.Time) error {
 	var batch [16]*Message
 	var seq uint64
 	i := 0
@@ -358,13 +297,15 @@ func (m *mailbox) takeEachDeadline(keys []RecvKey, deliver func(i int, msg *Mess
 				m.stopDeadline(seq)
 				return err
 			}
-			expired, stale := m.expiredNow(seq, deadline)
-			if expired {
-				m.mu.Unlock()
-				return fmt.Errorf("recv deadline exceeded waiting for (src=%d, tag=%d)", keys[i].Src, keys[i].Tag)
-			}
-			if seq == 0 || stale {
-				seq = m.armDeadline(deadline)
+			if !deadline.IsZero() {
+				expired, stale := m.expiredNow(seq, deadline)
+				if expired {
+					m.mu.Unlock()
+					return fmt.Errorf("recv deadline exceeded waiting for (src=%d, tag=%d)", keys[i].Src, keys[i].Tag)
+				}
+				if seq == 0 || stale {
+					seq = m.armDeadline(deadline)
+				}
 			}
 			m.waiting = true
 			m.cond.Wait()

@@ -18,6 +18,7 @@ package cluster
 
 import (
 	"fmt"
+	"sync"
 	"time"
 )
 
@@ -160,76 +161,41 @@ func (tr *inprocTransport) Close() error { return nil }
 func (tr *inprocTransport) Abort()       {}
 
 // gatherState is the in-process control-plane gather: ranks deposit
-// blobs under one lock; the last arrival snapshots the slice for rank 0
-// and opens the next generation. Cold path only (stats aggregation,
-// conformance reports) — it is never called during a collective.
+// blobs under one lock, and the last arrival hands the generation's
+// blobs to rank 0 and opens the next one. Rank 0 collects them before
+// it can contribute to the next generation, so one slot holds them.
 type gatherState struct {
-	mu    chanMutex
+	mu    sync.Mutex
+	cond  *sync.Cond
 	blobs [][]byte
+	done  [][]byte
 	count int
 	gen   int
-	done  map[int][][]byte
-}
-
-// chanMutex is a tiny channel-based mutex with condition-wait support;
-// using a dedicated type keeps sync.Cond (which cannot time out) off
-// this path without pulling in another dependency.
-type chanMutex struct {
-	ch   chan struct{}
-	wake chan struct{}
-}
-
-func (m *chanMutex) init() {
-	m.ch = make(chan struct{}, 1)
-	m.wake = make(chan struct{})
-}
-
-func (m *chanMutex) lock()   { m.ch <- struct{}{} }
-func (m *chanMutex) unlock() { <-m.ch }
-
-// broadcast wakes every waiter (caller holds the lock).
-func (m *chanMutex) broadcast() {
-	close(m.wake)
-	m.wake = make(chan struct{})
-}
-
-// wait releases the lock, blocks until the next broadcast, and
-// re-acquires the lock.
-func (m *chanMutex) wait() {
-	w := m.wake
-	m.unlock()
-	<-w
-	m.lock()
 }
 
 func (g *gatherState) init(size int) {
-	g.mu.init()
+	g.cond = sync.NewCond(&g.mu)
 	g.blobs = make([][]byte, size)
-	g.done = make(map[int][][]byte)
 }
 
 func (g *gatherState) gather(rank int, blob []byte) [][]byte {
-	g.mu.lock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	gen := g.gen
 	g.blobs[rank] = append([]byte(nil), blob...)
-	g.count++
-	if g.count == len(g.blobs) {
-		snap := make([][]byte, len(g.blobs))
-		copy(snap, g.blobs)
-		g.done[gen] = snap
-		g.gen++
+	if g.count++; g.count == len(g.blobs) {
+		g.done, g.blobs = g.blobs, make([][]byte, len(g.blobs))
 		g.count = 0
-		g.mu.broadcast()
-	} else {
-		for g.gen == gen {
-			g.mu.wait()
-		}
+		g.gen++
+		g.cond.Broadcast()
 	}
-	var out [][]byte
-	if rank == 0 {
-		out = g.done[gen]
-		delete(g.done, gen)
+	for g.gen == gen {
+		g.cond.Wait()
 	}
-	g.mu.unlock()
+	if rank != 0 {
+		return nil
+	}
+	out := g.done
+	g.done = nil
 	return out
 }

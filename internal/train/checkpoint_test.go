@@ -71,7 +71,7 @@ func TestCheckpointResumeModeledTime(t *testing.T) {
 		refElapsed += st.IterSeconds
 	}
 
-	// Checkpointed run: 4 iterations, gather (inproc fast path), restore
+	// Checkpointed run: 4 iterations, gather (through the transport), restore
 	// into a fresh session, continue.
 	first := NewSession(cfg)
 	elapsed := 0.0

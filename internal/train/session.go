@@ -4,16 +4,19 @@
 // gradient-reduction algorithm, stepped collectively one iteration at a
 // time with per-phase modeled timing. The local ranks share
 // min(local ranks, GOMAXPROCS) compute engines that hold the layer
-// scratch. It also provides the algorithm and workload factories the
-// experiments layer builds configurations from, and checkpoint
-// integration for stop/resume.
+// scratch. Session.Train is the one training loop (resume, progress
+// lines, checkpoints) that oktopk-train and every worker process of a
+// multi-process job run. The package also provides the algorithm and
+// workload factories the experiments layer builds configurations from,
+// and checkpoint integration for stop/resume.
 package train
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
-	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 
@@ -263,6 +266,16 @@ func (s *Session) N() int {
 // process hosting rank 0; other processes get their own rank's
 // contribution.
 func (s *Session) RunIteration() IterStats {
+	st, err := s.runIteration()
+	if err != nil {
+		panic(err)
+	}
+	return st
+}
+
+// runIteration is RunIteration with the transport's failure as an
+// error.
+func (s *Session) runIteration() (IterStats, error) {
 	s.iter++
 	t := s.iter
 	if s.Cfg.Schedule != nil {
@@ -275,34 +288,23 @@ func (s *Session) RunIteration() IterStats {
 	}
 	stats := s.stats
 	clear(stats)
-	allLocal := s.Cluster.AllLocal()
 	err := s.Cluster.Run(func(cm *cluster.Comm) error {
-		st := s.Trainers[cm.Rank()].Step(cm, t, s.rngs[cm.Rank()])
-		if allLocal {
-			stats[cm.Rank()] = st
-			return nil
-		}
-		// Multi-process job: ship the per-rank stats over the (uncosted)
-		// control plane so the rank-0 process can aggregate. Other
-		// processes see only their own rank's contribution.
-		blob, err := json.Marshal(st)
-		if err != nil {
-			return err
-		}
-		blobs := cm.Gather(blob)
-		stats[cm.Rank()] = st
-		if cm.Rank() != 0 {
-			return nil
-		}
-		for r, b := range blobs {
-			if err := json.Unmarshal(b, &stats[r]); err != nil {
-				return fmt.Errorf("train: rank %d stats: %w", r, err)
+		r := cm.Rank()
+		stats[r] = s.Trainers[r].Step(cm, t, s.rngs[r])
+		// Ship the per-rank stats over the (uncosted) control plane so
+		// the process hosting rank 0 can aggregate the whole job.
+		blobs := cm.Gather(appendStats(nil, stats[r]))
+		for src, b := range blobs {
+			st, err := decodeStats(b)
+			if err != nil {
+				return fmt.Errorf("train: rank %d stats: %w", src, err)
 			}
+			stats[src] = st
 		}
 		return nil
 	})
 	if err != nil {
-		panic(err)
+		return IterStats{}, err
 	}
 	agg := IterStats{Iter: t}
 	var correct, total int
@@ -329,7 +331,39 @@ func (s *Session) RunIteration() IterStats {
 	if total > 0 {
 		agg.Accuracy = float64(correct) / float64(total)
 	}
-	return agg
+	return agg, nil
+}
+
+// statsBytes is the size of one rank's StepStats on the control plane:
+// nine little-endian 64-bit words.
+const statsBytes = 9 * 8
+
+// appendStats encodes st for the stats gather. Floats travel as their
+// IEEE-754 bits, so a diverging run's NaN or Inf loss arrives exactly as
+// computed (JSON refuses NaN).
+func appendStats(b []byte, st StepStats) []byte {
+	for _, w := range [...]uint64{
+		math.Float64bits(st.Loss), uint64(st.Correct), uint64(st.Total),
+		uint64(st.LocalK), uint64(st.GlobalK),
+		math.Float64bits(st.Phase[0]), math.Float64bits(st.Phase[1]), math.Float64bits(st.Phase[2]),
+		math.Float64bits(st.IterSeconds),
+	} {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	return b
+}
+
+// decodeStats is the inverse of appendStats.
+func decodeStats(b []byte) (StepStats, error) {
+	if len(b) != statsBytes {
+		return StepStats{}, fmt.Errorf("%d bytes, want %d", len(b), statsBytes)
+	}
+	w := func(i int) uint64 { return binary.LittleEndian.Uint64(b[8*i:]) }
+	f := func(i int) float64 { return math.Float64frombits(w(i)) }
+	return StepStats{
+		Loss: f(0), Correct: int(w(1)), Total: int(w(2)), LocalK: int(w(3)), GlobalK: int(w(4)),
+		Phase: [3]float64{f(5), f(6), f(7)}, IterSeconds: f(8),
+	}, nil
 }
 
 // RunIterations executes count steps, invoking cb (if non-nil) after
@@ -353,59 +387,45 @@ func (s *Session) Evaluate(samples int) float64 {
 // MetricName reports the workload's evaluation metric.
 func (s *Session) MetricName() string { return s.Trainers[0].W.MetricName() }
 
-// rankState serializes one locally hosted rank's training state,
-// including its absolute modeled-clock state (bit-exact resume needs
-// the absolute clock, not an elapsed total — see netmodel.ClockState).
+// rankState is one locally hosted rank's training state, including its
+// absolute modeled-clock state (bit-exact resume needs the absolute
+// clock, not an elapsed total — see netmodel.ClockState). The slices
+// alias the live state: encode it before the next step.
 func (s *Session) rankState(r int) checkpoint.RankState {
 	tr := s.Trainers[r]
 	rs := checkpoint.RankState{
-		Params:   append([]float64(nil), tr.W.Params()...),
-		Residual: append([]float64(nil), tr.residual...),
+		Params:   tr.W.Params(),
+		Residual: tr.residual,
 		Clock:    s.Cluster.Comm(r).Clock().State(),
 	}
 	if tr.Adam != nil {
-		m, v, t := tr.Adam.State()
-		rs.AdamM = append([]float64(nil), m...)
-		rs.AdamV = append([]float64(nil), v...)
-		rs.AdamT = t
+		rs.AdamM, rs.AdamV, rs.AdamT = tr.Adam.State()
 	}
 	return rs
 }
 
-// Checkpoint snapshots the session's full training state (parameters,
-// residuals, Adam moments, per-rank clocks, iteration counter) for
-// later Restore. All ranks must be in-process; multi-process sessions
-// use GatherCheckpoint.
+// Checkpoint is GatherCheckpoint on an in-process session, which always
+// hosts rank 0: the full training state (parameters, residuals, Adam
+// moments, per-rank clocks, iteration counter) for later Restore.
 func (s *Session) Checkpoint() *checkpoint.Checkpoint {
 	if !s.Cluster.AllLocal() {
 		panic("train: checkpointing needs every rank in-process")
 	}
-	c := &checkpoint.Checkpoint{
-		Workload:  s.Cfg.Workload,
-		Algorithm: s.Cfg.Algorithm,
-		Iteration: s.iter,
-	}
-	for r := range s.Trainers {
-		c.Ranks = append(c.Ranks, s.rankState(r))
+	c, err := s.GatherCheckpoint(0)
+	if err != nil {
+		panic(err)
 	}
 	return c
 }
 
 // GatherCheckpoint assembles a full-job checkpoint on a session of any
-// transport. In-process sessions take the direct snapshot; on a
-// multi-process (tcp) session every rank gob-encodes its local state
-// and ships it over the uncosted control plane, so only the process
-// hosting rank 0 returns a non-nil checkpoint — the others return
-// (nil, nil) and rely on rank 0 to persist it. simSeconds is the
-// job-level modeled total to stamp into the checkpoint (gob, not JSON,
-// because training state can legitimately hold NaN/Inf and must round-
-// trip bit-exactly).
+// transport: every rank gob-encodes its local state and ships it over
+// the uncosted control plane, so only the process hosting rank 0
+// returns a non-nil checkpoint — the others return (nil, nil) and rely
+// on rank 0 to persist it. simSeconds is the job-level modeled total to
+// stamp into the checkpoint (gob, not JSON, because training state can
+// legitimately hold NaN/Inf and must round-trip bit-exactly).
 func (s *Session) GatherCheckpoint(simSeconds float64) (*checkpoint.Checkpoint, error) {
-	if s.Cluster.AllLocal() {
-		c := s.Checkpoint()
-		c.SimSeconds = simSeconds
-		return c, nil
-	}
 	var out *checkpoint.Checkpoint
 	err := s.Cluster.Run(func(cm *cluster.Comm) error {
 		var buf bytes.Buffer

@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/checkpoint"
 	"repro/internal/cluster"
 	"repro/internal/conformance"
 	"repro/internal/netmodel"
@@ -99,27 +98,9 @@ type Job struct {
 	Train *TrainJob `json:",omitempty"`
 }
 
-// TrainJob describes a distributed training run. Config's Transport/TCP
-// fields are ignored on the wire — each worker fills its own.
-type TrainJob struct {
-	Config train.Config
-	// Iters is the number of training iterations.
-	Iters int
-	// EvalEvery prints a progress line every N iterations (0 = final
-	// iteration only).
-	EvalEvery int
-	// Checkpoint, when set, makes the job checkpoint its full state to
-	// this path: every CkptEvery iterations (all ranks gather, rank 0
-	// writes atomically) and after the final iteration. This is what
-	// job-level recovery restarts from.
-	Checkpoint string `json:",omitempty"`
-	// CkptEvery is the checkpoint cadence in iterations (0 = final only).
-	CkptEvery int `json:",omitempty"`
-	// Resume, when set, restores every rank from this checkpoint file
-	// before training; the continuation is bit-identical to a run that
-	// never stopped (loss, metric, and modeled clock).
-	Resume string `json:",omitempty"`
-}
+// TrainJob describes a distributed training run: the loop every
+// worker runs with train.Session.Train.
+type TrainJob = train.Job
 
 // TrainReport is rank 0's summary of a distributed training run,
 // printed as the OKTOPK_TRAIN line. SimSeconds is modeled time — the
@@ -245,6 +226,10 @@ func runTrain(job Job) int {
 		fmt.Fprintln(os.Stderr, "oktopk-worker: train job without a config")
 		return 2
 	}
+	fail := func(err error) int {
+		fmt.Fprintf(os.Stderr, "oktopk-worker: rank %d: %v\n", job.Rank, err)
+		return 1
+	}
 	cfg := job.Train.Config
 	cfg.P = job.Size
 	cfg.Wire = job.Wire
@@ -252,102 +237,32 @@ func runTrain(job Job) int {
 	cfg.TCP = job.tcpOptions()
 	s, err := train.NewDistributedSession(cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "oktopk-worker: rank %d: %v\n", job.Rank, err)
-		return 1
+		return fail(err)
 	}
 	defer s.Close()
-	if err := trainBody(s, job); err != nil {
-		fmt.Fprintf(os.Stderr, "oktopk-worker: rank %d: %v\n", job.Rank, err)
-		return 1
-	}
-	return 0
-}
-
-// trainBody runs the iterations, converting the session's transport
-// panics (how a dead peer surfaces mid-collective) into an error. It
-// also implements the recovery half of the fault-tolerance story:
-// resume from a checkpoint file, periodic all-rank checkpoint gathers
-// (rank 0 persists), and the plan's step-scoped kills.
-func trainBody(s *train.Session, job Job) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			if te, ok := p.(*cluster.TransportError); ok {
-				err = te
-				return
-			}
-			panic(p)
-		}
-	}()
-	root := job.Rank == 0
-	var elapsed float64
-	var last train.IterStats
-	startIter := 1
-	if job.Train.Resume != "" {
-		ck, err := checkpoint.LoadFile(job.Train.Resume)
-		if err != nil {
-			return fmt.Errorf("resume: %w", err)
-		}
-		// SkipTo first: the data RNG streams must be at the checkpoint
-		// iteration before Restore pins the model/clock state.
-		s.SkipTo(ck.Iteration)
-		if err := s.Restore(ck); err != nil {
-			return fmt.Errorf("resume: %w", err)
-		}
-		startIter = ck.Iteration + 1
-		elapsed = ck.SimSeconds
-		if root {
-			fmt.Printf("resumed from %s at iter %d (modeled-time %8.2fs)\n",
-				job.Train.Resume, ck.Iteration, elapsed)
-		}
-	}
 	killStep := job.Chaos.KillStep(job.Rank, job.attempt())
-	for it := startIter; it <= job.Train.Iters; it++ {
+	sum, err := s.Train(*job.Train, func(it int) {
 		if it == killStep {
 			// Planned step-scoped death: indistinguishable from a crash.
 			os.Exit(3)
 		}
-		st := s.RunIteration()
-		if root {
-			elapsed += st.IterSeconds
-			last = st
-		}
-		if job.Train.Checkpoint != "" {
-			ev := job.Train.CkptEvery
-			if (ev > 0 && it%ev == 0) || it == job.Train.Iters {
-				// Collective: every rank gathers (only rank 0's elapsed and
-				// assembled checkpoint matter; the others get nil).
-				ck, err := s.GatherCheckpoint(elapsed)
-				if err != nil {
-					return fmt.Errorf("checkpoint at iter %d: %w", it, err)
-				}
-				if ck != nil {
-					if err := ck.SaveFile(job.Train.Checkpoint); err != nil {
-						return fmt.Errorf("checkpoint at iter %d: %w", it, err)
-					}
-				}
-			}
-		}
-		if !root {
-			continue
-		}
-		if ev := job.Train.EvalEvery; ev > 0 && it%ev == 0 && it != job.Train.Iters {
-			fmt.Printf("iter %5d  modeled-time %8.2fs  loss %7.4f\n", it, elapsed, st.Loss)
-		}
-	}
-	if !root {
-		return nil
-	}
-	rep := TrainReport{
-		Iters:      job.Train.Iters,
-		SimSeconds: elapsed,
-		Loss:       last.Loss,
-		Metric:     s.Evaluate(200),
-		MetricName: s.MetricName(),
-	}
-	blob, err := json.Marshal(rep)
+	})
 	if err != nil {
-		return err
+		return fail(err)
+	}
+	if job.Rank != 0 {
+		return 0
+	}
+	blob, err := json.Marshal(TrainReport{
+		Iters:      job.Train.Iters,
+		SimSeconds: sum.SimSeconds,
+		Loss:       sum.Last.Loss,
+		Metric:     sum.Metric,
+		MetricName: sum.MetricName,
+	})
+	if err != nil {
+		return fail(err)
 	}
 	fmt.Printf("%s%s\n", trainPrefix, blob)
-	return nil
+	return 0
 }

@@ -104,9 +104,6 @@ cat <<'EOF'
 #     check ①) reads to see every pooled buffer;
 #   - Message.payload: the generic Comm.Recv's payload, an Endpoint
 #     method no run calls;
-#   - inprocTransport.Gather with gatherState and chanMutex: the inproc
-#     half of Transport.Gather, which Session bypasses while every rank
-#     is in one process;
 #   - experiments.FullScale: the paper-scale -full sizes, too slow for
 #     this script (a gated CI job runs one of its configurations).
 EOF
