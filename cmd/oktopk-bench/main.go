@@ -23,9 +23,10 @@
 // deterministic in-process backend.
 // -topology {flat,fattree,nvlink} with -node-size and -straggler apply
 // a network topology (hierarchical links, rail contention, seeded
-// straggler injection) to every measurement cluster; the default flat
-// topology is byte-identical to the pre-topology model, and the topo
-// experiment sweeps the presets against each other.
+// straggler injection) to every measurement cluster except fig7's,
+// whose load-balancing comparison stays on the flat network; the
+// default flat topology is byte-identical to the pre-topology model,
+// and the topo experiment sweeps the presets against each other.
 //
 // The default scale finishes in minutes on a laptop; -full uses the
 // paper's cluster sizes and longer runs.
@@ -79,6 +80,49 @@ func scale() experiments.Scale {
 	return experiments.QuickScale()
 }
 
+// settings fills sc's run settings from the -wire, -topology,
+// -node-size, -straggler, -trace, -transport and -net-timeout flags.
+func settings(sc experiments.Scale) (experiments.Scale, error) {
+	var err error
+	if sc.Wire, err = cluster.ParseWire(*wire); err != nil {
+		return sc, err
+	}
+	sc.Topology, err = netmodel.BuildTopology(*topology, *nodeSize, *straggler,
+		experiments.SeedFor("topology", *topology))
+	if err != nil {
+		return sc, err
+	}
+	sc.TraceDir = *traceDir
+	tk, err := cluster.ParseTransport(*transport)
+	if err != nil || tk != cluster.TransportTCP {
+		return sc, err
+	}
+	timeoutSec := 300.0
+	if *netTimeout > 0 {
+		timeoutSec = netTimeout.Seconds()
+	}
+	sc.TCPTrain = func(cfg train.Config, iters int) (experiments.TCPTrainResult, error) {
+		out, err := worker.Launch(worker.Job{
+			Kind: "train", Size: cfg.P, Wire: cfg.Wire, TimeoutSec: timeoutSec,
+			Train: &worker.TrainJob{Config: cfg, Iters: iters},
+		}, worker.LaunchOptions{})
+		if err != nil {
+			return experiments.TCPTrainResult{}, err
+		}
+		if out.Train == nil {
+			return experiments.TCPTrainResult{}, fmt.Errorf("worker: rank 0 produced no train report")
+		}
+		return experiments.TCPTrainResult{
+			SimSeconds: out.Train.SimSeconds,
+			Loss:       out.Train.Loss,
+			Metric:     out.Train.Metric,
+			MetricName: out.Train.MetricName,
+			Wall:       out.Wall,
+		}, nil
+	}
+	return sc, nil
+}
+
 func main() {
 	worker.ExitIfWorker()
 	flag.Usage = func() {
@@ -93,50 +137,10 @@ func main() {
 		profiling.Exit(2)
 	}
 	tensor.SetWorkers(*workers)
-	w, err := cluster.ParseWire(*wire)
+	sc, err := settings(scale())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		profiling.Exit(2)
-	}
-	experiments.SetWire(w)
-	topo, err := netmodel.BuildTopology(*topology, *nodeSize, *straggler,
-		experiments.SeedFor("topology", *topology))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		profiling.Exit(2)
-	}
-	experiments.SetTopology(topo)
-	experiments.SetTraceDir(*traceDir)
-	tk, err := cluster.ParseTransport(*transport)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		profiling.Exit(2)
-	}
-	experiments.SetTransport(tk)
-	if tk == cluster.TransportTCP {
-		timeoutSec := 300.0
-		if *netTimeout > 0 {
-			timeoutSec = netTimeout.Seconds()
-		}
-		experiments.SetTCPTrainRunner(func(cfg train.Config, iters int) (experiments.TCPTrainResult, error) {
-			out, err := worker.Launch(worker.Job{
-				Kind: "train", Size: cfg.P, Wire: cfg.Wire, TimeoutSec: timeoutSec,
-				Train: &worker.TrainJob{Config: cfg, Iters: iters},
-			}, worker.LaunchOptions{})
-			if err != nil {
-				return experiments.TCPTrainResult{}, err
-			}
-			if out.Train == nil {
-				return experiments.TCPTrainResult{}, fmt.Errorf("worker: rank 0 produced no train report")
-			}
-			return experiments.TCPTrainResult{
-				SimSeconds: out.Train.SimSeconds,
-				Loss:       out.Train.Loss,
-				Metric:     out.Train.Metric,
-				MetricName: out.Train.MetricName,
-				Wall:       out.Wall,
-			}, nil
-		})
 	}
 	id := flag.Arg(0)
 	switch id {
@@ -146,22 +150,21 @@ func main() {
 		}
 		return
 	case "all":
-		profiling.Exit(run(experiments.Registry()))
+		profiling.Exit(run(sc, experiments.Registry()))
 	}
 	r, ok := experiments.FindRunner(id)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q (try `oktopk-bench list`)\n", id)
 		profiling.Exit(2)
 	}
-	profiling.Exit(run([]experiments.Runner{r}))
+	profiling.Exit(run(sc, []experiments.Runner{r}))
 }
 
 // run expands the runners into one flat spec list — so configurations
 // from different figures share the worker pool — executes it, renders
 // each runner's report in registry order, and emits the aggregated
 // CSV/markdown when -out is set. Returns the process exit code.
-func run(runners []experiments.Runner) int {
-	sc := scale()
+func run(sc experiments.Scale, runners []experiments.Runner) int {
 	var specs []experiments.Spec
 	counts := make([]int, len(runners))
 	for i, r := range runners {

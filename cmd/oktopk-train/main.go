@@ -106,15 +106,14 @@ func main() {
 		flag.Usage()
 		profiling.Exit(2)
 	}
-	// The workloads this command trains, with their default learning
-	// rates. Bad names, sizes and flag pairings are refused here, before
-	// either transport starts, instead of panicking inside every rank.
-	defaultLR := map[string]float64{"VGG": 0.03, "LSTM": 0.3, "BERT": 1e-3}
+	// Bad names, sizes and flag pairings are refused here, before either
+	// transport starts, instead of panicking inside every rank. A
+	// workload is known when it has a default learning rate.
 	var bad string
-	switch _, known := defaultLR[*workload]; {
+	switch {
 	case *p < 1:
 		bad = fmt.Sprintf("-p %d: need at least one worker", *p)
-	case !known:
+	case train.DefaultLR(*workload) == 0:
 		bad = fmt.Sprintf("unknown -workload %q (VGG | LSTM | BERT)", *workload)
 	case !slices.Contains(train.AlgorithmNames, *algo) && *algo != "Hierarchical":
 		bad = fmt.Sprintf("unknown -algo %q (%s | Hierarchical)", *algo, strings.Join(train.AlgorithmNames, " | "))
@@ -145,7 +144,7 @@ func main() {
 		},
 	}
 	if cfg.LR == 0 {
-		cfg.LR = defaultLR[*workload]
+		cfg.LR = train.DefaultLR(*workload)
 	}
 	if *commodity {
 		cfg.Net = netmodel.Commodity()

@@ -100,16 +100,21 @@ func iterLines(t *testing.T, args ...string) []string {
 
 // TestTransportsPrintTheSameLines: both transports run one training
 // loop, so a tcp job relays exactly the progress lines an in-process
-// run prints, metric and phases included.
+// run prints, metric and phases included — also when the loss diverges
+// to NaN, which rank 0's report must carry back to the launcher.
 func TestTransportsPrintTheSameLines(t *testing.T) {
-	args := []string{"-workload", "VGG", "-algo", "OkTopk", "-p", "2", "-iters", "3", "-eval", "1"}
-	inproc := iterLines(t, append([]string{"-transport", "inproc"}, args...)...)
-	tcp := iterLines(t, append([]string{"-transport", "tcp"}, args...)...)
-	if len(inproc) != 3 {
-		t.Fatalf("inproc printed %d progress lines, want 3:\n%s", len(inproc), strings.Join(inproc, "\n"))
-	}
-	if a, b := strings.Join(inproc, "\n"), strings.Join(tcp, "\n"); a != b {
-		t.Fatalf("progress lines differ\ninproc:\n%s\ntcp:\n%s", a, b)
+	for _, args := range [][]string{
+		{"-workload", "VGG", "-algo", "OkTopk", "-p", "2", "-iters", "3", "-eval", "1"},
+		{"-workload", "VGG", "-algo", "Dense", "-p", "2", "-iters", "3", "-eval", "1", "-lr", "1e200"},
+	} {
+		inproc := iterLines(t, append([]string{"-transport", "inproc"}, args...)...)
+		tcp := iterLines(t, append([]string{"-transport", "tcp"}, args...)...)
+		if len(inproc) != 3 {
+			t.Fatalf("%v: inproc printed %d progress lines, want 3:\n%s", args, len(inproc), strings.Join(inproc, "\n"))
+		}
+		if a, b := strings.Join(inproc, "\n"), strings.Join(tcp, "\n"); a != b {
+			t.Fatalf("%v: progress lines differ\ninproc:\n%s\ntcp:\n%s", args, a, b)
+		}
 	}
 }
 

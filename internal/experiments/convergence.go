@@ -42,8 +42,9 @@ type ConvergenceConfig struct {
 // Convergence trains the workload to a fixed iteration budget under each
 // algorithm and records metric-vs-modeled-time curves. The learning-rate
 // schedule follows the paper: step decay for SGD workloads, linear decay
-// for the Adam/BERT workload.
-func Convergence(cfg ConvergenceConfig) []Curve {
+// for the Adam/BERT workload. The sessions take sc's wire and topology,
+// and with sc.TraceDir set each algorithm's final iteration is traced.
+func Convergence(sc Scale, cfg ConvergenceConfig) []Curve {
 	if cfg.EvalEvery == 0 {
 		cfg.EvalEvery = cfg.Iters / 10
 	}
@@ -56,7 +57,7 @@ func Convergence(cfg ConvergenceConfig) []Curve {
 	var out []Curve
 	for _, algo := range cfg.Algorithms {
 		adam := cfg.Workload == "BERT"
-		base := lrFor(cfg.Workload)
+		base := train.DefaultLR(cfg.Workload)
 		tcfg := train.Config{
 			Workload:  cfg.Workload,
 			Algorithm: algo,
@@ -66,8 +67,8 @@ func Convergence(cfg ConvergenceConfig) []Curve {
 			LR:        base,
 			Adam:      adam,
 			Reduce:    allreduce.Config{Density: cfg.Density, TauPrime: 8, Tau: 8},
-			Wire:      wireMode,
-			Topology:  topoMode,
+			Wire:      sc.Wire,
+			Topology:  sc.Topology,
 		}
 		if adam {
 			tcfg.Schedule = func(t int) float64 {
@@ -96,7 +97,7 @@ func Convergence(cfg ConvergenceConfig) []Curve {
 		for it := 1; it < cfg.Iters; it++ {
 			step(it)
 		}
-		traceFinalIteration(s, fmt.Sprintf("conv_%s_%s_P%d", cfg.Workload, algo, cfg.P), func() {
+		traceFinalIteration(s, sc.TraceDir, fmt.Sprintf("conv_%s_%s_P%d", cfg.Workload, algo, cfg.P), func() {
 			step(cfg.Iters)
 		})
 		curve.Final = curve.Points[len(curve.Points)-1]

@@ -18,30 +18,6 @@ import (
 	"repro/internal/train"
 )
 
-// wireMode is the wire format every experiment cluster is built with.
-// It is set once, before any specs run (the -wire flag on
-// cmd/oktopk-bench), and only read afterwards, so the parallel
-// scheduler's specs can share it without synchronization. Runs in the
-// two modes produce paired rows for the fidelity comparison in
-// EXPERIMENTS.md.
-var wireMode = cluster.WireF64
-
-// SetWire selects the wire format for subsequently built experiment
-// clusters. Call it before RunSpecs, never concurrently with one.
-func SetWire(w cluster.Wire) { wireMode = w }
-
-// topoMode is the network topology every experiment cluster is built
-// with. Like wireMode it is set once before any specs run (the
-// -topology/-node-size/-straggler flags on cmd/oktopk-bench) and only
-// read afterwards. The zero value is the flat network, which keeps
-// every runner byte-identical to the pre-topology behavior (the golden
-// test in topo_test.go pins this).
-var topoMode netmodel.Topology
-
-// SetTopology selects the topology for subsequently built experiment
-// clusters. Call it before RunSpecs, never concurrently with one.
-func SetTopology(t netmodel.Topology) { topoMode = t }
-
 // SyntheticGradients builds P gradient vectors of size n with realistic
 // heavy-tailed values: a near-zero Gaussian bulk plus `heavy` large
 // entries whose coordinates are drawn from a shared skewed distribution
@@ -157,8 +133,8 @@ func log2f(p int) float64 {
 // algorithm on synthetic gradients and returns the mean per-rank words
 // sent in the second iteration, and the busiest rank's — the quantity
 // that exposes tree roots (gTopk) and unbalanced endpoints, which
-// per-rank means average away.
-func MeasureVolumeStats(name string, p, n, k int) (mean, max float64) {
+// per-rank means average away. The cluster takes sc's wire and topology.
+func MeasureVolumeStats(sc Scale, name string, p, n, k int) (mean, max float64) {
 	grads := SyntheticGradients(42, p, n, k, 0.3)
 	cfg := allreduce.Config{K: k, TauPrime: 2, Tau: 2}
 	algos := make([]allreduce.Algorithm, p)
@@ -166,8 +142,8 @@ func MeasureVolumeStats(name string, p, n, k int) (mean, max float64) {
 		algos[i] = train.NewAlgorithm(name, cfg)
 	}
 	params := netmodel.PizDaint()
-	params.Topo = topoMode
-	c := cluster.NewWire(p, params, wireMode)
+	params.Topo = sc.Topology
+	c := cluster.NewWire(p, params, sc.Wire)
 	for it := 1; it <= 2; it++ {
 		if it == 2 {
 			c.ResetClocks()
@@ -239,18 +215,18 @@ type ThresholdSnapshot struct {
 
 // Figure4 trains the workload briefly and captures the threshold
 // comparison at an iteration deep into a reuse window.
-func Figure4(workload string, density float64, tauPrime, sampleIter int) ThresholdSnapshot {
+func Figure4(sc Scale, workload string, density float64, tauPrime, sampleIter int) ThresholdSnapshot {
 	cfg := train.Config{
 		Workload:  workload,
 		Algorithm: "OkTopk",
 		P:         4,
 		Batch:     4,
 		Seed:      11,
-		LR:        lrFor(workload),
+		LR:        train.DefaultLR(workload),
 		Adam:      workload == "BERT",
 		Reduce:    allreduce.Config{Density: density, TauPrime: tauPrime, Tau: tauPrime},
-		Wire:      wireMode,
-		Topology:  topoMode,
+		Wire:      sc.Wire,
+		Topology:  sc.Topology,
 	}
 	cfg.CaptureAcc = true
 	s := train.NewSession(cfg)
@@ -328,18 +304,6 @@ func histogram(x []float64, bins int) ([]float64, []int) {
 	return edges, counts
 }
 
-func lrFor(workload string) float64 {
-	switch workload {
-	case "VGG":
-		return 0.03
-	case "LSTM":
-		return 0.3
-	case "BERT":
-		return 1e-3
-	}
-	return 0.1
-}
-
 // XiSeries is Figure 5: the empirical ξ of Assumption 1 over training
 // for a set of densities.
 type XiSeries struct {
@@ -350,7 +314,7 @@ type XiSeries struct {
 }
 
 // Figure5 measures ξ during short training runs.
-func Figure5(workload string, densities []float64, p, iters, sampleEvery int) XiSeries {
+func Figure5(sc Scale, workload string, densities []float64, p, iters, sampleEvery int) XiSeries {
 	out := XiSeries{Workload: workload, Densities: densities}
 	for di, d := range densities {
 		cfg := train.Config{
@@ -359,11 +323,11 @@ func Figure5(workload string, densities []float64, p, iters, sampleEvery int) Xi
 			P:         p,
 			Batch:     4,
 			Seed:      13,
-			LR:        lrFor(workload),
+			LR:        train.DefaultLR(workload),
 			Adam:      workload == "BERT",
 			Reduce:    allreduce.Config{Density: d, TauPrime: 8, Tau: 8},
-			Wire:      wireMode,
-			Topology:  topoMode,
+			Wire:      sc.Wire,
+			Topology:  sc.Topology,
 		}
 		cfg.CaptureAcc = true
 		s := train.NewSession(cfg)
@@ -421,18 +385,18 @@ type SelectionSeries struct {
 
 // Figure6 tracks Ok-Topk's local/global selection counts against the
 // accurate k and the raw Gaussiank estimate.
-func Figure6(workload string, density float64, p, iters, sampleEvery, tauPrime int) SelectionSeries {
+func Figure6(sc Scale, workload string, density float64, p, iters, sampleEvery, tauPrime int) SelectionSeries {
 	cfg := train.Config{
 		Workload:  workload,
 		Algorithm: "OkTopk",
 		P:         p,
 		Batch:     4,
 		Seed:      17,
-		LR:        lrFor(workload),
+		LR:        train.DefaultLR(workload),
 		Adam:      workload == "BERT",
 		Reduce:    allreduce.Config{Density: density, TauPrime: tauPrime, Tau: tauPrime},
-		Wire:      wireMode,
-		Topology:  topoMode,
+		Wire:      sc.Wire,
+		Topology:  sc.Topology,
 	}
 	cfg.CaptureAcc = true
 	s := train.NewSession(cfg)
@@ -489,17 +453,17 @@ type FillInResult struct {
 
 // FillIn measures TopkDSA's output density during short training runs
 // (paper: 13.2% for VGG at 1% on 16 GPUs, 34.5% for LSTM at 2% on 32).
-func FillIn(workload string, density float64, p, iters int) FillInResult {
+func FillIn(sc Scale, workload string, density float64, p, iters int) FillInResult {
 	cfg := train.Config{
 		Workload:  workload,
 		Algorithm: "TopkDSA",
 		P:         p,
 		Batch:     2,
 		Seed:      19,
-		LR:        lrFor(workload),
+		LR:        train.DefaultLR(workload),
 		Reduce:    allreduce.Config{Density: density},
-		Wire:      wireMode,
-		Topology:  topoMode,
+		Wire:      sc.Wire,
+		Topology:  sc.Topology,
 	}
 	s := train.NewSession(cfg)
 	s.RunIterations(iters, nil)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/cluster"
 )
 
 // TestTable1ShapeHolds: the measured volumes must reproduce the paper's
@@ -12,7 +14,7 @@ import (
 func TestTable1ShapeHolds(t *testing.T) {
 	n, k := 100000, 1000
 	vol := func(name string, p int) float64 {
-		mean, _ := MeasureVolumeStats(name, p, n, k)
+		mean, _ := MeasureVolumeStats(Scale{}, name, p, n, k)
 		return mean
 	}
 	topkA8 := vol("TopkA", 8)
@@ -48,7 +50,7 @@ func TestTable1ShapeHolds(t *testing.T) {
 
 func TestTable1Prints(t *testing.T) {
 	var buf bytes.Buffer
-	renderTable1(&buf, RunSpecs(table1Specs([]int{4, 8}, 20000, 200), 1))
+	renderTable1(&buf, RunSpecs(table1Specs(Scale{Table1Ps: []int{4, 8}, Table1N: 20000, Table1K: 200}), 1))
 	out := buf.String()
 	for _, want := range []string{"Dense", "TopkA", "TopkDSA", "gTopk", "Gaussiank", "OkTopk", "2n(P-1)/P"} {
 		if !strings.Contains(out, want) {
@@ -72,7 +74,7 @@ func TestTable2Prints(t *testing.T) {
 // modest factor of the accurate one; the Gaussian threshold must
 // overestimate on the trained gradient distribution.
 func TestFigure4ThresholdQuality(t *testing.T) {
-	snap := Figure4("VGG", 0.02, 8, 20)
+	snap := Figure4(Scale{}, "VGG", 0.02, 8, 20)
 	if snap.OkTopkReused <= 0 || snap.Accurate <= 0 {
 		t.Fatalf("thresholds not captured: %+v", snap)
 	}
@@ -90,7 +92,7 @@ func TestFigure4ThresholdQuality(t *testing.T) {
 // TestFigure5XiBounded: ξ stays well below P (the paper's convergence
 // condition) and is finite.
 func TestFigure5XiBounded(t *testing.T) {
-	series := Figure5("VGG", []float64{0.02}, 4, 12, 4)
+	series := Figure5(Scale{}, "VGG", []float64{0.02}, 4, 12, 4)
 	if len(series.Xi) != 1 || len(series.Xi[0]) == 0 {
 		t.Fatalf("no xi samples: %+v", series)
 	}
@@ -112,7 +114,7 @@ func TestFigure5XiBounded(t *testing.T) {
 // own Figure 5 shows in the first epochs, so the test only bounds the
 // ratio.)
 func TestFigure5DensityOrdering(t *testing.T) {
-	series := Figure5("VGG", []float64{0.01, 0.05}, 4, 24, 4)
+	series := Figure5(Scale{}, "VGG", []float64{0.01, 0.05}, 4, 24, 4)
 	mean := func(xs []float64) float64 {
 		var s float64
 		for _, v := range xs {
@@ -129,7 +131,7 @@ func TestFigure5DensityOrdering(t *testing.T) {
 // TestFigure6SelectionTracksK: Ok-Topk's selections stay near k while the
 // raw Gaussian estimate deviates much more.
 func TestFigure6SelectionTracksK(t *testing.T) {
-	s := Figure6("VGG", 0.02, 4, 16, 4, 8)
+	s := Figure6(Scale{}, "VGG", 0.02, 4, 16, 4, 8)
 	if len(s.Local) == 0 {
 		t.Fatal("no samples")
 	}
@@ -149,7 +151,7 @@ func TestFigure6SelectionTracksK(t *testing.T) {
 // TestFillInExpands: TopkDSA's output density must exceed the input
 // density by a large factor (the §5.2 observation).
 func TestFillInExpands(t *testing.T) {
-	r := FillIn("VGG", 0.01, 8, 4)
+	r := FillIn(Scale{}, "VGG", 0.01, 8, 4)
 	if r.Expansion < 2 {
 		t.Errorf("fill-in expansion %vx too small; paper reports ≈13x at P=16", r.Expansion)
 	}
@@ -163,7 +165,7 @@ func TestFillInExpands(t *testing.T) {
 // TestFigure7BalancingWins: both load-balancing optimizations must give
 // ≥1x speedups that grow with P on skewed gradients.
 func TestFigure7BalancingWins(t *testing.T) {
-	rs := Figure7([]int{8, 16}, 40000, 0.01)
+	rs := Figure7(cluster.WireF64, []int{8, 16}, 40000, 0.01)
 	if len(rs) != 2 {
 		t.Fatalf("want 2 results, got %d", len(rs))
 	}
@@ -188,7 +190,7 @@ func TestFigure7BalancingWins(t *testing.T) {
 // TestWeakScalingShape: the headline result — Ok-Topk has the lowest
 // communication time among sparse schemes and beats dense at scale.
 func TestWeakScalingShape(t *testing.T) {
-	bs := WeakScaling("VGG", 8, 4, 6, 0.02, nil)
+	bs := WeakScaling(Scale{}, "VGG", 8, 4, 6, 0.02, nil)
 	byName := map[string]Breakdown{}
 	for _, b := range bs {
 		byName[b.Algorithm] = b
@@ -223,7 +225,7 @@ func TestWeakScalingShape(t *testing.T) {
 // reach comparable accuracy, and Ok-Topk's curve advances faster in
 // modeled time than Dense.
 func TestConvergenceCurves(t *testing.T) {
-	curves := Convergence(ConvergenceConfig{
+	curves := Convergence(Scale{}, ConvergenceConfig{
 		Workload:   "VGG",
 		Algorithms: []string{"DenseOvlp", "OkTopk"},
 		P:          4, Batch: 4, Iters: 40, EvalEvery: 20, EvalSize: 100,
@@ -272,7 +274,7 @@ func TestSyntheticGradientsShape(t *testing.T) {
 }
 
 func TestParallelEfficiency(t *testing.T) {
-	eff := ParallelEfficiency("VGG", 4, 8, 4, 5, 0.02)
+	eff := ParallelEfficiency(Scale{}, "VGG", 4, 8, 4, 5, 0.02)
 	if eff < 0.3 || eff > 1.2 {
 		t.Errorf("parallel efficiency %v implausible", eff)
 	}

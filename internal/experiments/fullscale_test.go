@@ -19,7 +19,7 @@ func TestFullScaleSmokeP256(t *testing.T) {
 		t.Skip("set OKTOPK_FULLSCALE=1 to run the P=256 smoke (minutes)")
 	}
 	const p = 256 // FullScale().WeakPs["BERT"] top end
-	bs := WeakScaling("BERT", p, 8, 3, 0.01, []string{"OkTopk", "DenseOvlp"})
+	bs := WeakScaling(Scale{}, "BERT", p, 8, 3, 0.01, []string{"OkTopk", "DenseOvlp"})
 	if len(bs) != 2 {
 		t.Fatalf("got %d breakdowns", len(bs))
 	}

@@ -3,10 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-
-	"repro/internal/allreduce"
-	"repro/internal/netmodel"
-	"repro/internal/train"
 )
 
 // OverlapPoint is one row of the overlap ablation: DenseOvlp at a fixed
@@ -29,54 +25,30 @@ type OverlapPoint struct {
 	Total float64
 }
 
-// overlapMeasure runs one DenseOvlp weak-scaling configuration at the
-// given bucket count and returns the mean (comm, total) seconds per
-// steady-state iteration.
-func overlapMeasure(workload string, p, batch, iters, buckets int) (comm, total float64) {
-	cfg := train.Config{
-		Workload:  workload,
-		Algorithm: "DenseOvlp",
-		P:         p,
-		Batch:     batch,
-		Seed:      23,
-		LR:        lrFor(workload),
-		Adam:      workload == "BERT",
-		Reduce:    allreduce.Config{Density: 0.01, TauPrime: 8, Tau: 8, DenseBuckets: buckets},
-		Wire:      wireMode,
-		Topology:  topoMode,
-	}
-	s := train.NewSession(cfg)
-	const warm = 2
-	count := 0
-	s.RunIterations(iters, func(st train.IterStats) {
-		if st.Iter <= warm {
-			return
-		}
-		comm += st.Phase[netmodel.PhaseComm]
-		total += st.IterSeconds
-		count++
-	})
-	return comm / float64(count), total / float64(count)
-}
-
 // OverlapAblation sweeps DenseOvlp's bucket count on one workload,
 // producing the imperfect-pipelining curve the paper discusses: one
 // bucket hides nothing (communication starts only after the full
 // backward pass), a handful of buckets hide most of the backward
 // window, and the tail bucket — produced last, by the model's earliest
 // layers — is always exposed, so hiding saturates below 100% even
-// before per-bucket latency overheads bite.
-func OverlapAblation(workload string, p, batch, iters int, buckets []int) []OverlapPoint {
-	baseComm, _ := overlapMeasure(workload, p, batch, iters, 1)
+// before per-bucket latency overheads bite. Each point is the
+// steady-state mean of one DenseOvlp weak-scaling run at density 1%.
+func OverlapAblation(sc Scale, workload string, p, batch, iters int, buckets []int) []OverlapPoint {
+	measure := func(nb int) Breakdown {
+		cfg := weakConfig(sc, workload, "DenseOvlp", p, batch, 0.01)
+		cfg.Reduce.DenseBuckets = nb
+		return steadyState(cfg, iters, "", "")
+	}
+	base := measure(1)
 	var out []OverlapPoint
 	for _, nb := range buckets {
-		comm, total := overlapMeasure(workload, p, batch, iters, nb)
+		b := measure(nb)
 		out = append(out, OverlapPoint{
 			Workload: workload, P: p, Buckets: nb,
-			ExposedComm: comm,
-			TotalComm:   baseComm,
-			HiddenFrac:  1 - comm/baseComm,
-			Total:       total,
+			ExposedComm: b.Comm,
+			TotalComm:   base.Comm,
+			HiddenFrac:  1 - b.Comm/base.Comm,
+			Total:       b.Total,
 		})
 	}
 	return out

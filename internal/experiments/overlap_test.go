@@ -30,8 +30,7 @@ func TestFig8DeterministicAcrossParallelWorkersWire(t *testing.T) {
 	sc.WeakIters = 6
 	for _, wire := range []cluster.Wire{cluster.WireF64, cluster.WireF32} {
 		t.Run(wire.String(), func(t *testing.T) {
-			SetWire(wire)
-			defer SetWire(cluster.WireF64)
+			sc.Wire = wire
 			run := func(parallel, workers int) (string, string) {
 				tensor.SetWorkers(workers)
 				defer tensor.SetWorkers(0)
@@ -68,7 +67,7 @@ func TestOverlapAblationShape(t *testing.T) {
 	for _, wl := range []string{"VGG", "BERT"} {
 		t.Run(wl, func(t *testing.T) {
 			batch := map[string]int{"VGG": 16, "BERT": 4}[wl]
-			pts := OverlapAblation(wl, 4, batch, 5, []int{1, 8})
+			pts := OverlapAblation(Scale{}, wl, 4, batch, 5, []int{1, 8})
 			if len(pts) != 2 {
 				t.Fatalf("%d points", len(pts))
 			}

@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+
+	"repro/internal/cluster"
+	"repro/internal/netmodel"
+	"repro/internal/train"
 )
 
 // The runner registry: one Runner per paper table/figure (see DESIGN.md
@@ -13,8 +17,12 @@ import (
 // Render function that reassembles the paper-style report from the spec
 // results in order.
 
-// Scale selects the experiment sizes: Quick finishes in minutes on a
-// laptop, Full uses the paper's cluster sizes and longer runs.
+// Scale selects the experiment sizes — Quick finishes in minutes on a
+// laptop, Full uses the paper's cluster sizes and longer runs — and
+// carries the run settings, which every runner's specs capture by value.
+// The settings' zero values are the defaults: the f64 wire, the flat
+// topology, no traces and the in-process backend. Two Scales that differ
+// only in settings can therefore run side by side in one RunSpecs call.
 type Scale struct {
 	Table1Ps         []int
 	Table1N, Table1K int
@@ -26,6 +34,24 @@ type Scale struct {
 	ConvIters        int
 	ConvP            int
 	BertP            int
+
+	// Wire is the wire format every experiment cluster is built with.
+	Wire cluster.Wire
+	// Topology is the network topology of every measurement cluster
+	// except fig7's, which stay flat, and the topo sweep's, which price
+	// their own scenarios.
+	Topology netmodel.Topology
+	// TraceDir, when non-empty, makes the weak-scaling and convergence
+	// runners write their final iteration's message trace into it (see
+	// traceFinalIteration).
+	TraceDir string
+	// TCPTrain, when non-nil, trains the tcpsmoke configuration as one
+	// worker process per rank and returns rank 0's summary plus the
+	// job's host wall-clock; nil trains it in-process. The command layer
+	// supplies it (wrapping internal/worker.Launch), so experiments —
+	// and every test binary importing it — has no path that re-executes
+	// itself as a worker process.
+	TCPTrain func(cfg train.Config, iters int) (TCPTrainResult, error)
 }
 
 // QuickScale keeps every runner under ~1 minute.
@@ -73,10 +99,8 @@ func Registry() []Runner {
 	return []Runner{
 		{
 			ID: "table1", Desc: "communication volume model vs measured",
-			Specs: func(sc Scale) []Spec { return table1Specs(sc.Table1Ps, sc.Table1N, sc.Table1K) },
-			Render: func(w io.Writer, rs []Result) {
-				renderTable1(w, rs)
-			},
+			Specs:  table1Specs,
+			Render: renderTable1,
 		},
 		{
 			ID: "table2", Desc: "model inventory",
@@ -107,7 +131,7 @@ func Registry() []Runner {
 					specs = append(specs, Spec{
 						Runner: "fig4", Config: fmt.Sprintf("%s density=%.1f%%", p.wl, p.d*100),
 						Run: func(Spec) Outcome {
-							snap := Figure4(p.wl, p.d, 8, 30)
+							snap := Figure4(sc, p.wl, p.d, 8, 30)
 							return Outcome{Payload: snap, Metrics: []Metric{
 								{"threshold_accurate", snap.Accurate},
 								{"threshold_oktopk_reused", snap.OkTopkReused},
@@ -130,7 +154,7 @@ func Registry() []Runner {
 					specs = append(specs, Spec{
 						Runner: "fig5", Config: wl,
 						Run: func(Spec) Outcome {
-							series := Figure5(wl, []float64{0.01, 0.02}, 4, 32, 4)
+							series := Figure5(sc, wl, []float64{0.01, 0.02}, 4, 32, 4)
 							var ms []Metric
 							for di, d := range series.Densities {
 								var sum float64
@@ -163,7 +187,7 @@ func Registry() []Runner {
 					specs = append(specs, Spec{
 						Runner: "fig6", Config: fmt.Sprintf("%s density=%.1f%%", p.wl, p.d*100),
 						Run: func(Spec) Outcome {
-							s := Figure6(p.wl, p.d, 4, 32, 4, p.tauPrime)
+							s := Figure6(sc, p.wl, p.d, 4, 32, 4, p.tauPrime)
 							dev := func(xs []float64) float64 {
 								var d float64
 								for _, v := range xs {
@@ -196,7 +220,7 @@ func Registry() []Runner {
 					specs = append(specs, Spec{
 						Runner: "fillin", Config: fmt.Sprintf("%s density=%.1f%% P=16", p.wl, p.d*100),
 						Run: func(Spec) Outcome {
-							r := FillIn(p.wl, p.d, 16, 6)
+							r := FillIn(sc, p.wl, p.d, 16, 6)
 							return Outcome{Payload: r, Metrics: []Metric{
 								{"output_density_pct", r.MeanFill * 100},
 								{"expansion_x", r.Expansion},
@@ -217,7 +241,7 @@ func Registry() []Runner {
 					specs = append(specs, Spec{
 						Runner: "fig7", Config: fmt.Sprintf("P=%d", p),
 						Run: func(Spec) Outcome {
-							rs := Figure7([]int{p}, sc.Fig7N, sc.Fig7Density)
+							rs := Figure7(sc.Wire, []int{p}, sc.Fig7N, sc.Fig7Density)
 							return Outcome{Payload: rs[0], Metrics: []Metric{
 								{"reduce_speedup_x", rs[0].ReduceSpeedup},
 								{"allgather_speedup_x", rs[0].AllgatherSpeedup},
@@ -252,7 +276,7 @@ func Registry() []Runner {
 		topoRunner(),
 		{
 			ID: "tcpsmoke", Desc: "transport smoke: fig5 Table-1 shape trained end-to-end (P=4)",
-			Specs:  func(Scale) []Spec { return tcpSmokeSpecs() },
+			Specs:  tcpSmokeSpecs,
 			Render: renderTCPSmoke,
 		},
 	}
@@ -277,7 +301,7 @@ func ovlpRunner() Runner {
 				specs = append(specs, Spec{
 					Runner: id, Config: fmt.Sprintf("%s P=%d", w.wl, p),
 					Run: func(Spec) Outcome {
-						pts := OverlapAblation(w.wl, p, w.batch, sc.WeakIters, buckets)
+						pts := OverlapAblation(sc, w.wl, p, w.batch, sc.WeakIters, buckets)
 						var ms []Metric
 						for _, pt := range pts {
 							ms = append(ms,
@@ -366,7 +390,7 @@ func weakSpecs(id, workload string, density float64, batches map[int]int, sc Sca
 		specs = append(specs, Spec{
 			Runner: id, Config: fmt.Sprintf("%s P=%d density=%.1f%%", workload, p, density*100),
 			Run: func(Spec) Outcome {
-				bs := WeakScaling(workload, p, batch, sc.WeakIters, density, nil)
+				bs := WeakScaling(sc, workload, p, batch, sc.WeakIters, density, nil)
 				title := fmt.Sprintf("%s weak scaling, P=%d, density=%.1f%% (runtime/iteration breakdown)",
 					workload, p, density*100)
 				return Outcome{Payload: weakBreakdowns{title, bs}, Metrics: breakdownMetrics(bs)}
@@ -408,7 +432,7 @@ func fig12Runner() Runner {
 			specs = append(specs, Spec{
 				Runner: id, Config: fmt.Sprintf("efficiency %d->%d", base, scaled),
 				Run: func(Spec) Outcome {
-					eff := ParallelEfficiency("BERT", base, scaled, 4, sc.WeakIters, 0.01)
+					eff := ParallelEfficiency(sc, "BERT", base, scaled, 4, sc.WeakIters, 0.01)
 					return Outcome{Payload: eff, Metrics: []Metric{{"parallel_efficiency", eff}}}
 				},
 			})
@@ -449,7 +473,7 @@ func convRunner(id, desc, workload string, density float64, algos []string, bert
 					Runner: id, Config: fmt.Sprintf("%s %s P=%d", workload, algo, p),
 					Seed: seed,
 					Run: func(s Spec) Outcome {
-						curves := Convergence(ConvergenceConfig{
+						curves := Convergence(sc, ConvergenceConfig{
 							Workload:   workload,
 							Algorithms: []string{algo},
 							P:          p,
@@ -495,9 +519,10 @@ func convRunner(id, desc, workload string, density float64, algos []string, bert
 
 // table1Specs measures all algorithms' per-rank volumes at one cluster
 // size per spec.
-func table1Specs(ps []int, n, k int) []Spec {
+func table1Specs(sc Scale) []Spec {
+	n, k := sc.Table1N, sc.Table1K
 	var specs []Spec
-	for _, p := range ps {
+	for _, p := range sc.Table1Ps {
 		p := p
 		specs = append(specs, Spec{
 			Runner: "table1", Config: fmt.Sprintf("P=%d n=%d k=%d", p, n, k),
@@ -505,7 +530,7 @@ func table1Specs(ps []int, n, k int) []Spec {
 				col := Table1Col{P: p, N: n, K: k,
 					Mean: map[string]float64{}, Max: map[string]float64{}}
 				for _, name := range table1Algorithms {
-					mean, max := MeasureVolumeStats(name, p, n, k)
+					mean, max := MeasureVolumeStats(sc, name, p, n, k)
 					col.Mean[name] = mean
 					col.Max[name] = max
 				}

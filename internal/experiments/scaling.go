@@ -45,9 +45,9 @@ func BandGradients(seed int64, p, n, heavy, bandLo, bandHi int) [][]float64 {
 }
 
 // figure7Makespan runs Ok-Topk over a schedule of per-iteration gradient
-// sets with the given ablation flags and returns the makespan of the
-// final iteration.
-func figure7Makespan(schedule [][][]float64, k, tau int, repartition, balance bool) float64 {
+// sets with the given ablation flags on a flat cluster with the given
+// wire and returns the makespan of the final iteration.
+func figure7Makespan(wire cluster.Wire, schedule [][][]float64, k, tau int, repartition, balance bool) float64 {
 	p := len(schedule[0])
 	cfg := allreduce.Config{
 		K: k, TauPrime: 2, Tau: tau,
@@ -57,7 +57,7 @@ func figure7Makespan(schedule [][][]float64, k, tau int, repartition, balance bo
 	for i := range algos {
 		algos[i] = core.New(cfg)
 	}
-	c := cluster.NewWire(p, netmodel.PizDaint(), wireMode)
+	c := cluster.NewWire(p, netmodel.PizDaint(), wire)
 	for it := 1; it <= len(schedule); it++ {
 		if it == len(schedule) {
 			c.ResetClocks()
@@ -86,14 +86,16 @@ func figure7Makespan(schedule [][][]float64, k, tau int, repartition, balance bo
 // conditional data-balancing step (§3.1.2) triggers and spreads the
 // allgatherv input. The paper likewise reports panel (b) "for the
 // iterations where data balancing is triggered".
-func Figure7(ps []int, n int, density float64) []LoadBalanceResult {
+//
+// The clusters stay flat whatever topology the other runners use.
+func Figure7(wire cluster.Wire, ps []int, n int, density float64) []LoadBalanceResult {
 	var out []LoadBalanceResult
 	k := int(density * float64(n))
 	for _, p := range ps {
 		skewed := SyntheticGradients(91, p, n, k, 0.9)
 		scheduleA := [][][]float64{skewed, skewed}
-		balancedA := figure7Makespan(scheduleA, k, 2, true, true)
-		naiveReduce := figure7Makespan(scheduleA, k, 2, false, true)
+		balancedA := figure7Makespan(wire, scheduleA, k, 2, true, true)
+		naiveReduce := figure7Makespan(wire, scheduleA, k, 2, false, true)
 
 		// Boundaries form on a uniform distribution at t=1, then the
 		// heavy mass moves into the band covering two of the (stale)
@@ -101,8 +103,8 @@ func Figure7(ps []int, n int, density float64) []LoadBalanceResult {
 		uniform := SyntheticGradients(92, p, n, k, 0)
 		band := BandGradients(93, p, n, k, 0, 2*n/p)
 		scheduleB := [][][]float64{uniform, band}
-		balancedB := figure7Makespan(scheduleB, k, 64, true, true)
-		directAllgather := figure7Makespan(scheduleB, k, 64, true, false)
+		balancedB := figure7Makespan(wire, scheduleB, k, 64, true, true)
+		directAllgather := figure7Makespan(wire, scheduleB, k, 64, true, false)
 		out = append(out, LoadBalanceResult{
 			P:                p,
 			ReduceSpeedup:    naiveReduce / balancedA,
@@ -134,57 +136,72 @@ type Breakdown struct {
 
 // WeakScaling runs every algorithm of the paper's comparison on the
 // given workload at one cluster size and returns the per-phase
-// breakdowns (Figures 8, 10 and 12). Iterations before warm discard the
-// first threshold/boundary evaluations, matching the paper's
-// steady-state averages.
-func WeakScaling(workload string, p, batch, iters int, density float64, algorithms []string) []Breakdown {
+// breakdowns (Figures 8, 10 and 12). With sc.TraceDir set, each
+// algorithm's final iteration is traced.
+func WeakScaling(sc Scale, workload string, p, batch, iters int, density float64, algorithms []string) []Breakdown {
 	if algorithms == nil {
 		algorithms = train.AlgorithmNames
 	}
 	var out []Breakdown
 	for _, algo := range algorithms {
-		cfg := train.Config{
-			Workload:  workload,
-			Algorithm: algo,
-			P:         p,
-			Batch:     batch,
-			Seed:      23,
-			LR:        lrFor(workload),
-			Adam:      workload == "BERT",
-			Reduce:    allreduce.Config{Density: density, TauPrime: 8, Tau: 8},
-			Wire:      wireMode,
-			Topology:  topoMode,
-		}
-		s := train.NewSession(cfg)
-		const warm = 2
-		var sum Breakdown
-		count := 0
-		cb := func(st train.IterStats) {
-			if st.Iter <= warm {
-				return
-			}
-			sum.Compute += st.Phase[netmodel.PhaseCompute]
-			sum.Sparsify += st.Phase[netmodel.PhaseSparsify]
-			sum.Comm += st.Phase[netmodel.PhaseComm]
-			sum.Total += st.IterSeconds
-			count++
-		}
-		s.RunIterations(iters-1, cb)
 		// The batch size disambiguates specs that share workload/algo/P
 		// (fig12's breakdown and parallel-efficiency specs run
 		// concurrently and must not write the same trace file).
-		traceFinalIteration(s, fmt.Sprintf("weak_%s_%s_P%d_b%d", workload, algo, p, batch), func() {
-			cb(s.RunIteration())
-		})
-		out = append(out, Breakdown{
-			Algorithm: algo, P: p,
-			Sparsify: sum.Sparsify / float64(count),
-			Comm:     sum.Comm / float64(count),
-			Compute:  sum.Compute / float64(count),
-			Total:    sum.Total / float64(count),
-		})
+		out = append(out, steadyState(weakConfig(sc, workload, algo, p, batch, density), iters,
+			sc.TraceDir, fmt.Sprintf("weak_%s_%s_P%d_b%d", workload, algo, p, batch)))
 	}
 	return out
+}
+
+// weakConfig is the training shape every steady-state measurement
+// shares: seed 23, τ = τ′ = 8, the workload's default learning rate
+// (Adam for BERT), and sc's wire and topology.
+func weakConfig(sc Scale, workload, algo string, p, batch int, density float64) train.Config {
+	return train.Config{
+		Workload:  workload,
+		Algorithm: algo,
+		P:         p,
+		Batch:     batch,
+		Seed:      23,
+		LR:        train.DefaultLR(workload),
+		Adam:      workload == "BERT",
+		Reduce:    allreduce.Config{Density: density, TauPrime: 8, Tau: 8},
+		Wire:      sc.Wire,
+		Topology:  sc.Topology,
+	}
+}
+
+// steadyState trains cfg for iters iterations and returns the mean
+// modeled seconds per iteration by phase. The first two iterations are
+// discarded — they carry the first threshold/boundary evaluations — to
+// match the paper's steady-state averages. With dir set, the final
+// iteration's message trace is written there as name.
+func steadyState(cfg train.Config, iters int, dir, name string) Breakdown {
+	s := train.NewSession(cfg)
+	const warm = 2
+	var sum Breakdown
+	count := 0
+	cb := func(st train.IterStats) {
+		if st.Iter <= warm {
+			return
+		}
+		sum.Compute += st.Phase[netmodel.PhaseCompute]
+		sum.Sparsify += st.Phase[netmodel.PhaseSparsify]
+		sum.Comm += st.Phase[netmodel.PhaseComm]
+		sum.Total += st.IterSeconds
+		count++
+	}
+	s.RunIterations(iters-1, cb)
+	traceFinalIteration(s, dir, name, func() {
+		cb(s.RunIteration())
+	})
+	return Breakdown{
+		Algorithm: cfg.Algorithm, P: cfg.P,
+		Sparsify: sum.Sparsify / float64(count),
+		Comm:     sum.Comm / float64(count),
+		Compute:  sum.Compute / float64(count),
+		Total:    sum.Total / float64(count),
+	}
 }
 
 // PrintBreakdowns writes one weak-scaling panel.
@@ -211,8 +228,8 @@ func PrintBreakdowns(w io.Writer, title string, bs []Breakdown) {
 // ParallelEfficiency computes Ok-Topk's weak-scaling parallel efficiency
 // between a base and a scaled cluster size (the paper reports 76.3% from
 // 32 to 256 GPUs for BERT).
-func ParallelEfficiency(workload string, basePS, scaledPS, batch, iters int, density float64) float64 {
-	base := WeakScaling(workload, basePS, batch, iters, density, []string{"OkTopk"})
-	scaled := WeakScaling(workload, scaledPS, batch, iters, density, []string{"OkTopk"})
+func ParallelEfficiency(sc Scale, workload string, basePS, scaledPS, batch, iters int, density float64) float64 {
+	base := WeakScaling(sc, workload, basePS, batch, iters, density, []string{"OkTopk"})
+	scaled := WeakScaling(sc, workload, scaledPS, batch, iters, density, []string{"OkTopk"})
 	return base[0].Total / scaled[0].Total
 }

@@ -128,7 +128,7 @@ func TestRunSpecsDeterministicSeeds(t *testing.T) {
 // parallel schedule, and so do the CSV/markdown emitters.
 func TestParallelRenderingByteIdentical(t *testing.T) {
 	run := func(parallel int) (string, string, string) {
-		rs := RunSpecs(table1Specs([]int{2, 4, 8}, 20000, 200), parallel)
+		rs := RunSpecs(table1Specs(Scale{Table1Ps: []int{2, 4, 8}, Table1N: 20000, Table1K: 200}), parallel)
 		var render, csv, md bytes.Buffer
 		renderTable1(&render, rs)
 		if err := WriteCSV(&csv, rs); err != nil {

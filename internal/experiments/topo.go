@@ -6,9 +6,7 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/allreduce"
 	"repro/internal/netmodel"
-	"repro/internal/train"
 )
 
 // The topo scenario runner: topology × algorithm × straggler severity.
@@ -47,52 +45,8 @@ func topoScenarios() []topoScenario {
 // TopoPoint is one (scenario, algorithm) cell: mean per-iteration phase
 // seconds of a short training run under that topology.
 type TopoPoint struct {
-	Scenario  string
-	Algorithm string
-	Sparsify  float64
-	Comm      float64
-	Compute   float64
-	Total     float64
-}
-
-// TopoScenario trains the workload under an explicit topology and
-// returns the steady-state per-iteration breakdown. It parallels
-// WeakScaling but takes the topology per call (the sweep runs many
-// topologies in one process, so the global topoMode cannot express it).
-func TopoScenario(workload string, p, batch, iters int, density float64, algo string, topo netmodel.Topology) TopoPoint {
-	cfg := train.Config{
-		Workload:  workload,
-		Algorithm: algo,
-		P:         p,
-		Batch:     batch,
-		Seed:      23,
-		LR:        lrFor(workload),
-		Adam:      workload == "BERT",
-		Reduce:    allreduce.Config{Density: density, TauPrime: 8, Tau: 8},
-		Wire:      wireMode,
-		Topology:  topo,
-	}
-	s := train.NewSession(cfg)
-	const warm = 2
-	var sum TopoPoint
-	count := 0
-	s.RunIterations(iters, func(st train.IterStats) {
-		if st.Iter <= warm {
-			return
-		}
-		sum.Compute += st.Phase[netmodel.PhaseCompute]
-		sum.Sparsify += st.Phase[netmodel.PhaseSparsify]
-		sum.Comm += st.Phase[netmodel.PhaseComm]
-		sum.Total += st.IterSeconds
-		count++
-	})
-	return TopoPoint{
-		Algorithm: algo,
-		Sparsify:  sum.Sparsify / float64(count),
-		Comm:      sum.Comm / float64(count),
-		Compute:   sum.Compute / float64(count),
-		Total:     sum.Total / float64(count),
-	}
+	Scenario string
+	Breakdown
 }
 
 // topoRunner sweeps topology × algorithm × straggler severity on one
@@ -120,8 +74,11 @@ func topoRunner() Runner {
 					specs = append(specs, Spec{
 						Runner: id, Config: fmt.Sprintf("%s %s P=%d", sn.Name, algo, p),
 						Run: func(Spec) Outcome {
-							pt := TopoScenario(workload, p, batch, sc.WeakIters, 0.01, algo, topo)
-							pt.Scenario = sn.Name
+							// No trace: its name would carry no scenario, so
+							// the scenarios would overwrite each other's.
+							cfg := weakConfig(sc, workload, algo, p, batch, 0.01)
+							cfg.Topology = topo
+							pt := TopoPoint{Scenario: sn.Name, Breakdown: steadyState(cfg, sc.WeakIters, "", "")}
 							return Outcome{Payload: pt, Metrics: []Metric{
 								{"total_s", pt.Total},
 								{"comm_s", pt.Comm},
@@ -134,12 +91,15 @@ func topoRunner() Runner {
 			specs = append(specs, Spec{
 				Runner: id, Config: "flat==legacy digest check",
 				Run: func(Spec) Outcome {
-					legacy := TopoScenario(workload, p, batch, 4, 0.01, "Dense", netmodel.Topology{})
+					cfg := weakConfig(sc, workload, "Dense", p, batch, 0.01)
+					cfg.Topology = netmodel.Topology{}
+					legacy := steadyState(cfg, 4, "", "")
 					flatTopo, err := netmodel.BuildTopology("flat", 0, 0, SeedFor(id, "flat"))
 					if err != nil {
 						panic(err)
 					}
-					flat := TopoScenario(workload, p, batch, 4, 0.01, "Dense", flatTopo)
+					cfg.Topology = flatTopo
+					flat := steadyState(cfg, 4, "", "")
 					ok := math.Float64bits(flat.Total) == math.Float64bits(legacy.Total) &&
 						math.Float64bits(flat.Comm) == math.Float64bits(legacy.Comm)
 					if !ok {

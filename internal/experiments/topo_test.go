@@ -12,9 +12,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// goldenRun executes one registered runner at quick scale and returns
-// its rendered report and CSV bytes.
-func goldenRun(t *testing.T, id string, parallel, workers int) (string, string) {
+// goldenRun executes one registered runner at quick scale on the given
+// wire and returns its rendered report and CSV bytes.
+func goldenRun(t *testing.T, id string, wire cluster.Wire, parallel, workers int) (string, string) {
 	t.Helper()
 	r, ok := FindRunner(id)
 	if !ok {
@@ -22,7 +22,9 @@ func goldenRun(t *testing.T, id string, parallel, workers int) (string, string) 
 	}
 	tensor.SetWorkers(workers)
 	defer tensor.SetWorkers(0)
-	rs := RunSpecs(r.Specs(QuickScale()), parallel)
+	sc := QuickScale()
+	sc.Wire = wire
+	rs := RunSpecs(r.Specs(sc), parallel)
 	var render, csv bytes.Buffer
 	r.Render(&render, rs)
 	if err := WriteCSV(&csv, rs); err != nil {
@@ -76,14 +78,12 @@ func TestGoldenFlatTopology(t *testing.T) {
 		name string
 		wire cluster.Wire
 	}{{"f64", cluster.WireF64}, {"f32", cluster.WireF32}}
-	defer SetWire(cluster.WireF64)
 	for _, w := range wires {
-		SetWire(w.wire)
 		for _, tc := range ids {
 			wantRender := readGolden(t, w.name+"-"+tc.id+".render.golden")
 			wantCSV := readGolden(t, w.name+"-"+tc.id+".csv.golden")
 			for _, pc := range tc.combos {
-				render, csv := goldenRun(t, tc.id, pc[0], pc[1])
+				render, csv := goldenRun(t, tc.id, w.wire, pc[0], pc[1])
 				if render != wantRender {
 					t.Errorf("%s %s report drifted from pre-PR golden at parallel=%d workers=%d:\nwant:\n%s\ngot:\n%s",
 						w.name, tc.id, pc[0], pc[1], wantRender, render)
@@ -97,6 +97,12 @@ func TestGoldenFlatTopology(t *testing.T) {
 	}
 }
 
+// topoRun trains the topo sweep's VGG shape under topo with the sweep's
+// steady-state loop.
+func topoRun(algo string, topo netmodel.Topology) Breakdown {
+	return steadyState(weakConfig(Scale{Topology: topo}, "VGG", algo, 8, 8, 0.01), 4, "", "")
+}
+
 // TestTopoStragglerDeterministic: a straggler-active training run is a
 // pure function of (config, topology seed) — bit-identical modeled
 // phase times across tensor worker counts, because jitter is hashed
@@ -106,10 +112,10 @@ func TestTopoStragglerDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int) TopoPoint {
+	run := func(workers int) Breakdown {
 		tensor.SetWorkers(workers)
 		defer tensor.SetWorkers(0)
-		return TopoScenario("VGG", 8, 8, 4, 0.01, "OkTopk", topo)
+		return topoRun("OkTopk", topo)
 	}
 	base := run(0)
 	for _, workers := range []int{3, 6} {
@@ -140,7 +146,7 @@ func TestTopoStragglerParallelDeterministic(t *testing.T) {
 			out = append(out, Spec{
 				Runner: "topotest", Config: algo,
 				Run: func(Spec) Outcome {
-					pt := TopoScenario("VGG", 8, 8, 4, 0.01, algo, topo)
+					pt := topoRun(algo, topo)
 					return Outcome{Metrics: []Metric{{"total_s", pt.Total}, {"comm_s", pt.Comm}}}
 				},
 			})
@@ -170,8 +176,8 @@ func TestTopoStragglerSeedMatters(t *testing.T) {
 	}
 	b := a
 	b.Seed = 54321
-	ra := TopoScenario("VGG", 8, 8, 4, 0.01, "OkTopk", a)
-	rb := TopoScenario("VGG", 8, 8, 4, 0.01, "OkTopk", b)
+	ra := topoRun("OkTopk", a)
+	rb := topoRun("OkTopk", b)
 	if math.Float64bits(ra.Total) == math.Float64bits(rb.Total) {
 		t.Fatalf("distinct straggler seeds produced identical modeled time %v", ra.Total)
 	}

@@ -10,26 +10,16 @@ import (
 	"repro/internal/train"
 )
 
-// traceDir, when non-empty, makes every runner that trains a session
-// record the message trace of its final iteration and write a per-rank
-// summary plus timeline into the directory — the offline-analysis
-// artifact the -trace flag on cmd/oktopk-bench requests. Like wireMode
-// it is set once before RunSpecs; parallel specs write distinct files
-// (the name encodes workload/algorithm/P and, for weak-scaling
-// configs, the batch size that separates fig12's breakdown and
-// efficiency specs), and recording never touches the simulated
-// clocks, so traced runs render byte-identically.
-var traceDir string
-
-// SetTraceDir enables final-iteration trace capture into dir (empty
-// disables). Call before RunSpecs, never concurrently with one.
-func SetTraceDir(dir string) { traceDir = dir }
-
 // traceFinalIteration executes run — expected to advance the session by
-// its last iteration — under a recorder when tracing is enabled, then
-// writes the capture.
-func traceFinalIteration(s *train.Session, name string, run func()) {
-	if traceDir == "" {
+// its last iteration — under a recorder when dir is non-empty, then
+// writes the capture into dir: the offline-analysis artifact the -trace
+// flag on cmd/oktopk-bench requests. Parallel specs write distinct
+// files (the name encodes workload/algorithm/P and, for weak-scaling
+// configs, the batch size that separates fig12's breakdown and
+// efficiency specs), and recording never touches the simulated clocks,
+// so traced runs render byte-identically.
+func traceFinalIteration(s *train.Session, dir, name string, run func()) {
+	if dir == "" {
 		run()
 		return
 	}
@@ -37,19 +27,19 @@ func traceFinalIteration(s *train.Session, name string, run func()) {
 	s.Cluster.SetRecorder(rec)
 	run()
 	s.Cluster.SetRecorder(nil)
-	writeTrace(rec, s.Cfg.P, name)
+	writeTrace(dir, rec, s.Cfg.P, name)
 }
 
-// writeTrace renders one recording as <traceDir>/<name>.trace. Failures
-// are reported on stderr but never fail the experiment: the trace is a
-// side artifact.
-func writeTrace(rec *trace.Recorder, p int, name string) {
-	if err := os.MkdirAll(traceDir, 0o755); err != nil {
+// writeTrace renders one recording as <dir>/<name>.trace. Failures are
+// reported on stderr but never fail the experiment: the trace is a side
+// artifact.
+func writeTrace(dir string, rec *trace.Recorder, p int, name string) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		fmt.Fprintf(os.Stderr, "trace: %v\n", err)
 		return
 	}
 	san := strings.NewReplacer(" ", "_", "%", "", "=", "-", "/", "-").Replace(name)
-	f, err := os.Create(filepath.Join(traceDir, san+".trace"))
+	f, err := os.Create(filepath.Join(dir, san+".trace"))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "trace: %v\n", err)
 		return

@@ -6,28 +6,17 @@ import (
 	"time"
 
 	"repro/internal/allreduce"
-	"repro/internal/cluster"
 	"repro/internal/train"
 )
 
-// Transport selection for the experiment layer. Every figure's modeled
-// quantities come from the deterministic simulation, so ordinary
-// runners always use the inproc backend regardless of this setting —
-// that is what keeps their stdout byte-identical. The transport only
-// changes how the tcpsmoke runner executes: over real worker processes
-// (tcp) or in-process (inproc). Set both before RunSpecs, never
-// concurrently with one (the -transport flag on cmd/oktopk-bench).
-var (
-	transportKind = cluster.TransportInproc
-	// tcpTrainRun launches cfg as one worker process per rank and
-	// returns rank 0's summary plus the job's host wall-clock. It is
-	// injected by the cmd layer (wrapping internal/worker.Launch) so
-	// that experiments — and every test binary importing it — has no
-	// path that re-executes itself as a worker process.
-	tcpTrainRun func(cfg train.Config, iters int) (TCPTrainResult, error)
-)
+// The tcpsmoke runner is the experiment layer's one transport-aware
+// runner. Every figure's modeled quantities come from the deterministic
+// simulation, so ordinary runners always use the inproc backend — that
+// is what keeps their stdout byte-identical. Scale.TCPTrain only changes
+// how tcpsmoke executes: over real worker processes when set, in-process
+// otherwise.
 
-// TCPTrainResult is what the injected launcher reports back.
+// TCPTrainResult is what Scale.TCPTrain reports back.
 type TCPTrainResult struct {
 	SimSeconds float64 // modeled training time (authoritative)
 	Loss       float64 // final-iteration mean loss
@@ -36,41 +25,29 @@ type TCPTrainResult struct {
 	Wall       time.Duration // host wall-clock, rendezvous included
 }
 
-// SetTransport selects the backend for transport-aware runners.
-func SetTransport(k cluster.TransportKind) { transportKind = k }
-
-// SetTCPTrainRunner injects the multi-process launcher used when the
-// transport is tcp.
-func SetTCPTrainRunner(fn func(cfg train.Config, iters int) (TCPTrainResult, error)) {
-	tcpTrainRun = fn
-}
-
 // tcpSmokeIters keeps the smoke run in CI territory.
 const tcpSmokeIters = 8
 
 // tcpSmokeConfig is the fig5 Table-1 shape: VGG at P=4, density 1%,
 // Ok-Topk — the configuration the acceptance smoke trains end-to-end
 // over real processes.
-func tcpSmokeConfig(seed int64) train.Config {
+func tcpSmokeConfig(sc Scale, seed int64) train.Config {
 	return train.Config{
-		Workload: "VGG", Algorithm: "OkTopk", P: 4, Batch: 4, Seed: seed, LR: 0.03,
+		Workload: "VGG", Algorithm: "OkTopk", P: 4, Batch: 4, Seed: seed, LR: train.DefaultLR("VGG"),
 		Reduce:   allreduce.Config{Density: 0.01, Tau: 16, TauPrime: 8},
-		Wire:     wireMode,
-		Topology: topoMode,
+		Wire:     sc.Wire,
+		Topology: sc.Topology,
 	}
 }
 
 // tcpSmokeSpecs is the tcpsmoke runner's single configuration.
-func tcpSmokeSpecs() []Spec {
+func tcpSmokeSpecs(sc Scale) []Spec {
 	return []Spec{{
 		Runner: "tcpsmoke", Config: "VGG P=4 density=1%",
 		Run: func(s Spec) Outcome {
-			cfg := tcpSmokeConfig(s.Seed)
-			if transportKind == cluster.TransportTCP {
-				if tcpTrainRun == nil {
-					panic("experiments: tcp transport selected but no launcher injected (SetTCPTrainRunner)")
-				}
-				res, err := tcpTrainRun(cfg, tcpSmokeIters)
+			cfg := tcpSmokeConfig(sc, s.Seed)
+			if sc.TCPTrain != nil {
+				res, err := sc.TCPTrain(cfg, tcpSmokeIters)
 				if err != nil {
 					panic(err)
 				}

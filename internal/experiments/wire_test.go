@@ -17,8 +17,8 @@ func TestWireF32Fig5Deterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three full fig5 runs")
 	}
-	SetWire(cluster.WireF32)
-	defer SetWire(cluster.WireF64)
+	sc := QuickScale()
+	sc.Wire = cluster.WireF32
 	r, ok := FindRunner("fig5")
 	if !ok {
 		t.Fatal("fig5 not registered")
@@ -26,7 +26,7 @@ func TestWireF32Fig5Deterministic(t *testing.T) {
 	run := func(parallel, workers int) (string, string) {
 		tensor.SetWorkers(workers)
 		defer tensor.SetWorkers(0)
-		rs := RunSpecs(r.Specs(QuickScale()), parallel)
+		rs := RunSpecs(r.Specs(sc), parallel)
 		var render, csv bytes.Buffer
 		r.Render(&render, rs)
 		if err := WriteCSV(&csv, rs); err != nil {
@@ -47,18 +47,25 @@ func TestWireF32Fig5Deterministic(t *testing.T) {
 	}
 }
 
-// TestWireModeChangesVolume: the experiment-level wire switch must
+// TestWireModeChangesVolume: the experiment-level wire setting must
 // actually reach the measurement clusters — Table 1 volumes on the f32
-// wire are half the f64 volumes.
+// wire are half the f64 volumes — and two Scales that differ only in
+// their wire run side by side in one RunSpecs call without touching
+// each other's clusters.
 func TestWireModeChangesVolume(t *testing.T) {
-	defer SetWire(cluster.WireF64)
-	vols := map[cluster.Wire]float64{}
-	for _, w := range []cluster.Wire{cluster.WireF64, cluster.WireF32} {
-		SetWire(w)
-		vols[w], _ = MeasureVolumeStats("OkTopk", 8, 20000, 200)
+	f64 := Scale{Table1Ps: []int{8}, Table1N: 20000, Table1K: 200}
+	f32 := f64
+	f32.Wire = cluster.WireF32
+	rs := RunSpecs(append(table1Specs(f64), table1Specs(f32)...), 2)
+	var vols [2]float64
+	for i, r := range rs {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		vols[i] = r.Outcome.Payload.(Table1Col).Mean["OkTopk"]
 	}
-	ratio := vols[cluster.WireF32] / vols[cluster.WireF64]
+	ratio := vols[1] / vols[0]
 	if ratio > 0.55 || ratio < 0.45 {
-		t.Fatalf("f32/f64 volume ratio %.3f, want ≈0.5 (%v)", ratio, vols)
+		t.Fatalf("f32/f64 volume ratio %.3f, want ≈0.5 (f64 %v, f32 %v)", ratio, vols[0], vols[1])
 	}
 }

@@ -376,3 +376,17 @@ func NewWorkload(name string, modelSeed, dataSeed int64) Workload {
 	}
 	panic(fmt.Sprintf("train: unknown workload %q", name))
 }
+
+// DefaultLR is the learning rate a workload trains with unless the run
+// picks its own, and 0 for a name NewWorkload does not know.
+func DefaultLR(workload string) float64 {
+	switch workload {
+	case "VGG":
+		return 0.03
+	case "LSTM":
+		return 0.3
+	case "BERT":
+		return 1e-3
+	}
+	return 0
+}

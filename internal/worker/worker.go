@@ -25,6 +25,7 @@ package worker
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -112,6 +113,32 @@ type TrainReport struct {
 	Loss       float64 // final-iteration mean loss over ranks
 	Metric     float64 // final held-out metric (rank-0 replica)
 	MetricName string
+}
+
+// trainReportBits is a TrainReport on the OKTOPK_TRAIN line, its floats
+// carried as IEEE-754 bits as the session's stats gather carries them:
+// encoding/json rejects NaN and ±Inf, and a diverging run's loss is NaN.
+type trainReportBits struct {
+	Iters                    int
+	SimSeconds, Loss, Metric uint64
+	MetricName               string
+}
+
+// MarshalJSON encodes r with its floats as IEEE-754 bits.
+func (r TrainReport) MarshalJSON() ([]byte, error) {
+	return json.Marshal(trainReportBits{r.Iters,
+		math.Float64bits(r.SimSeconds), math.Float64bits(r.Loss), math.Float64bits(r.Metric), r.MetricName})
+}
+
+// UnmarshalJSON decodes what MarshalJSON encodes.
+func (r *TrainReport) UnmarshalJSON(b []byte) error {
+	var w trainReportBits
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	*r = TrainReport{w.Iters,
+		math.Float64frombits(w.SimSeconds), math.Float64frombits(w.Loss), math.Float64frombits(w.Metric), w.MetricName}
+	return nil
 }
 
 // ExitIfWorker turns this process into a worker when EnvJob is set: it
