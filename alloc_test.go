@@ -140,10 +140,9 @@ func TestSteadyStateBytes(t *testing.T) {
 		t.Skip("allocation measurement is not meaningful under -short race mixes")
 	}
 	const kib = 1024
-	names := append(append([]string(nil), train.AlgorithmNames...), "Hierarchical")
 	for _, wire := range testWireModes(t) {
-		for _, name := range names {
-			wire, name := wire, name
+		for _, scheme := range train.Schemes {
+			wire, name := wire, scheme.Name
 			t.Run(fmt.Sprintf("Reduce/%s/P=8/wire=%s", name, wire), func(t *testing.T) {
 				const p, n, k, budget = 8, 200_000, 2_000, 4 * kib
 				step := reduceStep(t, name, wire, allreduce.Config{K: k, Tau: 16, TauPrime: 16}, p, n, k)

@@ -51,7 +51,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"slices"
 	"strings"
 	"time"
 
@@ -67,9 +66,17 @@ import (
 
 func main() {
 	worker.ExitIfWorker()
+	var loads, schemes []string
+	for _, w := range train.Workloads {
+		loads = append(loads, w.Name)
+	}
+	for _, s := range train.Schemes {
+		schemes = append(schemes, s.Name)
+	}
+	loadList, schemeList := strings.Join(loads, " | "), strings.Join(schemes, " | ")
 	var (
-		workload  = flag.String("workload", "VGG", "VGG | LSTM | BERT")
-		algo      = flag.String("algo", "OkTopk", "Dense | DenseOvlp | TopkA | TopkDSA | gTopk | Gaussiank | OkTopk | Hierarchical")
+		workload  = flag.String("workload", "VGG", loadList)
+		algo      = flag.String("algo", "OkTopk", schemeList)
 		p         = flag.Int("p", 8, "number of workers")
 		batch     = flag.Int("batch", 4, "per-worker batch size")
 		iters     = flag.Int("iters", 100, "training iterations")
@@ -107,16 +114,16 @@ func main() {
 		profiling.Exit(2)
 	}
 	// Bad names, sizes and flag pairings are refused here, before either
-	// transport starts, instead of panicking inside every rank. A
-	// workload is known when it has a default learning rate.
+	// transport starts, instead of failing inside every rank.
+	kind := train.WorkloadNamed(*workload)
 	var bad string
 	switch {
 	case *p < 1:
 		bad = fmt.Sprintf("-p %d: need at least one worker", *p)
-	case train.DefaultLR(*workload) == 0:
-		bad = fmt.Sprintf("unknown -workload %q (VGG | LSTM | BERT)", *workload)
-	case !slices.Contains(train.AlgorithmNames, *algo) && *algo != "Hierarchical":
-		bad = fmt.Sprintf("unknown -algo %q (%s | Hierarchical)", *algo, strings.Join(train.AlgorithmNames, " | "))
+	case kind.New == nil:
+		bad = fmt.Sprintf("unknown -workload %q (%s)", *workload, loadList)
+	case train.SchemeNamed(*algo).New == nil:
+		bad = fmt.Sprintf("unknown -algo %q (%s)", *algo, schemeList)
 	case *ckptEvery > 0 && *ckptFile == "":
 		bad = "-ckpt-every needs -checkpoint"
 	}
@@ -137,14 +144,14 @@ func main() {
 		Batch:     *batch,
 		Seed:      *seed,
 		LR:        *lr,
-		Adam:      *adam || *workload == "BERT",
+		Adam:      *adam || kind.Adam,
 		Wire:      wm,
 		Reduce: allreduce.Config{
 			Density: *density, Tau: *tau, TauPrime: *tauPrime,
 		},
 	}
 	if cfg.LR == 0 {
-		cfg.LR = train.DefaultLR(*workload)
+		cfg.LR = kind.LR
 	}
 	if *commodity {
 		cfg.Net = netmodel.Commodity()

@@ -58,9 +58,9 @@ func TestEvalZeroReportsOnlyAtTheEnd(t *testing.T) {
 }
 
 // TestRejectedCommandLines: negative cadences, a checkpoint cadence
-// without a checkpoint file, an empty cluster and unknown workload or
-// algorithm names are usage errors, and the overlap model is no longer
-// selectable.
+// without a checkpoint file, an empty cluster, unknown workload or
+// algorithm names, a non-finite straggler severity and a negative node
+// size are usage errors, and the overlap model is no longer selectable.
 func TestRejectedCommandLines(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -74,11 +74,22 @@ func TestRejectedCommandLines(t *testing.T) {
 		{[]string{"-algo", "nope"}, `unknown -algo "nope"`},
 		{[]string{"-transport", "tcp", "-p", "0"}, "need at least one worker"},
 		{[]string{"-ckpt-every", "4"}, "-ckpt-every needs -checkpoint"},
+		{[]string{"-topology", "fattree", "-straggler", "Inf"}, "straggler severity +Inf"},
+		{[]string{"-node-size", "-1"}, "negative node size -1"},
 	} {
 		code, out := command(t, tc.args...)
 		if code != 2 || !strings.Contains(out, tc.want) {
 			t.Errorf("oktopk-train %v: exit %d, want 2 and %q:\n%s", tc.args, code, tc.want, out)
 		}
+	}
+}
+
+// TestHierarchicalIsAccepted: -algo takes every scheme of the table,
+// the node-aware one outside the paper's seven included.
+func TestHierarchicalIsAccepted(t *testing.T) {
+	code, out := command(t, "-algo", "Hierarchical", "-p", "2", "-iters", "1")
+	if code != 0 || !strings.Contains(out, "training VGG with Hierarchical") || !strings.Contains(out, "\niter     1 ") {
+		t.Fatalf("exit %d:\n%s", code, out)
 	}
 }
 

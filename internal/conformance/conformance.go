@@ -35,8 +35,8 @@ import (
 // Spec is one conformance job: every algorithm in Algos runs Iters
 // reduces over deterministic synthetic gradients on a P-rank cluster.
 type Spec struct {
-	// Algos lists the algorithm names to exercise (default: all seven,
-	// train.AlgorithmNames).
+	// Algos names the train.Schemes rows to exercise (default: the
+	// paper's seven, train.AlgorithmNames).
 	Algos []string
 	// P is the cluster size; N the gradient length; K the
 	// sparsification budget.

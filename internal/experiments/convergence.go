@@ -56,21 +56,10 @@ func Convergence(sc Scale, cfg ConvergenceConfig) []Curve {
 	}
 	var out []Curve
 	for _, algo := range cfg.Algorithms {
-		adam := cfg.Workload == "BERT"
-		base := train.DefaultLR(cfg.Workload)
-		tcfg := train.Config{
-			Workload:  cfg.Workload,
-			Algorithm: algo,
-			P:         cfg.P,
-			Batch:     cfg.Batch,
-			Seed:      cfg.Seed,
-			LR:        base,
-			Adam:      adam,
-			Reduce:    allreduce.Config{Density: cfg.Density, TauPrime: 8, Tau: 8},
-			Wire:      sc.Wire,
-			Topology:  sc.Topology,
-		}
-		if adam {
+		tcfg := runConfig(sc, cfg.Workload, algo, cfg.P, cfg.Batch, cfg.Seed,
+			allreduce.Config{Density: cfg.Density, TauPrime: 8, Tau: 8})
+		base := tcfg.LR
+		if tcfg.Adam {
 			tcfg.Schedule = func(t int) float64 {
 				return optimizer.LinearDecay(base, t, cfg.Iters+1)
 			}

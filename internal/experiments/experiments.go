@@ -58,9 +58,6 @@ func SyntheticGradients(seed int64, p, n, heavy int, skew float64) [][]float64 {
 	return grads
 }
 
-// table1Algorithms lists the Table 1 rows in paper order.
-var table1Algorithms = []string{"Dense", "TopkA", "TopkDSA", "gTopk", "Gaussiank", "OkTopk"}
-
 // Table1Col is one cluster-size column of Table 1: per-algorithm
 // mean/max per-rank sent words measured at steady state.
 type Table1Col struct {
@@ -94,39 +91,21 @@ func renderTable1(w io.Writer, rs []Result) {
 	}
 	fmt.Fprintln(w)
 
-	type row struct {
-		name     string
-		analytic string
-		fn       func(p int) float64
-	}
-	rows := []row{
-		{"Dense", "2n(P-1)/P", func(p int) float64 { return 2 * float64(n) * float64(p-1) / float64(p) }},
-		{"TopkA", "2k(P-1)", func(p int) float64 { return 2 * float64(k) * float64(p-1) }},
-		{"TopkDSA", "[4k(P-1)/P, (2k+n)(P-1)/P]", func(p int) float64 { return 4 * float64(k) * float64(p-1) / float64(p) }},
-		{"gTopk", "4k·logP", func(p int) float64 { return 4 * float64(k) * log2f(p) }},
-		{"Gaussiank", "2k(P-1)", func(p int) float64 { return 2 * float64(k) * float64(p-1) }},
-		{"OkTopk", "[2k(P-1)/P, 6k(P-1)/P]", func(p int) float64 { return 6 * float64(k) * float64(p-1) / float64(p) }},
-	}
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-10s %-28s", r.name, r.analytic)
+	for _, sch := range train.Schemes {
+		if sch.Table1 == "" {
+			continue
+		}
+		fmt.Fprintf(w, "%-10s %-28s", sch.Name, sch.Table1)
 		for _, c := range cols {
-			fmt.Fprintf(w, " %-9.0f/%-9.0f", c.Mean[r.name], c.Max[r.name])
+			fmt.Fprintf(w, " %-9.0f/%-9.0f", c.Mean[sch.Name], c.Max[sch.Name])
 		}
 		fmt.Fprintf(w, "  (model bound")
 		for _, c := range cols {
-			fmt.Fprintf(w, " %.0f", r.fn(c.P))
+			fmt.Fprintf(w, " %.0f", sch.Bound(c.P, n, k))
 		}
 		fmt.Fprintln(w, ")")
 	}
 	fmt.Fprintln(w, "measured columns are per-rank sent words, mean/max over ranks.")
-}
-
-func log2f(p int) float64 {
-	l := 0.0
-	for v := 1; v < p; v *= 2 {
-		l++
-	}
-	return l
 }
 
 // MeasureVolumeStats runs two steady-state iterations of the named
@@ -169,11 +148,11 @@ func MeasureVolumeStats(sc Scale, name string, p, n, k int) (mean, max float64) 
 // table2Metrics exposes the model inventory as metrics for the emitters.
 func table2Metrics() []Metric {
 	var ms []Metric
-	for _, load := range []string{"VGG", "LSTM", "BERT"} {
-		wl := train.NewWorkload(load, 1, 2)
+	for _, kind := range train.Workloads {
+		wl := kind.New(1, 2)
 		ms = append(ms,
-			Metric{load + "/paper_n", float64(wl.PaperN())},
-			Metric{load + "/repo_n", float64(wl.N())},
+			Metric{kind.Name + "/paper_n", float64(wl.PaperN())},
+			Metric{kind.Name + "/repo_n", float64(wl.N())},
 		)
 	}
 	return ms
@@ -216,18 +195,7 @@ type ThresholdSnapshot struct {
 // Figure4 trains the workload briefly and captures the threshold
 // comparison at an iteration deep into a reuse window.
 func Figure4(sc Scale, workload string, density float64, tauPrime, sampleIter int) ThresholdSnapshot {
-	cfg := train.Config{
-		Workload:  workload,
-		Algorithm: "OkTopk",
-		P:         4,
-		Batch:     4,
-		Seed:      11,
-		LR:        train.DefaultLR(workload),
-		Adam:      workload == "BERT",
-		Reduce:    allreduce.Config{Density: density, TauPrime: tauPrime, Tau: tauPrime},
-		Wire:      sc.Wire,
-		Topology:  sc.Topology,
-	}
+	cfg := runConfig(sc, workload, "OkTopk", 4, 4, 11, allreduce.Config{Density: density, TauPrime: tauPrime, Tau: tauPrime})
 	cfg.CaptureAcc = true
 	s := train.NewSession(cfg)
 	snap := ThresholdSnapshot{Workload: workload}
@@ -317,18 +285,7 @@ type XiSeries struct {
 func Figure5(sc Scale, workload string, densities []float64, p, iters, sampleEvery int) XiSeries {
 	out := XiSeries{Workload: workload, Densities: densities}
 	for di, d := range densities {
-		cfg := train.Config{
-			Workload:  workload,
-			Algorithm: "OkTopk",
-			P:         p,
-			Batch:     4,
-			Seed:      13,
-			LR:        train.DefaultLR(workload),
-			Adam:      workload == "BERT",
-			Reduce:    allreduce.Config{Density: d, TauPrime: 8, Tau: 8},
-			Wire:      sc.Wire,
-			Topology:  sc.Topology,
-		}
+		cfg := runConfig(sc, workload, "OkTopk", p, 4, 13, allreduce.Config{Density: d, TauPrime: 8, Tau: 8})
 		cfg.CaptureAcc = true
 		s := train.NewSession(cfg)
 		k := cfg.Reduce.KFor(s.N())
@@ -386,18 +343,7 @@ type SelectionSeries struct {
 // Figure6 tracks Ok-Topk's local/global selection counts against the
 // accurate k and the raw Gaussiank estimate.
 func Figure6(sc Scale, workload string, density float64, p, iters, sampleEvery, tauPrime int) SelectionSeries {
-	cfg := train.Config{
-		Workload:  workload,
-		Algorithm: "OkTopk",
-		P:         p,
-		Batch:     4,
-		Seed:      17,
-		LR:        train.DefaultLR(workload),
-		Adam:      workload == "BERT",
-		Reduce:    allreduce.Config{Density: density, TauPrime: tauPrime, Tau: tauPrime},
-		Wire:      sc.Wire,
-		Topology:  sc.Topology,
-	}
+	cfg := runConfig(sc, workload, "OkTopk", p, 4, 17, allreduce.Config{Density: density, TauPrime: tauPrime, Tau: tauPrime})
 	cfg.CaptureAcc = true
 	s := train.NewSession(cfg)
 	k := cfg.Reduce.KFor(s.N())
@@ -454,18 +400,7 @@ type FillInResult struct {
 // FillIn measures TopkDSA's output density during short training runs
 // (paper: 13.2% for VGG at 1% on 16 GPUs, 34.5% for LSTM at 2% on 32).
 func FillIn(sc Scale, workload string, density float64, p, iters int) FillInResult {
-	cfg := train.Config{
-		Workload:  workload,
-		Algorithm: "TopkDSA",
-		P:         p,
-		Batch:     2,
-		Seed:      19,
-		LR:        train.DefaultLR(workload),
-		Reduce:    allreduce.Config{Density: density},
-		Wire:      sc.Wire,
-		Topology:  sc.Topology,
-	}
-	s := train.NewSession(cfg)
+	s := train.NewSession(runConfig(sc, workload, "TopkDSA", p, 2, 19, allreduce.Config{Density: density}))
 	s.RunIterations(iters, nil)
 	dsa := s.Trainers[0].Algo.(*sparsecoll.TopkDSA)
 	return FillInResult{

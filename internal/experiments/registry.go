@@ -517,8 +517,8 @@ func convRunner(id, desc, workload string, density float64, algos []string, bert
 	}
 }
 
-// table1Specs measures all algorithms' per-rank volumes at one cluster
-// size per spec.
+// table1Specs measures the per-rank volumes of the schemes with a Table
+// 1 row at one cluster size per spec.
 func table1Specs(sc Scale) []Spec {
 	n, k := sc.Table1N, sc.Table1K
 	var specs []Spec
@@ -529,16 +529,16 @@ func table1Specs(sc Scale) []Spec {
 			Run: func(Spec) Outcome {
 				col := Table1Col{P: p, N: n, K: k,
 					Mean: map[string]float64{}, Max: map[string]float64{}}
-				for _, name := range table1Algorithms {
-					mean, max := MeasureVolumeStats(sc, name, p, n, k)
-					col.Mean[name] = mean
-					col.Max[name] = max
-				}
 				var ms []Metric
-				for _, name := range table1Algorithms {
+				for _, sch := range train.Schemes {
+					if sch.Table1 == "" {
+						continue
+					}
+					mean, max := MeasureVolumeStats(sc, sch.Name, p, n, k)
+					col.Mean[sch.Name], col.Max[sch.Name] = mean, max
 					ms = append(ms,
-						Metric{name + "/mean_words", col.Mean[name]},
-						Metric{name + "/max_words", col.Max[name]},
+						Metric{sch.Name + "/mean_words", mean},
+						Metric{sch.Name + "/max_words", max},
 					)
 				}
 				return Outcome{Payload: col, Metrics: ms}

@@ -153,22 +153,21 @@ func WeakScaling(sc Scale, workload string, p, batch, iters int, density float64
 	return out
 }
 
-// weakConfig is the training shape every steady-state measurement
-// shares: seed 23, τ = τ′ = 8, the workload's default learning rate
-// (Adam for BERT), and sc's wire and topology.
-func weakConfig(sc Scale, workload, algo string, p, batch int, density float64) train.Config {
+// runConfig is the training shape every experiment shares: the
+// workload's default learning rate and optimizer, and sc's wire and
+// topology.
+func runConfig(sc Scale, workload, algo string, p, batch int, seed int64, reduce allreduce.Config) train.Config {
+	kind := train.WorkloadNamed(workload)
 	return train.Config{
-		Workload:  workload,
-		Algorithm: algo,
-		P:         p,
-		Batch:     batch,
-		Seed:      23,
-		LR:        train.DefaultLR(workload),
-		Adam:      workload == "BERT",
-		Reduce:    allreduce.Config{Density: density, TauPrime: 8, Tau: 8},
-		Wire:      sc.Wire,
-		Topology:  sc.Topology,
+		Workload: workload, Algorithm: algo, P: p, Batch: batch, Seed: seed,
+		LR: kind.LR, Adam: kind.Adam, Reduce: reduce, Wire: sc.Wire, Topology: sc.Topology,
 	}
+}
+
+// weakConfig is the shape every steady-state measurement shares: seed
+// 23 and τ = τ′ = 8.
+func weakConfig(sc Scale, workload, algo string, p, batch int, density float64) train.Config {
+	return runConfig(sc, workload, algo, p, batch, 23, allreduce.Config{Density: density, TauPrime: 8, Tau: 8})
 }
 
 // steadyState trains cfg for iters iterations and returns the mean

@@ -32,12 +32,7 @@ const tcpSmokeIters = 8
 // Ok-Topk — the configuration the acceptance smoke trains end-to-end
 // over real processes.
 func tcpSmokeConfig(sc Scale, seed int64) train.Config {
-	return train.Config{
-		Workload: "VGG", Algorithm: "OkTopk", P: 4, Batch: 4, Seed: seed, LR: train.DefaultLR("VGG"),
-		Reduce:   allreduce.Config{Density: 0.01, Tau: 16, TauPrime: 8},
-		Wire:     sc.Wire,
-		Topology: sc.Topology,
-	}
+	return runConfig(sc, "VGG", "OkTopk", 4, 4, seed, allreduce.Config{Density: 0.01, Tau: 16, TauPrime: 8})
 }
 
 // tcpSmokeSpecs is the tcpsmoke runner's single configuration.

@@ -1,6 +1,9 @@
 package netmodel
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Topology extends the flat α-β-γ model with the three non-uniformities
 // real clusters exhibit and the paper's evaluation abstracts away:
@@ -140,12 +143,19 @@ func (t Topology) JitterU(rank, step int) float64 {
 //	nvlink   — NVLink island: intra-node α 10× lower, β 12× higher
 //	           bandwidth, full rail sharing (σ=1).
 //
-// nodeSize ≤ 0 selects the preset default (4 for hierarchical presets,
-// none for flat). straggler ≥ 0 is a severity s mapped to
+// nodeSize 0 selects the preset default (4 for hierarchical presets,
+// none for flat). A finite straggler ≥ 0 is a severity s mapped to
 // StragglerFrac=0.125, StragglerSlow=1+s, Jitter=0.1·s; zero disables
-// injection. seed drives the deterministic noise.
+// injection. A negative nodeSize and a negative or non-finite
+// straggler are errors. seed drives the deterministic noise.
 func BuildTopology(preset string, nodeSize int, straggler float64, seed int64) (Topology, error) {
 	var t Topology
+	if nodeSize < 0 {
+		return t, fmt.Errorf("netmodel: negative node size %d", nodeSize)
+	}
+	if straggler < 0 || math.IsNaN(straggler) || math.IsInf(straggler, 0) {
+		return t, fmt.Errorf("netmodel: straggler severity %g, want a finite s ≥ 0", straggler)
+	}
 	switch preset {
 	case "", "flat":
 		if nodeSize > 1 {
@@ -166,9 +176,6 @@ func BuildTopology(preset string, nodeSize int, straggler float64, seed int64) (
 	}
 	if nodeSize > 0 && t.NodeSize > 0 {
 		t.NodeSize = nodeSize
-	}
-	if straggler < 0 {
-		return t, fmt.Errorf("netmodel: negative straggler severity %g", straggler)
 	}
 	if straggler > 0 {
 		t.StragglerFrac = 0.125

@@ -279,6 +279,16 @@ func TestBuildTopologyValidation(t *testing.T) {
 	if _, err := BuildTopology("fattree", 0, -1, 1); err == nil {
 		t.Fatal("negative straggler severity accepted")
 	}
+	for _, s := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := BuildTopology("fattree", 0, s, 1); err == nil {
+			t.Fatalf("straggler severity %v accepted", s)
+		}
+	}
+	for _, preset := range []string{"flat", "fattree"} {
+		if _, err := BuildTopology(preset, -3, 0, 1); err == nil {
+			t.Fatalf("%s with node size -3 accepted", preset)
+		}
+	}
 	flat, err := BuildTopology("flat", 0, 0, 9)
 	if err != nil {
 		t.Fatal(err)

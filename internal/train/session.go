@@ -6,9 +6,9 @@
 // min(local ranks, GOMAXPROCS) compute engines that hold the layer
 // scratch. Session.Train is the one training loop (resume, progress
 // lines, checkpoints) that oktopk-train and every worker process of a
-// multi-process job run. The package also provides the algorithm and
-// workload factories the experiments layer builds configurations from,
-// and checkpoint integration for stop/resume.
+// multi-process job run. The package also holds the two tables every
+// run selects from by name, Schemes and Workloads, and checkpoint
+// integration for stop/resume.
 package train
 
 import (
@@ -17,6 +17,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
 
@@ -29,10 +30,6 @@ import (
 	"repro/internal/sparsecoll"
 	"repro/internal/tensor"
 )
-
-// AlgorithmNames lists the seven schemes of the paper's evaluation in
-// figure order.
-var AlgorithmNames = []string{"Dense", "DenseOvlp", "TopkA", "TopkDSA", "gTopk", "Gaussiank", "OkTopk"}
 
 // EffectiveNet returns the default machine constants for training
 // sessions: Piz Daint wire parameters degraded to the *effective*
@@ -51,37 +48,79 @@ func EffectiveNet() netmodel.Params {
 	return p
 }
 
+// Scheme is one gradient-reduction scheme: the name a run selects it
+// by, its factory, and its Table 1 row.
+type Scheme struct {
+	Name string
+	New  func(allreduce.Config) allreduce.Algorithm
+	// InPaper marks the seven schemes of the paper's evaluation.
+	InPaper bool
+	// Table1 is the analytic bandwidth term Table 1 prints and Bound its
+	// per-rank words at P ranks for gradient size n and budget k; both
+	// are unset for a scheme Table 1 leaves out.
+	Table1 string
+	Bound  func(p, n, k int) float64
+}
+
+// Schemes lists every reduction scheme, the paper's seven first in
+// figure order. A new scheme is one more row.
+var Schemes = []Scheme{
+	{Name: "Dense", New: func(allreduce.Config) allreduce.Algorithm { return allreduce.NewDense() }, InPaper: true,
+		Table1: "2n(P-1)/P", Bound: func(p, n, k int) float64 { return 2 * float64(n) * float64(p-1) / float64(p) }},
+	{Name: "DenseOvlp", New: func(c allreduce.Config) allreduce.Algorithm { return allreduce.NewDenseOvlp(c) }, InPaper: true},
+	{Name: "TopkA", New: func(c allreduce.Config) allreduce.Algorithm { return sparsecoll.NewTopkA(c) }, InPaper: true,
+		Table1: "2k(P-1)", Bound: func(p, n, k int) float64 { return 2 * float64(k) * float64(p-1) }},
+	{Name: "TopkDSA", New: func(c allreduce.Config) allreduce.Algorithm { return sparsecoll.NewTopkDSA(c) }, InPaper: true,
+		Table1: "[4k(P-1)/P, (2k+n)(P-1)/P]", Bound: func(p, n, k int) float64 { return 4 * float64(k) * float64(p-1) / float64(p) }},
+	// ⌈log₂P⌉ tree rounds.
+	{Name: "gTopk", New: func(c allreduce.Config) allreduce.Algorithm { return sparsecoll.NewGTopk(c) }, InPaper: true,
+		Table1: "4k·logP", Bound: func(p, n, k int) float64 { return 4 * float64(k) * float64(bits.Len(uint(p-1))) }},
+	{Name: "Gaussiank", New: func(c allreduce.Config) allreduce.Algorithm { return sparsecoll.NewGaussiank(c) }, InPaper: true,
+		Table1: "2k(P-1)", Bound: func(p, n, k int) float64 { return 2 * float64(k) * float64(p-1) }},
+	{Name: "OkTopk", New: func(c allreduce.Config) allreduce.Algorithm { return core.NewDefault(c) }, InPaper: true,
+		Table1: "[2k(P-1)/P, 6k(P-1)/P]", Bound: func(p, n, k int) float64 { return 6 * float64(k) * float64(p-1) / float64(p) }},
+	// The node-aware dense baseline the topo runner compares against the
+	// flat collectives on non-uniform networks; it groups by NodeSize.
+	{Name: "Hierarchical", New: func(c allreduce.Config) allreduce.Algorithm { return allreduce.NewHierDense(c.NodeSize) }},
+}
+
+// AlgorithmNames lists the seven schemes of the paper's evaluation in
+// figure order: the InPaper rows of Schemes.
+var AlgorithmNames = func() []string {
+	var names []string
+	for _, s := range Schemes {
+		if s.InPaper {
+			names = append(names, s.Name)
+		}
+	}
+	return names
+}()
+
+// SchemeNamed returns the Schemes row called name, or the zero Scheme
+// (nil New) when there is none.
+func SchemeNamed(name string) Scheme {
+	for _, s := range Schemes {
+		if s.Name == name {
+			return s
+		}
+	}
+	return Scheme{}
+}
+
 // NewAlgorithm constructs one rank's instance of the named reduction
 // scheme.
 func NewAlgorithm(name string, cfg allreduce.Config) allreduce.Algorithm {
-	switch name {
-	case "Dense":
-		return allreduce.NewDense()
-	case "DenseOvlp":
-		return allreduce.NewDenseOvlp(cfg)
-	case "TopkA":
-		return sparsecoll.NewTopkA(cfg)
-	case "TopkDSA":
-		return sparsecoll.NewTopkDSA(cfg)
-	case "gTopk":
-		return sparsecoll.NewGTopk(cfg)
-	case "Gaussiank":
-		return sparsecoll.NewGaussiank(cfg)
-	case "OkTopk":
-		return core.NewDefault(cfg)
-	case "Hierarchical":
-		// Node-aware dense baseline (not in the paper's seven): the
-		// two-level schedule the topo scenario runner compares against
-		// the flat collectives on non-uniform networks.
-		return allreduce.NewHierDense(cfg.NodeSize)
+	s := SchemeNamed(name)
+	if s.New == nil {
+		panic(fmt.Sprintf("train: unknown algorithm %q", name))
 	}
-	panic(fmt.Sprintf("train: unknown algorithm %q", name))
+	return s.New(cfg)
 }
 
 // Config describes one distributed training run.
 type Config struct {
-	Workload  string // "VGG" | "LSTM" | "BERT"
-	Algorithm string // one of AlgorithmNames
+	Workload  string // the Name of a Workloads row
+	Algorithm string // the Name of a Schemes row
 	P         int    // number of workers
 	Batch     int    // per-worker batch size
 	Seed      int64
@@ -165,7 +204,7 @@ func NewSession(cfg Config) *Session {
 	}
 	s, err := NewDistributedSession(cfg)
 	if err != nil {
-		// Unreachable for inproc: only rendezvous produces errors.
+		// Inproc has no rendezvous, so the error is a bad configuration.
 		panic(err)
 	}
 	return s
@@ -175,11 +214,18 @@ func NewSession(cfg Config) *Session {
 // selects. On TransportTCP this process hosts only rank cfg.TCP.Rank:
 // Trainers and rngs keep rank indexing but hold nil for remote ranks,
 // and the call blocks in rendezvous until all P worker processes have
-// joined (or cfg.TCP.Timeout expires). The caller owns the session and
-// must Close it.
+// joined (or cfg.TCP.Timeout expires). A P below one and an unknown
+// workload, algorithm or transport are errors, returned before any
+// cluster is built. The caller owns the session and must Close it.
 func NewDistributedSession(cfg Config) (*Session, error) {
-	if cfg.P <= 0 {
-		panic("train: P must be positive")
+	kind, scheme := WorkloadNamed(cfg.Workload), SchemeNamed(cfg.Algorithm)
+	switch {
+	case cfg.P < 1:
+		return nil, fmt.Errorf("train: P = %d, need at least one worker", cfg.P)
+	case kind.New == nil:
+		return nil, fmt.Errorf("train: unknown workload %q", cfg.Workload)
+	case scheme.New == nil:
+		return nil, fmt.Errorf("train: unknown algorithm %q", cfg.Algorithm)
 	}
 	if cfg.Batch <= 0 {
 		cfg.Batch = 8
@@ -187,7 +233,7 @@ func NewDistributedSession(cfg Config) (*Session, error) {
 	if cfg.LR == 0 {
 		cfg.LR = 0.1
 	}
-	probe := NewWorkload(cfg.Workload, cfg.Seed, cfg.Seed+1)
+	probe := kind.New(cfg.Seed, cfg.Seed+1)
 	net := cfg.Net
 	if net == (netmodel.Params{}) {
 		net = EffectiveNet()
@@ -218,7 +264,7 @@ func NewDistributedSession(cfg Config) (*Session, error) {
 			return nil, err
 		}
 	default:
-		panic(fmt.Sprintf("train: unknown transport %q", cfg.Transport))
+		return nil, fmt.Errorf("train: unknown transport %q", cfg.Transport)
 	}
 	s := &Session{
 		Cfg:      cfg,
@@ -238,7 +284,7 @@ func NewDistributedSession(cfg Config) (*Session, error) {
 		if cfg.Adam {
 			adam = optimizer.NewAdam(0.9, 0.999, 0.01)
 		}
-		tr := NewTrainer(w, NewAlgorithm(cfg.Algorithm, cfg.Reduce), adam, cfg.LR, cfg.Batch)
+		tr := NewTrainer(w, scheme.New(cfg.Reduce), adam, cfg.LR, cfg.Batch)
 		tr.CaptureAcc = cfg.CaptureAcc
 		s.Trainers[r] = tr
 		s.rngs[r] = tensor.RNG(cfg.Seed + 1000 + int64(r))

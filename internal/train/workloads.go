@@ -364,29 +364,44 @@ func (w *BERTWorkload) ComputeSeconds(batchSize int) float64 {
 // PaperN is BERT-base-with-128-seq's parameter count from Table 2.
 func (w *BERTWorkload) PaperN() int { return 133547324 }
 
-// NewWorkload constructs a workload by name ("VGG", "LSTM", "BERT").
-func NewWorkload(name string, modelSeed, dataSeed int64) Workload {
-	switch name {
-	case "VGG":
-		return NewVGGWorkload(modelSeed, dataSeed)
-	case "LSTM":
-		return NewLSTMWorkload(modelSeed, dataSeed)
-	case "BERT":
-		return NewBERTWorkload(modelSeed, dataSeed)
+// WorkloadKind is one workload of the evaluation: the name a run
+// selects it by, its factory, and how it trains unless the run says
+// otherwise.
+type WorkloadKind struct {
+	Name string
+	New  func(modelSeed, dataSeed int64) Workload
+	LR   float64 // default learning rate
+	Adam bool    // raw gradients + Adam (the paper's BERT setup), else SGD
+}
+
+// Workloads lists the workloads in Table 2 order. A new workload is one
+// more row.
+var Workloads = []WorkloadKind{
+	{Name: "VGG", New: func(m, d int64) Workload { return NewVGGWorkload(m, d) }, LR: 0.03},
+	{Name: "LSTM", New: func(m, d int64) Workload { return NewLSTMWorkload(m, d) }, LR: 0.3},
+	{Name: "BERT", New: func(m, d int64) Workload { return NewBERTWorkload(m, d) }, LR: 1e-3, Adam: true},
+}
+
+// WorkloadNamed returns the Workloads row called name, or the zero
+// WorkloadKind (nil New, LR 0) when there is none.
+func WorkloadNamed(name string) WorkloadKind {
+	for _, w := range Workloads {
+		if w.Name == name {
+			return w
+		}
 	}
-	panic(fmt.Sprintf("train: unknown workload %q", name))
+	return WorkloadKind{}
+}
+
+// NewWorkload constructs the named workload.
+func NewWorkload(name string, modelSeed, dataSeed int64) Workload {
+	w := WorkloadNamed(name)
+	if w.New == nil {
+		panic(fmt.Sprintf("train: unknown workload %q", name))
+	}
+	return w.New(modelSeed, dataSeed)
 }
 
 // DefaultLR is the learning rate a workload trains with unless the run
 // picks its own, and 0 for a name NewWorkload does not know.
-func DefaultLR(workload string) float64 {
-	switch workload {
-	case "VGG":
-		return 0.03
-	case "LSTM":
-		return 0.3
-	case "BERT":
-		return 1e-3
-	}
-	return 0
-}
+func DefaultLR(workload string) float64 { return WorkloadNamed(workload).LR }
