@@ -33,6 +33,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
@@ -97,13 +98,10 @@ func settings(sc experiments.Scale) (experiments.Scale, error) {
 	if err != nil || tk != cluster.TransportTCP {
 		return sc, err
 	}
-	timeoutSec := 300.0
-	if *netTimeout > 0 {
-		timeoutSec = netTimeout.Seconds()
-	}
+	timeout := cmp.Or(max(*netTimeout, 0), 300*time.Second)
 	sc.TCPTrain = func(cfg train.Config, iters int) (experiments.TCPTrainResult, error) {
 		out, err := worker.Launch(worker.Job{
-			Kind: "train", Size: cfg.P, Wire: cfg.Wire, TimeoutSec: timeoutSec,
+			Kind: "train", Size: cfg.P, Wire: cfg.Wire, Timeout: timeout,
 			Train: &worker.TrainJob{Config: cfg, Iters: iters},
 		}, worker.LaunchOptions{})
 		if err != nil {

@@ -242,13 +242,10 @@ func runTCP(tj train.Job, r tcpRun) int {
 		cfg.Workload, cfg.Algorithm, cfg.P)
 	job := worker.Job{
 		Kind: "train", Size: cfg.P, Wire: cfg.Wire,
-		TimeoutSec:      r.timeout.Seconds(),
-		HeartbeatMS:     int(r.hbInterval / time.Millisecond),
-		HeartbeatMisses: r.hbMiss,
-		Train:           &tj,
-	}
-	if r.hbInterval < 0 {
-		job.HeartbeatMS = -1 // sub-millisecond negatives still disable
+		Timeout:           r.timeout,
+		HeartbeatInterval: r.hbInterval,
+		HeartbeatMisses:   r.hbMiss,
+		Train:             &tj,
 	}
 	out, err := worker.LaunchWithRecovery(job, worker.LaunchOptions{Forward: os.Stdout},
 		worker.RestartPolicy{MaxAttempts: r.maxRestarts + 1, Backoff: r.backoff})

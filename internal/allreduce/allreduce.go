@@ -110,9 +110,6 @@ type Config struct {
 	// final allgatherv (§3.1.2); disabling reproduces "direct
 	// allgatherv" in Figure 7b.
 	DataBalance bool
-	// BalanceTrigger is the max/avg size ratio above which balancing
-	// runs (the paper uses 4).
-	BalanceTrigger float64
 	// DenseBuckets is the number of gradient buckets DenseOvlp pipelines.
 	DenseBuckets int
 	// NodeSize is the ranks-per-node the Hierarchical algorithm groups
@@ -140,9 +137,6 @@ func (c Config) Defaults() Config {
 	}
 	if c.BucketSize == 0 {
 		c.BucketSize = 8
-	}
-	if c.BalanceTrigger == 0 {
-		c.BalanceTrigger = 4
 	}
 	if c.DenseBuckets == 0 {
 		c.DenseBuckets = 8

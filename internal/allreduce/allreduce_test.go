@@ -10,7 +10,7 @@ import (
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.Defaults()
 	if c.Density != 0.01 || c.TauPrime != 32 || c.Tau != 64 ||
-		c.BucketSize != 8 || c.BalanceTrigger != 4 || c.DenseBuckets != 8 {
+		c.BucketSize != 8 || c.DenseBuckets != 8 {
 		t.Fatalf("defaults %+v", c)
 	}
 	if c.SortFlops <= c.ScanFlops {

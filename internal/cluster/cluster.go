@@ -443,12 +443,10 @@ func newCluster(params netmodel.Params, wire Wire, tr Transport) *Cluster {
 		c.pools[i].chunks.clearOnPut = true
 	}
 	// A transport that decodes inbound payloads on its own goroutines
-	// (tcp's connection readers) shares the local rank's pools: flip
-	// them to locked mode and hand the pointer over. Inproc stays
-	// lock-free — the seed's zero-allocation hot path is untouched.
+	// (tcp's connection readers) shares the local rank's pools: hand it
+	// the pointer.
 	if pb, ok := tr.(interface{ bindPools(*rankPools) }); ok {
 		for _, i := range tr.Local() {
-			c.pools[i].shared = true
 			pb.bindPools(&c.pools[i])
 		}
 	}

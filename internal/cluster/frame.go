@@ -286,8 +286,8 @@ func appendTableFrame(buf []byte, addrs []string) []byte {
 // frameReader is the one frame reader: it decodes each frame straight
 // from the stream, fixed fields through its scratch buffer and each
 // payload array into its destination — drawn from pools when set (the
-// tcp receive path, where the local rank's pools are in shared, locked
-// mode because this runs on a connection reader goroutine), freshly
+// tcp receive path: this runs on a connection reader goroutine, beside
+// the rank goroutine, which the pools' mutex allows), freshly
 // allocated and GC-owned when nil (rendezvous, tests). A connection
 // keeps one frameReader for its lifetime, so a steady-state read
 // allocates nothing.

@@ -20,10 +20,9 @@ package cluster
 // Buffers therefore migrate between rank pools over the lifetime of a
 // run, which is what makes the steady state allocation-free: after a
 // few iterations every pool holds enough right-sized buffers for its
-// rank's send fan-out. Because each pool is only ever touched from its
-// own rank's goroutine (the documented Comm threading contract), the
-// pools need no locks; the mailbox mutex provides the happens-before
-// edge between the sender's writes and the receiver's reads.
+// rank's send fan-out. Each pool's own mutex serializes its freelists
+// (see rankPools); the mailbox mutex provides the happens-before edge
+// between the sender's writes and the receiver's reads.
 //
 // Returning a buffer is always optional: a buffer that is never Put is
 // simply collected by the GC. What is NEVER allowed is releasing a
@@ -135,16 +134,13 @@ func (f *freelist[T]) put(s []T) {
 	f.free = append(f.free, s[:0])
 }
 
-// rankPools is one rank's buffer freelists. Under the inproc transport
-// every pool is touched only from its rank's goroutine, so access is
-// lock-free (shared=false, the seed behavior — the alloc budgets and
-// hot paths pay one predictable branch). Under tcp the connection
-// reader goroutines decode inbound payloads straight into the local
-// rank's pools (frame.go), so the rank goroutine and the readers share
-// them: newCluster flips shared on and every accessor takes the mutex.
+// rankPools is one rank's buffer freelists. The mutex guards every
+// access: under tcp the connection reader goroutines decode inbound
+// payloads straight into the local rank's pools (frame.go) while the
+// rank goroutine draws and returns buffers; under inproc only the
+// rank's own goroutine takes it, so it is never contended.
 type rankPools struct {
-	shared   bool       // true: mu guards every access (tcp recv decode)
-	mu       sync.Mutex // used only when shared
+	mu       sync.Mutex
 	msgs     []*Message
 	floats   freelist[float64]
 	floats32 freelist[float32] // f32-wire value buffers (half the bytes)
@@ -152,93 +148,81 @@ type rankPools struct {
 	chunks   freelist[Chunk] // clearOnPut: drop payload references
 }
 
-func (p *rankPools) lock() {
-	if p.shared {
-		p.mu.Lock()
-	}
-}
-
-func (p *rankPools) unlock() {
-	if p.shared {
-		p.mu.Unlock()
-	}
-}
-
 func (p *rankPools) getMsg() *Message {
-	p.lock()
+	p.mu.Lock()
 	if n := len(p.msgs); n > 0 {
 		m := p.msgs[n-1]
 		p.msgs[n-1] = nil
 		p.msgs = p.msgs[:n-1]
-		p.unlock()
+		p.mu.Unlock()
 		return m
 	}
-	p.unlock()
+	p.mu.Unlock()
 	return new(Message)
 }
 
 func (p *rankPools) putMsg(m *Message) {
 	*m = Message{}
-	p.lock()
+	p.mu.Lock()
 	if len(p.msgs) < poolCap {
 		p.msgs = append(p.msgs, m)
 	}
-	p.unlock()
+	p.mu.Unlock()
 }
 
-// Locked typed accessors; the Comm Get*/Put* methods and the tcp frame
-// decoder go through these so both transports share one pool protocol.
+// Typed accessors; the Comm Get*/Put* methods and the tcp frame decoder
+// go through these so both transports share one pool protocol.
 
 func (p *rankPools) getFloats(n int) []float64 {
-	p.lock()
+	p.mu.Lock()
 	s := p.floats.get(n)
-	p.unlock()
+	p.mu.Unlock()
 	return s
 }
 
 func (p *rankPools) putFloats(s []float64) {
-	p.lock()
+	p.mu.Lock()
 	p.floats.put(s)
-	p.unlock()
+	p.mu.Unlock()
 }
 
 func (p *rankPools) getFloats32(n int) []float32 {
-	p.lock()
+	p.mu.Lock()
 	s := p.floats32.get(n)
-	p.unlock()
+	p.mu.Unlock()
 	return s
 }
 
 func (p *rankPools) putFloats32(s []float32) {
-	p.lock()
+	p.mu.Lock()
 	p.floats32.put(s)
-	p.unlock()
+	p.mu.Unlock()
 }
 
 func (p *rankPools) getInts(n int) []int32 {
-	p.lock()
+	p.mu.Lock()
 	s := p.ints.get(n)
-	p.unlock()
+	p.mu.Unlock()
 	return s
 }
 
 func (p *rankPools) putInts(s []int32) {
-	p.lock()
+	p.mu.Lock()
 	p.ints.put(s)
-	p.unlock()
+	p.mu.Unlock()
 }
 
 func (p *rankPools) getChunks(n int) []Chunk {
-	p.lock()
+	p.mu.Lock()
 	s := p.chunks.get(n)
-	p.unlock()
+	p.mu.Unlock()
 	return s
 }
 
 func (p *rankPools) putChunks(s []Chunk) {
-	p.lock()
+	p.mu.Lock()
 	p.chunks.put(s)
-	p.unlock()
+	p.mu.Unlock()
 }
 
 // GetFloats returns a length-n value buffer from this rank's pool.
@@ -281,8 +265,8 @@ func (cm *Comm) PutChunks(s []Chunk) { cm.pools().putChunks(s) }
 // production use.
 func (c *Cluster) PooledBuffers(rank int) (floats [][]float64, floats32 [][]float32, ints [][]int32) {
 	p := &c.pools[rank]
-	p.lock()
-	defer p.unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	return append([][]float64(nil), p.floats.free...),
 		append([][]float32(nil), p.floats32.free...),
 		append([][]int32(nil), p.ints.free...)

@@ -28,7 +28,7 @@ package cluster
 // time, see sendqueue.go), returns an owned float payload to its own
 // pool, and pushes the frame onto the destination's bounded sendQueue;
 // a per-peer writer goroutine drains whatever is queued in one batch,
-// writes the frames back-to-back through a CorkBytes-sized bufio.Writer
+// writes the frames back-to-back through a corkBytes-sized bufio.Writer
 // (which flushes itself whenever the cork fills), and flushes once when
 // the queue runs dry. Back-to-back small frames therefore coalesce into
 // single large socket writes — one syscall for a burst instead of one
@@ -41,14 +41,14 @@ package cluster
 // One reader goroutine per connection decodes frames into the process's
 // single mailbox, streaming each payload from the socket buffer
 // straight into a buffer from the local rank's pools (payload.go) and
-// publishing the message only once the frame's CRC has matched. The
-// pools are in shared mode under tcp — reader goroutines and the rank
-// goroutine both touch them — and the receiver-returns ownership
-// protocol is the same as inproc, so steady-state receives allocate
-// nothing. Heartbeat, abort and goodbye frames bypass the send queue
-// and write directly under the per-peer write mutex: failure detection
-// cadence must not sit behind corked data (the writer batches bound how
-// long that direct write can wait — one batch, not one queue).
+// publishing the message only once the frame's CRC has matched. Reader
+// goroutines and the rank goroutine both touch the pools, under each
+// pool's mutex, and the receiver-returns ownership protocol is the same
+// as inproc, so steady-state receives allocate nothing. Heartbeat,
+// abort and goodbye frames bypass the send queue and write directly
+// under the per-peer write mutex: failure detection cadence must not
+// sit behind corked data (the writer batches bound how long that direct
+// write can wait — one batch, not one queue).
 //
 // # Control plane and failure
 //
@@ -120,13 +120,14 @@ const (
 	DefaultHeartbeatMisses   = 3
 )
 
-// Data-plane defaults. SendQueueFrames bounds how far a sender can run
-// ahead of a slow connection before Deliver blocks; CorkBytes is the
+// Data-plane sizes. sendQueueFrames bounds each peer's queued-but-
+// unwritten frames: a sender that outruns a slow connection by this
+// many blocks in Deliver until the writer catches up. corkBytes is the
 // writer's coalescing buffer — the largest single socket write a batch
-// of small frames merges into.
+// of small frames merges into before the cork flushes itself.
 const (
-	DefaultSendQueueFrames = 512
-	DefaultCorkBytes       = 256 << 10
+	sendQueueFrames = 512
+	corkBytes       = 256 << 10
 )
 
 // tcpKeepAlivePeriod is the probe interval on mesh connections — a
@@ -166,15 +167,6 @@ type TCPOptions struct {
 	// HeartbeatMisses is how many silent intervals declare a peer dead
 	// (0 = DefaultHeartbeatMisses).
 	HeartbeatMisses int
-	// SendQueueFrames is the per-peer bound on queued-but-unwritten
-	// frames (0 = DefaultSendQueueFrames). A sender that outruns a
-	// connection by this many frames blocks in Deliver until the writer
-	// catches up.
-	SendQueueFrames int
-	// CorkBytes sizes the per-peer write-coalescing buffer (0 =
-	// DefaultCorkBytes): queued frames merge into socket writes up to
-	// this large before the cork flushes itself.
-	CorkBytes int
 	// Hook, when set, intercepts every outgoing data frame for
 	// deterministic fault injection (internal/chaos builds these from a
 	// seeded plan). Production jobs leave it nil.
@@ -204,8 +196,6 @@ type tcpTransport struct {
 	timeout    time.Duration
 	hbInterval time.Duration
 	hbMisses   int
-	queueDepth int
-	corkBytes  int
 	hook       FaultHook
 	onKill     func()
 
@@ -263,20 +253,12 @@ func newTCPTransport(opts TCPOptions) (*tcpTransport, error) {
 	if opts.HeartbeatMisses <= 0 {
 		opts.HeartbeatMisses = DefaultHeartbeatMisses
 	}
-	if opts.SendQueueFrames <= 0 {
-		opts.SendQueueFrames = DefaultSendQueueFrames
-	}
-	if opts.CorkBytes <= 0 {
-		opts.CorkBytes = DefaultCorkBytes
-	}
 	tr := &tcpTransport{
 		rank:       opts.Rank,
 		size:       opts.Size,
 		timeout:    opts.Timeout,
 		hbInterval: opts.HeartbeatInterval,
 		hbMisses:   opts.HeartbeatMisses,
-		queueDepth: opts.SendQueueFrames,
-		corkBytes:  opts.CorkBytes,
 		hook:       opts.Hook,
 		onKill:     opts.OnKill,
 		box:        newMailbox(),
@@ -309,8 +291,8 @@ func newTCPTransport(opts TCPOptions) (*tcpTransport, error) {
 		// by the mailbox deadline instead, so clear the socket ones.
 		conn.SetDeadline(time.Time{})
 		tuneConn(conn)
-		tr.writers[peer] = bufio.NewWriterSize(conn, tr.corkBytes)
-		tr.queues[peer] = newSendQueue(tr.queueDepth)
+		tr.writers[peer] = bufio.NewWriterSize(conn, corkBytes)
+		tr.queues[peer] = newSendQueue(sendQueueFrames)
 		tr.lastSeen[peer].Store(now)
 	}
 	for peer, conn := range tr.conns {
@@ -643,7 +625,7 @@ func (tr *tcpTransport) write(dst int, frame []byte) error {
 
 // writerLoop drains dst's send queue: each pop takes everything queued,
 // the batch is written back-to-back through the corked bufio writer
-// (which flushes itself at CorkBytes), and the cork is released — one
+// (which flushes itself at corkBytes), and the cork is released — one
 // explicit flush — only when the queue has run dry. The write mutex is
 // held per batch, so a control-path write waits at most one batch, and
 // frame buffers return to the shared pool the rank goroutine encodes

@@ -12,10 +12,9 @@ import (
 // runtime (see cluster/payload.go for the ownership-transfer protocol):
 // a sender draws the outgoing copy from its own rank pool, the message
 // carries it, and the matching receiver returns it to its own pool once
-// the contents are folded into local state. The pools are lock-free
-// because each is touched only by its rank's goroutine; buffers migrate
-// between rank pools over a run, which is what makes the steady state
-// of every collective in this package allocation-free.
+// the contents are folded into local state. Buffers migrate between
+// rank pools over a run, which is what makes the steady state of every
+// collective in this package allocation-free.
 //
 // The endpoint's Wire mode picks the value representation at this edge:
 // on the f64 wire the copy is a pooled []float64; on the f32 wire the

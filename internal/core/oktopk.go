@@ -37,6 +37,9 @@ import (
 const (
 	tagSplit   = 11 << 20
 	tagBalance = 12 << 20
+	// balanceTrigger is the max/mean selection-size ratio above which
+	// the conditional data balancing step runs (§3.1.2).
+	balanceTrigger = 4
 )
 
 // OkTopk is one worker's instance of the O(k) sparse allreduce. Create
@@ -129,10 +132,9 @@ func (o *OkTopk) updateBuffer(n int) []float64 {
 	return u
 }
 
-// New returns a per-worker Ok-Topk instance. The config's zero values
-// take the paper's defaults; Rotation, Repartition and DataBalance are
-// all enabled unless the caller built the Config explicitly for an
-// ablation.
+// New returns a per-worker Ok-Topk instance. Zero config values take
+// the paper's defaults, but a zero Config leaves Rotation, Repartition
+// and DataBalance off; NewDefault turns all three on.
 func New(cfg allreduce.Config) *OkTopk {
 	cfg = cfg.Defaults()
 	return &OkTopk{
@@ -275,17 +277,9 @@ func (o *OkTopk) repartition(cm cluster.Endpoint, n int, localIdx []int32) []int
 	cm.Clock().SetPhase(netmodel.PhaseCompute)
 
 	bounds := make([]int, p+1)
-	bounds[0] = 0
 	bounds[p] = n
 	for j := 1; j < p; j++ {
-		b := int(prop[j-1] / float64(p))
-		if b < bounds[j-1] {
-			b = bounds[j-1]
-		}
-		if b > n {
-			b = n
-		}
-		bounds[j] = b
+		bounds[j] = min(max(int(prop[j-1]/float64(p)), bounds[j-1]), n)
 	}
 	return bounds
 }
@@ -494,7 +488,7 @@ func (o *OkTopk) balanceAndAllgatherv(cm cluster.Endpoint, n int, reducedIdx []i
 	// ③ Conditional data balancing: redistribute the concatenated global
 	// array into equal spans with point-to-point sends, computed from the
 	// size vector every rank already holds.
-	if o.cfg.DataBalance && total > 0 && float64(maxSize) > o.cfg.BalanceTrigger*mean {
+	if o.cfg.DataBalance && total > 0 && float64(maxSize) > balanceTrigger*mean {
 		sel = o.rebalance(cm, sizes, sel)
 	}
 

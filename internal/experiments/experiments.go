@@ -369,16 +369,18 @@ func (s SelectionSeries) Print(w io.Writer) {
 	for i, it := range s.Iters {
 		fmt.Fprintf(w, "  %-8d %-12.0f %-12.0f %-12.0f\n", it, s.Local[i], s.Global[i], s.Gaussian[i])
 	}
-	// Mean absolute deviation from accurate, as the paper reports (<11%).
-	dev := func(xs []float64) float64 {
-		var d float64
-		for _, v := range xs {
-			d += absf(v-float64(s.Accurate)) / float64(s.Accurate)
-		}
-		return d / float64(len(xs)) * 100
-	}
 	fmt.Fprintf(w, "  mean deviation: local %.1f%%, global %.1f%%, gaussiank %.1f%%\n",
-		dev(s.Local), dev(s.Global), dev(s.Gaussian))
+		s.deviationPct(s.Local), s.deviationPct(s.Global), s.deviationPct(s.Gaussian))
+}
+
+// deviationPct is the mean absolute deviation of a count series from
+// the accurate k, in percent, as the paper reports it (<11%).
+func (s SelectionSeries) deviationPct(xs []float64) float64 {
+	var d float64
+	for _, v := range xs {
+		d += absf(v-float64(s.Accurate)) / float64(s.Accurate)
+	}
+	return d / float64(len(xs)) * 100
 }
 
 func absf(v float64) float64 {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -145,6 +146,25 @@ func TestFigure6SelectionTracksK(t *testing.T) {
 	s.Print(&buf)
 	if !strings.Contains(buf.String(), "mean deviation") {
 		t.Error("Print output malformed")
+	}
+}
+
+// TestFigure6MetricsMatchPrint: a fig6 spec's deviation metrics are the
+// three percentages its printed report shows.
+func TestFigure6MetricsMatchPrint(t *testing.T) {
+	r, _ := FindRunner("fig6")
+	spec := r.Specs(QuickScale())[0]
+	out := spec.Run(spec)
+	var buf bytes.Buffer
+	out.Payload.(SelectionSeries).Print(&buf)
+	m := map[string]float64{}
+	for _, x := range out.Metrics {
+		m[x.Name] = x.Value
+	}
+	want := fmt.Sprintf("  mean deviation: local %.1f%%, global %.1f%%, gaussiank %.1f%%\n",
+		m["mean_deviation_local_pct"], m["mean_deviation_global_pct"], m["mean_deviation_gaussiank_pct"])
+	if !strings.Contains(buf.String(), want) {
+		t.Errorf("metrics %v not the printed deviations:\n%s", out.Metrics, buf.String())
 	}
 }
 

@@ -32,7 +32,8 @@ type OverlapPoint struct {
 // window, and the tail bucket — produced last, by the model's earliest
 // layers — is always exposed, so hiding saturates below 100% even
 // before per-bucket latency overheads bite. Each point is the
-// steady-state mean of one DenseOvlp weak-scaling run at density 1%.
+// steady-state mean of one DenseOvlp weak-scaling run at density 1%;
+// the 1-bucket run is the reference and, when swept, its own point.
 func OverlapAblation(sc Scale, workload string, p, batch, iters int, buckets []int) []OverlapPoint {
 	measure := func(nb int) Breakdown {
 		cfg := weakConfig(sc, workload, "DenseOvlp", p, batch, 0.01)
@@ -42,7 +43,10 @@ func OverlapAblation(sc Scale, workload string, p, batch, iters int, buckets []i
 	base := measure(1)
 	var out []OverlapPoint
 	for _, nb := range buckets {
-		b := measure(nb)
+		b := base
+		if nb != 1 {
+			b = measure(nb)
+		}
 		out = append(out, OverlapPoint{
 			Workload: workload, P: p, Buckets: nb,
 			ExposedComm: b.Comm,

@@ -26,9 +26,6 @@ import (
 type Scale struct {
 	Table1Ps         []int
 	Table1N, Table1K int
-	Fig7Ps           []int
-	Fig7N            int
-	Fig7Density      float64
 	WeakPs           map[string][]int
 	WeakIters        int
 	ConvIters        int
@@ -59,7 +56,6 @@ func QuickScale() Scale {
 	return Scale{
 		Table1Ps: []int{8, 16, 32},
 		Table1N:  1000000, Table1K: 10000,
-		Fig7Ps: []int{16, 32, 64}, Fig7N: 200000, Fig7Density: 0.01,
 		WeakPs:    map[string][]int{"VGG": {8, 16}, "LSTM": {8, 16}, "BERT": {8, 16, 32}},
 		WeakIters: 10,
 		ConvIters: 120,
@@ -73,7 +69,6 @@ func FullScale() Scale {
 	return Scale{
 		Table1Ps: []int{16, 64, 128},
 		Table1N:  1000000, Table1K: 10000,
-		Fig7Ps: []int{16, 32, 64}, Fig7N: 200000, Fig7Density: 0.01,
 		WeakPs:    map[string][]int{"VGG": {16, 32}, "LSTM": {32, 64}, "BERT": {32, 64, 256}},
 		WeakIters: 12,
 		ConvIters: 400,
@@ -81,6 +76,11 @@ func FullScale() Scale {
 		BertP:     32,
 	}
 }
+
+// Figure 7's sizes, the same at every scale.
+var fig7Ps = [...]int{16, 32, 64}
+
+const fig7N, fig7Density = 200000, 0.01
 
 // Runner is one registered table/figure reproduction.
 type Runner struct {
@@ -188,18 +188,11 @@ func Registry() []Runner {
 						Runner: "fig6", Config: fmt.Sprintf("%s density=%.1f%%", p.wl, p.d*100),
 						Run: func(Spec) Outcome {
 							s := Figure6(sc, p.wl, p.d, 4, 32, 4, p.tauPrime)
-							dev := func(xs []float64) float64 {
-								var d float64
-								for _, v := range xs {
-									d += absf(v-float64(s.Accurate)) / float64(s.Accurate)
-								}
-								return d / float64(len(xs)) * 100
-							}
 							return Outcome{Payload: s, Metrics: []Metric{
 								{"accurate_k", float64(s.Accurate)},
-								{"mean_deviation_local_pct", dev(s.Local)},
-								{"mean_deviation_global_pct", dev(s.Global)},
-								{"mean_deviation_gaussiank_pct", dev(s.Gaussian)},
+								{"mean_deviation_local_pct", s.deviationPct(s.Local)},
+								{"mean_deviation_global_pct", s.deviationPct(s.Global)},
+								{"mean_deviation_gaussiank_pct", s.deviationPct(s.Gaussian)},
 							}}
 						},
 					})
@@ -236,12 +229,12 @@ func Registry() []Runner {
 			ID: "fig7", Desc: "load-balancing speedups",
 			Specs: func(sc Scale) []Spec {
 				var specs []Spec
-				for _, p := range sc.Fig7Ps {
+				for _, p := range fig7Ps {
 					p := p
 					specs = append(specs, Spec{
 						Runner: "fig7", Config: fmt.Sprintf("P=%d", p),
 						Run: func(Spec) Outcome {
-							rs := Figure7(sc.Wire, []int{p}, sc.Fig7N, sc.Fig7Density)
+							rs := Figure7(sc.Wire, []int{p}, fig7N, fig7Density)
 							return Outcome{Payload: rs[0], Metrics: []Metric{
 								{"reduce_speedup_x", rs[0].ReduceSpeedup},
 								{"allgather_speedup_x", rs[0].AllgatherSpeedup},

@@ -215,23 +215,18 @@ func (a *TopkA) Reduce(cm cluster.Endpoint, acc []float64, t int) allreduce.Resu
 }
 
 // Gaussiank [41] uses the allgather schedule with Gaussian threshold
-// estimation instead of exact selection.
+// estimation instead of exact selection, adjusted (§5.4 fairness) until
+// it selects at least 3k/4 values; EstimateCount gives the raw
+// estimate's count that Figure 6 plots.
 type Gaussiank struct {
 	cfg allreduce.Config
-	// Estimated selects whether the raw Gaussian estimate is used
-	// (paper's Figure 6 accounting) or the adjusted one (§5.4 fairness).
-	Adjust bool
-
 	sel *sparse.Vec
 	out collectives.FanOut // the selection's allgathered copy
 	gs  gatherState
 }
 
-// NewGaussiank returns a Gaussiank instance with the paper's fairness
-// adjustment enabled.
-func NewGaussiank(cfg allreduce.Config) *Gaussiank {
-	return &Gaussiank{cfg: cfg.Defaults(), Adjust: true}
-}
+// NewGaussiank returns a Gaussiank instance for one worker.
+func NewGaussiank(cfg allreduce.Config) *Gaussiank { return &Gaussiank{cfg: cfg.Defaults()} }
 
 func (*Gaussiank) Name() string           { return "Gaussiank" }
 func (*Gaussiank) OverlapsBackward() bool { return false }
@@ -243,17 +238,13 @@ func (g *Gaussiank) EstimateCount(acc []float64, k int) int {
 	return topk.CountAbove(acc, th)
 }
 
-// Reduce selects by the (adjusted) Gaussian threshold and gathers.
+// Reduce selects by the adjusted Gaussian threshold and gathers.
 func (g *Gaussiank) Reduce(cm cluster.Endpoint, acc []float64, t int) allreduce.Result {
 	k := g.cfg.KFor(len(acc))
 	// Mean/std fit plus one selection scan: 3 passes over n.
 	allreduce.ChargeScan(cm, g.cfg, 3*len(acc))
-	th := topk.GaussianThreshold(acc, k)
-	if g.Adjust {
-		adjTh, passes := topk.AdjustThreshold(acc, th, 3*k/4)
-		allreduce.ChargeScan(cm, g.cfg, passes*len(acc))
-		th = adjTh
-	}
+	th, passes := topk.AdjustThreshold(acc, topk.GaussianThreshold(acc, k), 3*k/4)
+	allreduce.ChargeScan(cm, g.cfg, passes*len(acc))
 	g.sel = sparse.FromDenseThresholdInto(g.sel, acc, th)
 	mine := g.out.Fill(cm, g.sel.Indexes, g.sel.Values)
 	update, nz := g.gs.gatherAndSum(cm, mine, len(acc))

@@ -138,11 +138,9 @@ type Config struct {
 	Adam bool
 
 	// Net are the α-β machine constants; zero value means PizDaint. The
-	// β is automatically scaled by PaperN/N so communication volumes
-	// match the paper-scale models (see DESIGN.md); set NoBetaScale to
-	// disable.
-	Net         netmodel.Params
-	NoBetaScale bool
+	// β is scaled by PaperN/N so communication volumes match the
+	// paper-scale models (see DESIGN.md).
+	Net netmodel.Params
 
 	// Topology overlays a network topology (hierarchy, rail contention,
 	// straggler/jitter injection) on the machine constants; the zero
@@ -238,16 +236,14 @@ func NewDistributedSession(cfg Config) (*Session, error) {
 	if net == (netmodel.Params{}) {
 		net = EffectiveNet()
 	}
-	if !cfg.NoBetaScale {
-		// Communication and sparsification costs are both proportional
-		// to the gradient size, so both scale by PaperN/N to put the
-		// scaled-down substrate models in the paper-scale cost regime.
-		ratio := float64(probe.PaperN()) / float64(probe.N())
-		net.Beta *= ratio
-		cfg.Reduce = cfg.Reduce.Defaults()
-		cfg.Reduce.SortFlops *= ratio
-		cfg.Reduce.ScanFlops *= ratio
-	}
+	// Communication and sparsification costs are both proportional to
+	// the gradient size, so both scale by PaperN/N to put the
+	// scaled-down substrate models in the paper-scale cost regime.
+	ratio := float64(probe.PaperN()) / float64(probe.N())
+	net.Beta *= ratio
+	cfg.Reduce = cfg.Reduce.Defaults()
+	cfg.Reduce.SortFlops *= ratio
+	cfg.Reduce.ScanFlops *= ratio
 	if cfg.Topology.Active() {
 		net.Topo = cfg.Topology
 	}

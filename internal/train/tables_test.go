@@ -34,8 +34,8 @@ func TestWorkloadsTable(t *testing.T) {
 			t.Errorf("row %q builds %q", w.Name, got)
 		}
 	}
-	if lr := DefaultLR("nope"); lr != 0 {
-		t.Fatalf(`DefaultLR("nope") = %v, want 0`, lr)
+	if lr := WorkloadNamed("nope").LR; lr != 0 {
+		t.Fatalf(`WorkloadNamed("nope").LR = %v, want 0`, lr)
 	}
 }
 

@@ -219,29 +219,22 @@ func TestWorkloadDeterminism(t *testing.T) {
 	}
 }
 
-// TestBetaScale: by default β is the effective-stack value scaled by
-// PaperN/N.
+// TestBetaScale: β is the session's machine constant scaled by
+// PaperN/N — the effective-stack value by default, a custom Net's
+// otherwise.
 func TestBetaScale(t *testing.T) {
 	s := NewSession(quickCfg("VGG", "Dense", 2))
 	w := s.Trainers[0].W
+	ratio := float64(w.PaperN()) / float64(w.N())
 	got := s.Cluster.Comm(0).Clock().Params().Beta
-	want := EffectiveNet().Beta * float64(w.PaperN()) / float64(w.N())
-	if got != want {
+	if want := EffectiveNet().Beta * ratio; got != want {
 		t.Errorf("beta %v want %v", got, want)
 	}
 	cfg := quickCfg("VGG", "Dense", 2)
-	cfg.NoBetaScale = true
+	cfg.Net = netmodel.Commodity()
 	s2 := NewSession(cfg)
-	if s2.Cluster.Comm(0).Clock().Params().Beta != EffectiveNet().Beta {
-		t.Error("NoBetaScale ignored")
-	}
-	// Custom params pass through untouched.
-	cfg2 := quickCfg("VGG", "Dense", 2)
-	cfg2.Net = netmodel.Commodity()
-	cfg2.NoBetaScale = true
-	s3 := NewSession(cfg2)
-	if s3.Cluster.Comm(0).Clock().Params().Beta != netmodel.Commodity().Beta {
-		t.Error("custom net params not honored")
+	if got, want := s2.Cluster.Comm(0).Clock().Params().Beta, netmodel.Commodity().Beta*ratio; got != want {
+		t.Errorf("custom net: beta %v want %v", got, want)
 	}
 }
 

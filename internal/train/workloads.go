@@ -401,7 +401,3 @@ func NewWorkload(name string, modelSeed, dataSeed int64) Workload {
 	}
 	return w.New(modelSeed, dataSeed)
 }
-
-// DefaultLR is the learning rate a workload trains with unless the run
-// picks its own, and 0 for a name NewWorkload does not know.
-func DefaultLR(workload string) float64 { return WorkloadNamed(workload).LR }

@@ -37,7 +37,7 @@ func TestTrainRecoveryBitIdentical(t *testing.T) {
 	// Baseline: the unfailed job, checkpointing on the same cadence so
 	// the two runs execute the identical schedule.
 	clean, err := Launch(Job{
-		Kind: "train", Size: cfg.P, TimeoutSec: 180,
+		Kind: "train", Size: cfg.P, Timeout: 180 * time.Second,
 		Train: &TrainJob{
 			Config: cfg, Iters: iters,
 			Checkpoint: filepath.Join(dir, "clean.ckpt"), CkptEvery: ckptEvery,
@@ -54,7 +54,7 @@ func TestTrainRecoveryBitIdentical(t *testing.T) {
 	// restart policy must relaunch once, resume from the step-4
 	// checkpoint, and land on the same bits.
 	out, err := LaunchWithRecovery(Job{
-		Kind: "train", Size: cfg.P, TimeoutSec: 180,
+		Kind: "train", Size: cfg.P, Timeout: 180 * time.Second,
 		Chaos: &chaos.Plan{Faults: []chaos.Fault{{Kind: chaos.Kill, Rank: 1, Step: 6}}},
 		Train: &TrainJob{
 			Config: cfg, Iters: iters,
@@ -90,7 +90,7 @@ func TestTrainRecoveryExhaustsAttempts(t *testing.T) {
 	cfg := recoveryConfig()
 	dir := t.TempDir()
 	_, err := LaunchWithRecovery(Job{
-		Kind: "train", Size: cfg.P, TimeoutSec: 120,
+		Kind: "train", Size: cfg.P, Timeout: 120 * time.Second,
 		Chaos: &chaos.Plan{Faults: []chaos.Fault{
 			{Kind: chaos.Kill, Rank: 1, Step: 2, EveryAttempt: true},
 		}},

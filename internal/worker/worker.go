@@ -61,21 +61,15 @@ type Job struct {
 	// Rendezvous is rank 0's listen address (empty for rank 0, which
 	// binds and announces it).
 	Rendezvous string
-	// TimeoutSec bounds rendezvous and every receive stall (default
+	// Timeout bounds rendezvous and every receive stall (default
 	// cluster.DefaultTCPTimeout).
-	TimeoutSec float64
-	// HeartbeatMS is the liveness-probe interval in milliseconds (0 =
+	Timeout time.Duration `json:",omitempty"`
+	// HeartbeatInterval is the liveness-probe interval (0 =
 	// cluster.DefaultHeartbeatInterval; negative disables heartbeats).
-	HeartbeatMS int `json:",omitempty"`
+	HeartbeatInterval time.Duration `json:",omitempty"`
 	// HeartbeatMisses is the silent-interval count that declares a peer
 	// dead (0 = cluster.DefaultHeartbeatMisses).
 	HeartbeatMisses int `json:",omitempty"`
-	// SendQueueFrames bounds each peer's queued-but-unwritten frames
-	// (0 = cluster.DefaultSendQueueFrames).
-	SendQueueFrames int `json:",omitempty"`
-	// CorkBytes sizes each peer's write-coalescing buffer
-	// (0 = cluster.DefaultCorkBytes).
-	CorkBytes int `json:",omitempty"`
 	// Wire is the collective wire format.
 	Wire cluster.Wire
 
@@ -173,10 +167,10 @@ func runJob(blob string) int {
 
 // timeout returns the job's receive/rendezvous bound.
 func (job Job) timeout() time.Duration {
-	if job.TimeoutSec <= 0 {
+	if job.Timeout <= 0 {
 		return cluster.DefaultTCPTimeout
 	}
-	return time.Duration(job.TimeoutSec * float64(time.Second))
+	return job.Timeout
 }
 
 // attempt returns the 1-based launch attempt.
@@ -201,11 +195,9 @@ func (job Job) tcpOptions() cluster.TCPOptions {
 	opts := cluster.TCPOptions{
 		Rank: job.Rank, Size: job.Size,
 		Rendezvous:        job.Rendezvous,
-		Timeout:           job.timeout(),
-		HeartbeatInterval: time.Duration(job.HeartbeatMS) * time.Millisecond,
+		Timeout:           job.Timeout,
+		HeartbeatInterval: job.HeartbeatInterval,
 		HeartbeatMisses:   job.HeartbeatMisses,
-		SendQueueFrames:   job.SendQueueFrames,
-		CorkBytes:         job.CorkBytes,
 		Hook:              job.Chaos.Hook(job.Rank, job.attempt()),
 		OnKill:            func() { os.Exit(3) },
 	}

@@ -1,6 +1,7 @@
 package worker
 
 import (
+	"encoding/json"
 	"math"
 	"net"
 	"os"
@@ -36,6 +37,29 @@ func requireLoopback(t *testing.T) {
 	ln.Close()
 }
 
+// TestJobCarriesSubMillisecondHeartbeat: a negative heartbeat interval
+// shorter than a millisecond still reaches the worker's transport as
+// negative (heartbeats disabled) after the launcher's JSON round trip.
+func TestJobCarriesSubMillisecondHeartbeat(t *testing.T) {
+	job := Job{Kind: "train", Size: 2, Timeout: 1500 * time.Millisecond,
+		HeartbeatInterval: -500 * time.Microsecond}
+	blob, err := json.Marshal(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Job
+	if err := json.Unmarshal(blob, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.HeartbeatInterval != job.HeartbeatInterval || got.Timeout != job.Timeout {
+		t.Fatalf("round trip: heartbeat %v timeout %v, want %v and %v",
+			got.HeartbeatInterval, got.Timeout, job.HeartbeatInterval, job.Timeout)
+	}
+	if hb := got.tcpOptions().HeartbeatInterval; hb >= 0 {
+		t.Fatalf("tcpOptions heartbeat interval %v, want negative (disabled)", hb)
+	}
+}
+
 // TestMultiProcessConformance is the end-to-end version of the
 // conformance pin: P real worker processes over TCP must reproduce the
 // inproc golden report exactly.
@@ -53,7 +77,7 @@ func TestMultiProcessConformance(t *testing.T) {
 
 	out, err := Launch(Job{
 		Kind: "conformance", Size: spec.P,
-		Params: testParams(), Spec: &spec, TimeoutSec: 60,
+		Params: testParams(), Spec: &spec, Timeout: 60 * time.Second,
 	}, LaunchOptions{})
 	if err != nil {
 		t.Fatalf("launch: %v", err)
@@ -81,7 +105,7 @@ func TestProcessKillSurfacesRankError(t *testing.T) {
 	spec := conformance.Spec{P: 2, N: 2048, K: 48, Iters: 4, Seed: 5, CrashRank: 1, CrashIter: 2}
 	_, err := Launch(Job{
 		Kind: "conformance", Size: spec.P,
-		Params: testParams(), Spec: &spec, TimeoutSec: 20,
+		Params: testParams(), Spec: &spec, Timeout: 20 * time.Second,
 	}, LaunchOptions{})
 	if err == nil {
 		t.Fatal("job with a killed worker reported success")
@@ -117,7 +141,7 @@ func TestTrainOverTCPMatchesInproc(t *testing.T) {
 	refMetric := ref.Evaluate(200)
 
 	out, err := Launch(Job{
-		Kind: "train", Size: cfg.P, TimeoutSec: 120,
+		Kind: "train", Size: cfg.P, Timeout: 120 * time.Second,
 		Train: &TrainJob{Config: cfg, Iters: iters},
 	}, LaunchOptions{})
 	if err != nil {
