@@ -36,8 +36,8 @@ const (
 	// Delay is Stall scoped to frames headed for one peer (Peer ≥ 0) —
 	// a slow link rather than a slow rank.
 	Delay = "delay"
-	// Corrupt flips a bit of one encoded frame after its CRC was
-	// computed; the receiver must reject it with the sender attributed.
+	// Corrupt flips a bit of one frame's CRC trailer; the receiver must
+	// reject the frame with the sender attributed.
 	Corrupt = "corrupt"
 	// Drop severs the connection to Peer (or the frame's destination)
 	// mid-job.

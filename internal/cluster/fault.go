@@ -29,9 +29,10 @@ const (
 	// FaultStall sleeps Wall of host time before the send — a straggler
 	// or a delayed connection, depending on how the plan scoped it.
 	FaultStall
-	// FaultCorrupt flips one bit of the encoded frame after its checksum
-	// was computed, modeling on-wire corruption; the receiver must
-	// reject the frame with the sender attributed.
+	// FaultCorrupt flips one bit of the frame's CRC trailer, modeling
+	// on-wire corruption without touching the payload, which is the
+	// sender's live buffer; the receiver must reject the frame with the
+	// sender attributed.
 	FaultCorrupt
 	// FaultDrop severs the connection to Peer (or to the frame's
 	// destination when Peer is out of range) mid-job.

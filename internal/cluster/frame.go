@@ -15,7 +15,12 @@ package cluster
 // and swaps each word in place.
 //
 // length counts the type byte plus the body (not the trailer); crc is
-// the CRC32-C (Castagnoli) of type+body. The reader decodes a frame
+// the CRC32-C (Castagnoli) of type+body. The tcp send path writes a
+// data frame straight from its message: one frameEncoder walk computes
+// the CRC at enqueue, a second lays the frame onto the connection's
+// cork, and neither copies a payload array into a frame of its own
+// (sendqueue.go). appendDataFrame lays the same bytes out flat for the
+// control frames and the tests. The reader decodes a frame
 // straight from the stream into its destination buffers and checks the
 // CRC over the bytes as they arrive; a message is returned only after
 // the trailer has matched. A flipped bit anywhere in a frame therefore
@@ -129,9 +134,10 @@ const (
 )
 
 // dataFrameLen returns the encoded size of msg's frame, prefix and
-// trailer included, so the sender can draw a buffer that fits before
-// encoding. A body above maxFrameBody is refused here: every receiver
-// would reject it as corrupt, so the error belongs to the sender.
+// trailer included, so the sender knows the length prefix before it
+// lays out the body. A body above maxFrameBody is refused here: every
+// receiver would reject it as corrupt, so the error belongs to the
+// sender.
 func dataFrameLen(msg *Message) (int, error) {
 	body := int64(1 + msgHeader) // the type byte counts as body
 	switch msg.kind {
@@ -172,8 +178,19 @@ func chunkLen(ch *Chunk) int64 {
 	return n
 }
 
+// frameEncoder lays a frame out in wire order. Fixed-size fields are
+// appended to buf. A payload array's wire bytes go to arrays when it is
+// set, read in place, and are appended to buf when it is nil.
 type frameEncoder struct {
-	buf []byte
+	buf    []byte
+	arrays arraySink
+}
+
+// arraySink takes a frame's payload arrays as an encoder reaches them,
+// with the fixed fields that precede each array already in e.buf: the
+// send path's CRC pass and cork (sendqueue.go).
+type arraySink interface {
+	array(e *frameEncoder, b []byte)
 }
 
 func (e *frameEncoder) u8(v byte)      { e.buf = append(e.buf, v) }
@@ -181,17 +198,26 @@ func (e *frameEncoder) u32(v uint32)   { e.buf = binary.LittleEndian.AppendUint3
 func (e *frameEncoder) u64(v uint64)   { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
 func (e *frameEncoder) i64(v int64)    { e.u64(uint64(v)) }
 func (e *frameEncoder) f64(v float64)  { e.u64(math.Float64bits(v)) }
-func (e *frameEncoder) bytes(b []byte) { e.u32(uint32(len(b))); e.buf = append(e.buf, b...) }
+func (e *frameEncoder) bytes(b []byte) { e.u32(uint32(len(b))); e.array(b) }
 
-// writeWords appends a payload array's element count and its wire
-// bytes: one copy of its byte view.
+func (e *frameEncoder) array(b []byte) {
+	if e.arrays == nil {
+		e.buf = append(e.buf, b...)
+		return
+	}
+	e.arrays.array(e, b)
+}
+
+// writeWords lays out a payload array's element count and its wire
+// bytes: its byte view, which a big-endian host swaps in a copy.
 func writeWords[T float64 | float32 | int32](e *frameEncoder, x []T) {
 	e.u32(uint32(len(x)))
-	start := len(e.buf)
-	e.buf = append(e.buf, byteView(x)...)
+	b := byteView(x)
 	if !nativeLittle {
-		swapWords(e.buf[start:], int(unsafe.Sizeof(T(0))))
+		b = slices.Clone(b)
+		swapWords(b, int(unsafe.Sizeof(T(0))))
 	}
+	e.array(b)
 }
 
 func (e *frameEncoder) chunk(ch *Chunk) {
@@ -219,13 +245,22 @@ func (e *frameEncoder) chunk(ch *Chunk) {
 }
 
 // appendDataFrame encodes msg as a complete frameData (length prefix
-// included) onto buf and returns the extended slice; a buf with room
-// for dataFrameLen(msg) more bytes is never regrown. It panics on a
-// generic payload it cannot represent — the runtime itself only ever
-// sends nil and []byte generically; tests exercising other `any`
-// payloads are inproc-only by design.
+// included) onto buf and returns the extended slice: the queue-jumping
+// control frames of tcp.go, and the reference the send path's bytes
+// are tested against.
 func appendDataFrame(buf []byte, msg *Message) []byte {
-	e := frameEncoder{buf: append(buf, 0, 0, 0, 0, frameData)}
+	e := frameEncoder{buf: append(buf, 0, 0, 0, 0)}
+	e.dataBody(msg)
+	return finishFrame(e.buf, len(buf))
+}
+
+// dataBody lays out msg's frameData from the type byte to the end of
+// the body: what the length prefix counts and the CRC covers. It panics
+// on a generic payload it cannot represent — the runtime itself only
+// ever sends nil and []byte generically; tests exercising other `any`
+// payloads are inproc-only by design.
+func (e *frameEncoder) dataBody(msg *Message) {
+	e.u8(frameData)
 	e.i64(int64(msg.Src))
 	e.i64(int64(msg.Tag))
 	e.i64(int64(msg.Words))
@@ -233,9 +268,9 @@ func appendDataFrame(buf []byte, msg *Message) []byte {
 	e.u8(byte(msg.kind))
 	switch msg.kind {
 	case payloadFloats:
-		writeWords(&e, msg.floats)
+		writeWords(e, msg.floats)
 	case payloadFloats32:
-		writeWords(&e, msg.floats32)
+		writeWords(e, msg.floats32)
 	case payloadChunk:
 		e.chunk(&msg.chunk)
 	case payloadChunks:
@@ -254,13 +289,6 @@ func appendDataFrame(buf []byte, msg *Message) []byte {
 			panic(fmt.Sprintf("cluster: tcp transport cannot ship generic payload %T (tag %d); use the typed Send variants", msg.Data, msg.Tag))
 		}
 	}
-	return finishFrame(e.buf, len(buf))
-}
-
-// writeFrame writes a fully encoded frame (prefix included) to w.
-func writeFrame(w io.Writer, frame []byte) error {
-	_, err := w.Write(frame)
-	return err
 }
 
 // Rendezvous handshake frames. hello: a joining rank announces itself

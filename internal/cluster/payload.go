@@ -32,12 +32,25 @@ package cluster
 // once no rank can still read them (collectives.FanOut), and nobody
 // ever Puts them.
 //
-// Under tcp the message crosses as a copy, so step 3 happens twice:
-// the receiver owns the buffer the frame was decoded into, and the tcp
-// Deliver returns the sender's SendFloats / SendFloat32s buffer to the
-// sender's own pool as soon as the frame is encoded — that buffer was
-// handed over exclusively, so nothing else can still see it. Chunk
-// payloads may fan out and are never returned by the transport.
+// Under tcp the receiver owns the buffer the frame was decoded into,
+// and the sender's payload is borrowed, not copied: the connection's
+// writer goroutine sends the frame from the sender's own arrays and
+// then returns a SendFloats / SendFloat32s buffer, which was handed
+// over exclusively, to the sender's pool. Chunk payloads may fan out
+// and are never returned by the transport. Borrowing needs no rule of
+// its own: the writer is done with a payload before any receiver can
+// read the message, so a payload that stays unchanged until its
+// receiver has read it — the rule inproc delivery by pointer already
+// relies on — also stays unchanged until it is written. The frame's
+// CRC is taken at enqueue, so a payload rewritten too early arrives as
+// ErrFrameCorrupt, attributed to the sender, never as different values.
+//
+// The fan-out slot rule (collectives.FanOut) is one case of that rule
+// and holds over tcp unchanged: every receiver finishes call t of a
+// call site before the origin can finish call t+1, and the origin
+// rewrites call t's slot only at call t+2, so by then the writer has
+// sent it. Forwarded chunks are the forwarder's decoded copies, which
+// nobody rewrites.
 
 import "sync"
 

@@ -1,47 +1,190 @@
 package cluster
 
-// The asynchronous half of the tcp send path: a bounded per-peer frame
-// queue drained by a writer goroutine (tcp.go), plus the locked
-// frame-buffer freelist the encoded frames are drawn from.
+// The asynchronous half of the tcp send path: a bounded per-peer queue
+// of outgoing frames and the cork its writer goroutine (tcp.go) writes
+// them through.
 //
-// The rank goroutine encodes a message into an owned pooled []byte and
-// enqueues it; the writer goroutine coalesces whatever is queued into
-// large corked writes and returns the buffers to the pool. Ownership is
-// strict: a frame buffer belongs to the rank goroutine until push
-// succeeds, to the queue while queued, and to the writer afterwards —
-// nobody ever rewrites a buffer another goroutine can still observe
-// (the scratch-reuse hazard of the old synchronous path).
+// A queued frame is its message, not a copy of its bytes: the rank
+// goroutine takes the frame's CRC32-C at enqueue and pushes {message,
+// length, CRC}; the writer lays the frame onto the cork, copying fixed
+// fields and arrays under spliceMin bytes into the cork's buffer and
+// splicing each larger array, uncopied, into its writev vector.
+//
+// The payload is borrowed until written, which is before any receiver
+// can read it, so the lifetime rule of inproc delivery covers it
+// (payload.go). A frame belongs to the rank goroutine until push
+// succeeds, to the queue while queued, and to the writer afterwards,
+// which returns what the sender handed over exclusively to the sender's
+// pools once the bytes are written. A payload rewritten before then no
+// longer matches the CRC and fails at the receiver as ErrFrameCorrupt,
+// attributed to the sender.
 
-import "sync"
+import (
+	"hash/crc32"
+	"io"
+	"net"
+	"sync"
+)
 
-// frameBufPool is a locked freelist of frame encode buffers, shared
-// between the rank goroutine (get, on encode) and the per-peer writer
-// goroutines (put, after the socket write). Unlike the rank payload
-// pools it must lock: two goroutine classes touch it. It is best-fit
-// and bounded by poolCap like every other freelist; overflow falls to
-// the GC.
-type frameBufPool struct {
-	mu   sync.Mutex
-	free freelist[byte]
+// spliceMin is the size from which a payload array bypasses the cork:
+// below it, one copy into the cork costs less than a writev entry and
+// lets small frames share one socket write.
+const spliceMin = 16 << 10
+
+// outFrame is one queued data frame: the message it encodes, which
+// still holds the payload arrays the writer sends from, the frame's
+// length prefix and the CRC32-C taken at enqueue.
+type outFrame struct {
+	msg  *Message
+	body uint32
+	crc  uint32
+	// owner is the sending rank's pools, to which the writer returns the
+	// message shell and a SendFloats / SendFloat32s buffer once the frame
+	// is written; nil for the transport's own control messages.
+	owner *rankPools
 }
 
-// get returns an empty buffer with room for n bytes: the smallest
-// pooled one that fits, or a new one of exactly n. A frame of
-// dataFrameLen bytes is then encoded into it without regrowing, and a
-// large frame never takes a buffer a small one could have used.
-func (p *frameBufPool) get(n int) []byte {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.free.get(n)[:0]
+// frameSum is enqueue's CRC pass over a data frame, taken from the
+// message itself: the fixed fields pass through its scratch buffer and
+// each payload array is read where it lies.
+type frameSum struct {
+	enc frameEncoder
+	crc uint32
 }
 
-func (p *frameBufPool) put(b []byte) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.free.put(b)
+// seal fills in f's length prefix and its CRC32-C as the message reads
+// now. A body above maxFrameBody is refused.
+func (s *frameSum) seal(f *outFrame) error {
+	size, err := dataFrameLen(f.msg)
+	if err != nil {
+		return err
+	}
+	s.enc.buf, s.enc.arrays, s.crc = s.enc.buf[:0], s, 0
+	s.enc.dataBody(f.msg)
+	s.array(&s.enc, nil)
+	f.body, f.crc = uint32(size-8), s.crc
+	return nil
 }
 
-// sendQueue is one peer's bounded FIFO of encoded frames. push blocks
+func (s *frameSum) array(e *frameEncoder, b []byte) {
+	s.crc = crc32.Update(s.crc, crcTable, e.buf)
+	s.crc = crc32.Update(s.crc, crcTable, b)
+	e.buf = e.buf[:0]
+}
+
+// release returns what the sender handed over exclusively — the shell
+// and an owned float payload — to the sender's pools. Chunk payloads may
+// fan out to several destinations and are left to the GC (payload.go).
+func (f *outFrame) release() {
+	if f.owner == nil {
+		return
+	}
+	switch f.msg.kind {
+	case payloadFloats:
+		f.owner.putFloats(f.msg.floats)
+	case payloadFloats32:
+		f.owner.putFloats32(f.msg.floats32)
+	}
+	f.owner.putMsg(f.msg)
+}
+
+// cork is one connection's write side, guarded by the peer's write
+// mutex: a corkBytes buffer the fixed fields and small arrays are copied
+// into, and a writev vector that splices each large array between two
+// stretches of that buffer. It is written out once it holds corkBytes,
+// at the end of the frame that filled it (so a large array leaves in
+// one writev with the bytes before it and its frame's trailer), and
+// whenever the writer finds its queue empty.
+type cork struct {
+	w       io.Writer
+	enc     frameEncoder // enc.buf is the buffer; enc.arrays is the cork
+	mark    int          // enc.buf[:mark] is already in vec
+	vec     net.Buffers  // buffer stretches and spliced arrays, in wire order
+	wv      net.Buffers  // the copy of vec a writev consumes
+	spliced int          // array bytes in vec
+	splices int          // arrays spliced so far, ever
+	held    []outFrame   // frames with an array in vec, released after the write
+	err     error        // the first write error; every later write returns it
+}
+
+func newCork(w io.Writer) *cork {
+	c := &cork{w: w, enc: frameEncoder{buf: make([]byte, 0, corkBytes)}}
+	c.enc.arrays = c
+	return c
+}
+
+func (c *cork) pending() int { return len(c.enc.buf) + c.spliced }
+
+// frame lays f onto the cork and writes the cork out if it is full. A
+// frame none of whose arrays were spliced is released at once: its
+// bytes are all in the buffer.
+func (c *cork) frame(f *outFrame) error {
+	splices := c.splices
+	c.enc.u32(f.body)
+	c.enc.dataBody(f.msg)
+	c.enc.u32(f.crc)
+	if c.splices == splices {
+		f.release()
+	} else {
+		c.held = append(c.held, *f)
+	}
+	if c.pending() >= corkBytes {
+		return c.flush()
+	}
+	return c.err
+}
+
+// array is the encoder's hook for a payload array: one of spliceMin
+// bytes or more is spliced into vec, a smaller one copied into the
+// buffer, which is written out first if the array does not fit. A
+// write error stays in c.err, which frame returns.
+func (c *cork) array(e *frameEncoder, b []byte) {
+	if len(b) < spliceMin {
+		if len(e.buf)+len(b) > corkBytes {
+			c.flush()
+		}
+		e.buf = append(e.buf, b...)
+		return
+	}
+	if c.pending() >= corkBytes {
+		c.flush()
+	}
+	c.vec = append(c.vec, e.buf[c.mark:], b)
+	c.mark = len(e.buf)
+	c.spliced += len(b)
+	c.splices++
+}
+
+// write copies an encoded control frame into the buffer and writes the
+// cork out.
+func (c *cork) write(frame []byte) error {
+	c.enc.buf = append(c.enc.buf, frame...)
+	return c.flush()
+}
+
+// flush writes everything pending — one write, or one writev when
+// arrays are spliced — and then releases the held frames.
+func (c *cork) flush() error {
+	switch {
+	case c.err != nil:
+	case len(c.vec) > 0:
+		c.vec = append(c.vec, c.enc.buf[c.mark:])
+		c.wv = c.vec
+		_, c.err = c.wv.WriteTo(c.w)
+	case len(c.enc.buf) > 0:
+		_, c.err = c.w.Write(c.enc.buf)
+	}
+	clear(c.vec)
+	c.vec, c.enc.buf, c.mark, c.spliced = c.vec[:0], c.enc.buf[:0], 0, 0
+	for i := range c.held {
+		c.held[i].release()
+	}
+	clear(c.held)
+	c.held = c.held[:0]
+	return c.err
+}
+
+// sendQueue is one peer's bounded FIFO of outgoing frames. push blocks
 // while the queue is at depth (backpressure toward the rank goroutine);
 // pop blocks until frames arrive or the queue terminates. fail poisons
 // it (both sides observe the error), close marks the producing side
@@ -50,7 +193,7 @@ type sendQueue struct {
 	mu     sync.Mutex
 	nempty sync.Cond // signaled when frames arrive or the queue terminates
 	nfull  sync.Cond // signaled when depth frees up or the queue terminates
-	frames [][]byte
+	frames []outFrame
 	head   int
 	depth  int
 	closed bool
@@ -64,10 +207,10 @@ func newSendQueue(depth int) *sendQueue {
 	return q
 }
 
-// push appends one owned frame, blocking while the queue is full.
-// Returns the poison error if the queue failed (the frame is dropped —
-// its buffer returns to the caller) and errQueueClosed after close.
-func (q *sendQueue) push(frame []byte) error {
+// push appends one frame, blocking while the queue is full. Returns the
+// poison error if the queue failed (the frame is dropped and stays the
+// caller's) and errQueueClosed after close.
+func (q *sendQueue) push(frame outFrame) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for len(q.frames)-q.head >= q.depth && q.err == nil && !q.closed {
@@ -88,8 +231,8 @@ func (q *sendQueue) push(frame []byte) error {
 // blocking while the queue is empty and still alive. It returns
 // ok=false when the writer should exit: the queue failed, or it was
 // closed and fully drained. A failed queue's remaining frames are
-// discarded (their buffers are unreachable garbage, safely GC'd).
-func (q *sendQueue) pop(batch [][]byte) (_ [][]byte, ok bool) {
+// discarded (their messages are unreachable garbage, safely GC'd).
+func (q *sendQueue) pop(batch []outFrame) (_ []outFrame, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for {

@@ -2,12 +2,12 @@ package cluster
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 )
 
-func queueFrame(i int) []byte { return []byte(fmt.Sprintf("frame-%03d", i)) }
+// queueFrame is the i-th frame of a test stream, told apart by its tag.
+func queueFrame(i int) outFrame { return outFrame{msg: &Message{Tag: i}} }
 
 // TestSendQueueFIFO: frames come out in push order, across any batching
 // the consumer's pop pattern produces.
@@ -25,8 +25,8 @@ func TestSendQueueFIFO(t *testing.T) {
 		}
 		q.close()
 	}()
-	var got [][]byte
-	var batch [][]byte
+	var got []int
+	var batch []outFrame
 	for {
 		var ok bool
 		batch, ok = q.pop(batch)
@@ -34,16 +34,16 @@ func TestSendQueueFIFO(t *testing.T) {
 			break
 		}
 		for _, f := range batch {
-			got = append(got, append([]byte(nil), f...))
+			got = append(got, f.msg.Tag)
 		}
 	}
 	<-done
 	if len(got) != n {
 		t.Fatalf("popped %d frames, want %d", len(got), n)
 	}
-	for i, f := range got {
-		if string(f) != string(queueFrame(i)) {
-			t.Fatalf("frame %d: got %q, want %q", i, f, queueFrame(i))
+	for i, tag := range got {
+		if tag != i {
+			t.Fatalf("frame %d: got frame %d", i, tag)
 		}
 	}
 }
@@ -125,8 +125,8 @@ func TestSendQueueCloseDrains(t *testing.T) {
 		t.Fatalf("drain pop: got %d frames ok=%v, want 3 true", len(batch), ok)
 	}
 	for i, f := range batch {
-		if string(f) != string(queueFrame(i)) {
-			t.Fatalf("drained frame %d: got %q", i, f)
+		if f.msg.Tag != i {
+			t.Fatalf("drained frame %d: got frame %d", i, f.msg.Tag)
 		}
 	}
 	if _, ok := q.pop(batch); ok {

@@ -22,21 +22,23 @@ package cluster
 //
 // # Steady state: the corked, batched data plane
 //
-// Sends are asynchronous. The rank goroutine encodes each message into
-// an owned pooled frame buffer of the frame's exact size (never a
-// shared scratch — the buffer belongs to exactly one goroutine at a
-// time, see sendqueue.go), returns an owned float payload to its own
-// pool, and pushes the frame onto the destination's bounded sendQueue;
-// a per-peer writer goroutine drains whatever is queued in one batch,
-// writes the frames back-to-back through a corkBytes-sized bufio.Writer
-// (which flushes itself whenever the cork fills), and flushes once when
-// the queue runs dry. Back-to-back small frames therefore coalesce into
-// single large socket writes — one syscall for a burst instead of one
-// per frame — while a lone frame still departs immediately: the writer
-// only ever holds data while more is already queued behind it. A full
-// queue blocks the sender (bounded memory); a dead connection fails the
-// queue and poisons the mailbox, so an asynchronous send error surfaces
-// at the sender's next transport operation instead of being lost.
+// Sends are asynchronous and copy no large payload. The rank goroutine
+// takes each frame's CRC from the message itself and pushes the message
+// onto the destination's bounded sendQueue; a per-peer writer goroutine
+// drains whatever is queued in one batch and writes each frame straight
+// from the message through the connection's cork (sendqueue.go): fixed
+// fields and small payload arrays are copied into a corkBytes buffer,
+// and each array of spliceMin bytes or more goes out from its own
+// memory in one writev with the buffered bytes around it. The cork is
+// written out when it fills and once more when the queue runs dry, and
+// the writer then returns each owned float payload to the sender's
+// pool. Back-to-back small frames therefore coalesce into single large
+// socket writes — one syscall for a burst instead of one per frame —
+// while a lone frame still departs immediately: the writer only ever
+// holds data while more is already queued behind it. A full queue
+// blocks the sender (bounded memory); a dead connection fails the queue
+// and poisons the mailbox, so an asynchronous send error surfaces at
+// the sender's next transport operation instead of being lost.
 //
 // One reader goroutine per connection decodes frames into the process's
 // single mailbox, streaming each payload from the socket buffer
@@ -124,7 +126,7 @@ const (
 // unwritten frames: a sender that outruns a slow connection by this
 // many blocks in Deliver until the writer catches up. corkBytes is the
 // writer's coalescing buffer — the largest single socket write a batch
-// of small frames merges into before the cork flushes itself.
+// of small frames merges into before the cork writes itself out.
 const (
 	sendQueueFrames = 512
 	corkBytes       = 256 << 10
@@ -199,23 +201,22 @@ type tcpTransport struct {
 	hook       FaultHook
 	onKill     func()
 
-	box       *mailbox
-	conns     []net.Conn                // indexed by peer rank; nil at self
-	writers   []*bufio.Writer           // same indexing; guarded by wmu
-	wmu       []sync.Mutex              // per-peer write locks (writer loop vs heartbeats)
-	queues    []*sendQueue              // per-peer outbound frame queues
-	lastSeen  []atomic.Int64            // unix nanos of the peer's last frame, any tag
-	framePool frameBufPool              // encode buffers: rank goroutine ↔ writer loops
-	pools     atomic.Pointer[rankPools] // local rank's payload pools (recv decode)
-	readers   sync.WaitGroup
-	writerWG  sync.WaitGroup
-	hb        sync.WaitGroup
-	done      chan struct{} // closed by shutdown; releases heartbeats and wedged ranks
-	closed    atomic.Bool
-	aborted   atomic.Bool   // abort already broadcast (first failure wins)
-	wedged    atomic.Bool   // FaultWedge: suppress outgoing heartbeats
-	byes      []atomic.Bool // peer said goodbye: its EOF is a clean departure
-	local     [1]int
+	box      *mailbox
+	conns    []net.Conn                // indexed by peer rank; nil at self
+	corks    []*cork                   // same indexing; guarded by wmu
+	wmu      []sync.Mutex              // per-peer write locks (writer loop vs heartbeats)
+	queues   []*sendQueue              // per-peer outbound frame queues
+	lastSeen []atomic.Int64            // unix nanos of the peer's last frame, any tag
+	pools    atomic.Pointer[rankPools] // local rank's payload pools (recv decode)
+	readers  sync.WaitGroup
+	writerWG sync.WaitGroup
+	hb       sync.WaitGroup
+	done     chan struct{} // closed by shutdown; releases heartbeats and wedged ranks
+	closed   atomic.Bool
+	aborted  atomic.Bool   // abort already broadcast (first failure wins)
+	wedged   atomic.Bool   // FaultWedge: suppress outgoing heartbeats
+	byes     []atomic.Bool // peer said goodbye: its EOF is a clean departure
+	local    [1]int
 
 	// writerGate, when non-nil, is received from by every writer loop
 	// before each batch — a test-only valve that holds data behind the
@@ -223,8 +224,9 @@ type tcpTransport struct {
 	writerGate atomic.Pointer[chan struct{}]
 
 	// Rank-goroutine-only state (Deliver is single-threaded per rank).
-	frames      int  // outgoing data-frame count, for FaultHook triggers
-	corruptNext bool // FaultCorrupt latch for the frame being encoded
+	sum         frameSum // enqueue's CRC pass
+	frames      int      // outgoing data-frame count, for FaultHook triggers
+	corruptNext bool     // FaultCorrupt latch for the frame being enqueued
 }
 
 // bindPools hands the transport its local rank's payload pools; the
@@ -263,7 +265,7 @@ func newTCPTransport(opts TCPOptions) (*tcpTransport, error) {
 		onKill:     opts.OnKill,
 		box:        newMailbox(),
 		conns:      make([]net.Conn, opts.Size),
-		writers:    make([]*bufio.Writer, opts.Size),
+		corks:      make([]*cork, opts.Size),
 		wmu:        make([]sync.Mutex, opts.Size),
 		queues:     make([]*sendQueue, opts.Size),
 		lastSeen:   make([]atomic.Int64, opts.Size),
@@ -279,9 +281,9 @@ func newTCPTransport(opts TCPOptions) (*tcpTransport, error) {
 		}
 		return nil, err
 	}
-	// Initialize every connection's writer and queue BEFORE starting any
+	// Initialize every connection's cork and queue BEFORE starting any
 	// goroutine: a read loop that fails early broadcasts an abort to all
-	// peers, which must never observe a half-built tr.writers/tr.queues.
+	// peers, which must never observe a half-built tr.corks/tr.queues.
 	now := time.Now().UnixNano()
 	for peer, conn := range tr.conns {
 		if conn == nil {
@@ -291,7 +293,7 @@ func newTCPTransport(opts TCPOptions) (*tcpTransport, error) {
 		// by the mailbox deadline instead, so clear the socket ones.
 		conn.SetDeadline(time.Time{})
 		tuneConn(conn)
-		tr.writers[peer] = bufio.NewWriterSize(conn, corkBytes)
+		tr.corks[peer] = newCork(conn)
 		tr.queues[peer] = newSendQueue(sendQueueFrames)
 		tr.lastSeen[peer].Store(now)
 	}
@@ -395,7 +397,7 @@ func (tr *tcpTransport) rendezvous(opts TCPOptions) error {
 		}
 		table := appendTableFrame(nil, addrs)
 		for peer := 1; peer < tr.size; peer++ {
-			if err := writeFrame(tr.conns[peer], table); err != nil {
+			if _, err := tr.conns[peer].Write(table); err != nil {
 				return fmt.Errorf("cluster: tcp rendezvous: rank 0 sending table to rank %d: %w", peer, err)
 			}
 		}
@@ -411,7 +413,7 @@ func (tr *tcpTransport) rendezvous(opts TCPOptions) error {
 	}
 	conn0.SetDeadline(deadline)
 	tr.conns[0] = conn0
-	if err := writeFrame(conn0, appendHelloFrame(nil, tr.rank, ln.Addr().String())); err != nil {
+	if _, err := conn0.Write(appendHelloFrame(nil, tr.rank, ln.Addr().String())); err != nil {
 		return fmt.Errorf("cluster: tcp rendezvous: rank %d sending hello: %w", tr.rank, err)
 	}
 	addrs, err := (&frameReader{r: conn0}).readTable()
@@ -432,7 +434,7 @@ func (tr *tcpTransport) rendezvous(opts TCPOptions) error {
 			return fmt.Errorf("cluster: tcp rendezvous: rank %d dialing rank %d at %q: %w", tr.rank, peer, addrs[peer], err)
 		}
 		conn.SetDeadline(deadline)
-		if err := writeFrame(conn, appendHelloFrame(nil, tr.rank, "")); err != nil {
+		if _, err := conn.Write(appendHelloFrame(nil, tr.rank, "")); err != nil {
 			conn.Close()
 			return fmt.Errorf("cluster: tcp rendezvous: rank %d hello to rank %d: %w", tr.rank, peer, err)
 		}
@@ -607,35 +609,31 @@ func (tr *tcpTransport) deadline() time.Time {
 	return time.Now().Add(tr.timeout)
 }
 
-// write pushes one frame through dst's bufio writer and flushes, under
-// the write mutex. This is the queue-jumping control path — heartbeat,
-// abort, goodbye — and the rendezvous table; all data takes enqueue.
+// write pushes one encoded frame through dst's cork and writes the
+// cork out, under the write mutex. This is the queue-jumping control
+// path — heartbeat, abort, goodbye; all data takes enqueue.
 func (tr *tcpTransport) write(dst int, frame []byte) error {
-	w := tr.writers[dst]
-	if w == nil {
+	c := tr.corks[dst]
+	if c == nil {
 		return fmt.Errorf("no connection to rank %d", dst)
 	}
 	tr.wmu[dst].Lock()
 	defer tr.wmu[dst].Unlock()
-	if err := writeFrame(w, frame); err != nil {
-		return err
-	}
-	return w.Flush()
+	return c.write(frame)
 }
 
 // writerLoop drains dst's send queue: each pop takes everything queued,
-// the batch is written back-to-back through the corked bufio writer
-// (which flushes itself at corkBytes), and the cork is released — one
-// explicit flush — only when the queue has run dry. The write mutex is
-// held per batch, so a control-path write waits at most one batch, and
-// frame buffers return to the shared pool the rank goroutine encodes
-// into. A write error fails the queue (waking any blocked Deliver) and
-// poisons the mailbox with the destination attributed.
+// the batch is laid back-to-back onto the cork (which writes itself out
+// at corkBytes), and the cork is written out once more only when the
+// queue has run dry. The write mutex is held per batch, so a
+// control-path write waits at most one batch. A write error fails the
+// queue (waking any blocked Deliver) and poisons the mailbox with the
+// destination attributed.
 func (tr *tcpTransport) writerLoop(dst int) {
 	defer tr.writerWG.Done()
 	q := tr.queues[dst]
-	w := tr.writers[dst]
-	var batch [][]byte
+	c := tr.corks[dst]
+	var batch []outFrame
 	for {
 		var ok bool
 		batch, ok = q.pop(batch)
@@ -647,15 +645,14 @@ func (tr *tcpTransport) writerLoop(dst int) {
 		}
 		tr.wmu[dst].Lock()
 		var err error
-		for i, frame := range batch {
+		for i := range batch {
 			if err == nil {
-				err = writeFrame(w, frame)
+				err = c.frame(&batch[i])
 			}
-			tr.framePool.put(frame)
-			batch[i] = nil
+			batch[i] = outFrame{}
 		}
 		if err == nil && q.empty() {
-			err = w.Flush()
+			err = c.flush()
 		}
 		tr.wmu[dst].Unlock()
 		if err != nil {
@@ -666,39 +663,41 @@ func (tr *tcpTransport) writerLoop(dst int) {
 	}
 }
 
-// enqueue encodes msg into an owned pooled frame buffer sized to the
-// frame and pushes it onto dst's send queue, blocking while the queue
-// is full. The buffer belongs to the queue once push succeeds — the
-// rank goroutine never touches it again (no shared scratch: an
-// in-flight frame can never be overwritten by the next encode). A
-// message too large for any receiver to accept is refused here, before
-// anything is encoded or written.
-func (tr *tcpTransport) enqueue(dst int, msg *Message) error {
+// enqueue takes msg's frame CRC and pushes the frame onto dst's send
+// queue, blocking while the queue is full. The message belongs to the
+// queue once push succeeds, and its payload must stay as it is until
+// the writer has written it (sendqueue.go). A message too large for any
+// receiver to accept is refused here, before anything is queued or
+// written. A refused frame is released to owner, the sender's pools.
+func (tr *tcpTransport) enqueue(dst int, msg *Message, owner *rankPools) error {
+	f := outFrame{msg: msg, owner: owner}
 	q := tr.queues[dst]
-	if q == nil {
-		return fmt.Errorf("no connection to rank %d", dst)
+	err := tr.sum.seal(&f)
+	switch {
+	case q == nil:
+		err = fmt.Errorf("no connection to rank %d", dst)
+	case err != nil:
+		err = fmt.Errorf("message to rank %d, tag %d: %w", dst, msg.Tag, err)
+	default:
+		if tr.corruptNext {
+			tr.corruptNext = false
+			// Flip a bit of the CRC trailer: the frame goes out with a
+			// checksum its bytes do not match, exactly what on-wire
+			// corruption produces, and the receiver must reject it with
+			// attribution. The payload is the sender's live buffer and is
+			// never written to.
+			f.crc ^= 0x80
+		}
+		err = q.push(f)
 	}
-	size, err := dataFrameLen(msg)
 	if err != nil {
-		return fmt.Errorf("message to rank %d, tag %d: %w", dst, msg.Tag, err)
+		f.release() // refused: the message is the sender's again
 	}
-	frame := appendDataFrame(tr.framePool.get(size), msg)
-	if tr.corruptNext {
-		tr.corruptNext = false
-		// Flip a payload bit after the CRC was computed: the frame goes
-		// out with a stale checksum, exactly what on-wire corruption
-		// produces, and the receiver must reject it with attribution.
-		frame[5] ^= 0x80
-	}
-	if err := q.push(frame); err != nil {
-		tr.framePool.put(frame) // queue dropped it; the buffer is ours again
-		return err
-	}
-	return nil
+	return err
 }
 
 // inject applies the fault hook's verdict for the data frame about to
-// be encoded. Called from the rank goroutine only.
+// be enqueued. Called from the rank goroutine only.
 func (tr *tcpTransport) inject(src *Comm, dst int) {
 	tr.frames++
 	d := tr.hook.OnFrame(tr.rank, dst, tr.frames)
@@ -738,29 +737,18 @@ func (tr *tcpTransport) inject(src *Comm, dst int) {
 	}
 }
 
-// Deliver encodes and enqueues one data frame, then returns the
-// message's owned float payload to the sender's pool: the frame holds
-// its own copy. The send is asynchronous: a connection failure
-// observed by the writer loop surfaces here only if the queue already
-// failed — otherwise it poisons the mailbox and the sender trips over
-// it at its next receive, barrier, or gather. A message refused by
-// enqueue fails here, attributed to the sending rank.
+// Deliver enqueues one data frame; the writer returns the message and
+// its owned float payload to the sender's pools once the frame is
+// written. The send is asynchronous: a connection failure observed by
+// the writer loop surfaces here only if the queue already failed —
+// otherwise it poisons the mailbox and the sender trips over it at its
+// next receive, barrier, or gather. A message refused by enqueue fails
+// here, attributed to the sending rank.
 func (tr *tcpTransport) Deliver(src *Comm, dst int, msg *Message) {
 	if tr.hook != nil {
 		tr.inject(src, dst)
 	}
-	err := tr.enqueue(dst, msg)
-	// SendFloats and SendFloat32s hand their buffer over exclusively, so
-	// nobody else can see it once it is encoded. Chunk payloads may fan
-	// out to several destinations and are left to the GC (payload.go).
-	switch msg.kind {
-	case payloadFloats:
-		src.PutFloats(msg.floats)
-	case payloadFloats32:
-		src.PutFloat32s(msg.floats32)
-	}
-	src.release(msg)
-	if err != nil {
+	if err := tr.enqueue(dst, msg, src.pools()); err != nil {
 		werr := fmt.Errorf("send to rank %d failed: %w", dst, err)
 		tr.fail(werr)
 		panic(&TransportError{Rank: src.rank, Err: werr})
@@ -781,14 +769,14 @@ func (tr *tcpTransport) TakeEach(rank int, keys []RecvKey, fn func(i int, msg *M
 // lockstep. Exactly one of fl / blob may be set; both nil is a bare
 // signal.
 func (tr *tcpTransport) sendControl(dst, tag int, fl []float64, blob []byte) error {
-	msg := Message{Src: tr.rank, Tag: tag}
+	msg := &Message{Src: tr.rank, Tag: tag}
 	switch {
 	case fl != nil:
 		msg.kind, msg.floats = payloadFloats, fl
 	case blob != nil:
 		msg.kind, msg.Data = payloadAny, blob
 	}
-	if err := tr.enqueue(dst, &msg); err != nil {
+	if err := tr.enqueue(dst, msg, nil); err != nil {
 		return fmt.Errorf("control send (tag %d) to rank %d failed: %w", tag, dst, err)
 	}
 	return nil

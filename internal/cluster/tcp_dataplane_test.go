@@ -1,10 +1,15 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"math/rand"
+	"net"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 	"unsafe"
@@ -12,10 +17,11 @@ import (
 
 // TestTCPRecvAllocBudget: after warm-up, a full send+recv exchange over
 // the TCP transport stays within a small constant allocation budget per
-// step, in count and in bytes — the send path (exact-size pooled frame,
-// payload back to the sender's pool) and the receive path (streamed
-// straight into rank-pool buffers) must not allocate per frame, neither
-// at 4096 values nor at the 4 MB frames of a 1M-element f32 reduction.
+// step, in count and in bytes — the send path (frame written from the
+// payload, payload back to the sender's pool) and the receive path
+// (streamed straight into rank-pool buffers) must not allocate per
+// frame, neither at 4096 values nor at the 4 MB frames of a 1M-element
+// f32 reduction.
 // The ranks are persistent goroutines driven over channels so the
 // measurement sees only transport work, not harness setup. Both
 // AllocsPerRun and TotalAlloc count process-wide, so the budgets cover
@@ -36,22 +42,15 @@ func TestTCPRecvAllocBudget(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			const tag = 7
 			clusters := startTCPJob(t, 2, params(), c.wire, 60*time.Second)
-			// Seed each rank with the two buffers of each kind this
-			// lockstep exchange can hold at once — a payload being sent
-			// while the peer's is decoded, a frame being written while the
-			// next is encoded — so an interleaving that first needs the
-			// second one inside the measured window is not mistaken for
-			// per-step allocation.
-			width := 8
-			if c.wire == WireF32 {
-				width = 4
-			}
-			frameLen := 4 + 1 + msgHeader + 4 + width*c.vals + 4 // prefix, type, envelope, count, payload, crc
+			// Seed each rank with the three payload buffers this lockstep
+			// exchange can hold at once — the next one being written, the
+			// peer's being decoded, and the last one sent, which the
+			// writer returns a moment after the peer has read it — so an
+			// interleaving that first needs the third one inside the
+			// measured window is not mistaken for per-step allocation.
 			for _, cl := range clusters {
-				tr := cl.transport.(*tcpTransport)
-				pools := tr.pools.Load()
-				for i := 0; i < 2; i++ {
-					tr.framePool.put(make([]byte, 0, frameLen))
+				pools := cl.transport.(*tcpTransport).pools.Load()
+				for i := 0; i < 3; i++ {
 					if c.wire == WireF32 {
 						pools.putFloats32(make([]float32, c.vals))
 					} else {
@@ -87,7 +86,7 @@ func TestTCPRecvAllocBudget(t *testing.T) {
 				<-stepDone[1]
 			}
 			for i := 0; i < c.warmup; i++ {
-				step() // warm the payload, frame, and message pools
+				step() // warm the payload and message pools
 			}
 			allocs := testing.AllocsPerRun(20, step)
 			const steps = 20
@@ -118,16 +117,28 @@ func TestTCPRecvAllocBudget(t *testing.T) {
 	}
 }
 
-// TestTCPDeliverRecyclesOwnedFloats: the frame carries its own copy, so
-// the tcp Deliver returns a SendFloat32s buffer to the sender's own pool
-// at once, while a SendChunk payload — which may fan out to other ranks
-// — is never taken back.
+// TestTCPDeliverRecyclesOwnedFloats: the writer sends from the payload
+// itself, so a SendFloat32s buffer returns to the sender's own pool
+// once it is written — by the time the receiver holds the message, give
+// or take the writer's next step — while a SendChunk payload, which may
+// fan out to other ranks, is never taken back.
 func TestTCPDeliverRecyclesOwnedFloats(t *testing.T) {
 	leakCheck(t)
 	clusters := startTCPJob(t, 2, params(), WireF32, 20*time.Second)
-	pooled := func(free [][]float32, s []float32) bool {
+	pooled := func(s []float32) bool {
+		_, free, _ := clusters[0].PooledBuffers(0)
 		for _, f := range free {
 			if unsafe.SliceData(f) == unsafe.SliceData(s) {
+				return true
+			}
+		}
+		return false
+	}
+	// The writer returns a buffer just after its write, which the
+	// receiver may see first: wait for that step, within a bound.
+	returned := func(s []float32) bool {
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if pooled(s) {
 				return true
 			}
 		}
@@ -136,17 +147,29 @@ func TestTCPDeliverRecyclesOwnedFloats(t *testing.T) {
 	errs := runTCPJob(clusters, func(cm *Comm) error {
 		if cm.Rank() == 1 {
 			cm.PutFloat32s(cm.RecvFloat32(0, 1))
+			cm.Barrier()
 			cm.RecvChunk(0, 2)
+			cm.PutFloat32s(cm.RecvFloat32(0, 3))
+			cm.Barrier()
 			return nil
 		}
 		buf := cm.GetFloat32s(64)
 		cm.SendFloat32s(1, 1, buf, WireF32.Words(64))
-		if _, free, _ := clusters[0].PooledBuffers(0); !pooled(free, buf) {
+		cm.Barrier() // rank 1 holds the message
+		if !returned(buf) {
 			return fmt.Errorf("SendFloat32s buffer is not back in the sender's pool")
 		}
 		data := cm.GetFloat32s(64)
 		cm.SendChunk(1, 2, Chunk{Data32: data}, WireF32.Words(64))
-		if _, free, _ := clusters[0].PooledBuffers(0); pooled(free, data) {
+		// The writer releases frames in order: once the owned buffer sent
+		// after the chunk is back, the chunk's frame is done with too.
+		mark := cm.GetFloat32s(64)
+		cm.SendFloat32s(1, 3, mark, WireF32.Words(64))
+		cm.Barrier()
+		if !returned(mark) {
+			return fmt.Errorf("SendFloat32s buffer is not back in the sender's pool")
+		}
+		if pooled(data) {
 			return fmt.Errorf("SendChunk payload was returned to the sender's pool")
 		}
 		return nil
@@ -160,16 +183,28 @@ func TestTCPDeliverRecyclesOwnedFloats(t *testing.T) {
 
 // TestTCPOversizeRefusedAtSender: a message whose frame body would
 // exceed maxFrameBody fails on the rank that sent it, naming the
-// destination, tag and size, and nothing is encoded or written: the
+// destination, tag and size, and nothing is queued or written: the
 // receiver learns of it from the sender's abort, not as a corrupt frame
-// of its own. The 129 chunks share one 1 MiB slice, which a fanned-out
-// payload may legally do.
+// of its own. The sender's writer is held behind the test-only gate
+// with an earlier frame, so a refused frame that had been queued would
+// still be in the queue. The 129 chunks share one 1 MiB slice, which a
+// fanned-out payload may legally do.
 func TestTCPOversizeRefusedAtSender(t *testing.T) {
 	leakCheck(t)
 	clusters := startTCPJob(t, 2, params(), WireF64, 20*time.Second)
+	tr := clusters[0].transport.(*tcpTransport)
+	gate := make(chan struct{})
+	tr.writerGate.Store(&gate)
+	t.Cleanup(func() { close(gate) }) // before the clusters close
 	shared := make([]float64, 1<<17)
 	errs := runTCPJob(clusters, func(cm *Comm) error {
 		if cm.Rank() == 0 {
+			cm.SendFloats(1, 4, []float64{1}, 1)
+			for deadline := time.Now().Add(5 * time.Second); !tr.queues[1].empty(); time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					return fmt.Errorf("the writer never took the first frame")
+				}
+			}
 			chs := make([]Chunk, 129)
 			for i := range chs {
 				chs[i] = Chunk{Origin: 0, Data: shared}
@@ -192,11 +227,8 @@ func TestTCPOversizeRefusedAtSender(t *testing.T) {
 	if errs[1] == nil || !strings.Contains(errs[1].Error(), "aborted by rank 0") || strings.Contains(errs[1].Error(), "corrupt") {
 		t.Errorf("receiver: got %v, want the sender's abort", errs[1])
 	}
-	tr := clusters[0].transport.(*tcpTransport)
-	tr.framePool.mu.Lock()
-	defer tr.framePool.mu.Unlock()
-	if n := len(tr.framePool.free.free); n != 0 {
-		t.Errorf("sender encoded %d data frames, want none", n)
+	if !tr.queues[1].empty() {
+		t.Errorf("sender queued the refused frame")
 	}
 }
 
@@ -286,5 +318,141 @@ func TestTCPHeartbeatBypassesFullSendQueue(t *testing.T) {
 		if err != nil {
 			t.Errorf("rank %d: %v", r, err)
 		}
+	}
+}
+
+// TestCorkWritesAppendDataFrameBytes: the bytes the send path puts on a
+// connection — frames sealed at enqueue, laid onto the cork, small
+// arrays copied and large ones spliced into its writev — are exactly
+// appendDataFrame's, for every golden data frame, for random messages
+// as FuzzReadFrame draws them, and for messages whose arrays straddle
+// spliceMin, with the cork written out after a varying number of
+// frames.
+func TestCorkWritesAppendDataFrameBytes(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("loopback listen unavailable: %v", err)
+	}
+	defer ln.Close()
+	client, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	server, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+
+	var msgs []*Message
+	for _, g := range goldenFrames() {
+		if g.typ == frameData {
+			msgs = append(msgs, g.msg)
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 300; i++ {
+		msgs = append(msgs, randMessage(rng))
+	}
+	for _, n := range []int{spliceMin/8 - 1, spliceMin / 8, spliceMin/4 + 3, 1 << 17} {
+		f64 := make([]float64, n)
+		f32 := make([]float32, n)
+		ints := make([]int32, n)
+		for i := range f64 {
+			f64[i], f32[i], ints[i] = randFloat64(rng), float32(rng.NormFloat64()), rng.Int31()
+		}
+		blob := make([]byte, n)
+		rng.Read(blob)
+		msgs = append(msgs,
+			&Message{Src: 1, Tag: n, kind: payloadFloats, floats: f64},
+			&Message{Src: 1, Tag: n, kind: payloadFloats32, floats32: f32},
+			&Message{Src: 1, Tag: n, kind: payloadChunk, chunk: Chunk{Origin: 2, Data32: f32, Aux: ints}},
+			&Message{Src: 1, Tag: n, kind: payloadChunks, chunks: []Chunk{{Data: f64[:n/3]}, {}, {Data: f64, Aux: ints[:7]}}},
+			&Message{Src: 1, Tag: n, kind: payloadAny, Data: blob},
+		)
+	}
+	var want []byte
+	for _, m := range msgs {
+		want = appendDataFrame(want, m)
+	}
+	got := make(chan []byte, 1)
+	go func() {
+		b, _ := io.ReadAll(io.LimitReader(server, int64(len(want))))
+		got <- b
+	}()
+
+	c := newCork(client)
+	var sum frameSum
+	for _, m := range msgs {
+		f := outFrame{msg: m}
+		if err := sum.seal(&f); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.frame(&f); err != nil {
+			t.Fatal(err)
+		}
+		if rng.Intn(8) == 0 {
+			if err := c.flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := c.flush(); err != nil {
+		t.Fatal(err)
+	}
+	b := <-got
+	if bytes.Equal(b, want) {
+		return
+	}
+	off := 0
+	for i, m := range msgs {
+		frame := appendDataFrame(nil, m)
+		if off+len(frame) > len(b) || !bytes.Equal(b[off:off+len(frame)], frame) {
+			t.Fatalf("%d bytes written, want %d; frame %d (kind %d, tag %d) differs from appendDataFrame's",
+				len(b), len(want), i, m.kind, m.Tag)
+		}
+		off += len(frame)
+	}
+	t.Fatalf("%d bytes written, want %d", len(b), len(want))
+}
+
+// TestTCPRewrittenPayloadIsCorrupt: the CRC is taken at enqueue, so a
+// payload the sender rewrites before the writer has sent it — against
+// the ownership rule — reaches the receiver as ErrFrameCorrupt
+// attributed to the sender, never as a silently different gradient.
+// The sender's writer is held behind the test-only gate until the
+// rewrite is done; both a copied and a spliced payload are checked.
+func TestTCPRewrittenPayloadIsCorrupt(t *testing.T) {
+	for _, n := range []int{8, 2 * spliceMin / 8} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			leakCheck(t)
+			clusters := startTCPJob(t, 2, params(), WireF64, 30*time.Second)
+			gate := make(chan struct{})
+			var open sync.Once
+			clusters[1].transport.(*tcpTransport).writerGate.Store(&gate)
+			t.Cleanup(func() { open.Do(func() { close(gate) }) }) // before the clusters close
+			errs := runTCPJob(clusters, func(cm *Comm) error {
+				if cm.Rank() == 1 {
+					buf := cm.GetFloats(n)
+					for i := range buf {
+						buf[i] = float64(i)
+					}
+					cm.SendFloats(0, 3, buf, n)
+					buf[n/2] = -1
+					open.Do(func() { close(gate) })
+					cm.RecvFloat64(0, 4) // never sent: poisoned by the abort broadcast
+					return nil
+				}
+				cm.RecvFloat64(1, 3)
+				return nil
+			})
+			if !errors.Is(errs[0], ErrFrameCorrupt) || !strings.Contains(errs[0].Error(), "corrupt frame from rank 1") {
+				t.Errorf("rank 0: got %v, want ErrFrameCorrupt naming rank 1", errs[0])
+			}
+			if errs[1] == nil || !strings.Contains(errs[1].Error(), "aborted by rank 0") {
+				t.Errorf("rank 1: got %v, want abort broadcast from rank 0", errs[1])
+			}
+		})
 	}
 }

@@ -62,9 +62,10 @@ type Transport interface {
 	Local() []int
 	// Deliver transfers msg to dst's mailbox. Ownership of msg and its
 	// typed payload passes to the transport until the receiver takes it;
-	// a remote backend serializes the payload and must not retain or
-	// release the buffers (fan-out payloads may still be referenced by
-	// the sender).
+	// a remote backend may read the payload until it has written it,
+	// and returns to the sender's pools only the buffers the sender
+	// handed over exclusively (fan-out payloads may still be referenced
+	// by the sender).
 	Deliver(src *Comm, dst int, msg *Message)
 	// Take blocks until a (src, tag) message for rank arrives, or the
 	// transport fails (peer death, recv deadline).

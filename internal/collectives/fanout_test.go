@@ -1,9 +1,11 @@
 package collectives
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -33,51 +35,118 @@ func fanOutPayload(origin, call int) ([]int32, []float64) {
 // -race the rewrite and the read would be reported as a data race. P=3
 // and 5 take the ring schedule, P=4 and 8 recursive doubling.
 func TestFanOutSlotRule(t *testing.T) {
-	const calls = 200
-	poisonIdx, poisonVal := int32(-1), math.Float64frombits(0x7ff8_dead_beef_0001)
 	for _, wire := range []cluster.Wire{cluster.WireF64, cluster.WireF32} {
 		for _, p := range []int{3, 5, 4, 8} {
-			wire, p := wire, p
 			t.Run(fmt.Sprintf("wire=%s/P=%d", wire, p), func(t *testing.T) {
-				c := cluster.NewWire(p, netmodel.PizDaint(), wire)
-				err := c.Run(func(cm *cluster.Comm) error {
-					rng := rand.New(rand.NewSource(int64(31 + cm.Rank())))
-					pause := func() {
-						if d := rng.Intn(4); d > 0 {
-							time.Sleep(time.Duration(d*d) * 10 * time.Microsecond)
-						}
-					}
-					var out FanOut
-					var result []Chunk
-					// The first mismatch is kept, not returned: a rank that
-					// left early would strand the others in the collective.
-					var mismatch error
-					for call := 0; call < calls; call++ {
-						idx, val := fanOutPayload(cm.Rank(), call)
-						s := out.Next()
-						s.Indexes, s.Values = s.Indexes[:0], s.Values[:0]
-						for range idx {
-							s.Indexes = append(s.Indexes, poisonIdx)
-							s.Values = append(s.Values, poisonVal)
-						}
-						s.Chunk(cm) // poisons the f32 copy too
-						pause()
-						copy(s.Indexes, idx)
-						copy(s.Values, val)
-						result = AllgathervInto(cm, s.Chunk(cm), result)
-						pause()
-						if mismatch == nil {
-							mismatch = checkGathered(result, call, wire)
-						}
-					}
-					return mismatch
-				})
-				if err != nil {
+				if err := cluster.NewWire(p, netmodel.PizDaint(), wire).Run(slotRuleRank(wire)); err != nil {
 					t.Fatal(err)
 				}
 			})
 		}
 	}
+}
+
+// TestFanOutSlotRuleTCP is TestFanOutSlotRule over the tcp transport,
+// whose writer sends each slot from the origin's own memory: the slot
+// must stay unchanged until it is written, and a rewrite before that
+// would fail the frame's CRC, taken at enqueue, as corruption.
+func TestFanOutSlotRuleTCP(t *testing.T) {
+	for _, wire := range []cluster.Wire{cluster.WireF64, cluster.WireF32} {
+		for _, p := range []int{3, 4} {
+			t.Run(fmt.Sprintf("wire=%s/P=%d", wire, p), func(t *testing.T) {
+				if err := runTCP(t, p, wire, slotRuleRank(wire)); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
+// slotRuleRank is one rank of the slot-rule test: 200 AllgathervInto
+// calls from a FanOut, each slot poisoned and then filled before it is
+// sent, each result checked against fanOutPayload.
+func slotRuleRank(wire cluster.Wire) func(cm *cluster.Comm) error {
+	const calls = 200
+	poisonIdx, poisonVal := int32(-1), math.Float64frombits(0x7ff8_dead_beef_0001)
+	return func(cm *cluster.Comm) error {
+		rng := rand.New(rand.NewSource(int64(31 + cm.Rank())))
+		pause := func() {
+			if d := rng.Intn(4); d > 0 {
+				time.Sleep(time.Duration(d*d) * 10 * time.Microsecond)
+			}
+		}
+		var out FanOut
+		var result []Chunk
+		// The first mismatch is kept, not returned: a rank that left
+		// early would strand the others in the collective.
+		var mismatch error
+		for call := 0; call < calls; call++ {
+			idx, val := fanOutPayload(cm.Rank(), call)
+			s := out.Next()
+			s.Indexes, s.Values = s.Indexes[:0], s.Values[:0]
+			for range idx {
+				s.Indexes = append(s.Indexes, poisonIdx)
+				s.Values = append(s.Values, poisonVal)
+			}
+			s.Chunk(cm) // poisons the f32 copy too
+			pause()
+			copy(s.Indexes, idx)
+			copy(s.Values, val)
+			result = AllgathervInto(cm, s.Chunk(cm), result)
+			pause()
+			if mismatch == nil {
+				mismatch = checkGathered(result, call, wire)
+			}
+		}
+		return mismatch
+	}
+}
+
+// runTCP runs body on every rank of a P-rank tcp job over loopback, one
+// goroutine per rank standing in for one process per rank, and returns
+// the ranks' errors joined. It skips the test when the sandbox forbids
+// loopback listening.
+func runTCP(t *testing.T, p int, wire cluster.Wire, body func(cm *cluster.Comm) error) error {
+	t.Helper()
+	clusters := make([]*cluster.Cluster, p)
+	errs := make([]error, p)
+	addr := make(chan string, 1)
+	var wg sync.WaitGroup
+	rank := func(r int, rendezvous string) {
+		defer wg.Done()
+		opts := cluster.TCPOptions{Rank: r, Size: p, Rendezvous: rendezvous, Timeout: time.Minute}
+		if r == 0 {
+			opts.OnListen = func(a string) { addr <- a }
+		}
+		c, err := cluster.NewTCP(opts, netmodel.PizDaint(), wire)
+		if err != nil {
+			if r == 0 {
+				close(addr) // wake the waiter if listen itself failed
+			}
+			errs[r] = err
+			return
+		}
+		clusters[r] = c
+		errs[r] = c.Run(body)
+	}
+	wg.Add(1)
+	go rank(0, "")
+	a, ok := <-addr
+	if !ok {
+		wg.Wait()
+		t.Skipf("tcp transport unavailable in this sandbox (loopback listen failed): %v", errs[0])
+	}
+	wg.Add(p - 1)
+	for r := 1; r < p; r++ {
+		go rank(r, a)
+	}
+	wg.Wait()
+	for _, c := range clusters {
+		if c != nil {
+			c.Close()
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // checkGathered compares every origin's gathered chunk of one call with

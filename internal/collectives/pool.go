@@ -43,8 +43,11 @@ import (
 // rank can still be reading the call-t contents. One is not: an origin
 // can return from call t and write call t+1's payload before another
 // rank has read the call-t chunk it received, directly or forwarded.
-// Over tcp the payload is copied into a frame at send, and the rule
-// holds unchanged.
+// Over tcp the connection's writer sends the slot from the origin's own
+// memory, and the rule holds unchanged: the writer is done with a
+// payload before any receiver can read it, so no call-t frame is still
+// unwritten at call t+2. A slot rewritten too early would fail its
+// frame's CRC, taken at enqueue, as corruption (cluster/payload.go).
 //
 // A FanOut serves exactly one call site, and the ranks reading a result
 // must copy what they keep before their next call at that site (the

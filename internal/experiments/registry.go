@@ -127,7 +127,6 @@ func Registry() []Runner {
 					wl string
 					d  float64
 				}{{"VGG", 0.01}, {"LSTM", 0.02}, {"BERT", 0.01}} {
-					p := p
 					specs = append(specs, Spec{
 						Runner: "fig4", Config: fmt.Sprintf("%s density=%.1f%%", p.wl, p.d*100),
 						Run: func(Spec) Outcome {
@@ -150,7 +149,6 @@ func Registry() []Runner {
 			Specs: func(sc Scale) []Spec {
 				var specs []Spec
 				for _, wl := range []string{"VGG", "LSTM", "BERT"} {
-					wl := wl
 					specs = append(specs, Spec{
 						Runner: "fig5", Config: wl,
 						Run: func(Spec) Outcome {
@@ -183,7 +181,6 @@ func Registry() []Runner {
 					d        float64
 					tauPrime int
 				}{{"VGG", 0.01, 8}, {"LSTM", 0.02, 8}, {"BERT", 0.01, 16}} {
-					p := p
 					specs = append(specs, Spec{
 						Runner: "fig6", Config: fmt.Sprintf("%s density=%.1f%%", p.wl, p.d*100),
 						Run: func(Spec) Outcome {
@@ -209,7 +206,6 @@ func Registry() []Runner {
 					wl string
 					d  float64
 				}{{"VGG", 0.01}, {"LSTM", 0.02}} {
-					p := p
 					specs = append(specs, Spec{
 						Runner: "fillin", Config: fmt.Sprintf("%s density=%.1f%% P=16", p.wl, p.d*100),
 						Run: func(Spec) Outcome {
@@ -230,7 +226,6 @@ func Registry() []Runner {
 			Specs: func(sc Scale) []Spec {
 				var specs []Spec
 				for _, p := range fig7Ps {
-					p := p
 					specs = append(specs, Spec{
 						Runner: "fig7", Config: fmt.Sprintf("P=%d", p),
 						Run: func(Spec) Outcome {
@@ -289,7 +284,6 @@ func ovlpRunner() Runner {
 				wl    string
 				batch int
 			}{{"VGG", 16}, {"LSTM", 2}, {"BERT", 8}} {
-				w := w
 				p := sc.WeakPs[w.wl][0]
 				specs = append(specs, Spec{
 					Runner: id, Config: fmt.Sprintf("%s P=%d", w.wl, p),
@@ -375,7 +369,6 @@ func breakdownMetrics(bs []Breakdown) []Metric {
 func weakSpecs(id, workload string, density float64, batches map[int]int, sc Scale) []Spec {
 	var specs []Spec
 	for _, p := range sc.WeakPs[workload] {
-		p := p
 		batch := batches[p]
 		if batch == 0 {
 			batch = 4
@@ -461,7 +454,6 @@ func convRunner(id, desc, workload string, density float64, algos []string, bert
 			seed := SeedFor(id, workload)
 			var specs []Spec
 			for _, algo := range algos {
-				algo := algo
 				specs = append(specs, Spec{
 					Runner: id, Config: fmt.Sprintf("%s %s P=%d", workload, algo, p),
 					Seed: seed,
@@ -516,7 +508,6 @@ func table1Specs(sc Scale) []Spec {
 	n, k := sc.Table1N, sc.Table1K
 	var specs []Spec
 	for _, p := range sc.Table1Ps {
-		p := p
 		specs = append(specs, Spec{
 			Runner: "table1", Config: fmt.Sprintf("P=%d n=%d k=%d", p, n, k),
 			Run: func(Spec) Outcome {

@@ -64,13 +64,11 @@ func topoRunner() Runner {
 			batch := 8
 			var specs []Spec
 			for _, sn := range topoScenarios() {
-				sn := sn
 				topo, err := netmodel.BuildTopology(sn.Preset, sn.NodeSize, sn.Straggler, SeedFor(id, sn.Name))
 				if err != nil {
 					panic(err)
 				}
 				for _, algo := range topoAlgorithms {
-					algo := algo
 					specs = append(specs, Spec{
 						Runner: id, Config: fmt.Sprintf("%s %s P=%d", sn.Name, algo, p),
 						Run: func(Spec) Outcome {
