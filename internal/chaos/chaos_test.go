@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/cluster/clustertest"
 	"repro/internal/conformance"
 	"repro/internal/netmodel"
 )
@@ -126,53 +127,14 @@ func TestNewRandomPlanDeterministic(t *testing.T) {
 func startLoopback(t *testing.T, p int, plan *Plan, timeout time.Duration) []*cluster.Cluster {
 	t.Helper()
 	params := netmodel.Params{Alpha: 2e-6, Beta: 4e-10}
-	clusters := make([]*cluster.Cluster, p)
-	errs := make([]error, p)
-	addrCh := make(chan string, 1)
-	opts := func(r int, rendezvous string, onListen func(string)) cluster.TCPOptions {
+	return clustertest.StartTCP(t, p, params, cluster.WireF64, func(r int) cluster.TCPOptions {
 		return cluster.TCPOptions{
-			Rank: r, Size: p, Rendezvous: rendezvous, OnListen: onListen,
 			Timeout:           timeout,
 			HeartbeatInterval: 100 * time.Millisecond,
 			HeartbeatMisses:   3,
 			Hook:              plan.Hook(r, 1),
 		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		clusters[0], errs[0] = cluster.NewTCP(opts(0, "", func(a string) { addrCh <- a }), params, cluster.WireF64)
-		if errs[0] != nil {
-			close(addrCh)
-		}
-	}()
-	addr, ok := <-addrCh
-	if !ok {
-		wg.Wait()
-		t.Skipf("tcp transport unavailable in this sandbox: %v", errs[0])
-	}
-	for r := 1; r < p; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			clusters[r], errs[r] = cluster.NewTCP(opts(r, addr, nil), params, cluster.WireF64)
-		}(r)
-	}
-	wg.Wait()
-	t.Cleanup(func() {
-		for _, c := range clusters {
-			if c != nil {
-				c.Close()
-			}
-		}
 	})
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d rendezvous: %v", r, err)
-		}
-	}
-	return clusters
 }
 
 // runChaosJob runs the conformance spec on every rank concurrently and

@@ -149,9 +149,10 @@ func (f *freelist[T]) put(s []T) {
 
 // rankPools is one rank's buffer freelists. The mutex guards every
 // access: under tcp the connection reader goroutines decode inbound
-// payloads straight into the local rank's pools (frame.go) while the
-// rank goroutine draws and returns buffers; under inproc only the
-// rank's own goroutine takes it, so it is never contended.
+// payloads straight into the local rank's pools (frame.go) and the
+// writer goroutines return sent ones (sendqueue.go) while the rank
+// goroutine draws and returns buffers; under inproc only the rank's own
+// goroutine takes it, so it is never contended.
 type rankPools struct {
 	mu       sync.Mutex
 	msgs     []*Message
@@ -177,6 +178,24 @@ func (p *rankPools) getMsg() *Message {
 func (p *rankPools) putMsg(m *Message) {
 	*m = Message{}
 	p.mu.Lock()
+	if len(p.msgs) < poolCap {
+		p.msgs = append(p.msgs, m)
+	}
+	p.mu.Unlock()
+}
+
+// putSent takes back a sent message's shell and the SendFloats /
+// SendFloat32s buffer it carried, under one lock: the tcp writer's
+// release of a written frame.
+func (p *rankPools) putSent(m *Message) {
+	p.mu.Lock()
+	switch m.kind {
+	case payloadFloats:
+		p.floats.put(m.floats)
+	case payloadFloats32:
+		p.floats32.put(m.floats32)
+	}
+	*m = Message{}
 	if len(p.msgs) < poolCap {
 		p.msgs = append(p.msgs, m)
 	}

@@ -7,29 +7,31 @@ package cluster
 // A queued frame is its message, not a copy of its bytes: the rank
 // goroutine takes the frame's CRC32-C at enqueue and pushes {message,
 // length, CRC}; the writer lays the frame onto the cork, copying fixed
-// fields and arrays under spliceMin bytes into the cork's buffer and
-// splicing each larger array, uncopied, into its writev vector.
+// fields and arrays under directMin bytes into the cork's buffer and
+// writing each larger array from its own memory, right after the
+// buffer. Either way every byte of the frame is copied or written when
+// the writer is done with it, and the writer then returns what the
+// sender handed over exclusively to the sender's pools.
 //
 // The payload is borrowed until written, which is before any receiver
 // can read it, so the lifetime rule of inproc delivery covers it
 // (payload.go). A frame belongs to the rank goroutine until push
-// succeeds, to the queue while queued, and to the writer afterwards,
-// which returns what the sender handed over exclusively to the sender's
-// pools once the bytes are written. A payload rewritten before then no
-// longer matches the CRC and fails at the receiver as ErrFrameCorrupt,
-// attributed to the sender.
+// succeeds, to the queue while queued, and to the writer afterwards. A
+// payload rewritten before the write no longer matches the CRC and
+// fails at the receiver as ErrFrameCorrupt, attributed to the sender.
 
 import (
 	"hash/crc32"
 	"io"
-	"net"
 	"sync"
 )
 
-// spliceMin is the size from which a payload array bypasses the cork:
-// below it, one copy into the cork costs less than a writev entry and
-// lets small frames share one socket write.
-const spliceMin = 16 << 10
+// directMin is the size from which a payload array is written from its
+// own memory instead of being copied into the cork. Such an array costs
+// one more write call, for the buffer in front of it; on the host it
+// was measured on, that call cost more than the copy below directMin.
+// DESIGN.md ("Data-plane performance") gives the measurement.
+const directMin = 96 << 10
 
 // outFrame is one queued data frame: the message it encodes, which
 // still holds the payload arrays the writer sends from, the frame's
@@ -76,35 +78,20 @@ func (s *frameSum) array(e *frameEncoder, b []byte) {
 // and an owned float payload — to the sender's pools. Chunk payloads may
 // fan out to several destinations and are left to the GC (payload.go).
 func (f *outFrame) release() {
-	if f.owner == nil {
-		return
+	if f.owner != nil {
+		f.owner.putSent(f.msg)
 	}
-	switch f.msg.kind {
-	case payloadFloats:
-		f.owner.putFloats(f.msg.floats)
-	case payloadFloats32:
-		f.owner.putFloats32(f.msg.floats32)
-	}
-	f.owner.putMsg(f.msg)
 }
 
 // cork is one connection's write side, guarded by the peer's write
-// mutex: a corkBytes buffer the fixed fields and small arrays are copied
-// into, and a writev vector that splices each large array between two
-// stretches of that buffer. It is written out once it holds corkBytes,
-// at the end of the frame that filled it (so a large array leaves in
-// one writev with the bytes before it and its frame's trailer), and
-// whenever the writer finds its queue empty.
+// mutex: a corkBytes buffer that fixed fields, small arrays and control
+// frames are copied into. It is written out once it holds corkBytes,
+// before each array of directMin bytes or more (which is then written
+// from its own memory), and whenever the writer finds its queue empty.
 type cork struct {
-	w       io.Writer
-	enc     frameEncoder // enc.buf is the buffer; enc.arrays is the cork
-	mark    int          // enc.buf[:mark] is already in vec
-	vec     net.Buffers  // buffer stretches and spliced arrays, in wire order
-	wv      net.Buffers  // the copy of vec a writev consumes
-	spliced int          // array bytes in vec
-	splices int          // arrays spliced so far, ever
-	held    []outFrame   // frames with an array in vec, released after the write
-	err     error        // the first write error; every later write returns it
+	w   io.Writer
+	enc frameEncoder // enc.buf is the buffer; enc.arrays is the cork
+	err error        // the first write error; every later write returns it
 }
 
 func newCork(w io.Writer) *cork {
@@ -113,46 +100,33 @@ func newCork(w io.Writer) *cork {
 	return c
 }
 
-func (c *cork) pending() int { return len(c.enc.buf) + c.spliced }
-
-// frame lays f onto the cork and writes the cork out if it is full. A
-// frame none of whose arrays were spliced is released at once: its
-// bytes are all in the buffer.
+// frame lays f onto the cork, writes the cork out if it is full, and
+// releases f, every byte of which is now copied or written.
 func (c *cork) frame(f *outFrame) error {
-	splices := c.splices
 	c.enc.u32(f.body)
 	c.enc.dataBody(f.msg)
 	c.enc.u32(f.crc)
-	if c.splices == splices {
-		f.release()
-	} else {
-		c.held = append(c.held, *f)
-	}
-	if c.pending() >= corkBytes {
+	f.release()
+	if len(c.enc.buf) >= corkBytes {
 		return c.flush()
 	}
 	return c.err
 }
 
-// array is the encoder's hook for a payload array: one of spliceMin
-// bytes or more is spliced into vec, a smaller one copied into the
-// buffer, which is written out first if the array does not fit. A
-// write error stays in c.err, which frame returns.
+// array is the encoder's hook for a payload array: one under directMin
+// bytes is copied into the buffer, which is written out first if the
+// array does not fit; a larger one is written from its own memory right
+// after the buffer. A write error stays in c.err, which frame returns.
 func (c *cork) array(e *frameEncoder, b []byte) {
-	if len(b) < spliceMin {
+	if len(b) < directMin {
 		if len(e.buf)+len(b) > corkBytes {
 			c.flush()
 		}
 		e.buf = append(e.buf, b...)
 		return
 	}
-	if c.pending() >= corkBytes {
-		c.flush()
-	}
-	c.vec = append(c.vec, e.buf[c.mark:], b)
-	c.mark = len(e.buf)
-	c.spliced += len(b)
-	c.splices++
+	c.flush()
+	c.send(b)
 }
 
 // write copies an encoded control frame into the buffer and writes the
@@ -162,26 +136,18 @@ func (c *cork) write(frame []byte) error {
 	return c.flush()
 }
 
-// flush writes everything pending — one write, or one writev when
-// arrays are spliced — and then releases the held frames.
+// flush writes the buffer out.
 func (c *cork) flush() error {
-	switch {
-	case c.err != nil:
-	case len(c.vec) > 0:
-		c.vec = append(c.vec, c.enc.buf[c.mark:])
-		c.wv = c.vec
-		_, c.err = c.wv.WriteTo(c.w)
-	case len(c.enc.buf) > 0:
-		_, c.err = c.w.Write(c.enc.buf)
-	}
-	clear(c.vec)
-	c.vec, c.enc.buf, c.mark, c.spliced = c.vec[:0], c.enc.buf[:0], 0, 0
-	for i := range c.held {
-		c.held[i].release()
-	}
-	clear(c.held)
-	c.held = c.held[:0]
+	c.send(c.enc.buf)
+	c.enc.buf = c.enc.buf[:0]
 	return c.err
+}
+
+// send writes b unless an earlier write failed.
+func (c *cork) send(b []byte) {
+	if c.err == nil && len(b) > 0 {
+		_, c.err = c.w.Write(b)
+	}
 }
 
 // sendQueue is one peer's bounded FIFO of outgoing frames. push blocks

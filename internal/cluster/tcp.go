@@ -28,11 +28,12 @@ package cluster
 // drains whatever is queued in one batch and writes each frame straight
 // from the message through the connection's cork (sendqueue.go): fixed
 // fields and small payload arrays are copied into a corkBytes buffer,
-// and each array of spliceMin bytes or more goes out from its own
-// memory in one writev with the buffered bytes around it. The cork is
-// written out when it fills and once more when the queue runs dry, and
-// the writer then returns each owned float payload to the sender's
-// pool. Back-to-back small frames therefore coalesce into single large
+// and each array of directMin bytes or more is written from its own
+// memory right after the buffered bytes in front of it. Once a frame is
+// laid onto the cork, every byte of it is copied or written, and the
+// writer returns its owned float payload to the sender's pool. The cork
+// is written out when it fills and once more when the queue runs dry.
+// Back-to-back small frames therefore coalesce into single large
 // socket writes — one syscall for a burst instead of one per frame —
 // while a lone frame still departs immediately: the writer only ever
 // holds data while more is already queued behind it. A full queue

@@ -323,10 +323,10 @@ func TestTCPHeartbeatBypassesFullSendQueue(t *testing.T) {
 
 // TestCorkWritesAppendDataFrameBytes: the bytes the send path puts on a
 // connection — frames sealed at enqueue, laid onto the cork, small
-// arrays copied and large ones spliced into its writev — are exactly
+// arrays copied and large ones written from their own memory — are exactly
 // appendDataFrame's, for every golden data frame, for random messages
 // as FuzzReadFrame draws them, and for messages whose arrays straddle
-// spliceMin, with the cork written out after a varying number of
+// directMin, with the cork written out after a varying number of
 // frames.
 func TestCorkWritesAppendDataFrameBytes(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -355,7 +355,7 @@ func TestCorkWritesAppendDataFrameBytes(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		msgs = append(msgs, randMessage(rng))
 	}
-	for _, n := range []int{spliceMin/8 - 1, spliceMin / 8, spliceMin/4 + 3, 1 << 17} {
+	for _, n := range []int{directMin/8 - 1, directMin / 8, directMin/4 + 3, 1 << 17} {
 		f64 := make([]float64, n)
 		f32 := make([]float32, n)
 		ints := make([]int32, n)
@@ -422,9 +422,10 @@ func TestCorkWritesAppendDataFrameBytes(t *testing.T) {
 // the ownership rule — reaches the receiver as ErrFrameCorrupt
 // attributed to the sender, never as a silently different gradient.
 // The sender's writer is held behind the test-only gate until the
-// rewrite is done; both a copied and a spliced payload are checked.
+// rewrite is done; both a copied and a directly written payload are
+// checked.
 func TestTCPRewrittenPayloadIsCorrupt(t *testing.T) {
-	for _, n := range []int{8, 2 * spliceMin / 8} {
+	for _, n := range []int{8, 2 * directMin / 8} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			leakCheck(t)
 			clusters := startTCPJob(t, 2, params(), WireF64, 30*time.Second)

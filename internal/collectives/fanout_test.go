@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/cluster/clustertest"
 	"repro/internal/netmodel"
 )
 
@@ -102,50 +103,23 @@ func slotRuleRank(wire cluster.Wire) func(cm *cluster.Comm) error {
 	}
 }
 
-// runTCP runs body on every rank of a P-rank tcp job over loopback, one
-// goroutine per rank standing in for one process per rank, and returns
-// the ranks' errors joined. It skips the test when the sandbox forbids
-// loopback listening.
+// runTCP runs body on every rank of a P-rank tcp job over loopback
+// (clustertest.StartTCP) and returns the ranks' errors joined.
 func runTCP(t *testing.T, p int, wire cluster.Wire, body func(cm *cluster.Comm) error) error {
 	t.Helper()
-	clusters := make([]*cluster.Cluster, p)
+	clusters := clustertest.StartTCP(t, p, netmodel.PizDaint(), wire, func(int) cluster.TCPOptions {
+		return cluster.TCPOptions{Timeout: time.Minute}
+	})
 	errs := make([]error, p)
-	addr := make(chan string, 1)
 	var wg sync.WaitGroup
-	rank := func(r int, rendezvous string) {
-		defer wg.Done()
-		opts := cluster.TCPOptions{Rank: r, Size: p, Rendezvous: rendezvous, Timeout: time.Minute}
-		if r == 0 {
-			opts.OnListen = func(a string) { addr <- a }
-		}
-		c, err := cluster.NewTCP(opts, netmodel.PizDaint(), wire)
-		if err != nil {
-			if r == 0 {
-				close(addr) // wake the waiter if listen itself failed
-			}
-			errs[r] = err
-			return
-		}
-		clusters[r] = c
-		errs[r] = c.Run(body)
-	}
-	wg.Add(1)
-	go rank(0, "")
-	a, ok := <-addr
-	if !ok {
-		wg.Wait()
-		t.Skipf("tcp transport unavailable in this sandbox (loopback listen failed): %v", errs[0])
-	}
-	wg.Add(p - 1)
-	for r := 1; r < p; r++ {
-		go rank(r, a)
+	for r, c := range clusters {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[r] = c.Run(body)
+		}()
 	}
 	wg.Wait()
-	for _, c := range clusters {
-		if c != nil {
-			c.Close()
-		}
-	}
 	return errors.Join(errs...)
 }
 

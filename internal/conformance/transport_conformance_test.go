@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/cluster/clustertest"
 	"repro/internal/netmodel"
 )
 
@@ -27,50 +28,9 @@ func startTCPMesh(t *testing.T, p int, wire cluster.Wire) []*cluster.Cluster {
 // backends.
 func startTCPMeshParams(t *testing.T, p int, wire cluster.Wire, params netmodel.Params) []*cluster.Cluster {
 	t.Helper()
-	const timeout = 30 * time.Second
-	clusters := make([]*cluster.Cluster, p)
-	errs := make([]error, p)
-	addrCh := make(chan string, 1)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		clusters[0], errs[0] = cluster.NewTCP(cluster.TCPOptions{
-			Rank: 0, Size: p, Timeout: timeout,
-			OnListen: func(a string) { addrCh <- a },
-		}, params, wire)
-		if errs[0] != nil {
-			close(addrCh)
-		}
-	}()
-	addr, ok := <-addrCh
-	if !ok {
-		wg.Wait()
-		t.Skipf("tcp transport unavailable in this sandbox (loopback listen failed): %v", errs[0])
-	}
-	for r := 1; r < p; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			clusters[r], errs[r] = cluster.NewTCP(cluster.TCPOptions{
-				Rank: r, Size: p, Rendezvous: addr, Timeout: timeout,
-			}, params, wire)
-		}(r)
-	}
-	wg.Wait()
-	t.Cleanup(func() {
-		for _, c := range clusters {
-			if c != nil {
-				c.Close()
-			}
-		}
+	return clustertest.StartTCP(t, p, params, wire, func(int) cluster.TCPOptions {
+		return cluster.TCPOptions{Timeout: 30 * time.Second}
 	})
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d rendezvous failed: %v", r, err)
-		}
-	}
-	return clusters
 }
 
 // runTCP executes the spec across a tcp mesh and returns rank 0's

@@ -106,6 +106,8 @@ cat <<'EOF'
 #     method no run calls;
 #   - experiments.FullScale: the paper-scale -full sizes, too slow for
 #     this script (a gated CI job runs one of its configurations).
+# - cluster/clustertest, the in-process tcp job the conformance, chaos
+#   and collectives tests start: test support, linked into no command.
 EOF
 {
 	go tool covdata func -i="$build/cov" |
