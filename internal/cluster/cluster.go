@@ -132,10 +132,12 @@ func (q *mbQueue) pop() *Message {
 // A mailbox can be poisoned (fail): once a transport observes a fatal
 // condition — a peer connection dropped, the job torn down — every
 // pending and future take returns that error instead of blocking
-// forever. Takes also accept a deadline, so a receive that will never be
+// forever. Takes also accept a timeout, so a receive that will never be
 // satisfied (the sender's process died before sending) surfaces as an
-// error within bounded time. Both paths cost nothing in the inproc
-// steady state: a nil check and an IsZero check per take.
+// error within bounded time. Both paths cost nothing in the steady
+// state: the error is checked and the deadline computed only when a
+// take finds its queue empty, so a take that finds its message waiting
+// never reads the clock.
 type mailbox struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -234,23 +236,28 @@ func (m *mailbox) expiredNow(seq uint64, deadline time.Time) (expired, stale boo
 }
 
 // take removes and returns the first queued message matching (src, tag),
-// blocking until one arrives, the mailbox is poisoned, or the deadline
-// (zero = none) passes. FIFO order within one (src, tag) stream
-// preserves MPI's non-overtaking semantics. Queued messages are always
-// drained ahead of a failure report: data that arrived before the fault
-// stays deliverable. Only a blocked take with a deadline arms the
-// mailbox's reusable timer, so a take allocates nothing.
-func (m *mailbox) take(src, tag int, deadline time.Time) (*Message, error) {
+// blocking until one arrives, the mailbox is poisoned, or timeout (zero
+// = none) has passed since the take first found the queue empty. FIFO
+// order within one (src, tag) stream preserves MPI's non-overtaking
+// semantics. Queued messages are always drained ahead of a failure
+// report: data that arrived before the fault stays deliverable. Only a
+// blocked take with a timeout arms the mailbox's reusable timer, so a
+// take allocates nothing.
+func (m *mailbox) take(src, tag int, timeout time.Duration) (*Message, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	q := m.queue(RecvKey{src, tag})
 	var seq uint64
+	var deadline time.Time
 	for q.empty() {
 		if m.err != nil {
 			m.stopDeadline(seq)
 			return nil, m.err
 		}
-		if !deadline.IsZero() {
+		if timeout > 0 {
+			if deadline.IsZero() {
+				deadline = time.Now().Add(timeout)
+			}
 			expired, stale := m.expiredNow(seq, deadline)
 			if expired {
 				return nil, fmt.Errorf("recv deadline exceeded waiting for (src=%d, tag=%d)", src, tag)
@@ -272,12 +279,13 @@ func (m *mailbox) take(src, tag int, deadline time.Time) (*Message, error) {
 // accumulation). Messages that are already queued are harvested in
 // batches under a single lock hold, so a receiver that fell behind a
 // burst of puts pays one lock round-trip per batch instead of one per
-// message. Poisoning and the deadline (zero = none, bounding each
-// stall) abort the wait exactly as in take; messages already handed to
-// deliver stay delivered.
-func (m *mailbox) takeEach(keys []RecvKey, deliver func(i int, msg *Message), deadline time.Time) error {
+// message. Poisoning and the timeout (zero = none, counted from the
+// first time the call finds a queue empty) abort the wait exactly as in
+// take; messages already handed to deliver stay delivered.
+func (m *mailbox) takeEach(keys []RecvKey, deliver func(i int, msg *Message), timeout time.Duration) error {
 	var batch [16]*Message
 	var seq uint64
+	var deadline time.Time
 	i := 0
 	m.mu.Lock()
 	for i < len(keys) {
@@ -297,7 +305,10 @@ func (m *mailbox) takeEach(keys []RecvKey, deliver func(i int, msg *Message), de
 				m.stopDeadline(seq)
 				return err
 			}
-			if !deadline.IsZero() {
+			if timeout > 0 {
+				if deadline.IsZero() {
+					deadline = time.Now().Add(timeout)
+				}
 				expired, stale := m.expiredNow(seq, deadline)
 				if expired {
 					m.mu.Unlock()

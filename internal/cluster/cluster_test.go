@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/netmodel"
 )
@@ -130,7 +129,7 @@ func TestMailboxQueueRecycles(t *testing.T) {
 	m := newMailbox()
 	for i := 0; i < 1000; i++ {
 		m.put(&Message{Src: 1, Tag: 2, Data: i})
-		msg, err := m.take(1, 2, time.Time{})
+		msg, err := m.take(1, 2, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -207,7 +207,7 @@ type tcpTransport struct {
 	corks    []*cork                   // same indexing; guarded by wmu
 	wmu      []sync.Mutex              // per-peer write locks (writer loop vs heartbeats)
 	queues   []*sendQueue              // per-peer outbound frame queues
-	lastSeen []atomic.Int64            // unix nanos of the peer's last frame, any tag
+	heard    []atomic.Uint64           // frames read from each peer, any tag (liveness)
 	pools    atomic.Pointer[rankPools] // local rank's payload pools (recv decode)
 	readers  sync.WaitGroup
 	writerWG sync.WaitGroup
@@ -269,7 +269,7 @@ func newTCPTransport(opts TCPOptions) (*tcpTransport, error) {
 		corks:      make([]*cork, opts.Size),
 		wmu:        make([]sync.Mutex, opts.Size),
 		queues:     make([]*sendQueue, opts.Size),
-		lastSeen:   make([]atomic.Int64, opts.Size),
+		heard:      make([]atomic.Uint64, opts.Size),
 		byes:       make([]atomic.Bool, opts.Size),
 		done:       make(chan struct{}),
 	}
@@ -285,7 +285,6 @@ func newTCPTransport(opts TCPOptions) (*tcpTransport, error) {
 	// Initialize every connection's cork and queue BEFORE starting any
 	// goroutine: a read loop that fails early broadcasts an abort to all
 	// peers, which must never observe a half-built tr.corks/tr.queues.
-	now := time.Now().UnixNano()
 	for peer, conn := range tr.conns {
 		if conn == nil {
 			continue
@@ -296,7 +295,6 @@ func newTCPTransport(opts TCPOptions) (*tcpTransport, error) {
 		tuneConn(conn)
 		tr.corks[peer] = newCork(conn)
 		tr.queues[peer] = newSendQueue(sendQueueFrames)
-		tr.lastSeen[peer].Store(now)
 	}
 	for peer, conn := range tr.conns {
 		if conn == nil {
@@ -524,14 +522,14 @@ func (tr *tcpTransport) readLoop(peer int, conn net.Conn) {
 			}
 			return
 		}
-		tr.lastSeen[peer].Store(time.Now().UnixNano())
+		tr.heard[peer].Add(1)
 		switch msg.Tag {
 		case tagBye:
 			tr.byes[peer].Store(true)
 			tr.releaseMsg(pools, msg)
 			continue
 		case tagHeartbeat:
-			// Liveness only; lastSeen is already refreshed.
+			// Liveness only; heard is already bumped.
 			tr.releaseMsg(pools, msg)
 			continue
 		case tagAbort:
@@ -561,11 +559,23 @@ func (tr *tcpTransport) releaseMsg(pools *rankPools, msg *Message) {
 // heartbeats; only process death or a deliberate wedge silences it.
 // Heartbeats bypass the send queues (direct write under wmu): cadence
 // must hold even when a queue is full of corked data.
+//
+// The readers only count frames (heard), so the receive path never
+// reads the clock; a tick that sees a peer's count changed stamps the
+// peer as heard at that tick. A frame is thus dated up to one interval
+// late, so a silent peer is declared dead up to one interval later than
+// if every frame were dated on arrival.
 func (tr *tcpTransport) heartbeatLoop() {
 	defer tr.hb.Done()
 	tick := time.NewTicker(tr.hbInterval)
 	defer tick.Stop()
 	budget := time.Duration(tr.hbMisses) * tr.hbInterval
+	counts := make([]uint64, tr.size)
+	lastSeen := make([]time.Time, tr.size)
+	start := time.Now()
+	for peer := range lastSeen {
+		lastSeen[peer] = start
+	}
 	for {
 		select {
 		case <-tr.done:
@@ -588,7 +598,10 @@ func (tr *tcpTransport) heartbeatLoop() {
 			if conn == nil || tr.byes[peer].Load() {
 				continue
 			}
-			silence := now.Sub(time.Unix(0, tr.lastSeen[peer].Load()))
+			if c := tr.heard[peer].Load(); c != counts[peer] {
+				counts[peer], lastSeen[peer] = c, now
+			}
+			silence := now.Sub(lastSeen[peer])
 			if silence > budget {
 				tr.fail(fmt.Errorf("rank %d missed %d heartbeats (silent %v, budget %v)",
 					peer, tr.hbMisses, silence.Round(time.Millisecond), budget))
@@ -603,12 +616,6 @@ func (tr *tcpTransport) heartbeatLoop() {
 func (tr *tcpTransport) Kind() TransportKind { return TransportTCP }
 func (tr *tcpTransport) Size() int           { return tr.size }
 func (tr *tcpTransport) Local() []int        { return tr.local[:] }
-
-// deadline converts the per-stall timeout into an absolute mailbox
-// deadline.
-func (tr *tcpTransport) deadline() time.Time {
-	return time.Now().Add(tr.timeout)
-}
 
 // write pushes one encoded frame through dst's cork and writes the
 // cork out, under the write mutex. This is the queue-jumping control
@@ -757,11 +764,11 @@ func (tr *tcpTransport) Deliver(src *Comm, dst int, msg *Message) {
 }
 
 func (tr *tcpTransport) Take(rank, src, tag int) (*Message, error) {
-	return tr.box.take(src, tag, tr.deadline())
+	return tr.box.take(src, tag, tr.timeout)
 }
 
 func (tr *tcpTransport) TakeEach(rank int, keys []RecvKey, fn func(i int, msg *Message)) error {
-	return tr.box.takeEach(keys, fn, tr.deadline())
+	return tr.box.takeEach(keys, fn, tr.timeout)
 }
 
 // sendControl enqueues a clock-free control message (reserved tag) to
@@ -787,7 +794,7 @@ func (tr *tcpTransport) sendControl(dst, tag int, fl []float64, blob []byte) err
 // payload (NaN-boxed as 0 when absent), recycling the message shell and
 // its pooled floats buffer.
 func (tr *tcpTransport) takeControl(src, tag int) (float64, error) {
-	msg, err := tr.box.take(src, tag, tr.deadline())
+	msg, err := tr.box.take(src, tag, tr.timeout)
 	if err != nil {
 		return 0, err
 	}
@@ -848,7 +855,7 @@ func (tr *tcpTransport) Gather(rank int, blob []byte) ([][]byte, error) {
 		out := make([][]byte, tr.size)
 		out[0] = append([]byte(nil), blob...)
 		for src := 1; src < tr.size; src++ {
-			msg, err := tr.box.take(src, tagGather, tr.deadline())
+			msg, err := tr.box.take(src, tagGather, tr.timeout)
 			if err != nil {
 				return nil, fmt.Errorf("gather: %w", err)
 			}

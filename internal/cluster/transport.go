@@ -19,7 +19,6 @@ package cluster
 import (
 	"fmt"
 	"sync"
-	"time"
 )
 
 // TransportKind names a transport backend ("inproc" or "tcp").
@@ -143,11 +142,11 @@ func (tr *inprocTransport) Deliver(_ *Comm, dst int, msg *Message) {
 }
 
 func (tr *inprocTransport) Take(rank, src, tag int) (*Message, error) {
-	return tr.boxes[rank].take(src, tag, time.Time{})
+	return tr.boxes[rank].take(src, tag, 0)
 }
 
 func (tr *inprocTransport) TakeEach(rank int, keys []RecvKey, fn func(i int, msg *Message)) error {
-	return tr.boxes[rank].takeEach(keys, fn, time.Time{})
+	return tr.boxes[rank].takeEach(keys, fn, 0)
 }
 
 func (tr *inprocTransport) BarrierWait(_ int, t float64) (float64, error) {

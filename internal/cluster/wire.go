@@ -57,8 +57,10 @@ func (w Wire) Words(elems int) int {
 }
 
 // NarrowInto rounds src into the equal-length dst — the shared
-// float64→float32 send-edge conversion every f32 wire copy goes
-// through, so the narrowing semantics live in exactly one place.
+// float64→float32 send-edge conversion every f32 wire copy of float64
+// data goes through. The dense allreduce's sums bound for the next
+// message are rounded by float32(v) in the pass that forms them
+// (collectives addWire and addRound), the same conversion.
 // Reslicing dst to len(src) up front keeps the loop free of
 // per-element bounds checks, as in every kernel of this file.
 func NarrowInto(dst []float32, src []float64) {
@@ -84,8 +86,10 @@ func WidenInto(dst []float64, src []float32) {
 // algorithms apply it to data they keep locally but also transmit (a
 // broadcast root's buffer, an allgather contributor's block), so every
 // rank ends up holding bit-identical values regardless of which side of
-// the wire it sat on. The dense allreduce rounds its owned block in the
-// pass that narrows it instead (collectives.recvAddSend).
+// the wire it sat on. The dense allreduce never rounds a range of its
+// result: its owned block is rounded in the pass that completes the
+// sums and writes them into the outgoing message (collectives
+// recvAddSend), and every other block arrives in wire form.
 func (w Wire) Round(x []float64) {
 	if w != WireF32 {
 		return

@@ -152,8 +152,14 @@ func checkAdd[T float32 | float64](t *testing.T, name string, n int, a []float64
 // BenchmarkAllreduceF32 is the reduce-dense-f32 shape: n = 1M, P = 4,
 // f32 wire, in process, each rank reducing a read-only input into its
 // own result buffer as Dense does.
-func BenchmarkAllreduceF32(b *testing.B) {
-	const p, n = 4, 1 << 20
+func BenchmarkAllreduceF32(b *testing.B) { benchAllreduceF32(b, 4) }
+
+// BenchmarkAllreduceRingF32 is the same call at P = 3, which takes the
+// ring schedule.
+func BenchmarkAllreduceRingF32(b *testing.B) { benchAllreduceF32(b, 3) }
+
+func benchAllreduceF32(b *testing.B, p int) {
+	const n = 1 << 20
 	srcs := make([][]float64, p)
 	sums := make([][]float64, p)
 	for r := range srcs {

@@ -10,9 +10,11 @@
 //   - binomial-tree broadcast, reduce and gather.
 //
 // Both allreduce schedules also reduce out of a read-only source
-// (AllreduceFrom): each block's first write is source + received, so a
-// caller that keeps its input (the dense algorithms' acc) needs no copy
-// of it.
+// (AllreduceFrom): no block of the result is written before that block
+// of the source has been read, so a caller that keeps its input (the
+// dense algorithms' acc) needs no copy of it. Their partial sums go
+// straight into the next message, and what they receive in wire form
+// they send on as it is.
 //
 // Word accounting follows the paper: on the default f64 wire every
 // transmitted element (value or index) is one word. On the f32 wire
@@ -22,7 +24,7 @@
 // reduce-scatter, a broadcast root's buffer), the kept copy is rounded
 // through the same precision so every rank holds bit-identical results.
 // The owned block is rounded in the same pass that completes its
-// reduction and narrows it for the first allgather send.
+// reduction and writes it into the first allgather send.
 //
 // All point-to-point payloads ride the typed, pooled message paths of
 // the cluster runtime (SendFloats/SendFloat32s/SendChunk/SendChunks),
@@ -80,10 +82,10 @@ func Allreduce(cm cluster.Endpoint, x []float64) {
 // AllreduceFrom sums src element-wise across all ranks and leaves the
 // full result in x on every rank. src is only read, and may be x
 // itself. Reducing from a separate src saves a caller that must keep
-// its input the copy into x: every schedule's first write to a block
-// of x is src + received. It dispatches to Rabenseifner's algorithm for
-// power-of-two cluster sizes and to the ring algorithm otherwise; both
-// achieve the 2n(P−1)/P bandwidth term.
+// its input the copy into x: no schedule writes a block of x before it
+// has read that block of src. It dispatches to Rabenseifner's algorithm
+// for power-of-two cluster sizes and to the ring algorithm otherwise;
+// both achieve the 2n(P−1)/P bandwidth term.
 func AllreduceFrom(cm cluster.Endpoint, src, x []float64) {
 	if len(src) != len(x) {
 		panic("collectives: allreduce source and result lengths differ")
@@ -92,49 +94,93 @@ func AllreduceFrom(cm cluster.Endpoint, src, x []float64) {
 	case cm.Size() == 1:
 		copy(x, src)
 	case isPow2(cm.Size()):
-		allreduceRabenseifner(cm, src, x)
+		if cm.Wire() == cluster.WireF32 {
+			allreduceRabenseifner[float32](cm, src, x)
+		} else {
+			allreduceRabenseifner[float64](cm, src, x)
+		}
 	default:
-		allreduceRing(cm, src, x)
+		allreduceRingWire(cm, src, x)
 	}
 }
 
+// halves splits [lo, hi) for the exchange at distance dist: the rank
+// with that bit clear keeps the lower half and sends the upper one.
+func halves(lo, hi, rank, dist int) (sendLo, sendHi, keepLo, keepHi int) {
+	mid := lo + (hi-lo)/2
+	if rank&dist == 0 {
+		return mid, hi, lo, mid
+	}
+	return lo, mid, mid, hi
+}
+
 // allreduceRabenseifner: recursive halving reduce-scatter, then recursive
-// doubling allgather. Requires power-of-two size P > 1.
-func allreduceRabenseifner(cm cluster.Endpoint, src, x []float64) {
+// doubling allgather, over wire values of type T. Requires power-of-two
+// size P > 1.
+//
+// No value is derived twice, and no sum that leaves is parked in x:
+//   - every reduce-scatter step but the last writes the half of its
+//     kept range that the next step sends as T(from + received)
+//     straight into that send's pooled buffer; only the other half
+//     goes to x;
+//   - step 0's received buffer spans the step-0 kept range; once its
+//     values are summed it is kept as g, the allgather's last message;
+//   - the last step completes the owned block in wire precision
+//     (recvAddSend) and also writes it into g;
+//   - allgather receives before the last widen into x and copy their
+//     wire values into g, so the last send is g itself and the ones
+//     between (P ≥ 8) are copies of a part of it.
+func allreduceRabenseifner[T wireVal](cm cluster.Endpoint, src, x []float64) {
 	p, rank, n := cm.Size(), cm.Rank(), len(x)
 	// Reduce-scatter by recursive halving. At step s the active range
 	// halves; each rank exchanges the half it will not own with its
-	// partner at distance p>>(s+1). Step 0 reads src and writes the
-	// kept half of x for the first time; later steps work inside x.
-	// Ranges are recorded so the reverse allgather handles odd-size
-	// halves exactly. The span stack is tiny (log₂P entries) and lives
-	// on the stack.
+	// partner at distance p>>(s+1). Step 0 reads src; later steps read
+	// the partial sums in x. Ranges are recorded so the reverse
+	// allgather handles odd-size halves exactly. The span stack is tiny
+	// (log₂P entries) and lives on the stack.
 	lo, hi := 0, n
 	steps := bits.Len(uint(p)) - 1
 	type span struct{ lo, hi int }
 	var spanBuf [32]span
 	parents := spanBuf[:0]
 	from := src
+	var send, g []T // the next step's message; the allgather's last one
+	gLo := 0
 	for s := 0; s < steps; s++ {
 		dist := p >> (s + 1)
 		partner := rank ^ dist
 		parents = append(parents, span{lo, hi})
-		mid := lo + (hi-lo)/2
-		var sendLo, sendHi, keepLo, keepHi int
-		if rank&dist == 0 {
-			// Keep the lower half, send the upper half.
-			sendLo, sendHi, keepLo, keepHi = mid, hi, lo, mid
+		sendLo, sendHi, keepLo, keepHi := halves(lo, hi, rank, dist)
+		tag := tagAllreduce + s
+		if s == 0 {
+			sendFrom[T](cm, partner, tag, src[sendLo:sendHi])
 		} else {
-			sendLo, sendHi, keepLo, keepHi = lo, mid, mid, hi
+			sendBuf(cm, partner, tag, send)
 		}
-		sendWire(cm, partner, tagAllreduce+s, from[sendLo:sendHi])
 		if s < steps-1 {
-			recvAddFrom(cm, partner, tagAllreduce+s, from[keepLo:keepHi], x[keepLo:keepHi])
+			// Step s+1 sends one half of the kept range: its sums go
+			// into that message, the other half's into x.
+			nsLo, nsHi, nkLo, nkHi := halves(keepLo, keepHi, rank, dist>>1)
+			recv := recvToReduce[T](cm, partner, tag, keepHi-keepLo)
+			send = getBuf[T](cm, nsHi-nsLo)
+			addWire(send, from[nsLo:nsHi], recv[nsLo-keepLo:nsHi-keepLo])
+			addInto(x[nkLo:nkHi], from[nkLo:nkHi], recv[nkLo-keepLo:nkHi-keepLo])
+			if s == 0 {
+				// The step-0 payload spans the step-0 kept range,
+				// exactly g's: with its values summed, it becomes g.
+				g, gLo = recv, keepLo
+			} else {
+				putBuf(cm, recv)
+			}
 		} else {
 			// The last receive completes the owned block, which goes
 			// straight back to the same partner as the allgather's first
-			// send.
-			recvAddSend(cm, partner, tagAllreduce+s, from[keepLo:keepHi], x[keepLo:keepHi], partner, tagAllreduce+1024+s)
+			// send, and into g for the allgather's last.
+			var keep []T
+			if steps > 1 {
+				keep = g[keepLo-gLo : keepHi-gLo]
+			}
+			recvAddSend(cm, partner, tag, from[keepLo:keepHi], x[keepLo:keepHi], keep, partner, tagAllreduce+1024+s)
 		}
 		from = x
 		lo, hi = keepLo, keepHi
@@ -142,7 +188,7 @@ func allreduceRabenseifner(cm cluster.Endpoint, src, x []float64) {
 	// Allgather by recursive doubling: reverse the halving, restoring
 	// each parent range by exchanging the complementary half. The first
 	// step's send, the owned block, already left with the last
-	// reduce-scatter receive.
+	// reduce-scatter receive. Every range sent after it lies in g.
 	for s := steps - 1; s >= 0; s-- {
 		dist := p >> (s + 1)
 		partner := rank ^ dist
@@ -153,10 +199,20 @@ func allreduceRabenseifner(cm cluster.Endpoint, src, x []float64) {
 		} else {
 			partnerLo, partnerHi = parent.lo, lo
 		}
-		if s < steps-1 {
-			sendWire(cm, partner, tagAllreduce+1024+s, x[lo:hi])
+		tag := tagAllreduce + 1024 + s
+		switch {
+		case s == 0 && steps > 1:
+			sendBuf(cm, partner, tag, g)
+		case s < steps-1:
+			out := getBuf[T](cm, hi-lo)
+			copy(out, g[lo-gLo:hi-gLo])
+			sendBuf(cm, partner, tag, out)
 		}
-		recvCopy(cm, partner, tagAllreduce+1024+s, x[partnerLo:partnerHi])
+		var keep []T
+		if s > 0 {
+			keep = g[partnerLo-gLo : partnerHi-gLo]
+		}
+		putBuf(cm, recvWiden(cm, partner, tag, x[partnerLo:partnerHi], keep))
 		lo, hi = parent.lo, parent.hi
 	}
 }
@@ -168,45 +224,59 @@ func AllreduceRing(cm cluster.Endpoint, x []float64) {
 	if cm.Size() == 1 {
 		return
 	}
-	allreduceRing(cm, x, x)
+	allreduceRingWire(cm, x, x)
 }
 
-// allreduceRing is the ring schedule reducing src into x. Requires
-// P > 1.
-func allreduceRing(cm cluster.Endpoint, src, x []float64) {
+// allreduceRingWire is allreduceRing at the endpoint's wire type.
+func allreduceRingWire(cm cluster.Endpoint, src, x []float64) {
+	if cm.Wire() == cluster.WireF32 {
+		allreduceRing[float32](cm, src, x)
+		return
+	}
+	allreduceRing[float64](cm, src, x)
+}
+
+// allreduceRing is the ring schedule reducing src into x over wire
+// values of type T. Requires P > 1.
+//
+// Every message after the first is a buffer this rank received: the
+// block sent at reduce-scatter step s+1 is the block received at step
+// s, so the received buffer takes the sums in wire precision and goes
+// on; the block sent at allgather step s+1 is the one received at step
+// s, forwarded unchanged once widened into x.
+func allreduceRing[T wireVal](cm cluster.Endpoint, src, x []float64) {
 	p, rank, n := cm.Size(), cm.Rank(), len(x)
 	next := (rank + 1) % p
 	prev := (rank - 1 + p) % p
 	// Reduce-scatter: at step s, send block (rank-s) and accumulate into
-	// block (rank-s-1). Each block is received exactly once, so every
-	// receive is that block's first write, x[b] = src[b] + received;
-	// step 0 sends this rank's own block, which only src holds yet.
-	from := src
+	// block (rank-s-1). Each block is received exactly once and read
+	// from src then; only the last, the owned block (rank+1), is
+	// written to x. Step 0 sends this rank's own block of src.
+	slo, shi := blockRange(n, p, rank)
+	send := getBuf[T](cm, shi-slo)
+	narrowInto(send, src[slo:shi])
 	for s := 0; s < p-1; s++ {
-		sb := ((rank-s)%p + p) % p
-		rb := ((rank-s-1)%p + p) % p
-		slo, shi := blockRange(n, p, sb)
-		sendWire(cm, next, tagAllreduce+2048+s, from[slo:shi])
-		from = x
-		rlo, rhi := blockRange(n, p, rb)
+		sendBuf(cm, next, tagAllreduce+2048+s, send)
+		rlo, rhi := blockRange(n, p, ((rank-s-1)%p+p)%p)
 		if s < p-2 {
-			recvAddFrom(cm, prev, tagAllreduce+2048+s, src[rlo:rhi], x[rlo:rhi])
+			send = recvToReduce[T](cm, prev, tagAllreduce+2048+s, rhi-rlo)
+			addWire(send, src[rlo:rhi], send)
 		} else {
-			// The last receive completes the owned block (rank+1),
-			// which leaves at once as the allgather's first send.
-			recvAddSend(cm, prev, tagAllreduce+2048+s, src[rlo:rhi], x[rlo:rhi], next, tagAllreduce+4096)
+			// The last receive completes the owned block, which leaves
+			// at once as the allgather's first send.
+			recvAddSend[T](cm, prev, tagAllreduce+2048+s, src[rlo:rhi], x[rlo:rhi], nil, next, tagAllreduce+4096)
 		}
 	}
 	// Allgather ring: circulate the finished blocks. Step 0's send, the
 	// owned block, already left with the last reduce-scatter receive.
 	for s := 0; s < p-1; s++ {
 		if s > 0 {
-			slo, shi := blockRange(n, p, ((rank-s+1)%p+p)%p)
-			sendWire(cm, next, tagAllreduce+4096+s, x[slo:shi])
+			sendBuf(cm, next, tagAllreduce+4096+s, send)
 		}
 		rlo, rhi := blockRange(n, p, ((rank-s)%p+p)%p)
-		recvCopy(cm, prev, tagAllreduce+4096+s, x[rlo:rhi])
+		send = recvWiden[T](cm, prev, tagAllreduce+4096+s, x[rlo:rhi], nil)
 	}
+	putBuf(cm, send)
 }
 
 // Allgather gathers each rank's equally sized block into a full vector on

@@ -20,11 +20,18 @@ import (
 // on the f64 wire the copy is a pooled []float64; on the f32 wire the
 // values are rounded to float32 into a pooled []float32 at half-word
 // accounting, and receivers widen them back as they fold. Compute stays
-// float64 either way — rounding happens exactly once per hop, here.
+// float64 either way. A value is rounded once, where it first goes out:
+// when a float64 value is copied into a message (sendFrom), or in the
+// pass that forms a sum bound for the next message (addWire,
+// addRound). A value that already exists in wire form is sent on as it
+// is — forwarded in the buffer it arrived in, or copied from a kept
+// wire buffer — and never narrowed again from its widened copy.
 //
-// A receiver may also send on a buffer it received and owns, as
-// recvAddSend does with the sums it writes over the payload: ownership
-// passes with the message exactly as for a fresh pool draw.
+// A receiver may also send on a buffer it received and owns: the dense
+// allreduce forwards the sums it writes over a payload (recvAddSend,
+// the ring's reduce-scatter) and the ring allgather forwards the
+// payloads it has widened. Ownership passes with the message exactly
+// as for a fresh pool draw.
 //
 // Payloads that fan out to multiple ranks (AllgathervInto chunk
 // Data/Data32/Aux, which are stored into every rank's result) must NOT
@@ -111,109 +118,196 @@ func (s *FanOutSlot) narrow(val []float64) []float32 {
 	return s.val32
 }
 
-// sendCopy copies x into a pooled buffer — the copy the wire needs
-// anyway, since the caller keeps mutating x — and returns it for
-// sending. The receiver releases it with cm.PutFloats after use. Only
-// f64-wire paths call it; wire-mode-aware paths use sendWire.
-func sendCopy(cm cluster.Endpoint, x []float64) []float64 {
-	buf := cm.GetFloats(len(x))
-	copy(buf, x)
-	return buf
+// wireVal is the element type of a wire value payload: float64 on the
+// f64 wire, float32 on the f32 wire. The dense allreduce schedules are
+// written once over it and instantiated per wire; the helpers below
+// move a []T through the matching typed pool and message paths.
+type wireVal interface{ float32 | float64 }
+
+// getBuf draws a length-n value buffer of the wire type from this
+// rank's pool.
+func getBuf[T wireVal](cm cluster.Endpoint, n int) (b []T) {
+	switch p := any(&b).(type) {
+	case *[]float32:
+		*p = cm.GetFloat32s(n)
+	case *[]float64:
+		*p = cm.GetFloats(n)
+	}
+	return b
 }
 
-// sendWire ships x to dst in the endpoint's wire format: a pooled
-// []float64 copy on the f64 wire, a pooled rounded []float32 copy at
-// half-word accounting on the f32 wire. The caller keeps x.
-func sendWire(cm cluster.Endpoint, dst, tag int, x []float64) {
-	if cm.Wire() == cluster.WireF32 {
-		buf := cm.GetFloat32s(len(x))
-		cluster.NarrowInto(buf, x)
-		cm.SendFloat32s(dst, tag, buf, cluster.WireF32.Words(len(x)))
-		return
+// putBuf returns a value buffer to this rank's pool.
+func putBuf[T wireVal](cm cluster.Endpoint, b []T) {
+	switch p := any(&b).(type) {
+	case *[]float32:
+		cm.PutFloat32s(*p)
+	case *[]float64:
+		cm.PutFloats(*p)
 	}
-	cm.SendFloats(dst, tag, sendCopy(cm, x), len(x))
 }
 
-// recvAddFrom receives one wire value payload, charges the
-// len(dst)-flop reduction AFTER the delivery (the reduction cannot
-// start before the data arrives, so it must never hide under the
-// transfer), writes dst = from + payload element-wise and releases the
-// buffer into this rank's pool. from may be dst itself (an in-place
-// accumulate); a distinct from lets a collective reduce out of a
-// caller's read-only input without copying it first.
-func recvAddFrom(cm cluster.Endpoint, src, tag int, from, dst []float64) {
-	if cm.Wire() == cluster.WireF32 {
-		recv := cm.RecvFloat32(src, tag)
-		checkWireLen(len(recv), len(dst))
-		cm.Clock().Compute(float64(len(dst)))
-		addInto(dst, from, recv)
-		cm.PutFloat32s(recv)
-		return
+// sendBuf sends b, which the caller owns and hands over, at the wire's
+// word count: one word per float64, half a word per float32.
+func sendBuf[T wireVal](cm cluster.Endpoint, dst, tag int, b []T) {
+	switch p := any(&b).(type) {
+	case *[]float32:
+		cm.SendFloat32s(dst, tag, *p, cluster.WireF32.Words(len(b)))
+	case *[]float64:
+		cm.SendFloats(dst, tag, *p, len(b))
 	}
-	recv := cm.RecvFloat64(src, tag)
-	checkWireLen(len(recv), len(dst))
-	cm.Clock().Compute(float64(len(dst)))
+}
+
+// recvBuf receives one value payload of the wire type; the caller owns
+// it and either puts it back or sends it on.
+func recvBuf[T wireVal](cm cluster.Endpoint, src, tag int) (b []T) {
+	switch p := any(&b).(type) {
+	case *[]float32:
+		*p = cm.RecvFloat32(src, tag)
+	case *[]float64:
+		*p = cm.RecvFloat64(src, tag)
+	}
+	return b
+}
+
+// sendFrom ships a pooled wire copy of x to dst: the copy the wire
+// needs anyway, since the caller keeps x. On the f32 wire the copy is
+// x rounded to float32.
+func sendFrom[T wireVal](cm cluster.Endpoint, dst, tag int, x []float64) {
+	buf := getBuf[T](cm, len(x))
+	narrowInto(buf, x)
+	sendBuf(cm, dst, tag, buf)
+}
+
+// recvToReduce receives a payload of n wire values that the caller is
+// about to reduce, and charges the n-flop reduction AFTER the delivery:
+// the reduction cannot start before the data arrives, so it must never
+// hide under the transfer.
+func recvToReduce[T wireVal](cm cluster.Endpoint, src, tag, n int) []T {
+	recv := recvBuf[T](cm, src, tag)
+	checkWireLen(len(recv), n)
+	cm.Clock().Compute(float64(n))
+	return recv
+}
+
+// recvAdd receives one wire value payload, writes dst = from + payload
+// element-wise and releases the buffer into this rank's pool. from may
+// be dst itself (an in-place accumulate).
+func recvAdd[T wireVal](cm cluster.Endpoint, src, tag int, from, dst []float64) {
+	recv := recvToReduce[T](cm, src, tag, len(dst))
 	addInto(dst, from, recv)
-	cm.PutFloats(recv)
+	putBuf(cm, recv)
+}
+
+// recvWiden receives one wire value payload and widens it into dst. A
+// non-nil keep also gets the payload's wire values (the allgather
+// buffer that sends them on later). The payload is returned to the
+// caller, who owns it and puts it back or forwards it unchanged.
+func recvWiden[T wireVal](cm cluster.Endpoint, src, tag int, dst []float64, keep []T) []T {
+	recv := recvBuf[T](cm, src, tag)
+	checkWireLen(len(recv), len(dst))
+	widenInto(dst, recv)
+	copy(keep, recv)
+	return recv
 }
 
 // recvAddSend is an allreduce's turn from reduce-scatter to allgather:
 // the last reduce-scatter receive completes this rank's owned block,
-// dst = from + payload, and the block leaves at once to `to` as the
-// first allgather message. On the f32 wire one pass adds, overwrites
-// the received buffer — which this rank owns — with the rounded sums,
-// and keeps exactly those values in dst; the buffer then goes on as
-// the message, so this rank holds what every other rank receives.
-func recvAddSend(cm cluster.Endpoint, src, tag int, from, dst []float64, to, sendTag int) {
-	if cm.Wire() != cluster.WireF32 {
-		recvAddFrom(cm, src, tag, from, dst)
-		sendWire(cm, to, sendTag, dst)
+// and the block leaves at once to `to` as the first allgather message.
+// One pass adds, overwrites the received buffer — which this rank owns
+// — with the sums in wire precision, and keeps exactly those values in
+// dst; the buffer then goes on as the message, so this rank holds what
+// every other rank receives. A non-nil keep also gets the wire values,
+// for a later allgather send that covers the owned block.
+func recvAddSend[T wireVal](cm cluster.Endpoint, src, tag int, from, dst []float64, keep []T, to, sendTag int) {
+	recv := recvToReduce[T](cm, src, tag, len(dst))
+	addRound(dst, from, recv)
+	copy(keep, recv)
+	sendBuf(cm, to, sendTag, recv)
+}
+
+// sendWire ships x to dst in the endpoint's wire format (sendFrom at
+// the endpoint's wire type). The caller keeps x.
+func sendWire(cm cluster.Endpoint, dst, tag int, x []float64) {
+	if cm.Wire() == cluster.WireF32 {
+		sendFrom[float32](cm, dst, tag, x)
 		return
 	}
-	recv := cm.RecvFloat32(src, tag)
-	checkWireLen(len(recv), len(dst))
-	cm.Clock().Compute(float64(len(dst)))
-	addRound(dst, from, recv)
-	cm.SendFloat32s(to, sendTag, recv, cluster.WireF32.Words(len(dst)))
+	sendFrom[float64](cm, dst, tag, x)
+}
+
+// recvAddFrom is recvAdd at the endpoint's wire type.
+func recvAddFrom(cm cluster.Endpoint, src, tag int, from, dst []float64) {
+	if cm.Wire() == cluster.WireF32 {
+		recvAdd[float32](cm, src, tag, from, dst)
+		return
+	}
+	recvAdd[float64](cm, src, tag, from, dst)
+}
+
+// recvCopy receives one wire value payload at the endpoint's wire type,
+// widens it into dst and releases the buffer into this rank's pool.
+func recvCopy(cm cluster.Endpoint, src, tag int, dst []float64) {
+	if cm.Wire() == cluster.WireF32 {
+		cm.PutFloat32s(recvWiden[float32](cm, src, tag, dst, nil))
+		return
+	}
+	cm.PutFloats(recvWiden[float64](cm, src, tag, dst, nil))
 }
 
 // addInto writes dst[i] = a[i] + float64(b[i]): the receive-edge
 // accumulate of both wires, one add per element (widening a float32
 // operand is exact). Reslicing the operands to len(dst) keeps the loop
 // free of per-element bounds checks.
-func addInto[T float32 | float64](dst, a []float64, b []T) {
+func addInto[T wireVal](dst, a []float64, b []T) {
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
 		dst[i] = a[i] + float64(b[i])
 	}
 }
 
-// addRound is the f32 wire's add for sums that go straight back out:
-// b[i] becomes float32(a[i] + float64(b[i])), the value sent on, and
-// dst[i] keeps its widening. One add and one rounding per element.
-func addRound(dst, a []float64, b []float32) {
+// addWire writes dst[i] = T(a[i] + float64(b[i])): a partial sum bound
+// for the next send, written straight into that send's buffer in wire
+// precision. dst may be b itself. The rounding is the one the sum
+// would get from narrowInto at the send, on the same float64 sum.
+func addWire[T wireVal](dst []T, a []float64, b []T) {
 	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
-		f := float32(a[i] + float64(b[i]))
+		dst[i] = T(a[i] + float64(b[i]))
+	}
+}
+
+// addRound is the add for sums that go straight back out: b[i] becomes
+// T(a[i] + float64(b[i])), the value sent on, and dst[i] keeps its
+// widening. One add and one rounding per element.
+func addRound[T wireVal](dst, a []float64, b []T) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		f := T(a[i] + float64(b[i]))
 		b[i] = f
 		dst[i] = float64(f)
 	}
 }
 
-// recvCopy receives one wire value payload, widens it into dst and
-// releases the buffer into this rank's pool.
-func recvCopy(cm cluster.Endpoint, src, tag int, dst []float64) {
-	if cm.Wire() == cluster.WireF32 {
-		recv := cm.RecvFloat32(src, tag)
-		checkWireLen(len(recv), len(dst))
-		cluster.WidenInto(dst, recv)
-		cm.PutFloat32s(recv)
-		return
+// narrowInto writes src in wire precision into the equal-length dst:
+// cluster.NarrowInto on the f32 wire, a copy on the f64 wire.
+func narrowInto[T wireVal](dst []T, src []float64) {
+	switch d := any(&dst).(type) {
+	case *[]float32:
+		cluster.NarrowInto(*d, src)
+	case *[]float64:
+		copy(*d, src)
 	}
-	recv := cm.RecvFloat64(src, tag)
-	checkWireLen(len(recv), len(dst))
-	copy(dst, recv)
-	cm.PutFloats(recv)
+}
+
+// widenInto is narrowInto's inverse: cluster.WidenInto on the f32
+// wire, a copy on the f64 wire.
+func widenInto[T wireVal](dst []float64, src []T) {
+	switch s := any(&src).(type) {
+	case *[]float32:
+		cluster.WidenInto(dst, *s)
+	case *[]float64:
+		copy(dst, *s)
+	}
 }
 
 // recvWireFloats receives one wire value payload and hands it to the
