@@ -65,12 +65,12 @@ func runTCP(t *testing.T, clusters []*cluster.Cluster, spec Spec) *Report {
 }
 
 // TestTransportConformance is the cross-backend pin: the seven
-// collectives × P ∈ {2,4,8} × wire {f64,f32}, inproc vs tcp, asserting
+// collectives × P ∈ {2,3,4,8} × wire {f64,f32}, inproc vs tcp, asserting
 // bit-identical results, identical per-rank word accounting and
 // bit-identical post-barrier clocks. The spec table is shared — the
 // same Spec value drives both backends.
 func TestTransportConformance(t *testing.T) {
-	for _, p := range []int{2, 4, 8} {
+	for _, p := range []int{2, 3, 4, 8} {
 		for _, wire := range []cluster.Wire{cluster.WireF64, cluster.WireF32} {
 			spec := Spec{P: p, N: 2048, K: 48, Iters: 4, Seed: 7 + int64(p)}
 			t.Run(fmt.Sprintf("P=%d/wire=%s", p, wire), func(t *testing.T) {

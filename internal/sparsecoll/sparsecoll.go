@@ -37,6 +37,7 @@ package sparsecoll
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -402,7 +403,8 @@ func (d *TopkDSA) Reduce(cm cluster.Endpoint, acc []float64, t int) allreduce.Re
 // top-k set with its own and re-selects k values, followed by a binomial
 // broadcast of the final global top-k. The hierarchical re-selection is
 // charged to the communication phase, matching how the paper's
-// measurements attribute it.
+// measurements attribute it. Any P works: at a P that is not a power
+// of two, the trees simply lack the partners rank|dist ≥ P.
 type GTopk struct {
 	cfg       allreduce.Config
 	thScratch []float64
@@ -533,11 +535,12 @@ func parentOf(rank, p int) int {
 
 func childrenOf(rank, p int) []int {
 	var out []int
-	// Children are rank|dist for dist above rank's lowest set bit (or
-	// all powers for rank 0), matching the reduction-tree partners.
+	// Children are rank|dist for dist below rank's lowest set bit (or
+	// every power of two below P for rank 0), matching the
+	// reduction-tree partners.
 	low := rank & (-rank)
 	if rank == 0 {
-		low = p
+		low = 1 << bits.Len(uint(p-1))
 	}
 	for dist := low / 2; dist >= 1; dist /= 2 {
 		if rank|dist < p && rank&dist == 0 {

@@ -170,7 +170,7 @@ func TestTopkDSAMatchesTopkA(t *testing.T) {
 // the surviving values are drawn from the hierarchical merge.
 func TestGTopkKeepsExactlyK(t *testing.T) {
 	r := tensor.RNG(15)
-	for _, p := range []int{2, 4, 8} {
+	for _, p := range []int{2, 3, 4, 5, 6, 7, 8} {
 		n, k := 1024, 25
 		grads := make([][]float64, p)
 		for i := range grads {
