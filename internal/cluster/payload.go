@@ -32,6 +32,14 @@ package cluster
 // once no rank can still read them (collectives.FanOut), and nobody
 // ever Puts them.
 //
+// Sparse chunks follow one point-to-point rule and one exception. A
+// point-to-point chunk is collectives.WireChunk's pooled copy of the
+// sender's (index, value) arrays, and its receiver hands both buffers
+// back with collectives.Release. Ok-Topk's rebalance instead sends
+// views (Chunk.Slice) of the selection's fan-out slot: the slot rule
+// keeps them unchanged until every receiver has copied its piece, and
+// nobody releases them.
+//
 // Under tcp the receiver owns the buffer the frame was decoded into,
 // and the sender's payload is borrowed, not copied: the connection's
 // writer goroutine sends the frame from the sender's own arrays and
@@ -52,14 +60,19 @@ package cluster
 // sent it. Forwarded chunks are the forwarder's decoded copies, which
 // nobody rewrites.
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // Chunk is a tagged variable-size wire payload: one origin rank's
 // (values, indexes) contribution. It is the message unit of every
 // sparse collective; the collectives package re-exports it as
 // collectives.Chunk. Values live in exactly one of Data (f64 wire) or
-// Data32 (f32 wire, rounded at the send edge); receivers branch on
-// Data32 and widen back to float64 as they fold.
+// Data32 (f32 wire, rounded at the send edge). Only this package and
+// collectives read the two fields: senders build chunks with
+// collectives.WireChunk or a FanOut slot, and receivers read the
+// values in compute precision through Values or AppendValues.
 type Chunk struct {
 	Origin int
 	Data   []float64
@@ -94,6 +107,30 @@ func (c Chunk) AppendValues(dst []float64) []float64 {
 		return dst
 	}
 	return append(dst, c.Data...)
+}
+
+// Values returns the chunk's values in compute precision: Data itself
+// on the f64 wire, and on the f32 wire Data32 widened into the scratch
+// *buf, which grows as needed. Only *buf is ever written, so the
+// scratch never aliases a payload; the result is valid until the next
+// call with the same buf.
+func (c Chunk) Values(buf *[]float64) []float64 {
+	if c.Data32 == nil {
+		return c.Data
+	}
+	b := slices.Grow((*buf)[:0], len(c.Data32))[:len(c.Data32)]
+	WidenInto(b, c.Data32)
+	*buf = b
+	return b
+}
+
+// Slice returns the view of the chunk's elements [a, b): values and
+// indexes, sharing the chunk's arrays.
+func (c Chunk) Slice(a, b int) Chunk {
+	if c.Data32 != nil {
+		return Chunk{Origin: c.Origin, Data32: c.Data32[a:b], Aux: c.Aux[a:b]}
+	}
+	return Chunk{Origin: c.Origin, Data: c.Data[a:b], Aux: c.Aux[a:b]}
 }
 
 // poolCap bounds each freelist so a pathological phase cannot pin

@@ -20,7 +20,13 @@ import (
 // on the f64 wire the copy is a pooled []float64; on the f32 wire the
 // values are rounded to float32 into a pooled []float32 at half-word
 // accounting, and receivers widen them back as they fold. Compute stays
-// float64 either way. A value is rounded once, where it first goes out:
+// float64 either way. This package and cluster are the only ones that
+// know the representation. The dense schedules move it with getBuf,
+// sendBuf and recvBuf over wireVal. Sparse callers see only []int32
+// and []float64: they send WireChunk copies, read received values with
+// Chunk.Values or Chunk.AppendValues and hand the buffers back with
+// Release, and build fan-out payloads in a FanOut slot, whose
+// Chunk.Slice views they may also send point to point. A value is rounded once, where it first goes out:
 // when a float64 value is copied into a message (sendFrom), or in the
 // pass that forms a sum bound for the next message (addWire,
 // addRound). A value that already exists in wire form is sent on as it
@@ -39,6 +45,35 @@ import (
 // They are owned by the instance that contributes them, in a FanOut
 // (below). Chunk containers ([]Chunk) are single-consumer and are
 // pooled via GetChunks/PutChunks.
+
+// WireChunk returns (idx, vals) as a point-to-point payload: pooled
+// copies of both arrays drawn from this rank's pools, the values
+// rounded to float32 on the f32 wire. The caller sends it and so hands
+// both buffers over; the receiver returns them to its own pools with
+// Release once it has read them.
+func WireChunk(cm cluster.Endpoint, idx []int32, vals []float64) Chunk {
+	wi := cm.GetInt32s(len(idx))
+	copy(wi, idx)
+	if cm.Wire() == cluster.WireF32 {
+		wv := cm.GetFloat32s(len(vals))
+		cluster.NarrowInto(wv, vals)
+		return Chunk{Data32: wv, Aux: wi}
+	}
+	wv := cm.GetFloats(len(vals))
+	copy(wv, vals)
+	return Chunk{Data: wv, Aux: wi}
+}
+
+// Release returns a received WireChunk's buffers to this rank's pools.
+// It must not be given a chunk that fans out or a view of one.
+func Release(cm cluster.Endpoint, ch Chunk) {
+	if ch.Data32 != nil {
+		cm.PutFloat32s(ch.Data32)
+	} else {
+		cm.PutFloats(ch.Data)
+	}
+	cm.PutInt32s(ch.Aux)
+}
 
 // FanOut is the payload storage an origin owns for one AllgathervInto
 // call site: two slots, and call t of the site writes slot t mod 2.

@@ -90,12 +90,14 @@ type scratch struct {
 	// gidx collects the allgathered global index runs, whose end offsets
 	// land in gidxEnds; MergeRuns sorts them against mergeSpare without
 	// allocating. thScratch/gatherBuf back the periodic exact
-	// global-threshold re-evaluation.
+	// global-threshold re-evaluation, and wide holds a received chunk's
+	// values widened from the f32 wire (Chunk.Values).
 	mergeSpare []int32
 	gidx       []int32
 	gidxEnds   []int
 	thScratch  []float64
 	gatherBuf  []float64
+	wide       []float64
 	// update is the dense result buffer handed back in Result.Update.
 	// It is kept logically all-zero between calls by re-zeroing exactly
 	// the indexes recorded in prevWritten (an O(k) scatter instead of an
@@ -300,10 +302,10 @@ func regionSplits(dst []int, idx []int32, bounds []int) []int {
 // accumulateRegion folds one source's (index, value) pairs into the
 // owned-region buffer buf, whose offset 0 is index lo, and marks in
 // mask every offset that received a nonzero value.
-func accumulateRegion[T float32 | float64](buf []float64, mask []uint64, lo int, idxs []int32, vals []T) {
+func accumulateRegion(buf []float64, mask []uint64, lo int, idxs []int32, vals []float64) {
 	for i, idx := range idxs {
 		off := int(idx) - lo
-		v := float64(vals[i])
+		v := vals[i]
 		if v != 0 {
 			mask[off>>6] |= 1 << (off & 63)
 		}
@@ -324,30 +326,19 @@ func (o *OkTopk) splitAndReduce(cm cluster.Endpoint, localIdx []int32, localVal 
 	defer cm.Clock().SetPhase(netmodel.PhaseCompute)
 
 	// The selection is index-sorted and regions are index ranges, so
-	// each region is a sub-slice of it. Wire copies are made at send
-	// time, so no other rank ever references the selection.
+	// each region is a sub-slice of it. send ships region dst as a
+	// pooled wire copy (collectives.WireChunk), which the receiver
+	// releases after accumulating, so no other rank ever references the
+	// selection.
 	splits := regionSplits(o.scratch.splits, localIdx, o.boundaries)
 	o.scratch.splits = splits
 	region := func(r int) ([]int32, []float64) {
 		return localIdx[splits[r]:splits[r+1]], localVal[splits[r]:splits[r+1]]
 	}
-
-	// wire copies region dst into wire-format buffers drawn from this
-	// rank's pool, owned by the outgoing message; the receiver releases
-	// them into its own pool after accumulating (ownership transfer).
-	// On the f32 wire the values are rounded here, at the edge.
-	wire := func(dst int) collectives.Chunk {
+	send := func(dst, tag int) {
 		ridx, rval := region(dst)
-		idx := cm.GetInt32s(len(ridx))
-		copy(idx, ridx)
-		if cm.Wire() == cluster.WireF32 {
-			val := cm.GetFloat32s(len(rval))
-			cluster.NarrowInto(val, rval)
-			return collectives.Chunk{Data32: val, Aux: idx}
-		}
-		val := cm.GetFloats(len(rval))
-		copy(val, rval)
-		return collectives.Chunk{Data: val, Aux: idx}
+		ch := collectives.WireChunk(cm, ridx, rval)
+		cm.SendChunk(dst, tag, ch, ch.Words())
 	}
 
 	// Reduction buffer for my region and the bitmap of its touched
@@ -369,15 +360,9 @@ func (o *OkTopk) splitAndReduce(cm cluster.Endpoint, localIdx []int32, localVal 
 	// message's buffers into this rank's pool.
 	receiveEach := func(keys []cluster.RecvKey) {
 		cm.RecvChunkEach(keys, func(i int, ch collectives.Chunk) {
-			if ch.Data32 != nil {
-				accumulateRegion(buf, mask, lo, ch.Aux, ch.Data32)
-				cm.PutFloat32s(ch.Data32)
-			} else {
-				accumulateRegion(buf, mask, lo, ch.Aux, ch.Data)
-				cm.PutFloats(ch.Data)
-			}
+			accumulateRegion(buf, mask, lo, ch.Aux, ch.Values(&o.scratch.wide))
 			cm.Clock().Compute(float64(len(ch.Aux)))
-			cm.PutInt32s(ch.Aux)
+			collectives.Release(cm, ch)
 		})
 	}
 	ownIdx, ownVal := region(rank)
@@ -402,9 +387,7 @@ func (o *OkTopk) splitAndReduce(cm cluster.Endpoint, localIdx []int32, localVal 
 				end = p
 			}
 			for s := base; s < end; s++ {
-				dst := (rank + s) % p
-				ch := wire(dst)
-				cm.SendChunk(dst, tagSplit+s, ch, ch.Words())
+				send((rank+s)%p, tagSplit+s)
 			}
 			keys := o.scratch.keys[:0]
 			for s := base; s < end; s++ {
@@ -426,8 +409,7 @@ func (o *OkTopk) splitAndReduce(cm cluster.Endpoint, localIdx []int32, localVal 
 				}
 				receiveEach(keys)
 			} else {
-				ch := wire(s)
-				cm.SendChunk(s, tagSplit+s, ch, ch.Words())
+				send(s, tagSplit+s)
 			}
 		}
 	}
@@ -504,14 +486,9 @@ func (o *OkTopk) balanceAndAllgatherv(cm cluster.Endpoint, n int, reducedIdx []i
 	globalIdx := o.scratch.gidx[:0]
 	gidxEnds := o.scratch.gidxEnds[:0]
 	for _, ch := range o.scratch.chunks {
-		if ch.Data32 != nil {
-			for i, idx := range ch.Aux {
-				update[idx] = float64(ch.Data32[i])
-			}
-		} else {
-			for i, idx := range ch.Aux {
-				update[idx] = ch.Data[i]
-			}
+		vals := ch.Values(&o.scratch.wide)
+		for i, idx := range ch.Aux {
+			update[idx] = vals[i]
 		}
 		globalIdx = append(globalIdx, ch.Aux...)
 		gidxEnds = append(gidxEnds, len(globalIdx))
@@ -534,6 +511,7 @@ func (o *OkTopk) balanceAndAllgatherv(cm cluster.Endpoint, n int, reducedIdx []i
 func (o *OkTopk) rebalance(cm cluster.Endpoint, sizes []int, sel *collectives.FanOutSlot) *collectives.FanOutSlot {
 	p, rank := cm.Size(), cm.Rank()
 	idx, val := sel.Indexes, sel.Values
+	wire := sel.Chunk(cm)
 	offsets := append(o.scratch.offsets[:0], 0)
 	for i, s := range sizes {
 		offsets = append(offsets, offsets[i]+s)
@@ -563,16 +541,12 @@ func (o *OkTopk) rebalance(cm cluster.Endpoint, sizes []int, sel *collectives.Fa
 			newVal = append(newVal, val[a:b]...)
 			continue
 		}
-		// Indexes ride as views of the (immutable from here) selection;
-		// on the f32 wire the values are rounded into a pooled buffer
-		// the receiver releases. Words come from the chunk itself, which
-		// accounts per the representation it carries.
-		ch := collectives.Chunk{Data: val[a:b], Aux: idx[a:b]}
-		if cm.Wire() == cluster.WireF32 {
-			vals := cm.GetFloat32s(b - a)
-			cluster.NarrowInto(vals, val[a:b])
-			ch = collectives.Chunk{Data32: vals, Aux: idx[a:b]}
-		}
+		// Pieces ride as views of the selection's slot in wire format,
+		// which the fan-out slot rule keeps unchanged until every
+		// receiver has copied its piece; nothing is pooled or released.
+		// Words come from the chunk itself, which accounts per the
+		// representation it carries.
+		ch := wire.Slice(a, b)
 		cm.SendChunk(r, tagBalance, ch, ch.Words())
 	}
 	// Receive pieces of my target span from their current owners.
@@ -591,9 +565,6 @@ func (o *OkTopk) rebalance(cm cluster.Endpoint, sizes []int, sel *collectives.Fa
 		}
 		newIdx = append(newIdx, ch.Aux...)
 		newVal = ch.AppendValues(newVal)
-		if ch.Data32 != nil {
-			cm.PutFloat32s(ch.Data32)
-		}
 	}
 	out.Indexes, out.Values = newIdx, newVal
 	return out

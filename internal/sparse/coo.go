@@ -60,26 +60,6 @@ func (v *Vec) Validate() error {
 	return nil
 }
 
-// SetWire fills v's contents from a received wire payload: indexes are
-// copied, and values arrive as exactly one of vals (f64 wire) or vals32
-// (f32 wire, widened back to compute precision here). v must have been
-// sized to len(idx) nonzeros, typically by Pool.Get — this is how a
-// receiver rebuilds a mergeable compute-precision vector from the
-// narrow wire without the wire buffers ever entering the merge kernels.
-func (v *Vec) SetWire(idx []int32, vals []float64, vals32 []float32) {
-	if len(v.Indexes) != len(idx) {
-		panic(fmt.Sprintf("sparse: SetWire size mismatch %d != %d", len(v.Indexes), len(idx)))
-	}
-	copy(v.Indexes, idx)
-	if vals32 != nil {
-		for i, x := range vals32 {
-			v.Values[i] = float64(x)
-		}
-		return
-	}
-	copy(v.Values, vals)
-}
-
 // FromDense builds a sparse vector from the nonzero entries of d.
 func FromDense(d []float64) *Vec {
 	v := New(len(d))

@@ -3,11 +3,10 @@ package sparse
 // Pool is a single-owner freelist of sparse vectors — the per-rank
 // arena behind the sparse collectives' hop vectors (TopkDSA's
 // recursive-halving pieces, gTopk's tree and broadcast hops). Hop
-// payloads themselves travel as wire-format chunks drawn from the
-// cluster runtime's rank pools (float64 or float32 values, selected by
-// the cluster's Wire mode); on receive, the contents are widened back
-// into a compute-precision Vec drawn from the receiving rank's Pool
-// (Vec.SetWire), merged, and returned to that same Pool. Vectors are
+// payloads themselves travel as collectives.WireChunk copies drawn from
+// the cluster runtime's rank pools; on receive, the values are read in
+// compute precision into a Vec drawn from the receiving rank's Pool,
+// merged, and returned to that same Pool. Vectors are
 // therefore strictly rank-local, and after a warm-up iteration every
 // pool holds enough right-sized vectors for its rank's fan-in, keeping
 // the steady state allocation-free.

@@ -21,17 +21,17 @@
 // accounts its traffic and selection work under the α-β cost model.
 //
 // All point-to-point payloads (TopkDSA's halving pieces, gTopk's tree
-// and broadcast hops) travel as wire-format chunks whose index/value
-// buffers come from the sender's cluster rank pools under the
-// ownership-transfer convention — float64 values on the default wire,
-// rounded float32 values at half-word accounting on the f32 wire — and
-// the receiver widens them back into a compute-precision sparse.Vec
-// drawn from its own per-rank Pool before merging. Fan-out payloads
-// (allgathered chunks) are owned by the instance that contributes
-// them, in wire format, in a collectives.FanOut: two slots per call
-// site, reused by call parity once every rank has finished reading
-// them. Result.Update and Result.Contributed are instance-owned
-// scratch, valid until the next Reduce on the same instance.
+// and broadcast hops) travel as collectives.WireChunk copies drawn from
+// the sender's cluster rank pools under the ownership-transfer
+// convention, and the receiver reads them back into a compute-precision
+// sparse.Vec drawn from its own per-rank Pool before merging
+// (recvVecChunk); only collectives and cluster know how values look on
+// the wire. Fan-out payloads (allgathered chunks) are owned by the
+// instance that contributes them, in wire format, in a
+// collectives.FanOut: two slots per call site, reused by call parity
+// once every rank has finished reading them. Result.Update and
+// Result.Contributed are instance-owned scratch, valid until the next
+// Reduce on the same instance.
 package sparsecoll
 
 import (
@@ -72,41 +72,16 @@ func slicePooled(pool *sparse.Pool, v *sparse.Vec, lo, hi int32) *sparse.Vec {
 	return out
 }
 
-// sendVecChunk ships (idx, vals) to dst as a point-to-point wire chunk:
-// both buffers come from this rank's cluster pools — values rounded to
-// float32 on the f32 wire — and ownership transfers to the receiver,
-// which rebuilds a compute-precision pool vector with recvVecChunk.
-// words is the accounted size, already wire-adjusted by the caller.
-func sendVecChunk(cm cluster.Endpoint, dst, tag int, idx []int32, vals []float64, words int) {
-	wi := cm.GetInt32s(len(idx))
-	copy(wi, idx)
-	ch := collectives.Chunk{Aux: wi}
-	if cm.Wire() == cluster.WireF32 {
-		wv := cm.GetFloat32s(len(vals))
-		cluster.NarrowInto(wv, vals)
-		ch.Data32 = wv
-	} else {
-		wv := cm.GetFloats(len(vals))
-		copy(wv, vals)
-		ch.Data = wv
-	}
-	cm.SendChunk(dst, tag, ch, words)
-}
-
-// recvVecChunk receives one hop chunk and rebuilds it as a vector drawn
-// from this rank's Pool (widening f32 wire values back to compute
-// precision), releasing the wire buffers into this rank's cluster
-// pools. The vector goes back to the same Pool after the merge.
+// recvVecChunk receives one hop chunk, a collectives.WireChunk, and
+// rebuilds it as a compute-precision vector drawn from this rank's
+// Pool, releasing the wire buffers into this rank's cluster pools. The
+// vector goes back to the same Pool after the merge.
 func recvVecChunk(cm cluster.Endpoint, pool *sparse.Pool, src, tag, dim int) *sparse.Vec {
 	ch := cm.RecvChunk(src, tag)
 	out := pool.Get(dim, len(ch.Aux))
-	out.SetWire(ch.Aux, ch.Data, ch.Data32)
-	cm.PutInt32s(ch.Aux)
-	if ch.Data32 != nil {
-		cm.PutFloat32s(ch.Data32)
-	} else {
-		cm.PutFloats(ch.Data)
-	}
+	copy(out.Indexes, ch.Aux)
+	out.Values = ch.AppendValues(out.Values[:0])
+	collectives.Release(cm, ch)
 	return out
 }
 
@@ -131,6 +106,7 @@ type gatherState struct {
 	update  []float64
 	touched []int32             // indexes written by the last call
 	chunks  []collectives.Chunk // AllgathervInto result scratch
+	wide    []float64           // a chunk's values widened (Chunk.Values)
 }
 
 // sumChunks folds the gathered chunks into the logically all-zero
@@ -147,22 +123,12 @@ func (gs *gatherState) sumChunks(n int) (update []float64, globalNNZ int) {
 	gs.touched = gs.touched[:0]
 	nz := 0
 	for _, ch := range gs.chunks {
-		if ch.Data32 != nil {
-			// f32 wire: widen once per element as it folds in.
-			for i, idx := range ch.Aux {
-				v := float64(ch.Data32[i])
-				if update[idx] == 0 && v != 0 {
-					nz++
-				}
-				update[idx] += v
+		vals := ch.Values(&gs.wide)
+		for i, idx := range ch.Aux {
+			if update[idx] == 0 && vals[i] != 0 {
+				nz++
 			}
-		} else {
-			for i, idx := range ch.Aux {
-				if update[idx] == 0 && ch.Data[i] != 0 {
-					nz++
-				}
-				update[idx] += ch.Data[i]
-			}
+			update[idx] += vals[i]
 		}
 		gs.touched = append(gs.touched, ch.Aux...)
 	}
@@ -259,9 +225,10 @@ func (g *Gaussiank) Reduce(cm cluster.Endpoint, acc []float64, t int) allreduce.
 
 // TopkDSA is SparCML's dynamic sparse allreduce [36]: recursive-halving
 // reduce-scatter over the index space with per-piece dense fallback,
-// then an allgatherv of the reduced pieces. Requires power-of-two P;
-// the factory falls back to TopkA otherwise (the paper only evaluates
-// power-of-two node counts).
+// then an allgatherv of the reduced pieces. The halving needs
+// power-of-two P; at any other P, Reduce degrades to the allgather
+// schedule itself, as SparCML's fallback does (the paper only
+// evaluates power-of-two node counts).
 type TopkDSA struct {
 	cfg allreduce.Config
 	// FillIn accumulates the output densities observed, for the §5.2
@@ -350,8 +317,8 @@ func (d *TopkDSA) Reduce(cm cluster.Endpoint, acc []float64, t int) allreduce.Re
 		if w := sendHi - sendLo; elems > w {
 			elems = w
 		}
-		sendVecChunk(cm, partner, tagDSA+s,
-			cur.Indexes[start:end], cur.Values[start:end], cm.Wire().Words(elems))
+		ch := collectives.WireChunk(cm, cur.Indexes[start:end], cur.Values[start:end])
+		cm.SendChunk(partner, tagDSA+s, ch, cm.Wire().Words(elems))
 		in := recvVecChunk(cm, &d.pool, partner, tagDSA+s, n)
 		kept := slicePooled(&d.pool, cur, int32(keepLo), int32(keepHi))
 		cm.Clock().Compute(float64(kept.NNZ() + in.NNZ()))
@@ -379,10 +346,13 @@ func (d *TopkDSA) Reduce(cm cluster.Endpoint, acc []float64, t int) allreduce.Re
 	// fallback would only matter past ~50% piece density, which the
 	// recursive-halving phase already handled). The fan-out payload is
 	// the slot in wire format; on the f32 wire every rank — the owner
-	// included — reads the same rounded values.
-	mineCh := collectives.Chunk{Data: cur.Values, Aux: cur.Indexes}
+	// included — reads the same rounded values. At P = 1 nothing was
+	// exchanged, and the slot gets a copy of the selection.
+	var mineCh collectives.Chunk
 	if final != nil {
 		mineCh = final.Chunk(cm)
+	} else {
+		mineCh = d.out.Fill(cm, cur.Indexes, cur.Values)
 	}
 	gs := &d.gs
 	gs.chunks = collectives.AllgathervInto(cm, mineCh, gs.chunks)
@@ -459,8 +429,8 @@ func (g *GTopk) Reduce(cm cluster.Endpoint, acc []float64, t int) allreduce.Resu
 	sent := false
 	for dist := 1; dist < p; dist *= 2 {
 		if rank&dist != 0 {
-			sendVecChunk(cm, rank&^dist, tagGTopk+dist, cur.Indexes, cur.Values,
-				cooWireWords(cm, cur.NNZ()))
+			ch := collectives.WireChunk(cm, cur.Indexes, cur.Values)
+			cm.SendChunk(rank&^dist, tagGTopk+dist, ch, cooWireWords(cm, cur.NNZ()))
 			sent = true
 			break
 		}
@@ -492,8 +462,8 @@ func (g *GTopk) Reduce(cm cluster.Endpoint, acc []float64, t int) allreduce.Resu
 		cm.Wire().Round(cur.Values)
 	}
 	for _, child := range childrenOf(rank, p) {
-		sendVecChunk(cm, child, tagGTopk+(1<<20), cur.Indexes, cur.Values,
-			cooWireWords(cm, cur.NNZ()))
+		ch := collectives.WireChunk(cm, cur.Indexes, cur.Values)
+		cm.SendChunk(child, tagGTopk+(1<<20), ch, cooWireWords(cm, cur.NNZ()))
 	}
 	cm.Clock().SetPhase(netmodel.PhaseCompute)
 
