@@ -26,12 +26,14 @@ import (
 // and []float64: they send WireChunk copies, read received values with
 // Chunk.Values or Chunk.AppendValues and hand the buffers back with
 // Release, and build fan-out payloads in a FanOut slot, whose
-// Chunk.Slice views they may also send point to point. A value is rounded once, where it first goes out:
-// when a float64 value is copied into a message (sendFrom), or in the
-// pass that forms a sum bound for the next message (addWire,
-// addRound). A value that already exists in wire form is sent on as it
-// is — forwarded in the buffer it arrived in, or copied from a kept
-// wire buffer — and never narrowed again from its widened copy.
+// Chunk.Slice views they may also send point to point.
+//
+// A value is rounded once, where it first goes out: when a float64
+// value is copied into a message (sendFrom, WireChunk), or in the pass
+// that forms a sum bound for the next message (addWire, addRound). A
+// value that already exists in wire form is sent on as it is —
+// forwarded in the buffer it arrived in, or copied from a kept wire
+// buffer — and never narrowed again from its widened copy.
 //
 // A receiver may also send on a buffer it received and owns: the dense
 // allreduce forwards the sums it writes over a payload (recvAddSend,

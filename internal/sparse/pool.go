@@ -6,10 +6,10 @@ package sparse
 // payloads themselves travel as collectives.WireChunk copies drawn from
 // the cluster runtime's rank pools; on receive, the values are read in
 // compute precision into a Vec drawn from the receiving rank's Pool,
-// merged, and returned to that same Pool. Vectors are
-// therefore strictly rank-local, and after a warm-up iteration every
-// pool holds enough right-sized vectors for its rank's fan-in, keeping
-// the steady state allocation-free.
+// merged, and returned to that same Pool. Vectors are therefore
+// strictly rank-local, and after a warm-up iteration every pool holds
+// enough right-sized vectors for its rank's fan-in, keeping the steady
+// state allocation-free.
 //
 // A Pool is NOT safe for concurrent use: it must only ever be touched
 // from its owning rank's goroutine.
