@@ -38,7 +38,13 @@ const (
 	tagSplit   = 11 << 20
 	tagBalance = 12 << 20
 	// balanceTrigger is the max/mean selection-size ratio above which
-	// the conditional data balancing step runs (§3.1.2).
+	// the conditional data balancing step runs (§3.1.2). The largest
+	// selection is at most the total, P times the mean, so balancing
+	// never runs at P ≤ 4, whatever the input. The tests that exercise
+	// it do so at P ≥ 5: the skewed rows of TestSparseReducePinned
+	// (internal/train), the skewed case of TestReduceStorageDifferential,
+	// which asserts that it ran, and TestRebalanceConservesPairs, which
+	// calls rebalance directly.
 	balanceTrigger = 4
 )
 
@@ -70,6 +76,10 @@ type OkTopk struct {
 // once every rank has finished with them. The returned Result's
 // Update/Contributed slices point into this scratch and stay valid
 // until the next Reduce on the same instance.
+//
+// Only update is sized by n. Everything else is O(k): the buffers
+// reserve sizes on the first call, the bitmap (n/P bits), the fan-out
+// slots and the threshold candidates.
 type scratch struct {
 	// localIdx/localVal are the local selection as parallel (index,
 	// value) slices, indexes ascending; region r is the sub-slice between
@@ -77,26 +87,24 @@ type scratch struct {
 	localIdx []int32
 	localVal []float64
 	splits   []int
-	// red is the owned-region reduction buffer and redMask the bitmap of
-	// its offsets that received a nonzero value. Both are kept all-zero
-	// between calls: splitAndReduce clears exactly the marked offsets
-	// while extracting the reduced values into redIdx/redVal, so
-	// region-boundary changes (every τ iterations) can resize them
-	// freely.
-	red     []float64
+	// The owned region is reduced in place in update[lo:hi], and redMask
+	// is the bitmap of its offsets that received a nonzero value.
+	// splitAndReduce clears exactly the marked offsets of both while
+	// extracting the reduced values into redIdx/redVal, so the region
+	// (which moves every τ iterations) is all-zero again before the
+	// global selection is scattered into update.
 	redMask []uint64
 	redIdx  []int32
 	redVal  []float64
 	// gidx collects the allgathered global index runs, whose end offsets
 	// land in gidxEnds; MergeRuns sorts them against mergeSpare without
-	// allocating. thScratch/gatherBuf back the periodic exact
-	// global-threshold re-evaluation, and wide holds a received chunk's
-	// values widened from the f32 wire (Chunk.Values).
+	// allocating. thScratch backs the periodic exact global-threshold
+	// re-evaluation, and wide holds a received chunk's values widened
+	// from the f32 wire (Chunk.Values).
 	mergeSpare []int32
 	gidx       []int32
 	gidxEnds   []int
 	thScratch  []float64
-	gatherBuf  []float64
 	wide       []float64
 	// update is the dense result buffer handed back in Result.Update.
 	// It is kept logically all-zero between calls by re-zeroing exactly
@@ -118,6 +126,23 @@ type scratch struct {
 	// reads the selection while writing it), and the reduced region's
 	// values gathered for the exact global threshold.
 	selOut, balOut, thOut collectives.FanOut
+}
+
+// reserve gives the buffers that hold a selection, the reduced region or
+// the global indexes their capacity on the first call: k and a half,
+// since the reused thresholds select somewhat more than k, plus a
+// little for tiny k. Appends that grew them from empty would leave each
+// outgrown array behind as garbage, which the steady state, allocating
+// next to nothing, never collects.
+func (s *scratch) reserve(k int) {
+	if s.localIdx != nil {
+		return
+	}
+	c := k + k/2 + 64
+	s.localIdx, s.localVal = make([]int32, 0, c), make([]float64, 0, c)
+	s.redIdx, s.redVal = make([]int32, 0, c), make([]float64, 0, c)
+	s.gidx, s.mergeSpare = make([]int32, 0, c), make([]int32, 0, c)
+	s.contributed, s.prevWritten = make([]int32, 0, c), make([]int32, 0, c)
 }
 
 // updateBuffer returns the instance update buffer, logically all-zero,
@@ -175,6 +200,7 @@ func (o *OkTopk) Reduce(cm cluster.Endpoint, acc []float64, t int) allreduce.Res
 	n := len(acc)
 	p := cm.Size()
 	k := o.cfg.KFor(n)
+	o.scratch.reserve(k)
 
 	// Lines 2-4: local threshold re-evaluation every τ′ iterations.
 	if o.localCtl.ShouldReevaluate(t) {
@@ -203,6 +229,9 @@ func (o *OkTopk) Reduce(cm cluster.Endpoint, acc []float64, t int) allreduce.Res
 	}
 
 	volume0 := cm.Clock().Snapshot().SentWords
+	// The dense result, all-zero: line 8 reduces the owned region in it
+	// and leaves it all-zero again, line 13 scatters u_t into it.
+	update := o.updateBuffer(n)
 
 	// Lines 5-7: region boundary re-evaluation every τ iterations.
 	if o.boundaries == nil || (t-1)%o.cfg.Tau == 0 {
@@ -210,37 +239,31 @@ func (o *OkTopk) Reduce(cm cluster.Endpoint, acc []float64, t int) allreduce.Res
 	}
 
 	// Line 8: split and reduce.
-	reducedIdx, reducedVal := o.splitAndReduce(cm, localIdx, localVal)
+	reducedIdx, reducedVal := o.splitAndReduce(cm, update, localIdx, localVal)
 
 	// Lines 9-12: global threshold re-evaluation every τ′ iterations,
-	// from the allgathered reduced top-k values. (The copy into the
-	// fan-out slot is required: the next call's splitAndReduce rewrites
-	// reducedVal.)
+	// from the allgathered reduced top-k values, read in the chunks the
+	// allgatherv delivered. (The copy into the fan-out slot is required:
+	// the next call's splitAndReduce rewrites reducedVal.)
 	if o.globalCtl.ShouldReevaluate(t) {
 		gch := o.scratch.thOut.Fill(cm, nil, reducedVal)
-		o.scratch.chunks = collectives.AllgathervInto(cm, gch, o.scratch.chunks)
+		chunks := collectives.AllgathervInto(cm, gch, o.scratch.chunks)
+		o.scratch.chunks = chunks
 		total := 0
-		for _, ch := range o.scratch.chunks {
+		for _, ch := range chunks {
 			total += ch.NumValues()
 		}
-		if cap(o.scratch.gatherBuf) < total {
-			// Doubled: the gathered count drifts upward over training.
-			o.scratch.gatherBuf = make([]float64, 0, max(total, 2*cap(o.scratch.gatherBuf)))
-		}
-		all := o.scratch.gatherBuf[:0]
-		for _, ch := range o.scratch.chunks {
-			all = ch.AppendValues(all)
-		}
-		o.scratch.gatherBuf = all
-		allreduce.ChargeSort(cm, o.cfg, len(all))
+		allreduce.ChargeSort(cm, o.cfg, total)
 		var th float64
-		th, o.scratch.thScratch = topk.ThresholdInto(all, k, o.scratch.thScratch)
+		th, o.scratch.thScratch = topk.ThresholdRunsInto(func(i int) []float64 {
+			return chunks[i].Values(&o.scratch.wide)
+		}, len(chunks), total, k, o.scratch.thScratch)
 		o.globalCtl.Set(th)
 	}
 	globalTh := o.globalCtl.Current()
 
 	// Line 13: balance and allgatherv.
-	update, globalIdx := o.balanceAndAllgatherv(cm, n, reducedIdx, reducedVal, globalTh)
+	globalIdx := o.balanceAndAllgatherv(cm, update, reducedIdx, reducedVal, globalTh)
 
 	o.lastVolume = int(cm.Clock().Snapshot().SentWords - volume0)
 
@@ -315,12 +338,13 @@ func accumulateRegion(buf []float64, mask []uint64, lo int, idxs []int32, vals [
 
 // splitAndReduce sends each region's selected values to its owner with
 // the rotated, bucketed schedule of Figure 2 and reduces the owned
-// region. It returns the reduced region contents as parallel
-// index/value slices, indexes strictly ascending: an index appears once
-// if any source contributed a nonzero value to it, with the sum of all
-// contributions as its value — also when that sum, or a partial sum on
-// the way, cancels to exactly zero.
-func (o *OkTopk) splitAndReduce(cm cluster.Endpoint, localIdx []int32, localVal []float64) ([]int32, []float64) {
+// region in the all-zero update, which it leaves all-zero. It returns
+// the reduced region contents as parallel index/value slices, indexes
+// strictly ascending: an index appears once if any source contributed a
+// nonzero value to it, with the sum of all contributions as its value
+// — also when that sum, or a partial sum on the way, cancels to exactly
+// zero.
+func (o *OkTopk) splitAndReduce(cm cluster.Endpoint, update []float64, localIdx []int32, localVal []float64) ([]int32, []float64) {
 	p, rank := cm.Size(), cm.Rank()
 	cm.Clock().SetPhase(netmodel.PhaseComm)
 	defer cm.Clock().SetPhase(netmodel.PhaseCompute)
@@ -341,19 +365,18 @@ func (o *OkTopk) splitAndReduce(cm cluster.Endpoint, localIdx []int32, localVal 
 		cm.SendChunk(dst, tag, ch, ch.Words())
 	}
 
-	// Reduction buffer for my region and the bitmap of its touched
-	// offsets (scratch, both all-zero on entry). A repartition that
-	// widens the region past the high-water mark doubles both (up to the
-	// whole index space), so region widths that wander from one
+	// My region of update is the reduction buffer, and the bitmap of its
+	// touched offsets is scratch (all-zero on entry). A repartition that
+	// widens the region past the bitmap's high-water mark doubles it (up
+	// to the whole index space), so region widths that wander from one
 	// repartition to the next stop re-allocating after a few.
 	lo, hi := o.boundaries[rank], o.boundaries[rank+1]
-	if cap(o.scratch.red) < hi-lo {
-		c := min(max(hi-lo, 2*cap(o.scratch.red)), o.boundaries[p])
-		o.scratch.red = make([]float64, c)
-		o.scratch.redMask = make([]uint64, (c+63)/64)
+	words := (hi - lo + 63) / 64
+	if cap(o.scratch.redMask) < words {
+		o.scratch.redMask = make([]uint64, min(max(words, 2*cap(o.scratch.redMask)), (o.boundaries[p]+63)/64))
 	}
-	buf := o.scratch.red[:hi-lo]
-	mask := o.scratch.redMask[:(hi-lo+63)/64]
+	buf := update[lo:hi]
+	mask := o.scratch.redMask[:words]
 	// receiveEach drains one region message per key in key order (the
 	// deterministic accumulation order), harvesting queued messages in
 	// batches under a single mailbox lock hold, and releases each
@@ -415,7 +438,7 @@ func (o *OkTopk) splitAndReduce(cm cluster.Endpoint, localIdx []int32, localVal 
 	}
 
 	// Extract the marked offsets in ascending order, restoring the
-	// all-zero invariant of both buffers for the next call.
+	// all-zero invariant of the region and the bitmap.
 	redIdx, redVal := o.scratch.redIdx[:0], o.scratch.redVal[:0]
 	for w, word := range mask {
 		for ; word != 0; word &= word - 1 {
@@ -433,7 +456,9 @@ func (o *OkTopk) splitAndReduce(cm cluster.Endpoint, localIdx []int32, localVal 
 // balanceAndAllgatherv selects the global top-k values of the owned
 // region by the estimated global threshold, rebalances the selected data
 // across ranks when skewed, and allgathers everything (§3.1.2, Figure 3).
-func (o *OkTopk) balanceAndAllgatherv(cm cluster.Endpoint, n int, reducedIdx []int32, reducedVal []float64, globalTh float64) ([]float64, []int32) {
+// The global selection is scattered into update, which must be
+// all-zero; the global indexes are returned ascending.
+func (o *OkTopk) balanceAndAllgatherv(cm cluster.Endpoint, update []float64, reducedIdx []int32, reducedVal []float64, globalTh float64) []int32 {
 	p := cm.Size()
 
 	// ① Global top-k selection within my region (local scan), written
@@ -482,7 +507,6 @@ func (o *OkTopk) balanceAndAllgatherv(cm cluster.Endpoint, n int, reducedIdx []i
 	// rank — the contributor included — scatters the same rounded values
 	// into its update.
 	o.scratch.chunks = collectives.AllgathervInto(cm, sel.Chunk(cm), o.scratch.chunks)
-	update := o.updateBuffer(n)
 	globalIdx := o.scratch.gidx[:0]
 	gidxEnds := o.scratch.gidxEnds[:0]
 	for _, ch := range o.scratch.chunks {
@@ -498,7 +522,7 @@ func (o *OkTopk) balanceAndAllgatherv(cm cluster.Endpoint, n int, reducedIdx []i
 	o.scratch.gidxEnds = gidxEnds[:0]
 	o.scratch.prevWritten = append(o.scratch.prevWritten, globalIdx...)
 	cm.Clock().Compute(float64(len(globalIdx)))
-	return update, globalIdx
+	return globalIdx
 }
 
 // rebalance redistributes the logically concatenated (by rank order)

@@ -240,18 +240,73 @@ func bytesFloats(b []byte) []float64 {
 	return vals
 }
 
+// u16s and cutRuns carry cut points through the fuzzer's []byte
+// argument, two little-endian bytes a cut.
+func u16s(vals ...int) []byte {
+	b := make([]byte, 0, 2*len(vals))
+	for _, v := range vals {
+		b = binary.LittleEndian.AppendUint16(b, uint16(v))
+	}
+	return b
+}
+
+// cutRuns cuts x at the positions in cuts (each taken mod len(x)+1 and
+// sorted), so repeated cuts and cuts at either end make empty runs.
+func cutRuns(x []float64, cuts []byte) [][]float64 {
+	pos := []int{0}
+	for i := 0; i+1 < len(cuts); i += 2 {
+		pos = append(pos, int(binary.LittleEndian.Uint16(cuts[i:]))%(len(x)+1))
+	}
+	pos = append(pos, len(x))
+	slices.Sort(pos)
+	runs := make([][]float64, len(pos)-1)
+	for i := range runs {
+		runs[i] = x[pos[i]:pos[i+1]]
+	}
+	return runs
+}
+
+// checkRuns holds ThresholdRunsInto over runs, whose concatenation is
+// x, against ThresholdInto on x: the same threshold to the bit and the
+// same number of candidates, on a fresh scratch and on the one it
+// handed back. Each run is handed out in one buffer that the next call
+// overwrites, as a chunk widened from the f32 wire is.
+func checkRuns(t *testing.T, x []float64, runs [][]float64, k int) {
+	t.Helper()
+	want, wantCand := ThresholdInto(x, k, nil)
+	var buf, scratch []float64
+	run := func(i int) []float64 {
+		buf = append(buf[:0], runs[i]...)
+		return buf
+	}
+	for pass := 0; pass < 2; pass++ {
+		var got float64
+		got, scratch = ThresholdRunsInto(run, len(runs), len(x), k, scratch)
+		if math.Float64bits(got) != math.Float64bits(want) || len(scratch) != len(wantCand) {
+			t.Fatalf("n=%d k=%d, %d runs: ThresholdRunsInto %v from %d candidates, ThresholdInto %v from %d",
+				len(x), k, len(runs), got, len(scratch), want, len(wantCand))
+		}
+	}
+}
+
 // FuzzThresholdInto: for any pattern, layout, size and k, ThresholdInto
 // terminates and returns the sort oracle's threshold (and, without NaN,
 // the copy-and-quickselect reference's, to the bit), on a fresh scratch
-// and on the one it handed back.
+// and on the one it handed back; and ThresholdRunsInto over the input
+// cut at any points agrees with it.
 func FuzzThresholdInto(f *testing.F) {
 	for _, c := range thresholdCases {
+		// Cuts at both ends, a repeated one (an empty run) and either side
+		// of a sampled position.
+		stride := max(1, c.n/sampleSize)
+		cuts := u16s(0, c.n/3, c.n/3, 7*stride, 7*stride+1, c.n-1, c.n)
 		for _, k := range append([]int{1, c.n / 100}, c.ks...) {
-			f.Add(floatBytes(c.vals), uint32(c.n), uint16(c.mul), k)
+			f.Add(floatBytes(c.vals), uint32(c.n), uint16(c.mul), k, cuts)
 		}
 	}
-	f.Fuzz(func(t *testing.T, pattern []byte, n uint32, mul uint16, k int) {
+	f.Fuzz(func(t *testing.T, pattern []byte, n uint32, mul uint16, k int, cuts []byte) {
 		x := tile(bytesFloats(pattern), int(n%(4*sampleMinN)), int(mul))
 		checkThresholds(t, x, k, k)
+		checkRuns(t, x, cutRuns(x, cuts), k)
 	})
 }

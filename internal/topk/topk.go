@@ -38,7 +38,21 @@ const (
 // steady-state re-evaluation paths (the Ok-Topk reuse controllers, the
 // baselines' per-iteration exact selection) do not allocate. It returns
 // the threshold and the (possibly grown) scratch for the caller to
-// retain.
+// retain. It is ThresholdRunsInto with x as the one run.
+func ThresholdInto(x []float64, k int, scratch []float64) (float64, []float64) {
+	return ThresholdRunsInto(func(int) []float64 { return x }, 1, len(x), k, scratch)
+}
+
+// ThresholdRunsInto is ThresholdInto over the concatenation
+// x = run(0) ‖ run(1) ‖ … ‖ run(m−1) of n values, read where they lie
+// instead of copied into one slice first (Ok-Topk's global threshold
+// reads the allgathered chunks this way). It samples the same positions
+// of x, collects the same candidates in the same order and so returns
+// the same threshold and scratch as ThresholdInto on the copy. run is
+// called for each run in ascending order on each of up to three
+// passes, and each run is read in full before the next is asked for, so
+// run may return a buffer it rewrites on every call (a chunk widened
+// from the f32 wire). n must be the runs' total length.
 //
 // It is a filter-select in the manner of Floyd and Rivest's SELECT: a
 // fixed strided sample of x (no RNG, so equal inputs take equal paths)
@@ -56,8 +70,7 @@ const (
 // never reach quickselect, so they cannot break its termination: the
 // result is the k-th largest magnitude of the other entries, with k
 // clamped to their number, and +Inf when there are none.
-func ThresholdInto(x []float64, k int, scratch []float64) (float64, []float64) {
-	n := len(x)
+func ThresholdRunsInto(run func(i int) []float64, m, n, k int, scratch []float64) (float64, []float64) {
 	if n == 0 || k <= 0 {
 		return math.Inf(1), scratch
 	}
@@ -69,10 +82,17 @@ func ThresholdInto(x []float64, k int, scratch []float64) (float64, []float64) {
 		var buf [sampleSize]float64
 		sample := buf[:0]
 		stride := n / sampleSize
-		for i := 0; i < sampleSize; i++ {
-			if a := math.Abs(x[i*stride]); a >= 0 { // not NaN
-				sample = append(sample, a)
+		// pos runs over the sampled positions i·stride of x, base is the
+		// position of run j's first value.
+		end := sampleSize * stride
+		for j, pos, base := 0, 0, 0; j < m && pos < end; j++ {
+			x := run(j)
+			for ; pos < end && pos < base+len(x); pos += stride {
+				if a := math.Abs(x[pos-base]); a >= 0 { // not NaN
+					sample = append(sample, a)
+				}
 			}
+			base += len(x)
 		}
 		if len(sample) >= r {
 			if g = quickselectDesc(sample, r-1); g > 0 {
@@ -81,11 +101,11 @@ func ThresholdInto(x []float64, k int, scratch []float64) (float64, []float64) {
 			}
 		}
 	}
-	cand := magnitudesAtLeast(scratch, x, g, want)
+	cand := magnitudesAtLeast(scratch, run, m, g, want)
 	if len(cand) < k && g > 0 {
 		// The sampled positions were unrepresentatively large: start over
 		// with every element a candidate.
-		cand = magnitudesAtLeast(cand, x, 0, n)
+		cand = magnitudesAtLeast(cand, run, m, 0, n)
 	}
 	if len(cand) == 0 {
 		return math.Inf(1), cand
@@ -96,18 +116,21 @@ func ThresholdInto(x []float64, k int, scratch []float64) (float64, []float64) {
 	return quickselectDesc(cand, k-1), cand
 }
 
-// magnitudesAtLeast collects every |x_i| >= g into buf, replaced when it
-// has no room for want values (by one at least twice as large, so a
-// candidate count that drifts upward over training stops re-allocating
-// after a few re-evaluations); g = 0 takes every entry that is not NaN.
-func magnitudesAtLeast(buf, x []float64, g float64, want int) []float64 {
+// magnitudesAtLeast collects every |x_i| >= g of the runs run(0), …,
+// run(m−1) into buf, replaced when it has no room for want values (by
+// one at least twice as large, so a candidate count that drifts upward
+// over training stops re-allocating after a few re-evaluations); g = 0
+// takes every entry that is not NaN.
+func magnitudesAtLeast(buf []float64, run func(int) []float64, m int, g float64, want int) []float64 {
 	if cap(buf) < want {
 		buf = make([]float64, 0, max(want, 2*cap(buf)))
 	}
 	buf = buf[:0]
-	for _, v := range x {
-		if a := math.Abs(v); a >= g {
-			buf = append(buf, a)
+	for j := 0; j < m; j++ {
+		for _, v := range run(j) {
+			if a := math.Abs(v); a >= g {
+				buf = append(buf, a)
+			}
 		}
 	}
 	return buf
