@@ -171,48 +171,20 @@ func TestSplitAndReduceEmitsEachIndexOnce(t *testing.T) {
 	}
 }
 
-// sliceBytes sums cap·elemsize over the slice fields of the struct v,
-// descending into struct and array fields (the fan-out slots), fields
-// named in skip left out.
-func sliceBytes(v reflect.Value, skip ...string) int {
-	total := 0
-	for i := 0; i < v.NumField(); i++ {
-		if !slices.Contains(skip, v.Type().Field(i).Name) {
-			total += valueBytes(v.Field(i))
-		}
-	}
-	return total
-}
-
-func valueBytes(f reflect.Value) int {
-	switch f.Kind() {
-	case reflect.Slice:
-		return f.Cap() * int(f.Type().Elem().Size())
-	case reflect.Struct:
-		return sliceBytes(f)
-	case reflect.Array:
-		total := 0
-		for i := 0; i < f.Len(); i++ {
-			total += valueBytes(f.Index(i))
-		}
-		return total
-	}
-	return 0
-}
-
-// sliceCaps records cap of every slice field of the struct v under its
-// path, descending like sliceBytes.
-func sliceCaps(v reflect.Value, path string, caps map[string]int) {
+// eachSlice calls f with the path and value of every slice field of the
+// struct v, whose path is path, descending into struct and array fields
+// (the fan-out slots).
+func eachSlice(v reflect.Value, path string, f func(path string, s reflect.Value)) {
 	switch v.Kind() {
 	case reflect.Slice:
-		caps[path] = v.Cap()
+		f(path, v)
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
-			sliceCaps(v.Field(i), path+"."+v.Type().Field(i).Name, caps)
+			eachSlice(v.Field(i), path+"."+v.Type().Field(i).Name, f)
 		}
 	case reflect.Array:
 		for i := 0; i < v.Len(); i++ {
-			sliceCaps(v.Index(i), fmt.Sprintf("%s[%d]", path, i), caps)
+			eachSlice(v.Index(i), fmt.Sprintf("%s[%d]", path, i), f)
 		}
 	}
 }
@@ -259,11 +231,15 @@ func TestOkTopkScratchIsOk(t *testing.T) {
 	for i := range algos {
 		algos[i] = NewDefault(cfg)
 	}
+	// retained visits every slice an instance keeps between calls.
+	retained := func(o *OkTopk, f func(path string, s reflect.Value)) {
+		eachSlice(reflect.ValueOf(o.scratch), "scratch", f)
+		eachSlice(reflect.ValueOf(o.localCtl).Elem(), "localCtl", f)
+		eachSlice(reflect.ValueOf(o.globalCtl).Elem(), "globalCtl", f)
+	}
 	caps := func(o *OkTopk) map[string]int {
 		m := map[string]int{}
-		sliceCaps(reflect.ValueOf(o.scratch), "scratch", m)
-		sliceCaps(reflect.ValueOf(o.localCtl).Elem(), "localCtl", m)
-		sliceCaps(reflect.ValueOf(o.globalCtl).Elem(), "globalCtl", m)
+		retained(o, func(path string, s reflect.Value) { m[path] = s.Cap() })
 		return m
 	}
 	first, warm := make([]map[string]int, p), make([]map[string]int, p)
@@ -285,9 +261,12 @@ func TestOkTopkScratchIsOk(t *testing.T) {
 		}
 	}
 	for rank, o := range algos {
-		bytes := sliceBytes(reflect.ValueOf(o.scratch), "update") +
-			sliceBytes(reflect.ValueOf(o.localCtl).Elem()) +
-			sliceBytes(reflect.ValueOf(o.globalCtl).Elem())
+		bytes := 0
+		retained(o, func(path string, s reflect.Value) {
+			if path != "scratch.update" {
+				bytes += s.Cap() * int(s.Type().Elem().Size())
+			}
+		})
 		t.Logf("rank %d: %d bytes of scratch, %.1f words per unit of k", rank, bytes, float64(bytes)/8/k)
 		if bytes > wordsPer*8*k {
 			t.Fatalf("rank %d retains %d bytes of scratch besides update, want at most %d (%d words per unit of k=%d, n=%d)",

@@ -77,9 +77,9 @@ type OkTopk struct {
 // Update/Contributed slices point into this scratch and stay valid
 // until the next Reduce on the same instance.
 //
-// Only update is sized by n. Everything else is O(k): the buffers
-// reserve sizes on the first call, the bitmap (n/P bits), the fan-out
-// slots and the threshold candidates.
+// Only update is sized by n, and the bitmap by n/P bits. Everything
+// else is O(k): the buffers reserve sizes on the first call, the
+// fan-out slots and the threshold candidates.
 type scratch struct {
 	// localIdx/localVal are the local selection as parallel (index,
 	// value) slices, indexes ascending; region r is the sub-slice between
