@@ -86,13 +86,13 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 
 // storageCase is one family of inputs: the gradient dimension at P
 // ranks, the configuration (Rotation is set per run, DataBalance is
-// on), and rank's gradient at a call.
+// on), and one rank's gradient at a call.
 type storageCase struct {
 	name string
 	minP int
 	n    func(p int) int
 	cfg  allreduce.Config
-	grad func(r *rand.Rand, n, p, rank, call int) []float64
+	grad func(r *rand.Rand, n, p, call int) []float64
 	// balances: at P ≥ 5 some call must run rebalance.
 	balances bool
 }
@@ -107,7 +107,7 @@ var storageCases = []storageCase{
 		minP: 1,
 		n:    func(p int) int { return 40*p + 37 },
 		cfg:  allreduce.Config{Density: 0.12, Tau: 2, TauPrime: 3, BucketSize: 3, Repartition: true},
-		grad: func(r *rand.Rand, n, p, rank, call int) []float64 {
+		grad: func(r *rand.Rand, n, p, call int) []float64 {
 			g := make([]float64, n)
 			for i := range g {
 				g[i] = r.NormFloat64() * 0.01
@@ -129,7 +129,7 @@ var storageCases = []storageCase{
 		minP: 1,
 		n:    func(p int) int { return 24*p + 5 },
 		cfg:  allreduce.Config{Density: 0.5, Tau: 2, TauPrime: 2, Repartition: true},
-		grad: func(r *rand.Rand, n, p, rank, call int) []float64 {
+		grad: func(r *rand.Rand, n, p, call int) []float64 {
 			palette := []float64{0, math.Copysign(0, -1), 0.75, -0.75, 0.75, -0.75, 3, -3,
 				math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.MaxFloat64, 1e-300}
 			g := make([]float64, n)
@@ -145,7 +145,7 @@ var storageCases = []storageCase{
 		minP: 1,
 		n:    func(p int) int { return p/2 + 1 },
 		cfg:  allreduce.Config{K: 1 << 20, Tau: 2, TauPrime: 2, Repartition: true},
-		grad: func(r *rand.Rand, n, p, rank, call int) []float64 {
+		grad: func(r *rand.Rand, n, p, call int) []float64 {
 			g := make([]float64, n)
 			for i := range g {
 				if r.Intn(4) > 0 {
@@ -164,7 +164,7 @@ var storageCases = []storageCase{
 		n:        func(p int) int { return 64 * p },
 		cfg:      allreduce.Config{Density: 0.05, Tau: 3, TauPrime: 3},
 		balances: true,
-		grad: func(r *rand.Rand, n, p, rank, call int) []float64 {
+		grad: func(r *rand.Rand, n, p, call int) []float64 {
 			g := make([]float64, n)
 			for i := range g {
 				g[i] = r.NormFloat64() * 0.001
@@ -220,7 +220,7 @@ func checkReduceStorage(t *testing.T, r *rand.Rand, p int, wire cluster.Wire, ro
 	for call := 1; call <= calls; call++ {
 		grads := make([][]float64, p)
 		for rank := range grads {
-			grads[rank] = c.grad(r, n, p, rank, call)
+			grads[rank] = c.grad(r, n, p, call)
 		}
 		if err := cl.Run(func(cm *cluster.Comm) error {
 			results[cm.Rank()] = algos[cm.Rank()].Reduce(cm, grads[cm.Rank()], call)

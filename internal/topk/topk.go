@@ -48,11 +48,12 @@ func ThresholdInto(x []float64, k int, scratch []float64) (float64, []float64) {
 // instead of copied into one slice first (Ok-Topk's global threshold
 // reads the allgathered chunks this way). It samples the same positions
 // of x, collects the same candidates in the same order and so returns
-// the same threshold and scratch as ThresholdInto on the copy. run is
-// called for each run in ascending order on each of up to three
-// passes, and each run is read in full before the next is asked for, so
-// run may return a buffer it rewrites on every call (a chunk widened
-// from the f32 wire). n must be the runs' total length.
+// the same threshold and scratch as ThresholdInto on the copy. Each of
+// up to three passes calls run(0), run(1), … in order (the sampling
+// pass stops after the last sampled position) and is done with a run
+// before it asks for the next, so run may return a buffer it rewrites
+// on every call (a chunk widened from the f32 wire). n must be the
+// runs' total length.
 //
 // It is a filter-select in the manner of Floyd and Rivest's SELECT: a
 // fixed strided sample of x (no RNG, so equal inputs take equal paths)
