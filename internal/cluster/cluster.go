@@ -416,6 +416,11 @@ type Cluster struct {
 
 	runErrs   []error
 	runPanics []any
+	// Run's per-call state: the body, the wait group, and each local
+	// rank's goroutine entry, a closure over runRank bound once.
+	runBody  func(comm *Comm) error
+	runWG    sync.WaitGroup
+	runRanks []func()
 }
 
 // SetRecorder attaches a trace recorder; every subsequent send and
@@ -448,9 +453,12 @@ func newCluster(params netmodel.Params, wire Wire, tr Transport) *Cluster {
 	c.pools = make([]rankPools, size)
 	c.runErrs = make([]error, size)
 	c.runPanics = make([]any, size)
+	c.runRanks = make([]func(), size)
 	for _, i := range tr.Local() {
+		c.runRanks[i] = func() { c.runRank(i) }
 		c.clocks[i] = netmodel.NewRankClock(params, i)
 		c.comms[i] = Comm{cluster: c, rank: i, clock: c.clocks[i]}
+		c.comms[i].takeChunk = c.comms[i].deliverChunk
 		c.pools[i].chunks.clearOnPut = true
 	}
 	// A transport that decodes inbound payloads on its own goroutines
@@ -528,44 +536,49 @@ func (c *Cluster) ResetClocks() {
 // a dead peer, an expired receive deadline) is converted into that
 // rank's error return, so a distributed fault surfaces as an error, not
 // a crash. Any other panic is captured and re-panicked on the caller
-// with rank attribution; the first non-nil error is returned.
+// with rank attribution; the first non-nil error is returned. Calls on
+// one cluster must not overlap. A call allocates nothing: the rank
+// goroutines start from entries bound when the cluster was built and
+// read body from the cluster.
 func (c *Cluster) Run(body func(comm *Comm) error) error {
-	var wg sync.WaitGroup
-	errs := c.runErrs
-	panics := c.runPanics
 	local := c.transport.Local()
 	for _, r := range local {
-		errs[r] = nil
-		panics[r] = nil
+		c.runErrs[r] = nil
+		c.runPanics[r] = nil
 	}
+	c.runBody = body
+	c.runWG.Add(len(local))
 	for _, r := range local {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					if te, ok := p.(*TransportError); ok {
-						errs[rank] = te
-						return
-					}
-					panics[rank] = p
-				}
-			}()
-			errs[rank] = body(&c.comms[rank])
-		}(r)
+		go c.runRanks[r]()
 	}
-	wg.Wait()
-	for r, p := range panics {
+	c.runWG.Wait()
+	c.runBody = nil
+	for r, p := range c.runPanics {
 		if p != nil {
 			panic(fmt.Sprintf("cluster: rank %d panicked: %v", r, p))
 		}
 	}
-	for _, err := range errs {
+	for _, err := range c.runErrs {
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// runRank is one rank's goroutine of Run.
+func (c *Cluster) runRank(rank int) {
+	defer c.runWG.Done()
+	defer func() {
+		if p := recover(); p != nil {
+			if te, ok := p.(*TransportError); ok {
+				c.runErrs[rank] = te
+				return
+			}
+			c.runPanics[rank] = p
+		}
+	}()
+	c.runErrs[rank] = c.runBody(&c.comms[rank])
 }
 
 // Endpoint is the communicator surface the collective algorithms are
@@ -607,6 +620,12 @@ type Comm struct {
 	cluster *Cluster
 	rank    int
 	clock   *netmodel.Clock
+	// eachFn is the callback of the RecvChunkEach call in progress, and
+	// takeChunk is deliverChunk bound once: the transport's TakeEach
+	// callback escapes through the Transport interface, so a closure
+	// built per call would be garbage.
+	eachFn    func(i int, ch Chunk)
+	takeChunk func(i int, msg *Message)
 }
 
 var _ Endpoint = (*Comm)(nil)
@@ -806,20 +825,25 @@ func (cm *Comm) RecvChunkEach(keys []RecvKey, fn func(i int, ch Chunk)) {
 			panic("cluster: recv from self")
 		}
 	}
-	err := cm.cluster.transport.TakeEach(cm.rank, keys, func(i int, msg *Message) {
-		cm.deliver(msg)
-		var ch Chunk
-		if msg.kind == payloadChunk {
-			ch = msg.chunk
-		} else {
-			ch = msg.Data.(Chunk)
-		}
-		cm.release(msg)
-		fn(i, ch)
-	})
+	cm.eachFn = fn
+	err := cm.cluster.transport.TakeEach(cm.rank, keys, cm.takeChunk)
+	cm.eachFn = nil
 	if err != nil {
 		panic(&TransportError{Rank: cm.rank, Err: err})
 	}
+}
+
+// deliverChunk hands one message RecvChunkEach took to its callback.
+func (cm *Comm) deliverChunk(i int, msg *Message) {
+	cm.deliver(msg)
+	var ch Chunk
+	if msg.kind == payloadChunk {
+		ch = msg.chunk
+	} else {
+		ch = msg.Data.(Chunk)
+	}
+	cm.release(msg)
+	cm.eachFn(i, ch)
 }
 
 // Barrier synchronizes all ranks and their clocks, charging a
@@ -846,7 +870,8 @@ func (cm *Comm) DrainSends() { cm.clock.DrainSends() }
 // modeled time stays identical whether or not callers gather. Like the
 // other Comm methods it must be called from this rank's goroutine, and
 // collectively: every rank of the job must call it the same number of
-// times.
+// times. The caller may reuse blob once Gather returns, and rank 0's
+// result stays valid until its next Gather.
 func (cm *Comm) Gather(blob []byte) [][]byte {
 	out, err := cm.cluster.transport.Gather(cm.rank, blob)
 	if err != nil {

@@ -160,31 +160,35 @@ func (tr *inprocTransport) Gather(rank int, blob []byte) ([][]byte, error) {
 func (tr *inprocTransport) Close() error { return nil }
 func (tr *inprocTransport) Abort()       {}
 
-// gatherState is the in-process control-plane gather: ranks deposit
-// blobs under one lock, and the last arrival hands the generation's
-// blobs to rank 0 and opens the next one. Rank 0 collects them before
-// it can contribute to the next generation, so one slot holds them.
+// gatherState is the in-process control-plane gather: ranks copy their
+// blobs into the open generation under one lock, and the last arrival
+// closes it and opens the next one. Rank 0 reads a closed generation's
+// blobs before it can contribute to the next generation, and that one
+// must close before the one after it opens, so two generations of
+// per-rank copies, reused alternately, hold every blob without
+// allocating once each copy has reached its size.
 type gatherState struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
-	blobs [][]byte
-	done  [][]byte
+	gens  [2][][]byte
 	count int
 	gen   int
 }
 
 func (g *gatherState) init(size int) {
 	g.cond = sync.NewCond(&g.mu)
-	g.blobs = make([][]byte, size)
+	for i := range g.gens {
+		g.gens[i] = make([][]byte, size)
+	}
 }
 
 func (g *gatherState) gather(rank int, blob []byte) [][]byte {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	gen := g.gen
-	g.blobs[rank] = append([]byte(nil), blob...)
-	if g.count++; g.count == len(g.blobs) {
-		g.done, g.blobs = g.blobs, make([][]byte, len(g.blobs))
+	blobs := g.gens[gen&1]
+	blobs[rank] = append(blobs[rank][:0], blob...)
+	if g.count++; g.count == len(blobs) {
 		g.count = 0
 		g.gen++
 		g.cond.Broadcast()
@@ -195,7 +199,5 @@ func (g *gatherState) gather(rank int, blob []byte) [][]byte {
 	if rank != 0 {
 		return nil
 	}
-	out := g.done
-	g.done = nil
-	return out
+	return blobs
 }

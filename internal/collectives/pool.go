@@ -2,7 +2,7 @@ package collectives
 
 import (
 	"fmt"
-	"slices"
+	"math/bits"
 
 	"repro/internal/cluster"
 	"repro/internal/sparse"
@@ -52,18 +52,51 @@ import (
 // copies of both arrays drawn from this rank's pools, the values
 // rounded to float32 on the f32 wire. The caller sends it and so hands
 // both buffers over; the receiver returns them to its own pools with
-// Release once it has read them.
+// Release once it has read them. Each buffer is drawn at its length's
+// size class (sizeClass) and resliced to the length.
 func WireChunk(cm cluster.Endpoint, idx []int32, vals []float64) Chunk {
-	wi := cm.GetInt32s(len(idx))
+	return WireChunkAtLeast(cm, idx, vals, 0)
+}
+
+// WireChunkAtLeast is WireChunk with buffers of at least capacity c,
+// for an exchange in which every rank sends a piece to every other.
+// Size classes alone do not stop its misses: buffers migrate from
+// sender to receiver, so a rank whose pieces are longer than those it
+// receives finds its pool holding only buffers too short for its next
+// sends, and keeps allocating. A caller that passes as c at
+// least the largest capacity it has sent or received on the exchange
+// draws every piece at one class; as each rank receives from all the
+// others, the ranks agree on the class after one call, and any pooled
+// buffer then fits any piece. Raising c strands every buffer pooled at
+// the old class, so it should rise in large steps.
+func WireChunkAtLeast(cm cluster.Endpoint, idx []int32, vals []float64, c int) Chunk {
+	c = max(sizeClass(len(idx)), c)
+	wi := cm.GetInt32s(c)[:len(idx)]
 	copy(wi, idx)
 	if cm.Wire() == cluster.WireF32 {
-		wv := cm.GetFloat32s(len(vals))
+		wv := cm.GetFloat32s(c)[:len(vals)]
 		cluster.NarrowInto(wv, vals)
 		return Chunk{Data32: wv, Aux: wi}
 	}
-	wv := cm.GetFloats(len(vals))
+	wv := cm.GetFloats(c)[:len(vals)]
 	copy(wv, vals)
 	return Chunk{Data: wv, Aux: wi}
+}
+
+// sizeClass rounds a sparse payload length up to its size class: eight
+// classes per power of two, so a class is at most 1/8 above the length
+// it holds. A point-to-point sparse chunk changes length from call to
+// call. Drawn at exact lengths, a length above every pooled buffer
+// misses and allocates, and the pools keep each length they are given,
+// creeping towards their cap. Drawn by class, a drifting stream cycles
+// through a few buffers per class. Dense draws stay exact: their
+// lengths repeat, and headroom on them would be megabytes.
+func sizeClass(n int) int {
+	if n < 16 {
+		return n
+	}
+	step := 1 << (bits.Len(uint(n)) - 4)
+	return (n + step - 1) &^ (step - 1)
 }
 
 // Release returns a received WireChunk's buffers to this rank's pools.
@@ -109,6 +142,25 @@ type FanOutSlot struct {
 	val32 []float32
 }
 
+// Reset empties the slot for a payload of n pairs (see reserve).
+func (s *FanOutSlot) Reset(n int) {
+	s.Indexes = reserve(s.Indexes, n)
+	s.Values = reserve(s.Values, n)
+}
+
+// reserve returns x emptied with room for n elements. An array too
+// small is replaced by one with room for n and a quarter more. A call
+// site's payload length wanders from call to call, and each slot is
+// filled only every other call, so an array grown to the exact length
+// would be outgrown, and left to the GC, at most new highs; with the
+// quarter it is outgrown only when the level itself rises.
+func reserve[T any](x []T, n int) []T {
+	if cap(x) < n {
+		return make([]T, 0, n+n/4)
+	}
+	return x[:0]
+}
+
 // Next returns the slot of this call and advances the call count.
 func (f *FanOut) Next() *FanOutSlot {
 	s := &f.slots[f.calls&1]
@@ -121,11 +173,11 @@ func (f *FanOut) Next() *FanOutSlot {
 // sends values only.
 func (f *FanOut) Fill(cm cluster.Endpoint, idx []int32, val []float64) Chunk {
 	s := f.Next()
-	s.Indexes = append(s.Indexes[:0], idx...)
+	s.Indexes = append(reserve(s.Indexes, len(idx)), idx...)
 	if narrows(cm) {
 		return Chunk{Data32: s.narrow(val), Aux: s.Indexes}
 	}
-	s.Values = append(s.Values[:0], val...)
+	s.Values = append(reserve(s.Values, len(val)), val...)
 	return Chunk{Data: s.Values, Aux: s.Indexes}
 }
 
@@ -147,7 +199,7 @@ func narrows(cm cluster.Endpoint) bool { return cm.Wire() == cluster.WireF32 && 
 // copy is non-nil even when empty: a non-nil Data32 is what marks a
 // chunk as f32-wire.
 func (s *FanOutSlot) narrow(val []float64) []float32 {
-	s.val32 = slices.Grow(s.val32[:0], len(val))[:len(val)]
+	s.val32 = reserve(s.val32, len(val))[:len(val)]
 	if s.val32 == nil {
 		s.val32 = []float32{}
 	}

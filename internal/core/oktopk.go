@@ -63,6 +63,19 @@ type OkTopk struct {
 	// traffic; tests check it against the 6k(P−1)/P bound.
 	lastVolume int
 
+	// recvRegion is accumulateChunk bound once: RecvChunkEach's callback
+	// escapes through the Endpoint interface, so a closure built per
+	// call would be garbage on every Reduce. It reads the split phase in
+	// progress from split: the endpoint, the owned region of update
+	// starting at index lo, and the region's bitmap.
+	recvRegion func(i int, ch collectives.Chunk)
+	split      struct {
+		cm     cluster.Endpoint
+		region []float64
+		mask   []uint64
+		lo     int
+	}
+
 	scratch scratch
 }
 
@@ -121,6 +134,11 @@ type scratch struct {
 	offsets    []int
 	chunks     []collectives.Chunk
 	keys       []cluster.RecvKey
+	// pieceCap is the capacity this rank draws its split-phase pieces
+	// at (collectives.WireChunkAtLeast): the largest it has sent or
+	// received, raised to the next power of two when a piece outgrows
+	// it.
+	pieceCap int
 	// The fan-out payloads, one FanOut per call site: the global
 	// selection, its rebalanced span (a second site, since rebalance
 	// reads the selection while writing it), and the reduced region's
@@ -164,11 +182,13 @@ func (o *OkTopk) updateBuffer(n int) []float64 {
 // and DataBalance off; NewDefault turns all three on.
 func New(cfg allreduce.Config) *OkTopk {
 	cfg = cfg.Defaults()
-	return &OkTopk{
+	o := &OkTopk{
 		cfg:       cfg,
 		localCtl:  topk.NewReuseController(cfg.TauPrime),
 		globalCtl: topk.NewReuseController(cfg.TauPrime),
 	}
+	o.recvRegion = o.accumulateChunk
+	return o
 }
 
 // NewDefault returns an Ok-Topk instance with every optimization on.
@@ -351,9 +371,9 @@ func (o *OkTopk) splitAndReduce(cm cluster.Endpoint, update []float64, localIdx 
 
 	// The selection is index-sorted and regions are index ranges, so
 	// each region is a sub-slice of it. send ships region dst as a
-	// pooled wire copy (collectives.WireChunk), which the receiver
-	// releases after accumulating, so no other rank ever references the
-	// selection.
+	// pooled wire copy (collectives.WireChunkAtLeast), which the
+	// receiver releases after accumulating, so no other rank ever
+	// references the selection.
 	splits := regionSplits(o.scratch.splits, localIdx, o.boundaries)
 	o.scratch.splits = splits
 	region := func(r int) ([]int32, []float64) {
@@ -361,7 +381,10 @@ func (o *OkTopk) splitAndReduce(cm cluster.Endpoint, update []float64, localIdx 
 	}
 	send := func(dst, tag int) {
 		ridx, rval := region(dst)
-		ch := collectives.WireChunk(cm, ridx, rval)
+		if len(ridx) > o.scratch.pieceCap {
+			o.scratch.pieceCap = 1 << bits.Len(uint(len(ridx)-1))
+		}
+		ch := collectives.WireChunkAtLeast(cm, ridx, rval, o.scratch.pieceCap)
 		cm.SendChunk(dst, tag, ch, ch.Words())
 	}
 
@@ -379,15 +402,10 @@ func (o *OkTopk) splitAndReduce(cm cluster.Endpoint, update []float64, localIdx 
 	mask := o.scratch.redMask[:words]
 	// receiveEach drains one region message per key in key order (the
 	// deterministic accumulation order), harvesting queued messages in
-	// batches under a single mailbox lock hold, and releases each
-	// message's buffers into this rank's pool.
-	receiveEach := func(keys []cluster.RecvKey) {
-		cm.RecvChunkEach(keys, func(i int, ch collectives.Chunk) {
-			accumulateRegion(buf, mask, lo, ch.Aux, ch.Values(&o.scratch.wide))
-			cm.Clock().Compute(float64(len(ch.Aux)))
-			collectives.Release(cm, ch)
-		})
-	}
+	// batches under a single mailbox lock hold; accumulateChunk folds
+	// each into the region.
+	o.split.cm, o.split.region, o.split.mask, o.split.lo = cm, buf, mask, lo
+	receiveEach := func(keys []cluster.RecvKey) { cm.RecvChunkEach(keys, o.recvRegion) }
 	ownIdx, ownVal := region(rank)
 	accumulateRegion(buf, mask, lo, ownIdx, ownVal)
 	cm.Clock().Compute(float64(len(ownIdx)))
@@ -453,6 +471,17 @@ func (o *OkTopk) splitAndReduce(cm cluster.Endpoint, update []float64, localIdx 
 	return redIdx, redVal
 }
 
+// accumulateChunk folds one received region message into the owned
+// region splitAndReduce is reducing and releases the message's buffers
+// into this rank's pool.
+func (o *OkTopk) accumulateChunk(_ int, ch collectives.Chunk) {
+	s := &o.split
+	o.scratch.pieceCap = max(o.scratch.pieceCap, cap(ch.Aux))
+	accumulateRegion(s.region, s.mask, s.lo, ch.Aux, ch.Values(&o.scratch.wide))
+	s.cm.Clock().Compute(float64(len(ch.Aux)))
+	collectives.Release(s.cm, ch)
+}
+
 // balanceAndAllgatherv selects the global top-k values of the owned
 // region by the estimated global threshold, rebalances the selected data
 // across ranks when skewed, and allgathers everything (§3.1.2, Figure 3).
@@ -466,7 +495,13 @@ func (o *OkTopk) balanceAndAllgatherv(cm cluster.Endpoint, update []float64, red
 	// the allgatherv below, or through rebalance's sends.
 	allreduce.ChargeScan(cm, o.cfg, len(reducedVal))
 	sel := o.scratch.selOut.Next()
-	sel.Indexes, sel.Values = sel.Indexes[:0], sel.Values[:0]
+	selected := 0
+	for _, v := range reducedVal {
+		if v >= globalTh || -v >= globalTh {
+			selected++
+		}
+	}
+	sel.Reset(selected)
 	for i, v := range reducedVal {
 		if v >= globalTh || -v >= globalTh {
 			sel.Indexes = append(sel.Indexes, reducedIdx[i])
@@ -550,7 +585,9 @@ func (o *OkTopk) rebalance(cm cluster.Endpoint, sizes []int, sel *collectives.Fa
 
 	myLo, myHi := offsets[rank], offsets[rank+1]
 	out := o.scratch.balOut.Next()
-	newIdx, newVal := out.Indexes[:0], out.Values[:0]
+	tLo, tHi := target(rank)
+	out.Reset(tHi - tLo)
+	newIdx, newVal := out.Indexes, out.Values
 
 	// Send my pieces that belong to other ranks' targets; keep my own.
 	for r := 0; r < p; r++ {
@@ -574,7 +611,6 @@ func (o *OkTopk) rebalance(cm cluster.Endpoint, sizes []int, sel *collectives.Fa
 		cm.SendChunk(r, tagBalance, ch, ch.Words())
 	}
 	// Receive pieces of my target span from their current owners.
-	tLo, tHi := target(rank)
 	for r := 0; r < p; r++ {
 		if r == rank {
 			continue

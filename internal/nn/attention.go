@@ -17,6 +17,16 @@ type Embedding struct {
 	out                *tensor.Mat
 }
 
+// The per-row loops of this file, one named view of their layer each
+// (see ReLU).
+type (
+	embeddingForward  Embedding
+	layerNormForward  LayerNorm
+	layerNormBackward LayerNorm
+	attentionForward  MultiHeadAttention
+	attentionBackward MultiHeadAttention
+)
+
 // EmbeddingSize returns the parameter count.
 func EmbeddingSize(vocab, dim, maxLen int) int { return vocab*dim + maxLen*dim }
 
@@ -37,17 +47,19 @@ func (e *Embedding) Forward(ids [][]int) *tensor.Mat {
 	b, s := len(ids), len(ids[0])
 	e.idsCache = ids
 	e.out = tensor.EnsureMatUninit(e.out, b*s, e.Dim)
-	out := e.out
-	tensor.ParallelFor(b, 1, func(blo, bhi int) {
-		for bi := blo; bi < bhi; bi++ {
-			for t, id := range ids[bi] {
-				row := out.Row(bi*s + t)
-				copy(row, e.tok[id*e.Dim:(id+1)*e.Dim])
-				tensor.Axpy(1, e.pos[t*e.Dim:(t+1)*e.Dim], row)
-			}
-		}
-	})
+	tensor.ParallelFor(b, 1, (*embeddingForward)(e))
 	return e.out
+}
+
+func (e *embeddingForward) Range(blo, bhi int) {
+	ids, out, s := e.idsCache, e.out, len(e.idsCache[0])
+	for bi := blo; bi < bhi; bi++ {
+		for t, id := range ids[bi] {
+			row := out.Row(bi*s + t)
+			copy(row, e.tok[id*e.Dim:(id+1)*e.Dim])
+			tensor.Axpy(1, e.pos[t*e.Dim:(t+1)*e.Dim], row)
+		}
+	}
 }
 
 // Backward scatters gradients into the token and position tables. The
@@ -72,6 +84,7 @@ type LayerNorm struct {
 	beta, gb  []float64
 	xHat      *tensor.Mat
 	invStd    []float64
+	x, dy     *tensor.Mat // the operands of the call in progress
 	y, dx     *tensor.Mat
 }
 
@@ -96,27 +109,30 @@ func (l *LayerNorm) Forward(x *tensor.Mat) *tensor.Mat {
 		l.invStd = make([]float64, x.Rows)
 	}
 	l.invStd = l.invStd[:x.Rows]
-	y, xHat, invStd := l.y, l.xHat, l.invStd
-	tensor.ParallelFor(x.Rows, tensor.GrainFor(2*x.Cols), func(rlo, rhi int) {
-		for i := rlo; i < rhi; i++ {
-			row := x.Row(i)
-			mean := tensor.Mean(row)
-			var v float64
-			for _, xv := range row {
-				d := xv - mean
-				v += d * d
-			}
-			inv := 1 / math.Sqrt(v/float64(len(row))+lnEps)
-			invStd[i] = inv
-			xh := xHat.Row(i)
-			yr := y.Row(i)
-			for j, xv := range row {
-				xh[j] = (xv - mean) * inv
-				yr[j] = xh[j]*l.gamma[j] + l.beta[j]
-			}
-		}
-	})
+	l.x = x
+	tensor.ParallelFor(x.Rows, tensor.GrainFor(2*x.Cols), (*layerNormForward)(l))
 	return l.y
+}
+
+func (l *layerNormForward) Range(rlo, rhi int) {
+	x, y, xHat, invStd := l.x, l.y, l.xHat, l.invStd
+	for i := rlo; i < rhi; i++ {
+		row := x.Row(i)
+		mean := tensor.Mean(row)
+		var v float64
+		for _, xv := range row {
+			d := xv - mean
+			v += d * d
+		}
+		inv := 1 / math.Sqrt(v/float64(len(row))+lnEps)
+		invStd[i] = inv
+		xh := xHat.Row(i)
+		yr := y.Row(i)
+		for j, xv := range row {
+			xh[j] = (xv - mean) * inv
+			yr[j] = xh[j]*l.gamma[j] + l.beta[j]
+		}
+	}
 }
 
 // Backward computes the layer-norm gradient: the per-row dx pass runs
@@ -124,26 +140,8 @@ func (l *LayerNorm) Forward(x *tensor.Mat) *tensor.Mat {
 // order so their summation order is independent of the worker count.
 func (l *LayerNorm) Backward(dy *tensor.Mat) *tensor.Mat {
 	l.dx = tensor.EnsureMatUninit(l.dx, dy.Rows, dy.Cols)
-	n := float64(l.Dim)
-	dx, xHat, invStd := l.dx, l.xHat, l.invStd
-	tensor.ParallelFor(dy.Rows, tensor.GrainFor(2*dy.Cols), func(rlo, rhi int) {
-		for i := rlo; i < rhi; i++ {
-			dyr := dy.Row(i)
-			xh := xHat.Row(i)
-			var sumDy, sumDyXh float64
-			for j, d := range dyr {
-				g := d * l.gamma[j]
-				sumDy += g
-				sumDyXh += g * xh[j]
-			}
-			dxr := dx.Row(i)
-			inv := invStd[i]
-			for j, d := range dyr {
-				g := d * l.gamma[j]
-				dxr[j] = inv * (g - sumDy/n - xh[j]*sumDyXh/n)
-			}
-		}
-	})
+	l.dy = dy
+	tensor.ParallelFor(dy.Rows, tensor.GrainFor(2*dy.Cols), (*layerNormBackward)(l))
 	for i := 0; i < dy.Rows; i++ {
 		dyr := dy.Row(i)
 		xh := l.xHat.Row(i)
@@ -153,6 +151,27 @@ func (l *LayerNorm) Backward(dy *tensor.Mat) *tensor.Mat {
 		}
 	}
 	return l.dx
+}
+
+func (l *layerNormBackward) Range(rlo, rhi int) {
+	dy, dx, xHat, invStd := l.dy, l.dx, l.xHat, l.invStd
+	n := float64(l.Dim)
+	for i := rlo; i < rhi; i++ {
+		dyr := dy.Row(i)
+		xh := xHat.Row(i)
+		var sumDy, sumDyXh float64
+		for j, d := range dyr {
+			g := d * l.gamma[j]
+			sumDy += g
+			sumDyXh += g * xh[j]
+		}
+		dxr := dx.Row(i)
+		inv := invStd[i]
+		for j, d := range dyr {
+			g := d * l.gamma[j]
+			dxr[j] = inv * (g - sumDy/n - xh[j]*sumDyXh/n)
+		}
+	}
 }
 
 // MultiHeadAttention is standard bidirectional self-attention over
@@ -171,6 +190,7 @@ type MultiHeadAttention struct {
 	attn       []*tensor.Mat // per (batch*head): S×S softmax weights
 	concatOut  *tensor.Mat
 	dAtt       []*tensor.Mat // per (batch*head) backward scratch
+	dConcat    *tensor.Mat   // the output projection's input gradient
 	dq, dk, dv *tensor.Mat
 }
 
@@ -207,107 +227,113 @@ func (m *MultiHeadAttention) init(r *rand.Rand) {
 // Forward attends over x (B*S rows × Dim) and returns the same shape.
 func (m *MultiHeadAttention) Forward(x *tensor.Mat) *tensor.Mat {
 	s, d, h := m.SeqLen, m.Dim, m.Heads
-	dh := d / h
 	m.batch = x.Rows / s
 	m.q = m.wq.Forward(x)
 	m.k = m.wk.Forward(x)
 	m.v = m.wv.Forward(x)
 	m.attn = ensureMats(m.attn, m.batch*h, s, s)
 	m.concatOut = tensor.EnsureMatUninit(m.concatOut, x.Rows, d)
+	tensor.ParallelFor(m.batch*h, 1, (*attentionForward)(m))
+	return m.wo.Forward(m.concatOut)
+}
+
+func (m *attentionForward) Range(plo, phi int) {
+	s, h := m.SeqLen, m.Heads
+	dh := m.Dim / h
 	scale := 1 / math.Sqrt(float64(dh))
 	q, k, v, attn, concatOut := m.q, m.k, m.v, m.attn, m.concatOut
-	tensor.ParallelFor(m.batch*h, 1, func(plo, phi int) {
-		for pi := plo; pi < phi; pi++ {
-			bi, hd := pi/h, pi%h
-			a := attn[pi]
-			for i := 0; i < s; i++ {
-				qi := q.Row(bi*s + i)[hd*dh : (hd+1)*dh]
-				arow := a.Row(i)
-				maxV := math.Inf(-1)
-				for j := 0; j < s; j++ {
-					kj := k.Row(bi*s + j)[hd*dh : (hd+1)*dh]
-					arow[j] = tensor.Dot(qi, kj) * scale
-					if arow[j] > maxV {
-						maxV = arow[j]
-					}
-				}
-				var sum float64
-				for j := range arow {
-					arow[j] = math.Exp(arow[j] - maxV)
-					sum += arow[j]
-				}
-				for j := range arow {
-					arow[j] /= sum
-				}
-				// Weighted sum of V.
-				out := concatOut.Row(bi*s + i)[hd*dh : (hd+1)*dh]
-				clear(out)
-				for j := 0; j < s; j++ {
-					vj := v.Row(bi*s + j)[hd*dh : (hd+1)*dh]
-					tensor.Axpy(arow[j], vj, out)
+	for pi := plo; pi < phi; pi++ {
+		bi, hd := pi/h, pi%h
+		a := attn[pi]
+		for i := 0; i < s; i++ {
+			qi := q.Row(bi*s + i)[hd*dh : (hd+1)*dh]
+			arow := a.Row(i)
+			maxV := math.Inf(-1)
+			for j := 0; j < s; j++ {
+				kj := k.Row(bi*s + j)[hd*dh : (hd+1)*dh]
+				arow[j] = tensor.Dot(qi, kj) * scale
+				if arow[j] > maxV {
+					maxV = arow[j]
 				}
 			}
+			var sum float64
+			for j := range arow {
+				arow[j] = math.Exp(arow[j] - maxV)
+				sum += arow[j]
+			}
+			for j := range arow {
+				arow[j] /= sum
+			}
+			// Weighted sum of V.
+			out := concatOut.Row(bi*s + i)[hd*dh : (hd+1)*dh]
+			clear(out)
+			for j := 0; j < s; j++ {
+				vj := v.Row(bi*s + j)[hd*dh : (hd+1)*dh]
+				tensor.Axpy(arow[j], vj, out)
+			}
 		}
-	})
-	return m.wo.Forward(m.concatOut)
+	}
 }
 
 // Backward propagates through the attention and all four projections.
 func (m *MultiHeadAttention) Backward(dy *tensor.Mat) *tensor.Mat {
 	s, d, h := m.SeqLen, m.Dim, m.Heads
-	dh := d / h
-	scale := 1 / math.Sqrt(float64(dh))
-	dConcat := m.wo.Backward(dy)
+	m.dConcat = m.wo.Backward(dy)
 	m.dq = tensor.EnsureMatUninit(m.dq, m.q.Rows, d)
 	m.dk = tensor.EnsureMat(m.dk, m.k.Rows, d)
 	m.dv = tensor.EnsureMat(m.dv, m.v.Rows, d)
 	m.dAtt = ensureMats(m.dAtt, m.batch*h, s, s)
-	q, k, v, attn := m.q, m.k, m.v, m.attn
-	dq, dk, dv, dAtt := m.dq, m.dk, m.dv, m.dAtt
-	tensor.ParallelFor(m.batch*h, 1, func(plo, phi int) {
-		for pi := plo; pi < phi; pi++ {
-			bi, hd := pi/h, pi%h
-			a := attn[pi]
-			// dA and dV from dOut = A·V.
-			dA := dAtt[pi]
-			for i := 0; i < s; i++ {
-				dout := dConcat.Row(bi*s + i)[hd*dh : (hd+1)*dh]
-				darow := dA.Row(i)
-				arow := a.Row(i)
-				for j := 0; j < s; j++ {
-					vj := v.Row(bi*s + j)[hd*dh : (hd+1)*dh]
-					darow[j] = tensor.Dot(dout, vj)
-					dvj := dv.Row(bi*s + j)[hd*dh : (hd+1)*dh]
-					tensor.Axpy(arow[j], dout, dvj)
-				}
-			}
-			// Softmax backward per row, then scores → dQ, dK.
-			for i := 0; i < s; i++ {
-				arow := a.Row(i)
-				darow := dA.Row(i)
-				var dot float64
-				for j := range arow {
-					dot += arow[j] * darow[j]
-				}
-				qi := q.Row(bi*s + i)[hd*dh : (hd+1)*dh]
-				dqi := dq.Row(bi*s + i)[hd*dh : (hd+1)*dh]
-				clear(dqi)
-				for j := 0; j < s; j++ {
-					dscore := arow[j] * (darow[j] - dot) * scale
-					kj := k.Row(bi*s + j)[hd*dh : (hd+1)*dh]
-					dkj := dk.Row(bi*s + j)[hd*dh : (hd+1)*dh]
-					tensor.Axpy(dscore, kj, dqi)
-					tensor.Axpy(dscore, qi, dkj)
-				}
-			}
-		}
-	})
-	dx := m.wq.Backward(dq)
-	dxk := m.wk.Backward(dk)
-	dxv := m.wv.Backward(dv)
+	tensor.ParallelFor(m.batch*h, 1, (*attentionBackward)(m))
+	dx := m.wq.Backward(m.dq)
+	dxk := m.wk.Backward(m.dk)
+	dxv := m.wv.Backward(m.dv)
 	tensor.Axpy(1, dxk.Data, dx.Data)
 	tensor.Axpy(1, dxv.Data, dx.Data)
 	return dx
+}
+
+func (m *attentionBackward) Range(plo, phi int) {
+	s, h := m.SeqLen, m.Heads
+	dh := m.Dim / h
+	scale := 1 / math.Sqrt(float64(dh))
+	q, k, v, attn, dConcat := m.q, m.k, m.v, m.attn, m.dConcat
+	dq, dk, dv, dAtt := m.dq, m.dk, m.dv, m.dAtt
+	for pi := plo; pi < phi; pi++ {
+		bi, hd := pi/h, pi%h
+		a := attn[pi]
+		// dA and dV from dOut = A·V.
+		dA := dAtt[pi]
+		for i := 0; i < s; i++ {
+			dout := dConcat.Row(bi*s + i)[hd*dh : (hd+1)*dh]
+			darow := dA.Row(i)
+			arow := a.Row(i)
+			for j := 0; j < s; j++ {
+				vj := v.Row(bi*s + j)[hd*dh : (hd+1)*dh]
+				darow[j] = tensor.Dot(dout, vj)
+				dvj := dv.Row(bi*s + j)[hd*dh : (hd+1)*dh]
+				tensor.Axpy(arow[j], dout, dvj)
+			}
+		}
+		// Softmax backward per row, then scores → dQ, dK.
+		for i := 0; i < s; i++ {
+			arow := a.Row(i)
+			darow := dA.Row(i)
+			var dot float64
+			for j := range arow {
+				dot += arow[j] * darow[j]
+			}
+			qi := q.Row(bi*s + i)[hd*dh : (hd+1)*dh]
+			dqi := dq.Row(bi*s + i)[hd*dh : (hd+1)*dh]
+			clear(dqi)
+			for j := 0; j < s; j++ {
+				dscore := arow[j] * (darow[j] - dot) * scale
+				kj := k.Row(bi*s + j)[hd*dh : (hd+1)*dh]
+				dkj := dk.Row(bi*s + j)[hd*dh : (hd+1)*dh]
+				tensor.Axpy(dscore, kj, dqi)
+				tensor.Axpy(dscore, qi, dkj)
+			}
+		}
+	}
 }
 
 // EncoderBlock is one pre-norm transformer encoder layer:

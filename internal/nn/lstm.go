@@ -35,7 +35,15 @@ type LSTM struct {
 	// BPTT scratch
 	dpre, dh, dhPrev, dc *tensor.Mat
 	dxs                  []*tensor.Mat
+
+	t int // the timestep the cell loop is on
 }
+
+// The per-batch-row cell loops, one named view of LSTM each (see ReLU).
+type (
+	lstmCellForward  LSTM
+	lstmCellBackward LSTM
+)
 
 // LSTMSize returns the parameter count for the given dimensions.
 func LSTMSize(in, hidden int) int { return in*4*hidden + hidden*4*hidden + 4*hidden }
@@ -94,30 +102,33 @@ func (l *LSTM) Forward(seq []*tensor.Mat) *tensor.Mat {
 	clear(l.hidden[0].Data)
 
 	for t := 0; t < l.steps; t++ {
-		pre := l.gates[t]
-		tensor.MatMul(seq[t], l.wxMat, pre)
-		tensor.Gemm(l.hidden[t], l.whMat, pre)
-		cPrevM, cNew, hNew := l.cells[t], l.cells[t+1], l.hidden[t+1]
-		tensor.ParallelFor(l.batch, 1, func(blo, bhi int) {
-			for bi := blo; bi < bhi; bi++ {
-				row := pre.Row(bi)
-				cPrev := cPrevM.Row(bi)
-				cRow := cNew.Row(bi)
-				hRow := hNew.Row(bi)
-				for j := 0; j < h; j++ {
-					i := sigmoid(row[j] + l.b[j])
-					f := sigmoid(row[h+j] + l.b[h+j])
-					g := math.Tanh(row[2*h+j] + l.b[2*h+j])
-					o := sigmoid(row[3*h+j] + l.b[3*h+j])
-					// Store activated gates in place for the backward pass.
-					row[j], row[h+j], row[2*h+j], row[3*h+j] = i, f, g, o
-					cRow[j] = f*cPrev[j] + i*g
-					hRow[j] = o * math.Tanh(cRow[j])
-				}
-			}
-		})
+		tensor.MatMul(seq[t], l.wxMat, l.gates[t])
+		tensor.Gemm(l.hidden[t], l.whMat, l.gates[t])
+		l.t = t
+		tensor.ParallelFor(l.batch, 1, (*lstmCellForward)(l))
 	}
 	return l.hidden[l.steps]
+}
+
+func (l *lstmCellForward) Range(blo, bhi int) {
+	h, t := l.Hidden, l.t
+	pre, cPrevM, cNew, hNew := l.gates[t], l.cells[t], l.cells[t+1], l.hidden[t+1]
+	for bi := blo; bi < bhi; bi++ {
+		row := pre.Row(bi)
+		cPrev := cPrevM.Row(bi)
+		cRow := cNew.Row(bi)
+		hRow := hNew.Row(bi)
+		for j := 0; j < h; j++ {
+			i := sigmoid(row[j] + l.b[j])
+			f := sigmoid(row[h+j] + l.b[h+j])
+			g := math.Tanh(row[2*h+j] + l.b[2*h+j])
+			o := sigmoid(row[3*h+j] + l.b[3*h+j])
+			// Store activated gates in place for the backward pass.
+			row[j], row[h+j], row[2*h+j], row[3*h+j] = i, f, g, o
+			cRow[j] = f*cPrev[j] + i*g
+			hRow[j] = o * math.Tanh(cRow[j])
+		}
+	}
 }
 
 // Backward takes the gradient of the loss w.r.t. the final hidden state
@@ -132,44 +143,47 @@ func (l *LSTM) Backward(dhFinal *tensor.Mat) []*tensor.Mat {
 	l.dc = tensor.EnsureMat(l.dc, l.batch, h)
 	l.dpre = tensor.EnsureMatUninit(l.dpre, l.batch, 4*h)
 	l.dxs = ensureMats(l.dxs, l.steps, l.batch, l.In)
-	dh, dc, dpre := l.dh, l.dc, l.dpre
 
 	for t := l.steps - 1; t >= 0; t-- {
-		gatesM, cPrevM, cCurM := l.gates[t], l.cells[t], l.cells[t+1]
-		tensor.ParallelFor(l.batch, 1, func(blo, bhi int) {
-			for bi := blo; bi < bhi; bi++ {
-				gates := gatesM.Row(bi)
-				cPrev := cPrevM.Row(bi)
-				cCur := cCurM.Row(bi)
-				dhRow := dh.Row(bi)
-				dcRow := dc.Row(bi)
-				dpreRow := dpre.Row(bi)
-				for j := 0; j < h; j++ {
-					i, f, g, o := gates[j], gates[h+j], gates[2*h+j], gates[3*h+j]
-					tc := math.Tanh(cCur[j])
-					dcTot := dcRow[j] + dhRow[j]*o*(1-tc*tc)
-					dpreRow[j] = dcTot * g * i * (1 - i)          // input gate
-					dpreRow[h+j] = dcTot * cPrev[j] * f * (1 - f) // forget gate
-					dpreRow[2*h+j] = dcTot * i * (1 - g*g)        // cell candidate
-					dpreRow[3*h+j] = dhRow[j] * tc * o * (1 - o)  // output gate
-					dcRow[j] = dcTot * f                          // flows to t-1
-				}
-			}
-		})
+		l.t = t
+		tensor.ParallelFor(l.batch, 1, (*lstmCellBackward)(l))
 		// Bias gradient: serial batch-major accumulation, the same
 		// order at every worker count.
 		for bi := 0; bi < l.batch; bi++ {
-			dpreRow := dpre.Row(bi)
+			dpreRow := l.dpre.Row(bi)
 			for j := 0; j < 4*h; j++ {
 				l.gb[j] += dpreRow[j]
 			}
 		}
-		tensor.GemmTA(l.xs[t], dpre, l.gwxMat)
-		tensor.GemmTA(l.hidden[t], dpre, l.gwhMat)
-		tensor.MatMulTB(dpre, l.wxMat, l.dxs[t])
-		tensor.MatMulTB(dpre, l.whMat, l.dhPrev)
-		dh, l.dhPrev = l.dhPrev, dh
+		tensor.GemmTA(l.xs[t], l.dpre, l.gwxMat)
+		tensor.GemmTA(l.hidden[t], l.dpre, l.gwhMat)
+		tensor.MatMulTB(l.dpre, l.wxMat, l.dxs[t])
+		tensor.MatMulTB(l.dpre, l.whMat, l.dhPrev)
+		l.dh, l.dhPrev = l.dhPrev, l.dh
 	}
-	l.dh = dh // record the final ping-pong orientation for reuse
 	return l.dxs
+}
+
+func (l *lstmCellBackward) Range(blo, bhi int) {
+	h, t := l.Hidden, l.t
+	gatesM, cPrevM, cCurM := l.gates[t], l.cells[t], l.cells[t+1]
+	dh, dc, dpre := l.dh, l.dc, l.dpre
+	for bi := blo; bi < bhi; bi++ {
+		gates := gatesM.Row(bi)
+		cPrev := cPrevM.Row(bi)
+		cCur := cCurM.Row(bi)
+		dhRow := dh.Row(bi)
+		dcRow := dc.Row(bi)
+		dpreRow := dpre.Row(bi)
+		for j := 0; j < h; j++ {
+			i, f, g, o := gates[j], gates[h+j], gates[2*h+j], gates[3*h+j]
+			tc := math.Tanh(cCur[j])
+			dcTot := dcRow[j] + dhRow[j]*o*(1-tc*tc)
+			dpreRow[j] = dcTot * g * i * (1 - i)          // input gate
+			dpreRow[h+j] = dcTot * cPrev[j] * f * (1 - f) // forget gate
+			dpreRow[2*h+j] = dcTot * i * (1 - g*g)        // cell candidate
+			dpreRow[3*h+j] = dhRow[j] * tc * o * (1 - o)  // output gate
+			dcRow[j] = dcTot * f                          // flows to t-1
+		}
+	}
 }

@@ -166,8 +166,18 @@ func (l *Linear) Backward(dy *tensor.Mat) *tensor.Mat {
 // ReLU applies max(0, x) element-wise.
 type ReLU struct {
 	mask  []bool
+	x, dy *tensor.Mat // the operands of the call in progress
 	y, dx *tensor.Mat
 }
+
+// The layers' per-row loops run on tensor.ParallelFor with a body bound
+// once: the layer itself, viewed through a named type of its struct
+// whose Range is the loop (one type per loop). The loop reads its
+// operands from the layer's fields, so no call builds a closure.
+type (
+	reluForward  ReLU
+	reluBackward ReLU
+)
 
 // Forward computes the activation, caching the pass-through mask.
 func (a *ReLU) Forward(x *tensor.Mat) *tensor.Mat {
@@ -176,35 +186,41 @@ func (a *ReLU) Forward(x *tensor.Mat) *tensor.Mat {
 		a.mask = make([]bool, len(x.Data))
 	}
 	a.mask = a.mask[:len(x.Data)]
-	mask, y := a.mask, a.y.Data
-	tensor.ParallelFor(len(x.Data), 1<<14, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if v := x.Data[i]; v > 0 {
-				y[i] = v
-				mask[i] = true
-			} else {
-				y[i] = 0
-				mask[i] = false
-			}
-		}
-	})
+	a.x = x
+	tensor.ParallelFor(len(x.Data), 1<<14, (*reluForward)(a))
 	return a.y
+}
+
+func (a *reluForward) Range(lo, hi int) {
+	x, y, mask := a.x.Data, a.y.Data, a.mask
+	for i := lo; i < hi; i++ {
+		if v := x[i]; v > 0 {
+			y[i] = v
+			mask[i] = true
+		} else {
+			y[i] = 0
+			mask[i] = false
+		}
+	}
 }
 
 // Backward gates the upstream gradient by the cached mask.
 func (a *ReLU) Backward(dy *tensor.Mat) *tensor.Mat {
 	a.dx = tensor.EnsureMatUninit(a.dx, dy.Rows, dy.Cols)
-	mask, dx := a.mask, a.dx.Data
-	tensor.ParallelFor(len(dy.Data), 1<<14, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if mask[i] {
-				dx[i] = dy.Data[i]
-			} else {
-				dx[i] = 0
-			}
-		}
-	})
+	a.dy = dy
+	tensor.ParallelFor(len(dy.Data), 1<<14, (*reluBackward)(a))
 	return a.dx
+}
+
+func (a *reluBackward) Range(lo, hi int) {
+	dy, dx, mask := a.dy.Data, a.dx.Data, a.mask
+	for i := lo; i < hi; i++ {
+		if mask[i] {
+			dx[i] = dy[i]
+		} else {
+			dx[i] = 0
+		}
+	}
 }
 
 // SoftmaxCrossEntropy computes mean cross-entropy over a batch of logits

@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Dense matrix kernels, parallelized over the shared worker pool with
 // strict output-row ownership: each row of C is produced by exactly one
@@ -156,19 +159,50 @@ func gemmShapeCheck(a, b, c *Mat) {
 	}
 }
 
+// job holds one kernel call's operands for its blocks to read. A kernel
+// takes its operands as arguments, and a body capturing them would be a
+// fresh closure on every call (see Body), so the call stores them in a
+// job drawn from a pool instead and passes the job, viewed as the
+// kernel's body type, to ParallelFor. Each kernel has a named type of
+// job whose Range is its row loop.
+type job struct {
+	a, b, c *Mat
+	bias    []float64
+}
+
+var jobs = sync.Pool{New: func() any { return new(job) }}
+
+// newJob draws a job holding the given operands from the pool.
+func newJob(a, b, c *Mat, bias []float64) *job {
+	j := jobs.Get().(*job)
+	*j = job{a: a, b: b, c: c, bias: bias}
+	return j
+}
+
+// done returns the job to the pool with its operand references dropped.
+func (j *job) done() {
+	*j = job{}
+	jobs.Put(j)
+}
+
 // MatMul computes C = A * B (overwriting C), A (M×K), B (K×N), C (M×N).
 // Output rows are zeroed and accumulated inside their owning block, so
 // the full product costs one pass over C.
 func MatMul(a, b, c *Mat) {
 	gemmShapeCheck(a, b, c)
-	grain := GrainFor(2 * a.Cols * b.Cols)
-	ParallelFor(a.Rows, grain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			crow := c.Row(i)
-			clear(crow)
-			gemmRow(crow, a.Row(i), b)
-		}
-	})
+	j := newJob(a, b, c, nil)
+	ParallelFor(a.Rows, GrainFor(2*a.Cols*b.Cols), (*matMulJob)(j))
+	j.done()
+}
+
+type matMulJob job
+
+func (j *matMulJob) Range(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		crow := j.c.Row(i)
+		clear(crow)
+		gemmRow(crow, j.a.Row(i), j.b)
+	}
 }
 
 // Gemm computes C += A * B where A is (M×K), B is (K×N), C is (M×N).
@@ -176,12 +210,17 @@ func MatMul(a, b, c *Mat) {
 // partition, keeping results bit-identical at any worker count.
 func Gemm(a, b, c *Mat) {
 	gemmShapeCheck(a, b, c)
-	grain := GrainFor(2 * a.Cols * b.Cols)
-	ParallelFor(a.Rows, grain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			gemmRow(c.Row(i), a.Row(i), b)
-		}
-	})
+	j := newJob(a, b, c, nil)
+	ParallelFor(a.Rows, GrainFor(2*a.Cols*b.Cols), (*gemmJob)(j))
+	j.done()
+}
+
+type gemmJob job
+
+func (j *gemmJob) Range(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		gemmRow(j.c.Row(i), j.a.Row(i), j.b)
+	}
 }
 
 // gemmRow accumulates one output row: crow += Σ_k arow[k] * b.Row(k).
@@ -207,35 +246,41 @@ func GemmTA(a, b, c *Mat) {
 	if a.Rows != b.Rows || a.Cols != c.Rows || b.Cols != c.Cols {
 		panic("tensor: gemmTA shape mismatch")
 	}
-	grain := GrainFor(2 * a.Rows * b.Cols)
-	ParallelFor(a.Cols, grain, func(lo, hi int) {
-		var idx [sparseCap]int32
-		var val [sparseCap]float64
-		for k := 0; k < a.Rows; k++ {
-			arow := a.Row(k)[lo:hi]
-			brow := b.Row(k)
-			switch nz := nonzeros(brow, &idx, &val); {
-			case nz == 0: // the row adds nothing
-			case nz < 0:
-				for ii, av := range arow {
-					if av != 0 {
-						axpyTo(c.Row(lo+ii), av, brow)
-					}
+	j := newJob(a, b, c, nil)
+	ParallelFor(a.Cols, GrainFor(2*a.Rows*b.Cols), (*gemmTAJob)(j))
+	j.done()
+}
+
+type gemmTAJob job
+
+func (j *gemmTAJob) Range(lo, hi int) {
+	a, b, c := j.a, j.b, j.c
+	var idx [sparseCap]int32
+	var val [sparseCap]float64
+	for k := 0; k < a.Rows; k++ {
+		arow := a.Row(k)[lo:hi]
+		brow := b.Row(k)
+		switch nz := nonzeros(brow, &idx, &val); {
+		case nz == 0: // the row adds nothing
+		case nz < 0:
+			for ii, av := range arow {
+				if av != 0 {
+					axpyTo(c.Row(lo+ii), av, brow)
 				}
-			default:
-				cols, vals := idx[:nz], val[:nz]
-				for ii, av := range arow {
-					if av == 0 {
-						continue
-					}
-					crow := c.Row(lo + ii)
-					for t, j := range cols {
-						crow[j] += av * vals[t]
-					}
+			}
+		default:
+			cols, vals := idx[:nz], val[:nz]
+			for ii, av := range arow {
+				if av == 0 {
+					continue
+				}
+				crow := c.Row(lo + ii)
+				for t, j := range cols {
+					crow[j] += av * vals[t]
 				}
 			}
 		}
-	})
+	}
 }
 
 // GemmTB computes C += A * Bᵀ where A is (M×K), B is (N×K), C is (M×N).
@@ -243,16 +288,21 @@ func GemmTB(a, b, c *Mat) {
 	if a.Cols != b.Cols || a.Rows != c.Rows || b.Rows != c.Cols {
 		panic("tensor: gemmTB shape mismatch")
 	}
-	grain := GrainFor(2 * a.Cols * b.Rows)
-	ParallelFor(a.Rows, grain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			crow := c.Row(i)
-			for j := 0; j < b.Rows; j++ {
-				crow[j] += dot4(arow, b.Row(j))
-			}
+	j := newJob(a, b, c, nil)
+	ParallelFor(a.Rows, GrainFor(2*a.Cols*b.Rows), (*gemmTBJob)(j))
+	j.done()
+}
+
+type gemmTBJob job
+
+func (j *gemmTBJob) Range(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		arow := j.a.Row(i)
+		crow := j.c.Row(i)
+		for k := range crow {
+			crow[k] += dot4(arow, j.b.Row(k))
 		}
-	})
+	}
 }
 
 // MatMulBias computes Y = X·W + bias (overwriting Y, bias broadcast
@@ -263,14 +313,19 @@ func MatMulBias(x, w *Mat, bias []float64, y *Mat) {
 	if len(bias) != y.Cols {
 		panic("tensor: matmulbias bias length mismatch")
 	}
-	grain := GrainFor(2 * x.Cols * w.Cols)
-	ParallelFor(x.Rows, grain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			yrow := y.Row(i)
-			copy(yrow, bias)
-			gemmRow(yrow, x.Row(i), w)
-		}
-	})
+	j := newJob(x, w, y, bias)
+	ParallelFor(x.Rows, GrainFor(2*x.Cols*w.Cols), (*matMulBiasJob)(j))
+	j.done()
+}
+
+type matMulBiasJob job
+
+func (j *matMulBiasJob) Range(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		yrow := j.c.Row(i)
+		copy(yrow, j.bias)
+		gemmRow(yrow, j.a.Row(i), j.b)
+	}
 }
 
 // MatMulTB computes C = A·Bᵀ (overwriting C), A (M×K), B (N×K). A is
@@ -281,29 +336,35 @@ func MatMulTB(a, b, c *Mat) {
 	if a.Cols != b.Cols || a.Rows != c.Rows || b.Rows != c.Cols {
 		panic("tensor: matmulTB shape mismatch")
 	}
-	grain := GrainFor(2 * a.Cols * b.Rows)
-	ParallelFor(a.Rows, grain, func(lo, hi int) {
-		var idx [sparseCap]int32
-		var val [sparseCap]float64
-		var ends [5]int
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			crow := c.Row(i)
-			switch nz := nonzerosByLane(arow, &idx, &val, &ends); {
-			case nz == 0:
-				clear(crow)
-			case nz < 0:
-				for j := range crow {
-					crow[j] = dot4(arow, b.Row(j))
-				}
-			default:
-				ks, vs := idx[:nz], val[:nz]
-				for j := range crow {
-					crow[j] = sparseDot4(ks, vs, &ends, b.Row(j))
-				}
+	j := newJob(a, b, c, nil)
+	ParallelFor(a.Rows, GrainFor(2*a.Cols*b.Rows), (*matMulTBJob)(j))
+	j.done()
+}
+
+type matMulTBJob job
+
+func (j *matMulTBJob) Range(lo, hi int) {
+	a, b, c := j.a, j.b, j.c
+	var idx [sparseCap]int32
+	var val [sparseCap]float64
+	var ends [5]int
+	for i := lo; i < hi; i++ {
+		arow := a.Row(i)
+		crow := c.Row(i)
+		switch nz := nonzerosByLane(arow, &idx, &val, &ends); {
+		case nz == 0:
+			clear(crow)
+		case nz < 0:
+			for j := range crow {
+				crow[j] = dot4(arow, b.Row(j))
+			}
+		default:
+			ks, vs := idx[:nz], val[:nz]
+			for j := range crow {
+				crow[j] = sparseDot4(ks, vs, &ends, b.Row(j))
 			}
 		}
-	})
+	}
 }
 
 // ScaleAdd computes dst = a*x + y element-wise — the fused

@@ -358,13 +358,13 @@ func TestParallelForCoversOnce(t *testing.T) {
 			withWorkers(t, w, func() {
 				counts := make([]int32, n)
 				var mu sync.Mutex
-				ParallelFor(n, 1, func(lo, hi int) {
+				ParallelFor(n, 1, rangeFunc(func(lo, hi int) {
 					mu.Lock()
 					for i := lo; i < hi; i++ {
 						counts[i]++
 					}
 					mu.Unlock()
-				})
+				}))
 				for i, c := range counts {
 					if c != 1 {
 						t.Fatalf("w=%d n=%d: index %d visited %d times", w, n, i, c)
@@ -403,11 +403,11 @@ func TestParallelForForksOnlyOntoIdleWorkers(t *testing.T) {
 	blocks := func() [][2]int {
 		var mu sync.Mutex
 		var got [][2]int
-		ParallelFor(n, 1, func(lo, hi int) {
+		ParallelFor(n, 1, rangeFunc(func(lo, hi int) {
 			mu.Lock()
 			got = append(got, [2]int{lo, hi})
 			mu.Unlock()
-		})
+		}))
 		return got
 	}
 	withWorkers(t, 2, func() {
@@ -417,10 +417,10 @@ func TestParallelForForksOnlyOntoIdleWorkers(t *testing.T) {
 		entered, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
 		go func() {
 			defer close(done)
-			ParallelFor(1, 1, func(lo, hi int) {
+			ParallelFor(1, 1, rangeFunc(func(lo, hi int) {
 				close(entered)
 				<-release
-			})
+			}))
 		}()
 		<-entered
 		got := blocks()

@@ -69,16 +69,29 @@ var (
 	waitGroups = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
 )
 
+// Body is a ParallelFor loop body: Range(lo, hi) processes the indexes
+// [lo, hi). The blocks of a call reach the helpers through the task
+// queue, so whatever a call passes as its body escapes to the heap. A
+// closure literal would therefore be a fresh allocation on every call;
+// a Body is instead bound once and is pointer-shaped, so passing it
+// allocates nothing. Every body in the tree is a pointer to state that
+// outlives the call: a layer, read through a named type of its own
+// struct (one type per loop), or a pooled job that holds the operands
+// a kernel takes as arguments (kernels.go).
+type Body interface {
+	Range(lo, hi int)
+}
+
 // task is one block of a ParallelFor call, queued by value so that
 // dispatching it allocates nothing.
 type task struct {
-	body   func(lo, hi int)
+	body   Body
 	lo, hi int
 	wg     *sync.WaitGroup
 }
 
 func (t task) run() {
-	t.body(t.lo, t.hi)
+	t.body.Range(t.lo, t.hi)
 	t.wg.Done()
 }
 
@@ -111,9 +124,9 @@ func ensurePool() {
 // block per idle worker, and returns when all blocks are done. grain is
 // the minimum block size worth a dispatch; work below 2*grain runs
 // inline, as does every call made while Workers()−1 others are in
-// progress. body(lo, hi) must touch only state owned by indexes in
-// [lo, hi).
-func ParallelFor(n, grain int, body func(lo, hi int)) {
+// progress. body.Range(lo, hi) must touch only state owned by indexes
+// in [lo, hi). A call allocates nothing.
+func ParallelFor(n, grain int, body Body) {
 	if n <= 0 {
 		return
 	}
@@ -127,7 +140,7 @@ func ParallelFor(n, grain int, body func(lo, hi int)) {
 		w = maxW
 	}
 	if w <= 1 {
-		body(0, n)
+		body.Range(0, n)
 		return
 	}
 	ensurePool()
@@ -141,7 +154,7 @@ func ParallelFor(n, grain int, body func(lo, hi int)) {
 			tk.run() // queue full: run on the caller rather than block
 		}
 	}
-	body(0, n/w)
+	body.Range(0, n/w)
 	wg.Wait()
 	waitGroups.Put(wg)
 }

@@ -1,0 +1,7 @@
+//go:build race
+
+package tensor
+
+// Under the race detector sync.Pool drops a share of what it is given,
+// so the pooled jobs and wait groups are allocated again now and then.
+func init() { raceEnabled = true }

@@ -179,6 +179,10 @@ type Session struct {
 	rngs     []*rand.Rand
 	iter     int
 	stats    []StepStats // RunIteration's per-rank scratch
+	// statBufs are the per-rank encode buffers of the stats gather, and
+	// step is stepRank bound once for Cluster.Run.
+	statBufs [][]byte
+	step     func(cm *cluster.Comm) error
 }
 
 // IterStats aggregates one collective iteration.
@@ -268,7 +272,9 @@ func NewDistributedSession(cfg Config) (*Session, error) {
 		Trainers: make([]*Trainer, cfg.P),
 		rngs:     make([]*rand.Rand, cfg.P),
 		stats:    make([]StepStats, cfg.P),
+		statBufs: make([][]byte, cfg.P),
 	}
+	s.step = s.stepRank
 	// The local ranks own their parameters but share the probe's data
 	// generator and min(local ranks, GOMAXPROCS) compute engines: no
 	// more ranks can compute at once than there are cores.
@@ -330,22 +336,7 @@ func (s *Session) runIteration() (IterStats, error) {
 	}
 	stats := s.stats
 	clear(stats)
-	err := s.Cluster.Run(func(cm *cluster.Comm) error {
-		r := cm.Rank()
-		stats[r] = s.Trainers[r].Step(cm, t, s.rngs[r])
-		// Ship the per-rank stats over the (uncosted) control plane so
-		// the process hosting rank 0 can aggregate the whole job.
-		blobs := cm.Gather(appendStats(nil, stats[r]))
-		for src, b := range blobs {
-			st, err := decodeStats(b)
-			if err != nil {
-				return fmt.Errorf("train: rank %d stats: %w", src, err)
-			}
-			stats[src] = st
-		}
-		return nil
-	})
-	if err != nil {
+	if err := s.Cluster.Run(s.step); err != nil {
 		return IterStats{}, err
 	}
 	agg := IterStats{Iter: t}
@@ -374,6 +365,24 @@ func (s *Session) runIteration() (IterStats, error) {
 		agg.Accuracy = float64(correct) / float64(total)
 	}
 	return agg, nil
+}
+
+// stepRank is one rank's part of runIteration: the training step, then
+// the stats gather.
+func (s *Session) stepRank(cm *cluster.Comm) error {
+	r := cm.Rank()
+	s.stats[r] = s.Trainers[r].Step(cm, s.iter, s.rngs[r])
+	// Ship the per-rank stats over the (uncosted) control plane so the
+	// process hosting rank 0 can aggregate the whole job.
+	s.statBufs[r] = appendStats(s.statBufs[r][:0], s.stats[r])
+	for src, b := range cm.Gather(s.statBufs[r]) {
+		st, err := decodeStats(b)
+		if err != nil {
+			return fmt.Errorf("train: rank %d stats: %w", src, err)
+		}
+		s.stats[src] = st
+	}
+	return nil
 }
 
 // statsBytes is the size of one rank's StepStats on the control plane:
