@@ -3,15 +3,12 @@ package repro
 // Allocation-budget regression guards for the steady state of the
 // collective stack and the training loop, in two currencies.
 //
-// Counts: after the warm-up iteration (threshold evaluation, pool
+// Counts: after the warm-up iterations (threshold evaluation, pool
 // filling), a full collective Reduce across all P=32 ranks must stay
-// under a fixed allocation count. The budgets were set ~2× above the
-// steady state when Cluster.Run still allocated a goroutine closure per
-// rank (OkTopk ≈380, gTopk ≈95 allocs per cluster-wide iteration); it
-// now measures OkTopk 1, gTopk 30 and Dense 1. They stay far below the
-// pre-pooling counts (OkTopk ≈5,600), so a reintroduced per-message or
-// per-iteration allocation trips the guard long before it undoes the
-// optimization.
+// within 4 allocations, for every sparse scheme and Dense on both
+// wires; each measures 1, also under -race. A reintroduced per-rank
+// allocation costs 32 per Reduce and trips the guard, and so does a
+// per-message pool miss once it recurs on a few ranks.
 //
 // Bytes: a low count does not make the steady state free of garbage —
 // one fresh k-sized payload per call is a single allocation. Under Go's
@@ -82,12 +79,12 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 			algo   string
 			budget float64
 		}{
-			// Acceptance floor for this repo is <1,100 for OkTopk (a ≥5×
-			// drop from the 5,634 recorded before pooling); measured steady
-			// state is ≈380 including the 32 goroutine spawns per Run.
-			{"OkTopk", 900},
-			{"gTopk", 400},
-			{"Dense", 300},
+			{"OkTopk", 4},
+			{"TopkDSA", 4},
+			{"gTopk", 4},
+			{"TopkA", 4},
+			{"Gaussiank", 4},
+			{"Dense", 4},
 		} {
 			wire, tc := wire, tc
 			t.Run(fmt.Sprintf("%s/P=32/wire=%s", tc.algo, wire), func(t *testing.T) {

@@ -23,10 +23,12 @@ import (
 // float64 either way. This package and cluster are the only ones that
 // know the representation. The dense schedules move it with getBuf,
 // sendBuf and recvBuf over wireVal. Sparse callers see only []int32
-// and []float64: they send WireChunk copies, read received values with
-// Chunk.Values or Chunk.AppendValues and hand the buffers back with
-// Release, and build fan-out payloads in a FanOut slot, whose
-// Chunk.Slice views they may also send point to point.
+// and []float64: they send WireChunk copies (drawn at one PieceClass
+// in an exchange whose pieces change size), read received values in
+// place with Chunk.Values or Chunk.AppendValues and hand the buffers
+// back with Release after the last read, and build fan-out payloads in
+// a FanOut slot, whose Chunk.Slice views they may also send point to
+// point. No sparse caller keeps a buffer pool of its own.
 //
 // A value is rounded once, where it first goes out: when a float64
 // value is copied into a message (sendFrom, WireChunk), or in the pass
@@ -68,7 +70,8 @@ func WireChunk(cm cluster.Endpoint, idx []int32, vals []float64) Chunk {
 // draws every piece at one class; as each rank receives from all the
 // others, the ranks agree on the class after one call, and any pooled
 // buffer then fits any piece. Raising c strands every buffer pooled at
-// the old class, so it should rise in large steps.
+// the old class, so it should rise in large steps. PieceClass keeps c
+// by exactly this rule.
 func WireChunkAtLeast(cm cluster.Endpoint, idx []int32, vals []float64, c int) Chunk {
 	c = max(sizeClass(len(idx)), c)
 	wi := cm.GetInt32s(c)[:len(idx)]
@@ -82,6 +85,29 @@ func WireChunkAtLeast(cm cluster.Endpoint, idx []int32, vals []float64, c int) C
 	copy(wv, vals)
 	return Chunk{Data: wv, Aux: wi}
 }
+
+// PieceClass is the draw rule of one point-to-point sparse exchange:
+// the capacity a rank draws its pieces at with WireChunkAtLeast, the
+// largest it has sent or received on the exchange, rounded up to a
+// power of two when a piece outgrows it. Ok-Topk's split phase and
+// TopkDSA's recursive halving each keep one per instance. The zero
+// value is ready to use.
+type PieceClass int
+
+// Chunk returns (idx, vals) as a point-to-point payload drawn at the
+// class, first raising the class to the next power of two at or above
+// len(idx) if the piece outgrows it.
+func (c *PieceClass) Chunk(cm cluster.Endpoint, idx []int32, vals []float64) Chunk {
+	if len(idx) > int(*c) {
+		*c = PieceClass(1 << bits.Len(uint(len(idx)-1)))
+	}
+	return WireChunkAtLeast(cm, idx, vals, int(*c))
+}
+
+// Received raises the class to a received piece's capacity, so that
+// the buffer, once released into this rank's pool, fits any later
+// piece drawn at the class.
+func (c *PieceClass) Received(ch Chunk) { *c = max(*c, PieceClass(cap(ch.Aux))) }
 
 // sizeClass rounds a sparse payload length up to its size class: eight
 // classes per power of two, so a class is at most 1/8 above the length

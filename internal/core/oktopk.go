@@ -134,11 +134,9 @@ type scratch struct {
 	offsets    []int
 	chunks     []collectives.Chunk
 	keys       []cluster.RecvKey
-	// pieceCap is the capacity this rank draws its split-phase pieces
-	// at (collectives.WireChunkAtLeast): the largest it has sent or
-	// received, raised to the next power of two when a piece outgrows
-	// it.
-	pieceCap int
+	// pieces is the capacity this rank draws its split-phase pieces at
+	// (collectives.PieceClass).
+	pieces collectives.PieceClass
 	// The fan-out payloads, one FanOut per call site: the global
 	// selection, its rebalanced span (a second site, since rebalance
 	// reads the selection while writing it), and the reduced region's
@@ -371,7 +369,7 @@ func (o *OkTopk) splitAndReduce(cm cluster.Endpoint, update []float64, localIdx 
 
 	// The selection is index-sorted and regions are index ranges, so
 	// each region is a sub-slice of it. send ships region dst as a
-	// pooled wire copy (collectives.WireChunkAtLeast), which the
+	// pooled wire copy drawn at the piece class, which the
 	// receiver releases after accumulating, so no other rank ever
 	// references the selection.
 	splits := regionSplits(o.scratch.splits, localIdx, o.boundaries)
@@ -381,10 +379,7 @@ func (o *OkTopk) splitAndReduce(cm cluster.Endpoint, update []float64, localIdx 
 	}
 	send := func(dst, tag int) {
 		ridx, rval := region(dst)
-		if len(ridx) > o.scratch.pieceCap {
-			o.scratch.pieceCap = 1 << bits.Len(uint(len(ridx)-1))
-		}
-		ch := collectives.WireChunkAtLeast(cm, ridx, rval, o.scratch.pieceCap)
+		ch := o.scratch.pieces.Chunk(cm, ridx, rval)
 		cm.SendChunk(dst, tag, ch, ch.Words())
 	}
 
@@ -476,7 +471,7 @@ func (o *OkTopk) splitAndReduce(cm cluster.Endpoint, update []float64, localIdx 
 // into this rank's pool.
 func (o *OkTopk) accumulateChunk(_ int, ch collectives.Chunk) {
 	s := &o.split
-	o.scratch.pieceCap = max(o.scratch.pieceCap, cap(ch.Aux))
+	o.scratch.pieces.Received(ch)
 	accumulateRegion(s.region, s.mask, s.lo, ch.Aux, ch.Values(&o.scratch.wide))
 	s.cm.Clock().Compute(float64(len(ch.Aux)))
 	collectives.Release(s.cm, ch)

@@ -2,16 +2,18 @@
 // paper assumes for all sparse allreduce algorithms: a sparse gradient of
 // k nonzeros is stored as k (index, value) pairs and therefore occupies
 // 2k words on the wire. The package provides construction from dense
-// vectors, sorted merging with value accumulation (the reduction kernel
-// of every sparse allreduce), densification and intersection of index
-// sets.
+// vectors, the two-way sorted merge with value accumulation (AddTo, the
+// reduction kernel of TopkDSA and gTopk), densification, intersection
+// of index sets and the in-place merge of sorted index runs
+// (MergeRuns). It owns no buffers: a Vec's arrays belong to whoever
+// built it, and the sparse collectives read received payloads as Vec
+// views over the wire buffers (see sparsecoll).
 package sparse
 
 import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/topk"
 )
@@ -193,75 +195,6 @@ func AddTo(out, a, b *Vec) *Vec {
 	out.Values = append(out.Values, a.Values[i:]...)
 	out.Indexes = append(out.Indexes, b.Indexes[j:]...)
 	out.Values = append(out.Values, b.Values[j:]...)
-	return out
-}
-
-// Reduce sums a list of sparse vectors with a single multi-way heap
-// merge over the sorted per-source runs: O(total nnz · log len(vs))
-// comparisons with no intermediate vectors (the pairwise tree it
-// replaces materialized a partially filled-in vector per level).
-// Duplicate indexes accumulate in ascending source order, so the
-// result is independent of scheduling.
-func Reduce(vs []*Vec) *Vec {
-	switch len(vs) {
-	case 0:
-		panic("sparse: Reduce of empty list")
-	case 1:
-		return vs[0].Clone()
-	}
-	total := 0
-	for _, v := range vs {
-		total += v.NNZ()
-	}
-	out := New(vs[0].Dim)
-	out.Indexes = make([]int32, 0, total)
-	out.Values = make([]float64, 0, total)
-
-	pos := make([]int, len(vs))
-	heap := make([]mergeHead, 0, len(vs))
-	for s, v := range vs {
-		if v.Dim != vs[0].Dim {
-			panic(fmt.Sprintf("sparse: Reduce dimension mismatch %d != %d", v.Dim, vs[0].Dim))
-		}
-		if v.NNZ() > 0 {
-			heap = append(heap, mergeHead{idx: v.Indexes[0], src: int32(s)})
-		}
-	}
-	for i := len(heap)/2 - 1; i >= 0; i-- {
-		heapDown(heap, i)
-	}
-	for len(heap) > 0 {
-		head := heap[0]
-		src := vs[head.src]
-		p := pos[head.src]
-		if n := len(out.Indexes); n > 0 && out.Indexes[n-1] == head.idx {
-			out.Values[n-1] += src.Values[p]
-		} else {
-			out.Indexes = append(out.Indexes, head.idx)
-			out.Values = append(out.Values, src.Values[p])
-		}
-		p++
-		pos[head.src] = p
-		if p < src.NNZ() {
-			heap[0].idx = src.Indexes[p]
-			heapDown(heap, 0)
-		} else {
-			heap[0] = heap[len(heap)-1]
-			heap = heap[:len(heap)-1]
-			heapDown(heap, 0)
-		}
-	}
-	return out
-}
-
-// Slice returns the sub-vector of v restricted to indexes in [lo, hi),
-// re-based so the caller sees original coordinates (indexes unchanged).
-func (v *Vec) Slice(lo, hi int32) *Vec {
-	out := New(v.Dim)
-	start := sort.Search(len(v.Indexes), func(i int) bool { return v.Indexes[i] >= lo })
-	end := sort.Search(len(v.Indexes), func(i int) bool { return v.Indexes[i] >= hi })
-	out.Indexes = append(out.Indexes, v.Indexes[start:end]...)
-	out.Values = append(out.Values, v.Values[start:end]...)
 	return out
 }
 

@@ -90,50 +90,6 @@ func TestAddDimMismatchPanics(t *testing.T) {
 	Add(New(3), New(4))
 }
 
-func TestReduceMatchesDense(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	n, workers := 128, 7
-	want := make([]float64, n)
-	vs := make([]*Vec, workers)
-	for w := range vs {
-		d := make([]float64, n)
-		for i := range d {
-			if r.Float64() < 0.1 {
-				d[i] = r.NormFloat64()
-				want[i] += d[i]
-			}
-		}
-		vs[w] = FromDense(d)
-	}
-	got := Reduce(vs).Dense()
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatalf("reduce[%d]=%v want %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestReduceSingleClones(t *testing.T) {
-	v := FromDense([]float64{1, 0, 2})
-	out := Reduce([]*Vec{v})
-	out.Values[0] = 99
-	if v.Values[0] == 99 {
-		t.Fatal("Reduce must clone single input")
-	}
-}
-
-func TestSlice(t *testing.T) {
-	v := FromPairs(100, []int32{1, 10, 50, 99}, []float64{1, 2, 3, 4})
-	s := v.Slice(10, 99)
-	if !reflect.DeepEqual(s.Indexes, []int32{10, 50}) {
-		t.Fatalf("slice indexes %v", s.Indexes)
-	}
-	empty := v.Slice(60, 60)
-	if empty.NNZ() != 0 {
-		t.Fatalf("empty slice has %d", empty.NNZ())
-	}
-}
-
 func TestIntersect(t *testing.T) {
 	got := AppendIntersect(nil, []int32{1, 3, 5, 7}, []int32{2, 3, 4, 5, 8})
 	if !reflect.DeepEqual(got, []int32{3, 5}) {
@@ -182,35 +138,6 @@ func TestAddCommutativeProperty(t *testing.T) {
 		}
 		return reflect.DeepEqual(ab.Indexes, ba.Indexes) &&
 			reflect.DeepEqual(ab.Values, ba.Values)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Slice concatenation over a partition reconstructs the vector.
-func TestSlicePartitionProperty(t *testing.T) {
-	f := func(seed int64, cuts uint8) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 128
-		d := make([]float64, n)
-		for i := range d {
-			if r.Float64() < 0.25 {
-				d[i] = r.NormFloat64()
-			}
-		}
-		v := FromDense(d)
-		p := int(cuts%7) + 1
-		var rebuilt []int32
-		var vals []float64
-		for j := 0; j < p; j++ {
-			lo := int32(j * n / p)
-			hi := int32((j + 1) * n / p)
-			s := v.Slice(lo, hi)
-			rebuilt = append(rebuilt, s.Indexes...)
-			vals = append(vals, s.Values...)
-		}
-		return reflect.DeepEqual(rebuilt, v.Indexes) && reflect.DeepEqual(vals, v.Values)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -4,11 +4,10 @@ package sparse
 // collective produces per-source index lists that are already sorted
 // (selection scans emit ascending indexes; region slices and rebalanced
 // spans preserve order), so re-sorting their concatenation with a
-// comparison sort wastes the structure. The helpers here merge the
-// sorted runs directly: MergeRuns works in place over a concatenated
-// index buffer with reusable scratch (zero steady-state allocations),
-// and Reduce in coo.go sums many sparse vectors with a single
-// multi-way heap merge instead of a pairwise Add tree.
+// comparison sort wastes the structure. MergeRuns merges the sorted
+// runs directly, in place over a concatenated index buffer with
+// reusable scratch (zero steady-state allocations). Summing two vectors
+// is AddTo in coo.go.
 
 // mergeInto merges the two sorted runs a and b into dst, which must
 // have length len(a)+len(b). Equal values keep a-before-b order.
@@ -80,35 +79,4 @@ func MergeRuns(idx []int32, ends []int, scratch []int32) (sorted, spare []int32)
 		src, dst = dst, src
 	}
 	return src, dst
-}
-
-// mergeHead is one source's cursor in the multi-way Reduce merge,
-// keyed by its current index with the source id as the deterministic
-// tie-break (duplicate indexes accumulate in ascending source order).
-type mergeHead struct {
-	idx int32
-	src int32
-}
-
-func headLess(a, b mergeHead) bool {
-	return a.idx < b.idx || (a.idx == b.idx && a.src < b.src)
-}
-
-// heapDown restores the min-heap property from position i.
-func heapDown(h []mergeHead, i int) {
-	for {
-		l := 2*i + 1
-		if l >= len(h) {
-			return
-		}
-		m := l
-		if r := l + 1; r < len(h) && headLess(h[r], h[l]) {
-			m = r
-		}
-		if !headLess(h[m], h[i]) {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
 }

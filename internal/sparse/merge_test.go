@@ -74,35 +74,6 @@ func TestMergeRunsScratchReuse(t *testing.T) {
 	}
 }
 
-// TestReduceMultiWayMatchesPairwise compares the heap merge against the
-// two-at-a-time Add tree on integer-valued vectors, where floating
-// point summation is exact and the two orders must agree exactly.
-func TestReduceMultiWayMatchesPairwise(t *testing.T) {
-	r := rand.New(rand.NewSource(43))
-	for trial := 0; trial < 50; trial++ {
-		p := 1 + r.Intn(9)
-		vs := make([]*Vec, p)
-		for i := range vs {
-			d := make([]float64, 200)
-			for j := 0; j < 30; j++ {
-				d[r.Intn(len(d))] = float64(1 + r.Intn(9))
-			}
-			vs[i] = FromDense(d)
-		}
-		want := vs[0].Clone()
-		for _, v := range vs[1:] {
-			want = Add(want, v)
-		}
-		got := Reduce(vs)
-		if err := got.Validate(); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if !slices.Equal(got.Indexes, want.Indexes) || !slices.Equal(got.Values, want.Values) {
-			t.Fatalf("trial %d: multi-way Reduce differs from sequential Add", trial)
-		}
-	}
-}
-
 // TestAddTo checks buffer reuse and that out matches Add.
 func TestAddTo(t *testing.T) {
 	a := FromPairs(50, []int32{1, 4, 9}, []float64{1, 2, 3})

@@ -23,10 +23,12 @@
 // All point-to-point payloads (TopkDSA's halving pieces, gTopk's tree
 // and broadcast hops) travel as collectives.WireChunk copies drawn from
 // the sender's cluster rank pools under the ownership-transfer
-// convention, and the receiver reads them back into a compute-precision
-// sparse.Vec drawn from its own per-rank Pool before merging
-// (recvVecChunk); only collectives and cluster know how values look on
-// the wire. Fan-out payloads (allgathered chunks) are owned by the
+// convention; TopkDSA draws its pieces at one collectives.PieceClass.
+// The receiver reads each one in place, as a sparse.Vec view over the
+// chunk's indexes and its values in compute precision (recvView),
+// merges it and releases the chunk into its own rank pools after the
+// last read; only collectives and cluster know how values look on the
+// wire. Fan-out payloads (allgathered chunks) are owned by the
 // instance that contributes them, in wire format, in a
 // collectives.FanOut: two slots per call site, reused by call parity
 // once every rank has finished reading them. Result.Update and
@@ -61,28 +63,15 @@ func rangeBounds(v *sparse.Vec, lo, hi int32) (int, int) {
 	return start, end
 }
 
-// slicePooled copies the [lo, hi) index range of v into a vector drawn
-// from the pool — the local "kept" piece of TopkDSA's recursive
-// halving.
-func slicePooled(pool *sparse.Pool, v *sparse.Vec, lo, hi int32) *sparse.Vec {
-	start, end := rangeBounds(v, lo, hi)
-	out := pool.Get(v.Dim, end-start)
-	copy(out.Indexes, v.Indexes[start:end])
-	copy(out.Values, v.Values[start:end])
-	return out
-}
-
-// recvVecChunk receives one hop chunk, a collectives.WireChunk, and
-// rebuilds it as a compute-precision vector drawn from this rank's
-// Pool, releasing the wire buffers into this rank's cluster pools. The
-// vector goes back to the same Pool after the merge.
-func recvVecChunk(cm cluster.Endpoint, pool *sparse.Pool, src, tag, dim int) *sparse.Vec {
+// recvView receives one hop chunk, a collectives.WireChunk, and returns
+// it with a view of it as a vector of dimension dim: the chunk's
+// indexes, and its values in compute precision (the chunk's own on the
+// f64 wire, widened into *wide on the f32 wire). The caller owns the
+// chunk and releases it with collectives.Release after its last read
+// of the view.
+func recvView(cm cluster.Endpoint, src, tag, dim int, wide *[]float64) (collectives.Chunk, sparse.Vec) {
 	ch := cm.RecvChunk(src, tag)
-	out := pool.Get(dim, len(ch.Aux))
-	copy(out.Indexes, ch.Aux)
-	out.Values = ch.AppendValues(out.Values[:0])
-	collectives.Release(cm, ch)
-	return out
+	return ch, sparse.Vec{Dim: dim, Indexes: ch.Aux, Values: ch.Values(wide)}
 }
 
 // localTopkInto selects the exact top-k entries of acc (by |value|) the
@@ -237,10 +226,10 @@ type TopkDSA struct {
 	fillCount int
 	thScratch []float64
 	sel       *sparse.Vec
-	// pool is this rank's halving-payload arena: outgoing pieces are
-	// drawn from it and received pieces are returned to it after the
-	// merge (ownership transfer).
-	pool sparse.Pool
+	// pieces is the capacity the halving pieces are drawn at, and wide
+	// holds a received piece's values widened from the f32 wire.
+	pieces collectives.PieceClass
+	wide   []float64
 	// mergeA/mergeB ping-pong the recursive-halving partial sums, so
 	// the intermediate merges allocate nothing in steady state. The
 	// final level merges into a slot of out, whose buffers fan out
@@ -257,10 +246,6 @@ func NewTopkDSA(cfg allreduce.Config) *TopkDSA { return &TopkDSA{cfg: cfg.Defaul
 
 func (*TopkDSA) Name() string           { return "TopkDSA" }
 func (*TopkDSA) OverlapsBackward() bool { return false }
-
-// Pool exposes the halving-payload pool for the ownership property
-// tests.
-func (d *TopkDSA) Pool() *sparse.Pool { return &d.pool }
 
 // MeanFillDensity reports the mean output density across all reductions
 // performed so far (§5.2 reports 13.2% for VGG, 34.5% for LSTM).
@@ -317,28 +302,29 @@ func (d *TopkDSA) Reduce(cm cluster.Endpoint, acc []float64, t int) allreduce.Re
 		if w := sendHi - sendLo; elems > w {
 			elems = w
 		}
-		ch := collectives.WireChunk(cm, cur.Indexes[start:end], cur.Values[start:end])
+		ch := d.pieces.Chunk(cm, cur.Indexes[start:end], cur.Values[start:end])
 		cm.SendChunk(partner, tagDSA+s, ch, cm.Wire().Words(elems))
-		in := recvVecChunk(cm, &d.pool, partner, tagDSA+s, n)
-		kept := slicePooled(&d.pool, cur, int32(keepLo), int32(keepHi))
+		inCh, in := recvView(cm, partner, tagDSA+s, n, &d.wide)
+		d.pieces.Received(inCh)
+		// The kept half is a view of cur: the merge below writes the
+		// other ping-pong buffer or the fan-out slot, never cur.
+		start, end = rangeBounds(cur, int32(keepLo), int32(keepHi))
+		kept := sparse.Vec{Dim: n, Indexes: cur.Indexes[start:end], Values: cur.Values[start:end]}
 		cm.Clock().Compute(float64(kept.NNZ() + in.NNZ()))
 		if dist > 1 {
-			// Intermediate level: merge into ping-pong scratch (the
-			// previous level's cur is fully consumed by the wire copy
-			// and the kept slicePooled copy above).
+			// Intermediate level: merge into ping-pong scratch.
 			if d.mergeA == nil {
 				d.mergeA, d.mergeB = sparse.New(n), sparse.New(n)
 			}
-			cur = sparse.AddTo(d.mergeA, kept, in)
+			cur = sparse.AddTo(d.mergeA, &kept, &in)
 			d.mergeA, d.mergeB = d.mergeB, d.mergeA
 		} else {
 			// Final level: the result's buffers ride the allgatherv to
 			// every rank, so they go into this call's fan-out slot.
 			final = d.out.Next()
-			cur = sparse.AddTo(&final.Vec, kept, in)
+			cur = sparse.AddTo(&final.Vec, &kept, &in)
 		}
-		d.pool.Put(kept)
-		d.pool.Put(in)
+		collectives.Release(cm, inCh)
 		lo, hi = keepLo, keepHi
 	}
 
@@ -379,11 +365,11 @@ type GTopk struct {
 	cfg       allreduce.Config
 	thScratch []float64
 	pairs     []idxVal
-	// pool is this rank's tree-payload arena: every hop of the reduction
-	// and broadcast trees carries a pool vector owned by exactly one
-	// receiver.
-	pool sparse.Pool
-	sel  *sparse.Vec // local selection scratch
+	sel       *sparse.Vec // local selection scratch
+	// wide holds a received hop's values widened from the f32 wire, and
+	// children is this rank's broadcast children.
+	wide     []float64
+	children []int
 	// mergeA/mergeB ping-pong the tree partial sums; trunc receives the
 	// re-selected top-k at each level.
 	mergeA, mergeB *sparse.Vec
@@ -405,9 +391,6 @@ func NewGTopk(cfg allreduce.Config) *GTopk { return &GTopk{cfg: cfg.Defaults()} 
 
 func (*GTopk) Name() string           { return "gTopk" }
 func (*GTopk) OverlapsBackward() bool { return false }
-
-// Pool exposes the tree-payload pool for the ownership property tests.
-func (g *GTopk) Pool() *sparse.Pool { return &g.pool }
 
 const tagGTopk = 10 << 20
 
@@ -435,11 +418,11 @@ func (g *GTopk) Reduce(cm cluster.Endpoint, acc []float64, t int) allreduce.Resu
 			break
 		}
 		if rank|dist < p {
-			in := recvVecChunk(cm, &g.pool, rank|dist, tagGTopk+dist, n)
+			inCh, in := recvView(cm, rank|dist, tagGTopk+dist, n, &g.wide)
 			cm.Clock().Compute(float64(cur.NNZ() + in.NNZ()))
-			merged := sparse.AddTo(g.mergeA, cur, in)
+			merged := sparse.AddTo(g.mergeA, cur, &in)
 			g.mergeA, g.mergeB = g.mergeB, g.mergeA
-			g.pool.Put(in)
+			collectives.Release(cm, inCh)
 			// Hierarchical re-selection keeps the set at k values. The
 			// reference implementation scatters into a dense buffer and
 			// runs torch.topk over all n elements at every level, so the
@@ -452,16 +435,21 @@ func (g *GTopk) Reduce(cm cluster.Endpoint, acc []float64, t int) allreduce.Resu
 	}
 	// Broadcast the final global top-k down the mirrored tree. Every hop
 	// carries owned wire buffers, so no backing array is ever shared
-	// between ranks.
+	// between ranks. A non-root rank reads the hop it received in place
+	// and releases it once the result is built.
+	var bcast collectives.Chunk
 	if sent {
-		cur = recvVecChunk(cm, &g.pool, parentOf(rank, p), tagGTopk+(1<<20), n)
+		var in sparse.Vec
+		bcast, in = recvView(cm, parentOf(rank, p), tagGTopk+(1<<20), n, &g.wide)
+		cur = &in
 	} else if p > 1 {
 		// Root: round the final set through the wire precision before it
 		// fans out, so every rank applies bit-identical values. (At P=1
 		// nothing fans out and nothing is rounded.)
 		cm.Wire().Round(cur.Values)
 	}
-	for _, child := range childrenOf(rank, p) {
+	g.children = appendChildren(g.children[:0], rank, p)
+	for _, child := range g.children {
 		ch := collectives.WireChunk(cm, cur.Indexes, cur.Values)
 		cm.SendChunk(child, tagGTopk+(1<<20), ch, cooWireWords(cm, cur.NNZ()))
 	}
@@ -482,7 +470,7 @@ func (g *GTopk) Reduce(cm cluster.Endpoint, acc []float64, t int) allreduce.Resu
 	g.contributed = sparse.AppendIntersect(g.contributed[:0], localIdx, cur.Indexes)
 	globalK := cur.NNZ()
 	if sent {
-		g.pool.Put(cur) // received broadcast hop: consumed, return to my pool
+		collectives.Release(cm, bcast)
 	}
 	return allreduce.Result{
 		Update:      update,
@@ -492,8 +480,8 @@ func (g *GTopk) Reduce(cm cluster.Endpoint, acc []float64, t int) allreduce.Resu
 	}
 }
 
-// parentOf and childrenOf define the binomial broadcast tree rooted at 0
-// that mirrors the reduction tree above.
+// parentOf and appendChildren define the binomial broadcast tree
+// rooted at 0 that mirrors the reduction tree above.
 func parentOf(rank, p int) int {
 	for dist := 1; dist < p; dist *= 2 {
 		if rank&dist != 0 {
@@ -503,8 +491,8 @@ func parentOf(rank, p int) int {
 	return 0
 }
 
-func childrenOf(rank, p int) []int {
-	var out []int
+// appendChildren appends rank's children to out.
+func appendChildren(out []int, rank, p int) []int {
 	// Children are rank|dist for dist below rank's lowest set bit (or
 	// every power of two below P for rank 0), matching the
 	// reduction-tree partners.

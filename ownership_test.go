@@ -23,8 +23,6 @@ import (
 	"repro/internal/collectives"
 	"repro/internal/experiments"
 	"repro/internal/netmodel"
-	"repro/internal/sparse"
-	"repro/internal/sparsecoll"
 	"repro/internal/train"
 )
 
@@ -132,16 +130,6 @@ func runPooledAlgorithms(t *testing.T, p int, wire cluster.Wire) {
 			for i, s := range ints {
 				ps.add(t, fmt.Sprintf("cluster rank %d int32 buffer %d", r, i), s)
 			}
-			addVecPool := func(kind string, pool *sparse.Pool) {
-				j := 0
-				pool.Each(func(v *sparse.Vec) {
-					ps.add(t, fmt.Sprintf("%s rank %d pooled vec %d indexes", kind, r, j), v.Indexes)
-					ps.add(t, fmt.Sprintf("%s rank %d pooled vec %d values", kind, r, j), v.Values)
-					j++
-				})
-			}
-			addVecPool("TopkDSA", algos["TopkDSA"][r].(*sparsecoll.TopkDSA).Pool())
-			addVecPool("gTopk", algos["gTopk"][r].(*sparsecoll.GTopk).Pool())
 		}
 	}
 	ps := newPointerSet()

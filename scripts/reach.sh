@@ -86,8 +86,7 @@ cat <<'EOF'
 #   receive deadline, the stderr tail of a failed worker) or the
 #   big-endian swapWords;
 # - a merge-kernel oracle the sparse tests compare against: Vec.Clone,
-#   Slice, Validate, Add, FromDense, FromPairs and Reduce with its heap
-#   (headLess, heapDown);
+#   Validate, Add, FromDense and FromPairs;
 # - linked code that no command runs, kept for these reasons:
 #   - conformance.Run and its digests, reached only through
 #     worker.runConformance (the "conformance" job kind the
@@ -99,9 +98,8 @@ cat <<'EOF'
 #     they stay until a soak drives them;
 #   - Cluster.Abort: how the failure tests kill a rank without the
 #     shutdown handshake;
-#   - GTopk.Pool, TopkDSA.Pool, sparse Pool.Each and Pool.Len and
-#     Cluster.PooledBuffers: what the ownership test (ownership_test.go,
-#     check ①) reads to see every pooled buffer;
+#   - Cluster.PooledBuffers: what the ownership test
+#     (ownership_test.go, check ①) reads to see every pooled buffer;
 #   - Message.payload: the generic Comm.Recv's payload, an Endpoint
 #     method no run calls;
 #   - experiments.FullScale: the paper-scale -full sizes, too slow for
