@@ -122,8 +122,10 @@ func bytesPerCall(step func(), warm, measure int) float64 {
 // n=200k, k=2k, over iterations 33–64 with τ=τ′=16, so two threshold
 // and boundary re-evaluations fall inside the window: at most 1 KiB
 // (measured 0.06–0.55, the high end noise in the process's first
-// measurement), and 3 KiB for Hierarchical (1.41, the same every run).
-// Until Cluster.Run started its rank goroutines from entries bound
+// measurement). Hierarchical's budget was 3 KiB (measured 1.41, the
+// same every run) until HierDense kept its node and leader groups
+// across calls instead of building them per call (now 0.06). Until
+// Cluster.Run started its rank goroutines from entries bound
 // once, the budget was 4 KiB for all of them (measured 0.9–2.4); before
 // fan-out payloads were owned by their origin, the allgather-based
 // baselines allocated 129–257 KiB and Ok-Topk 35–39.
@@ -150,10 +152,7 @@ func TestSteadyStateBytes(t *testing.T) {
 			wire, name := wire, scheme.Name
 			t.Run(fmt.Sprintf("Reduce/%s/P=8/wire=%s", name, wire), func(t *testing.T) {
 				const p, n, k = 8, 200_000, 2_000
-				budget := 1 * kib
-				if name == "Hierarchical" {
-					budget = 3 * kib
-				}
+				const budget = 1 * kib
 				step := reduceStep(t, name, wire, allreduce.Config{K: k, Tau: 16, TauPrime: 16}, p, n, k)
 				got := bytesPerCall(step, 32, 32)
 				t.Logf("%s allocates %.2f KiB per steady-state cluster-wide reduce (%s wire)", name, got/kib, wire)

@@ -23,14 +23,8 @@ import (
 // Ownership: Update and Contributed are instance-owned scratch of the
 // Algorithm that produced them — valid until the next Reduce call on
 // the same instance, at which point they are reused. Callers that need
-// the data longer must copy it. Update may be read freely and its
-// EXISTING entries scaled or zeroed in place (the trainer's averaging
-// does this), but callers must not write a nonzero into an entry that
-// is zero: the algorithms restore the buffer's all-zero invariant by
-// re-zeroing only the indexes they recorded writing, so a nonzero
-// smuggled in elsewhere would survive into every later Result. This is
-// what lets every algorithm run allocation-free in steady state instead
-// of materializing an n-word dense vector per iteration.
+// the data longer must copy it. A sparse scheme's Update is the buffer
+// of a SparseUpdate, which restricts what a caller may write into it.
 type Result struct {
 	// Update is the dense sum over workers of the (selected) gradient
 	// contributions. The SGD step applies Update/P.
@@ -45,6 +39,76 @@ type Result struct {
 	// LocalK and GlobalK count the locally selected values and the
 	// values present in Update, feeding the Figure-6 accounting.
 	LocalK, GlobalK int
+}
+
+// SparseUpdate is the storage behind a sparse scheme's Result.Update:
+// an n-word buffer that is all-zero at the start of every call, and the
+// list of indexes written since. Ok-Topk and the four sparse baselines
+// each keep one per instance, so no Reduce materializes a fresh n-word
+// vector or sweeps one with a memset in steady state.
+//
+// Update may be read freely and its EXISTING entries scaled or zeroed
+// in place (the trainer's averaging does this), but callers must not
+// write a nonzero into an entry that is zero: Begin restores the
+// all-zero buffer by re-zeroing only the written indexes, so a nonzero
+// smuggled in elsewhere would survive into every later Result.
+type SparseUpdate struct {
+	buf     []float64
+	written []int32
+}
+
+// Begin returns the buffer for a gradient of n components, all-zero.
+// It re-zeroes the indexes written since the last Begin (duplicates
+// are fine), an O(k) scatter, or clears the whole buffer once they
+// reach 1/8 of it, beyond which the scatter's cache misses cost more
+// than the memset. A new n allocates a new buffer.
+func (s *SparseUpdate) Begin(n int) []float64 {
+	switch {
+	case len(s.buf) != n:
+		s.buf = make([]float64, n)
+	case len(s.written)*8 >= n:
+		clear(s.buf)
+	default:
+		for _, i := range s.written {
+			s.buf[i] = 0
+		}
+	}
+	s.written = s.written[:0]
+	return s.buf
+}
+
+// Set writes vals at idx, bit for bit (a −0 stays −0).
+func (s *SparseUpdate) Set(idx []int32, vals []float64) {
+	buf := s.buf
+	for i, j := range idx {
+		buf[j] = vals[i]
+	}
+	s.written = append(s.written, idx...)
+}
+
+// Add accumulates vals at idx and returns the count of newly nonzero
+// entries: the additions that found their entry zero and left it
+// nonzero. An entry whose sum cancels to zero counts again when a
+// later addition makes it nonzero.
+func (s *SparseUpdate) Add(idx []int32, vals []float64) (nz int) {
+	buf := s.buf
+	for i, j := range idx {
+		if buf[j] == 0 && vals[i] != 0 {
+			nz++
+		}
+		buf[j] += vals[i]
+	}
+	s.written = append(s.written, idx...)
+	return nz
+}
+
+// Reserve gives the written list room for c indexes, for a caller that
+// knows its result's size ahead: a list grown by appends would leave
+// each outgrown array to the GC.
+func (s *SparseUpdate) Reserve(c int) {
+	if cap(s.written) < c {
+		s.written = make([]int32, 0, c)
+	}
 }
 
 // Algorithm is a collective gradient reduction. Reduce must be called by

@@ -1,6 +1,7 @@
 package allreduce
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
@@ -103,5 +104,47 @@ func TestDenseDoesNotMutateInput(t *testing.T) {
 		return nil
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHierDenseRebuildsGroups: HierDense keeps its node and leader
+// groups across calls, and builds new ones for a new world
+// communicator. The same instances reduce twice on one cluster, then
+// twice on another of the same size. Groups kept from the first would
+// still sum correctly, through the first cluster's mailboxes and
+// clocks, so the second cluster's clocks must see the same traffic.
+func TestHierDenseRebuildsGroups(t *testing.T) {
+	const p, n = 6, 5
+	algos := make([]*HierDense, p)
+	for i := range algos {
+		algos[i] = NewHierDense(4)
+	}
+	var sent [2][p]int64
+	for round := 0; round < 2; round++ {
+		c := cluster.New(p, netmodel.PizDaint())
+		for call := 1; call <= 2; call++ {
+			err := c.Run(func(cm *cluster.Comm) error {
+				acc := make([]float64, n)
+				for i := range acc {
+					acc[i] = float64(cm.Rank()*n + i)
+				}
+				res := algos[cm.Rank()].Reduce(cm, acc, call)
+				for i, v := range res.Update {
+					if want := float64(n*p*(p-1)/2 + p*i); v != want {
+						return fmt.Errorf("round %d call %d rank %d: Update[%d] = %v, want %v", round, call, cm.Rank(), i, v, want)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for r, st := range c.Stats() {
+			sent[round][r] = st.SentWords
+		}
+	}
+	if sent[1] != sent[0] || sent[0] == [p]int64{} {
+		t.Fatalf("words sent per rank: %v on the first cluster, %v on the second", sent[0], sent[1])
 	}
 }

@@ -17,6 +17,7 @@ import (
 type HierDense struct {
 	nodeSize int
 	sum      []float64
+	groups   *collectives.Hierarchy // rebuilt when the world or node size changes
 }
 
 // NewHierDense returns the hierarchical dense baseline with the given
@@ -44,8 +45,8 @@ func (*HierDense) Name() string           { return "Hierarchical" }
 func (*HierDense) OverlapsBackward() bool { return false }
 
 // Reduce sums acc across all ranks via the two-level schedule. It needs
-// the world communicator (the schedule builds node-local groups), so it
-// must not itself run inside a Group.
+// the world communicator (the schedule builds node-local groups, kept
+// across calls), so it must not itself run inside a Group.
 func (d *HierDense) Reduce(cm cluster.Endpoint, acc []float64, t int) Result {
 	world, ok := cm.(*cluster.Comm)
 	if !ok {
@@ -55,7 +56,10 @@ func (d *HierDense) Reduce(cm cluster.Endpoint, acc []float64, t int) Result {
 	sum := tensor.Ensure(d.sum, len(acc))
 	d.sum = sum
 	copy(sum, acc)
-	collectives.HierarchicalAllreduce(world, sum, d.nodeSizeFor(cm))
+	if ns := d.nodeSizeFor(cm); !d.groups.Fits(world, ns) {
+		d.groups = collectives.NewHierarchy(world, ns)
+	}
+	d.groups.Allreduce(sum)
 	cm.Clock().SetPhase(netmodel.PhaseCompute)
 	return Result{Update: sum, All: true, LocalK: len(acc), GlobalK: len(acc)}
 }

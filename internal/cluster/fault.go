@@ -15,7 +15,7 @@ import "time"
 type FaultAction int
 
 const (
-	// FaultNone lets the frame through untouched.
+	// FaultNone lets the frame through unchanged.
 	FaultNone FaultAction = iota
 	// FaultKill terminates this rank without warning: worker processes
 	// exit (TCPOptions.OnKill, typically os.Exit), in-process ranks

@@ -14,9 +14,9 @@ import (
 // barrier built from the group's own point-to-point messages (so its
 // cost is modeled faithfully rather than synchronized out-of-band).
 //
-// collectives.HierarchicalAllreduce is the one user: it reduces inside
-// each node over a per-node group while the other nodes' groups run
-// concurrently, then across the node leaders over a group of its own.
+// collectives.Hierarchy is the one user: it reduces inside each node
+// over a per-node group while the other nodes' groups run concurrently,
+// then across the node leaders over a group of its own.
 type Group struct {
 	world    *Comm
 	ranks    []int // group rank → world rank

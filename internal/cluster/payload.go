@@ -33,8 +33,8 @@ package cluster
 // ever Puts them.
 //
 // Sparse chunks follow one point-to-point rule and one exception. A
-// point-to-point chunk is collectives.WireChunk's pooled copy of the
-// sender's (index, value) arrays, and its receiver hands both buffers
+// point-to-point chunk is a pooled copy of the sender's (index, value)
+// arrays drawn by collectives.PieceClass.Chunk, and its receiver hands both buffers
 // back with collectives.Release. Ok-Topk's rebalance instead sends
 // views (Chunk.Slice) of the selection's fan-out slot: the slot rule
 // keeps them unchanged until every receiver has copied its piece, and
@@ -71,7 +71,7 @@ import (
 // collectives.Chunk. Values live in exactly one of Data (f64 wire) or
 // Data32 (f32 wire, rounded at the send edge). Only this package and
 // collectives read the two fields: senders build chunks with
-// collectives.WireChunk or a FanOut slot, and receivers read the
+// collectives.PieceClass.Chunk or a FanOut slot, and receivers read the
 // values in compute precision through Values or AppendValues.
 type Chunk struct {
 	Origin int
@@ -140,7 +140,7 @@ const poolCap = 256
 // freelist is a pool of reusable slices. get is best-fit: it takes the
 // smallest pooled buffer whose capacity fits and leaves the ones that
 // are too small for smaller requests, so a stream of variable-size
-// chunks stops allocating once every size class it needs is pooled.
+// chunks stops allocating once every capacity it needs is pooled.
 // clearOnPut zeroes released elements first (needed when the element
 // type holds references — []Chunk payloads — so the GC can reclaim
 // them).

@@ -66,13 +66,6 @@ func blockRange(n, size, r int) (int, int) {
 	return lo, hi
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Allreduce sums x element-wise across all ranks, leaving the full result
 // in x on every rank: AllreduceFrom with x as its own source.
 func Allreduce(cm cluster.Endpoint, x []float64) {

@@ -23,15 +23,15 @@ import (
 // float64 either way. This package and cluster are the only ones that
 // know the representation. The dense schedules move it with getBuf,
 // sendBuf and recvBuf over wireVal. Sparse callers see only []int32
-// and []float64: they send WireChunk copies (drawn at one PieceClass
-// in an exchange whose pieces change size), read received values in
-// place with Chunk.Values or Chunk.AppendValues and hand the buffers
-// back with Release after the last read, and build fan-out payloads in
-// a FanOut slot, whose Chunk.Slice views they may also send point to
-// point. No sparse caller keeps a buffer pool of its own.
+// and []float64: they send point-to-point copies drawn by one rule,
+// PieceClass.Chunk, read received values in place with Chunk.Values or
+// Chunk.AppendValues and hand the buffers back with Release after the
+// last read, and build fan-out payloads in a FanOut slot, whose
+// Chunk.Slice views they may also send point to point. No sparse
+// caller keeps a buffer pool of its own.
 //
 // A value is rounded once, where it first goes out: when a float64
-// value is copied into a message (sendFrom, WireChunk), or in the pass
+// value is copied into a message (sendFrom, PieceClass.Chunk), or in the pass
 // that forms a sum bound for the next message (addWire, addRound). A
 // value that already exists in wire form is sent on as it is —
 // forwarded in the buffer it arrived in, or copied from a kept wire
@@ -50,58 +50,47 @@ import (
 // (below). Chunk containers ([]Chunk) are single-consumer and are
 // pooled via GetChunks/PutChunks.
 
-// WireChunk returns (idx, vals) as a point-to-point payload: pooled
-// copies of both arrays drawn from this rank's pools, the values
-// rounded to float32 on the f32 wire. The caller sends it and so hands
-// both buffers over; the receiver returns them to its own pools with
-// Release once it has read them. Each buffer is drawn at its length's
-// size class (sizeClass) and resliced to the length.
-func WireChunk(cm cluster.Endpoint, idx []int32, vals []float64) Chunk {
-	return WireChunkAtLeast(cm, idx, vals, 0)
-}
-
-// WireChunkAtLeast is WireChunk with buffers of at least capacity c,
-// for an exchange in which every rank sends a piece to every other.
-// Size classes alone do not stop its misses: buffers migrate from
-// sender to receiver, so a rank whose pieces are longer than those it
-// receives finds its pool holding only buffers too short for its next
-// sends, and keeps allocating. A caller that passes as c at
-// least the largest capacity it has sent or received on the exchange
-// draws every piece at one class; as each rank receives from all the
-// others, the ranks agree on the class after one call, and any pooled
-// buffer then fits any piece. Raising c strands every buffer pooled at
-// the old class, so it should rise in large steps. PieceClass keeps c
-// by exactly this rule.
-func WireChunkAtLeast(cm cluster.Endpoint, idx []int32, vals []float64, c int) Chunk {
-	c = max(sizeClass(len(idx)), c)
-	wi := cm.GetInt32s(c)[:len(idx)]
-	copy(wi, idx)
-	if cm.Wire() == cluster.WireF32 {
-		wv := cm.GetFloat32s(c)[:len(vals)]
-		cluster.NarrowInto(wv, vals)
-		return Chunk{Data32: wv, Aux: wi}
-	}
-	wv := cm.GetFloats(c)[:len(vals)]
-	copy(wv, vals)
-	return Chunk{Data: wv, Aux: wi}
-}
-
-// PieceClass is the draw rule of one point-to-point sparse exchange:
-// the capacity a rank draws its pieces at with WireChunkAtLeast, the
-// largest it has sent or received on the exchange, rounded up to a
-// power of two when a piece outgrows it. Ok-Topk's split phase and
-// TopkDSA's recursive halving each keep one per instance. The zero
+// PieceClass is the draw rule of point-to-point sparse payloads: the
+// capacity a rank draws its pieces at, the largest it has sent or
+// received on its exchange, rounded up to a power of two when a piece
+// outgrows it. Ok-Topk's split phase, TopkDSA's recursive halving and
+// gTopk's tree and broadcast hops each keep one per instance. The zero
 // value is ready to use.
+//
+// The pools' get is best-fit, and a piece's length drifts from call to
+// call: drawn at exact lengths, a length above every pooled buffer
+// misses and allocates, and the pools keep each length they are given,
+// creeping towards their cap. Drawn at one class, any pooled buffer
+// fits any piece. Buffers migrate from sender to receiver, so a rank
+// whose pieces are longer than those it receives would still find its
+// pool holding only buffers too short for its next sends; raising the
+// class to what a rank receives as well as what it sends makes the
+// ranks of an exchange agree on one class after a call. Raising the
+// class strands every buffer pooled at the old one, hence the powers
+// of two. Dense draws stay exact: their lengths repeat, and headroom on
+// them would be megabytes.
 type PieceClass int
 
-// Chunk returns (idx, vals) as a point-to-point payload drawn at the
-// class, first raising the class to the next power of two at or above
-// len(idx) if the piece outgrows it.
+// Chunk returns (idx, vals) as a point-to-point payload: copies of both
+// arrays drawn from this rank's pools at the class, the values rounded
+// to float32 on the f32 wire, first raising the class to the next power
+// of two at or above len(idx) if the piece outgrows it. The caller
+// sends it and so hands both buffers over; the receiver returns them to
+// its own pools with Release once it has read them.
 func (c *PieceClass) Chunk(cm cluster.Endpoint, idx []int32, vals []float64) Chunk {
 	if len(idx) > int(*c) {
 		*c = PieceClass(1 << bits.Len(uint(len(idx)-1)))
 	}
-	return WireChunkAtLeast(cm, idx, vals, int(*c))
+	wi := cm.GetInt32s(int(*c))[:len(idx)]
+	copy(wi, idx)
+	if cm.Wire() == cluster.WireF32 {
+		wv := cm.GetFloat32s(int(*c))[:len(vals)]
+		cluster.NarrowInto(wv, vals)
+		return Chunk{Data32: wv, Aux: wi}
+	}
+	wv := cm.GetFloats(int(*c))[:len(vals)]
+	copy(wv, vals)
+	return Chunk{Data: wv, Aux: wi}
 }
 
 // Received raises the class to a received piece's capacity, so that
@@ -109,23 +98,7 @@ func (c *PieceClass) Chunk(cm cluster.Endpoint, idx []int32, vals []float64) Chu
 // piece drawn at the class.
 func (c *PieceClass) Received(ch Chunk) { *c = max(*c, PieceClass(cap(ch.Aux))) }
 
-// sizeClass rounds a sparse payload length up to its size class: eight
-// classes per power of two, so a class is at most 1/8 above the length
-// it holds. A point-to-point sparse chunk changes length from call to
-// call. Drawn at exact lengths, a length above every pooled buffer
-// misses and allocates, and the pools keep each length they are given,
-// creeping towards their cap. Drawn by class, a drifting stream cycles
-// through a few buffers per class. Dense draws stay exact: their
-// lengths repeat, and headroom on them would be megabytes.
-func sizeClass(n int) int {
-	if n < 16 {
-		return n
-	}
-	step := 1 << (bits.Len(uint(n)) - 4)
-	return (n + step - 1) &^ (step - 1)
-}
-
-// Release returns a received WireChunk's buffers to this rank's pools.
+// Release returns a received PieceClass.Chunk's buffers to this rank's pools.
 // It must not be given a chunk that fans out or a view of one.
 func Release(cm cluster.Endpoint, ch Chunk) {
 	if ch.Data32 != nil {

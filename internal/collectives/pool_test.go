@@ -2,55 +2,70 @@ package collectives
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/cluster"
 )
 
-// TestSizeClass pins the rounding: exact below 16, then eight classes
-// per power of two, never more than 1/8 above the length.
-func TestSizeClass(t *testing.T) {
-	for n, want := range map[int]int{0: 0, 1: 1, 15: 15, 16: 16, 17: 18, 31: 32, 1000: 1024, 1025: 1152, 1500: 1536} {
-		if got := sizeClass(n); got != want {
-			t.Errorf("sizeClass(%d) = %d, want %d", n, got, want)
+// poolMisses returns how many of the buffers pooled on c's ranks are
+// not in seen, and adds them to seen. A round that draws pieces and
+// releases every one of them adds a buffer to the pools exactly when a
+// draw missed and allocated it, so comparing the pooled backing arrays
+// before and after a round counts that round's misses. Unlike a malloc
+// count, which includes every goroutine in the process, it depends on
+// nothing but the round itself.
+func poolMisses(c *cluster.Cluster, p int, seen map[unsafe.Pointer]bool) int {
+	n := 0
+	note := func(ptr unsafe.Pointer) {
+		if !seen[ptr] {
+			seen[ptr] = true
+			n++
 		}
 	}
-	for n := 1; n < 1<<16; n++ {
-		if c := sizeClass(n); c < n || 8*(c-n) > n {
-			t.Fatalf("sizeClass(%d) = %d: below the length or more than 1/8 above it", n, c)
+	for r := 0; r < p; r++ {
+		floats, floats32, ints := c.PooledBuffers(r)
+		for _, b := range floats {
+			note(unsafe.Pointer(unsafe.SliceData(b)))
+		}
+		for _, b := range floats32 {
+			note(unsafe.Pointer(unsafe.SliceData(b)))
+		}
+		for _, b := range ints {
+			note(unsafe.Pointer(unsafe.SliceData(b)))
 		}
 	}
+	return n
 }
 
-// TestWireChunkPoolsStopCreeping sends 200 WireChunks whose length
-// drifts from 1000 up to 1500 and releases each into the same rank's
-// pool, as a split phase whose pieces grow from one call to the next
-// does. Drawn by size class, a round allocates only when the length
-// enters a class no pooled buffer covers, five times in all, and the
-// pool keeps one buffer per class. Drawn at exact lengths, every longer
-// piece would miss, allocate and leave the shorter buffer pooled.
+// TestWireChunkPoolsStopCreeping sends 200 point-to-point pieces whose
+// length drifts from 1000 up to 1500 and releases each into the same
+// rank's pool, as a split phase whose pieces grow from one call to the
+// next does. Drawn at a PieceClass, a round misses only when the length
+// outgrows the class, in the rounds that enter 1024 and 2048, and the
+// pool keeps one value and one index buffer per class. Drawn at exact
+// lengths, every longer piece would miss, allocate and leave the
+// shorter buffer pooled.
 func TestWireChunkPoolsStopCreeping(t *testing.T) {
 	for _, wire := range []cluster.Wire{cluster.WireF64, cluster.WireF32} {
 		t.Run(fmt.Sprintf("wire=%s", wire), func(t *testing.T) {
-			const rounds, classes = 200, 5 // 1024, 1152, 1280, 1408, 1536
+			const rounds, classes = 200, 2 // 1024, 2048
 			c := cluster.NewWire(1, testParams(), wire)
 			cm := c.Comm(0)
 			idx, vals := make([]int32, 1500), make([]float64, 1500)
-			allocating := 0
-			var before, after runtime.MemStats
+			var pc PieceClass
+			seen := map[unsafe.Pointer]bool{}
+			missing := 0
 			for i := 0; i < rounds; i++ {
 				n := 1000 + 500*i/(rounds-1)
-				runtime.ReadMemStats(&before)
-				Release(cm, WireChunk(cm, idx[:n], vals[:n]))
-				runtime.ReadMemStats(&after)
-				if after.Mallocs != before.Mallocs {
-					allocating++
+				Release(cm, pc.Chunk(cm, idx[:n], vals[:n]))
+				if poolMisses(c, 1, seen) > 0 {
+					missing++
 				}
 			}
-			if allocating > classes {
-				t.Errorf("%d of %d rounds allocate, want at most %d", allocating, rounds, classes)
+			if missing > classes {
+				t.Errorf("%d of %d rounds miss the pool, want at most %d", missing, rounds, classes)
 			}
 			floats, floats32, ints := c.PooledBuffers(0)
 			if n := len(floats) + len(floats32); n > classes || len(ints) > classes {
@@ -60,52 +75,48 @@ func TestWireChunkPoolsStopCreeping(t *testing.T) {
 	}
 }
 
-// TestWireChunkAtLeastStopsNetSenderMisses runs the exchange pattern of
-// Ok-Topk's split phase at P = 4: each round every rank sends a piece to
-// every other, and each receiver releases what it got into its own
-// pool. Rank 0's pieces are always longer than the others' (1400–1500
-// against 1000–1100). With WireChunk, rank 0 mostly receives buffers
-// too short for its next sends, and 7 of rounds 3–100 allocate, each
-// allocation a buffer that stays pooled somewhere. With
-// WireChunkAtLeast at the largest capacity each rank has sent or
-// received, the ranks agree on one class after the first round, and no
-// later round allocates.
-func TestWireChunkAtLeastStopsNetSenderMisses(t *testing.T) {
+// TestPieceClassStopsNetSenderMisses runs the exchange pattern of
+// Ok-Topk's split phase at P = 4: each round every rank sends a piece
+// to every other, and each receiver releases what it got into its own
+// pool. Rank 0's pieces are always longer than the others', and a
+// power-of-two class longer (2100–2200 against 1000–1100). Drawn at the
+// class of its own pieces alone, each rank keeps receiving buffers of
+// the other class, and later rounds still miss, each miss a buffer that
+// stays pooled somewhere. With PieceClass.Received
+// raising each rank's class to what it receives, the ranks agree on
+// one class during the second round, and no later round misses.
+func TestPieceClassStopsNetSenderMisses(t *testing.T) {
 	const p, rounds = 4, 100
 	c := cluster.New(p, testParams())
-	idx, vals := make([]int32, 1500), make([]float64, 1500)
-	caps := make([]int, p)
+	idx, vals := make([]int32, 2200), make([]float64, 2200)
+	pcs := make([]PieceClass, p)
 	inbox := make([][]Chunk, p)
-	allocating := 0
-	var before, after runtime.MemStats
+	seen := map[unsafe.Pointer]bool{}
+	missing := 0
 	for i := 0; i < rounds; i++ {
-		runtime.ReadMemStats(&before)
 		for r := 0; r < p; r++ {
 			for s := 1; s < p; s++ {
 				n := 1000 + (i*7+s*31)%101
 				if r == 0 {
-					n += 400
+					n += 1100
 				}
-				ch := WireChunkAtLeast(c.Comm(r), idx[:n], vals[:n], caps[r])
-				caps[r] = cap(ch.Aux)
 				dst := (r + s) % p
-				inbox[dst] = append(inbox[dst], ch)
+				inbox[dst] = append(inbox[dst], pcs[r].Chunk(c.Comm(r), idx[:n], vals[:n]))
 			}
 		}
 		for r := 0; r < p; r++ {
 			for _, ch := range inbox[r] {
-				caps[r] = max(caps[r], cap(ch.Aux))
+				pcs[r].Received(ch)
 				Release(c.Comm(r), ch)
 			}
 			inbox[r] = inbox[r][:0]
 		}
-		runtime.ReadMemStats(&after)
-		if i > 1 && after.Mallocs != before.Mallocs {
-			allocating++
+		if poolMisses(c, p, seen) > 0 && i > 1 {
+			missing++
 		}
 	}
-	if allocating > 0 {
-		t.Errorf("%d of rounds 3-%d allocate, want none", allocating, rounds)
+	if missing > 0 {
+		t.Errorf("%d of rounds 3-%d miss the pools, want none", missing, rounds)
 	}
 }
 

@@ -119,12 +119,8 @@ type scratch struct {
 	gidxEnds   []int
 	thScratch  []float64
 	wide       []float64
-	// update is the dense result buffer handed back in Result.Update.
-	// It is kept logically all-zero between calls by re-zeroing exactly
-	// the indexes recorded in prevWritten (an O(k) scatter instead of an
-	// O(n) memset and a fresh allocation per iteration).
-	update      []float64
-	prevWritten []int32
+	// update holds the dense result handed back in Result.Update.
+	update      allreduce.SparseUpdate
 	contributed []int32
 	// Balance-phase scratch: the size allgather's int/float staging,
 	// rebalance's span offsets, the allgatherv result container, and the
@@ -158,21 +154,8 @@ func (s *scratch) reserve(k int) {
 	s.localIdx, s.localVal = make([]int32, 0, c), make([]float64, 0, c)
 	s.redIdx, s.redVal = make([]int32, 0, c), make([]float64, 0, c)
 	s.gidx, s.mergeSpare = make([]int32, 0, c), make([]int32, 0, c)
-	s.contributed, s.prevWritten = make([]int32, 0, c), make([]int32, 0, c)
-}
-
-// updateBuffer returns the instance update buffer, logically all-zero,
-// resizing it when the gradient dimension changes.
-func (o *OkTopk) updateBuffer(n int) []float64 {
-	s := &o.scratch
-	if len(s.update) != n {
-		s.update = make([]float64, n)
-		s.prevWritten = s.prevWritten[:0]
-	}
-	u := s.update
-	sparse.ZeroIndexes(u, s.prevWritten)
-	s.prevWritten = s.prevWritten[:0]
-	return u
+	s.contributed = make([]int32, 0, c)
+	s.update.Reserve(c)
 }
 
 // New returns a per-worker Ok-Topk instance. Zero config values take
@@ -234,11 +217,8 @@ func (o *OkTopk) Reduce(cm cluster.Endpoint, acc []float64, t int) allreduce.Res
 	o.scratch.localIdx, o.scratch.localVal = localIdx, localVal
 
 	if p == 1 {
-		update := o.updateBuffer(n)
-		for i, idx := range localIdx {
-			update[idx] = localVal[i]
-		}
-		o.scratch.prevWritten = append(o.scratch.prevWritten, localIdx...)
+		update := o.scratch.update.Begin(n)
+		o.scratch.update.Set(localIdx, localVal)
 		o.scratch.contributed = append(o.scratch.contributed[:0], localIdx...)
 		o.lastVolume = 0
 		return allreduce.Result{Update: update,
@@ -249,7 +229,7 @@ func (o *OkTopk) Reduce(cm cluster.Endpoint, acc []float64, t int) allreduce.Res
 	volume0 := cm.Clock().Snapshot().SentWords
 	// The dense result, all-zero: line 8 reduces the owned region in it
 	// and leaves it all-zero again, line 13 scatters u_t into it.
-	update := o.updateBuffer(n)
+	update := o.scratch.update.Begin(n)
 
 	// Lines 5-7: region boundary re-evaluation every τ iterations.
 	if o.boundaries == nil || (t-1)%o.cfg.Tau == 0 {
@@ -281,7 +261,7 @@ func (o *OkTopk) Reduce(cm cluster.Endpoint, acc []float64, t int) allreduce.Res
 	globalTh := o.globalCtl.Current()
 
 	// Line 13: balance and allgatherv.
-	globalIdx := o.balanceAndAllgatherv(cm, update, reducedIdx, reducedVal, globalTh)
+	globalIdx := o.balanceAndAllgatherv(cm, reducedIdx, reducedVal, globalTh)
 
 	o.lastVolume = int(cm.Clock().Snapshot().SentWords - volume0)
 
@@ -384,7 +364,7 @@ func (o *OkTopk) splitAndReduce(cm cluster.Endpoint, update []float64, localIdx 
 	}
 
 	// My region of update is the reduction buffer, and the bitmap of its
-	// touched offsets is scratch (all-zero on entry). A repartition that
+	// written offsets is scratch (all-zero on entry). A repartition that
 	// widens the region past the bitmap's high-water mark doubles it (up
 	// to the whole index space), so region widths that wander from one
 	// repartition to the next stop re-allocating after a few.
@@ -480,9 +460,9 @@ func (o *OkTopk) accumulateChunk(_ int, ch collectives.Chunk) {
 // balanceAndAllgatherv selects the global top-k values of the owned
 // region by the estimated global threshold, rebalances the selected data
 // across ranks when skewed, and allgathers everything (§3.1.2, Figure 3).
-// The global selection is scattered into update, which must be
+// The global selection is set into the update store, whose buffer is
 // all-zero; the global indexes are returned ascending.
-func (o *OkTopk) balanceAndAllgatherv(cm cluster.Endpoint, update []float64, reducedIdx []int32, reducedVal []float64, globalTh float64) []int32 {
+func (o *OkTopk) balanceAndAllgatherv(cm cluster.Endpoint, reducedIdx []int32, reducedVal []float64, globalTh float64) []int32 {
 	p := cm.Size()
 
 	// ① Global top-k selection within my region (local scan), written
@@ -540,17 +520,13 @@ func (o *OkTopk) balanceAndAllgatherv(cm cluster.Endpoint, update []float64, red
 	globalIdx := o.scratch.gidx[:0]
 	gidxEnds := o.scratch.gidxEnds[:0]
 	for _, ch := range o.scratch.chunks {
-		vals := ch.Values(&o.scratch.wide)
-		for i, idx := range ch.Aux {
-			update[idx] = vals[i]
-		}
+		o.scratch.update.Set(ch.Aux, ch.Values(&o.scratch.wide))
 		globalIdx = append(globalIdx, ch.Aux...)
 		gidxEnds = append(gidxEnds, len(globalIdx))
 	}
 	globalIdx, o.scratch.mergeSpare = sparse.MergeRuns(globalIdx, gidxEnds, o.scratch.mergeSpare)
 	o.scratch.gidx = globalIdx
 	o.scratch.gidxEnds = gidxEnds[:0]
-	o.scratch.prevWritten = append(o.scratch.prevWritten, globalIdx...)
 	cm.Clock().Compute(float64(len(globalIdx)))
 	return globalIdx
 }
@@ -587,7 +563,7 @@ func (o *OkTopk) rebalance(cm cluster.Endpoint, sizes []int, sel *collectives.Fa
 	// Send my pieces that belong to other ranks' targets; keep my own.
 	for r := 0; r < p; r++ {
 		tLo, tHi := target(r)
-		oLo, oHi := maxInt(myLo, tLo), minInt(myHi, tHi)
+		oLo, oHi := max(myLo, tLo), min(myHi, tHi)
 		if oLo >= oHi {
 			continue
 		}
@@ -610,7 +586,7 @@ func (o *OkTopk) rebalance(cm cluster.Endpoint, sizes []int, sel *collectives.Fa
 		if r == rank {
 			continue
 		}
-		oLo, oHi := maxInt(offsets[r], tLo), minInt(offsets[r+1], tHi)
+		oLo, oHi := max(offsets[r], tLo), min(offsets[r+1], tHi)
 		if oLo >= oHi {
 			continue
 		}
@@ -623,20 +599,6 @@ func (o *OkTopk) rebalance(cm cluster.Endpoint, sizes []int, sel *collectives.Fa
 	}
 	out.Indexes, out.Values = newIdx, newVal
 	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // TrueGlobalTopk computes Topk(Σ_i acc_i) exactly from all workers'

@@ -82,21 +82,6 @@ func FromDenseThreshold(d []float64, th float64) *Vec {
 	return FromDenseThresholdInto(nil, d, th)
 }
 
-// ZeroIndexes restores buf's all-zero invariant given the indexes
-// written into it since the last zeroing (duplicates are fine): an
-// O(written) scatter when the write set is sparse, falling back to a
-// sequential clear once it exceeds 1/8 of the buffer — beyond that the
-// random scatter's cache misses cost more than the memset.
-func ZeroIndexes(buf []float64, written []int32) {
-	if len(written)*8 >= len(buf) {
-		clear(buf)
-		return
-	}
-	for _, idx := range written {
-		buf[idx] = 0
-	}
-}
-
 // FromDenseThresholdInto is FromDenseThreshold building into dst's
 // reused backing arrays (dst may be nil on first use) — the steady-state
 // form the per-iteration local selections of the sparse collectives use.

@@ -21,19 +21,19 @@
 // accounts its traffic and selection work under the α-β cost model.
 //
 // All point-to-point payloads (TopkDSA's halving pieces, gTopk's tree
-// and broadcast hops) travel as collectives.WireChunk copies drawn from
-// the sender's cluster rank pools under the ownership-transfer
-// convention; TopkDSA draws its pieces at one collectives.PieceClass.
-// The receiver reads each one in place, as a sparse.Vec view over the
+// and broadcast hops) travel as copies drawn from the sender's cluster
+// rank pools under the ownership-transfer convention, each scheme
+// drawing at one collectives.PieceClass per instance. The receiver
+// reads each one in place, as a sparse.Vec view over the
 // chunk's indexes and its values in compute precision (recvView),
 // merges it and releases the chunk into its own rank pools after the
 // last read; only collectives and cluster know how values look on the
 // wire. Fan-out payloads (allgathered chunks) are owned by the
 // instance that contributes them, in wire format, in a
 // collectives.FanOut: two slots per call site, reused by call parity
-// once every rank has finished reading them. Result.Update and
-// Result.Contributed are instance-owned scratch, valid until the next
-// Reduce on the same instance.
+// once every rank has finished reading them. TopkA, Gaussiank and
+// TopkDSA gather and sum through one gatherState; every scheme keeps
+// its Result.Update in an allreduce.SparseUpdate.
 package sparsecoll
 
 import (
@@ -63,7 +63,7 @@ func rangeBounds(v *sparse.Vec, lo, hi int32) (int, int) {
 	return start, end
 }
 
-// recvView receives one hop chunk, a collectives.WireChunk, and returns
+// recvView receives one hop chunk, a PieceClass.Chunk, and returns
 // it with a view of it as a vector of dimension dim: the chunk's
 // indexes, and its values in compute precision (the chunk's own on the
 // f64 wire, widened into *wide on the f32 wire). The caller owns the
@@ -86,67 +86,54 @@ func localTopkInto(cm cluster.Endpoint, cfg allreduce.Config, acc []float64, k i
 	return sparse.FromDenseThresholdInto(dst, acc, th), scratch
 }
 
-// gatherState is the per-instance scratch behind the shared
-// allgather-and-sum backend: the dense update buffer is kept logically
-// all-zero between calls by re-zeroing exactly the indexes the previous
-// call wrote (far cheaper than an n-word memset per iteration, and
-// allocation-free).
+// gatherState is the allgather-and-sum backend TopkA, Gaussiank and
+// TopkDSA share: the local selection, the FanOut its allgathered copy
+// (or TopkDSA's reduced piece) is built in, the AllgathervInto result
+// container and the update store.
 type gatherState struct {
-	update  []float64
-	touched []int32             // indexes written by the last call
-	chunks  []collectives.Chunk // AllgathervInto result scratch
-	wide    []float64           // a chunk's values widened (Chunk.Values)
+	sel    *sparse.Vec
+	out    collectives.FanOut
+	chunks []collectives.Chunk
+	wide   []float64 // a chunk's values widened (Chunk.Values)
+	update allreduce.SparseUpdate
 }
 
-// sumChunks folds the gathered chunks into the logically all-zero
-// update buffer, recording every written index so the next call can
-// re-zero exactly those. All maintenance of the touched-index invariant
-// lives here; callers must not write the buffer through other paths.
-func (gs *gatherState) sumChunks(n int) (update []float64, globalNNZ int) {
-	if len(gs.update) != n {
-		gs.update = make([]float64, n)
-		gs.touched = gs.touched[:0]
-	}
-	update = gs.update
-	sparse.ZeroIndexes(update, gs.touched)
-	gs.touched = gs.touched[:0]
-	nz := 0
-	for _, ch := range gs.chunks {
-		vals := ch.Values(&gs.wide)
-		for i, idx := range ch.Aux {
-			if update[idx] == 0 && vals[i] != 0 {
-				nz++
-			}
-			update[idx] += vals[i]
-		}
-		gs.touched = append(gs.touched, ch.Aux...)
-	}
-	return update, nz
-}
-
-// gatherAndSum allgathers everyone's COO chunk and reduces into the
-// instance-owned update buffer. The chunk's Data/Aux fan out to every
-// rank and must come from the caller's FanOut.
-func (gs *gatherState) gatherAndSum(cm cluster.Endpoint, mine collectives.Chunk, n int) (update []float64, globalNNZ int) {
-	cm.Clock().SetPhase(netmodel.PhaseComm)
+// sum allgathers mine, whose Data/Aux fan out to every rank and so
+// must come from gs.out, and adds every rank's chunk into the update
+// store. It returns the update, its count of nonzeros and the number
+// of values gathered.
+func (gs *gatherState) sum(cm cluster.Endpoint, mine collectives.Chunk, n int) (update []float64, nz, total int) {
 	gs.chunks = collectives.AllgathervInto(cm, mine, gs.chunks)
-	total := 0
+	update = gs.update.Begin(n)
 	for _, ch := range gs.chunks {
+		nz += gs.update.Add(ch.Aux, ch.Values(&gs.wide))
 		total += ch.NumValues()
 	}
-	update, nz := gs.sumChunks(n)
+	return update, nz, total
+}
+
+// gatherSelection is the allgather schedule: every rank gathers every
+// other's selection gs.sel and sums them locally.
+func (gs *gatherState) gatherSelection(cm cluster.Endpoint, n int) allreduce.Result {
+	mine := gs.out.Fill(cm, gs.sel.Indexes, gs.sel.Values)
+	cm.Clock().SetPhase(netmodel.PhaseComm)
+	update, nz, total := gs.sum(cm, mine, n)
 	cm.Clock().Compute(float64(total)) // local reduction of gathered chunks
 	cm.Clock().SetPhase(netmodel.PhaseCompute)
-	return update, nz
+	return allreduce.Result{
+		Update: update,
+		// The slot outlives the next Reduce, which writes the other one.
+		Contributed: mine.Aux,
+		LocalK:      gs.sel.NNZ(),
+		GlobalK:     nz,
+	}
 }
 
 // TopkA is the allgather-based sparse allreduce [36, 47].
 type TopkA struct {
 	cfg       allreduce.Config
 	thScratch []float64
-	sel       *sparse.Vec
-	out       collectives.FanOut // the selection's allgathered copy
-	gs        gatherState
+	gatherState
 }
 
 // NewTopkA returns a TopkA instance for one worker.
@@ -159,15 +146,7 @@ func (*TopkA) OverlapsBackward() bool { return false }
 func (a *TopkA) Reduce(cm cluster.Endpoint, acc []float64, t int) allreduce.Result {
 	k := a.cfg.KFor(len(acc))
 	a.sel, a.thScratch = localTopkInto(cm, a.cfg, acc, k, a.thScratch, a.sel)
-	mine := a.out.Fill(cm, a.sel.Indexes, a.sel.Values)
-	update, nz := a.gs.gatherAndSum(cm, mine, len(acc))
-	return allreduce.Result{
-		Update: update,
-		// The slot outlives the next Reduce, which writes the other one.
-		Contributed: mine.Aux,
-		LocalK:      a.sel.NNZ(),
-		GlobalK:     nz,
-	}
+	return a.gatherSelection(cm, len(acc))
 }
 
 // Gaussiank [41] uses the allgather schedule with Gaussian threshold
@@ -176,9 +155,7 @@ func (a *TopkA) Reduce(cm cluster.Endpoint, acc []float64, t int) allreduce.Resu
 // estimate's count that Figure 6 plots.
 type Gaussiank struct {
 	cfg allreduce.Config
-	sel *sparse.Vec
-	out collectives.FanOut // the selection's allgathered copy
-	gs  gatherState
+	gatherState
 }
 
 // NewGaussiank returns a Gaussiank instance for one worker.
@@ -202,14 +179,7 @@ func (g *Gaussiank) Reduce(cm cluster.Endpoint, acc []float64, t int) allreduce.
 	th, passes := topk.AdjustThreshold(acc, topk.GaussianThreshold(acc, k), 3*k/4)
 	allreduce.ChargeScan(cm, g.cfg, passes*len(acc))
 	g.sel = sparse.FromDenseThresholdInto(g.sel, acc, th)
-	mine := g.out.Fill(cm, g.sel.Indexes, g.sel.Values)
-	update, nz := g.gs.gatherAndSum(cm, mine, len(acc))
-	return allreduce.Result{
-		Update:      update,
-		Contributed: mine.Aux,
-		LocalK:      g.sel.NNZ(),
-		GlobalK:     nz,
-	}
+	return g.gatherSelection(cm, len(acc))
 }
 
 // TopkDSA is SparCML's dynamic sparse allreduce [36]: recursive-halving
@@ -225,20 +195,18 @@ type TopkDSA struct {
 	fillSum   float64
 	fillCount int
 	thScratch []float64
-	sel       *sparse.Vec
 	// pieces is the capacity the halving pieces are drawn at, and wide
 	// holds a received piece's values widened from the f32 wire.
 	pieces collectives.PieceClass
 	wide   []float64
 	// mergeA/mergeB ping-pong the recursive-halving partial sums, so
 	// the intermediate merges allocate nothing in steady state. The
-	// final level merges into a slot of out, whose buffers fan out
-	// through the allgatherv; the non-power-of-two fallback gathers its
-	// selection through the same FanOut (P is fixed, so a rank only
-	// ever takes one of the two paths).
+	// final level merges into a slot of the gatherState's FanOut, whose
+	// buffers fan out through the allgatherv; the non-power-of-two
+	// fallback gathers its selection through the same FanOut (P is
+	// fixed, so a rank only ever takes one of the two paths).
 	mergeA, mergeB *sparse.Vec
-	out            collectives.FanOut
-	gs             gatherState
+	gatherState
 }
 
 // NewTopkDSA returns a TopkDSA instance for one worker.
@@ -262,18 +230,16 @@ const tagDSA = 9 << 20
 func (d *TopkDSA) Reduce(cm cluster.Endpoint, acc []float64, t int) allreduce.Result {
 	p, rank, n := cm.Size(), cm.Rank(), len(acc)
 	k := d.cfg.KFor(n)
-	var mine *sparse.Vec
-	mine, d.thScratch = localTopkInto(cm, d.cfg, acc, k, d.thScratch, d.sel)
-	d.sel = mine
-	localIdx := mine.Indexes
+	d.sel, d.thScratch = localTopkInto(cm, d.cfg, acc, k, d.thScratch, d.sel)
+	mine := d.sel
 
 	if p&(p-1) != 0 {
 		// Non-power-of-two: degrade to the allgather schedule, as
 		// SparCML's fallback does.
-		update, nz := d.gs.gatherAndSum(cm, d.out.Fill(cm, mine.Indexes, mine.Values), n)
-		d.fillSum += float64(nz) / float64(n)
+		res := d.gatherSelection(cm, n)
+		d.fillSum += float64(res.GlobalK) / float64(n)
 		d.fillCount++
-		return allreduce.Result{Update: update, Contributed: localIdx, LocalK: mine.NNZ(), GlobalK: nz}
+		return res
 	}
 
 	cm.Clock().SetPhase(netmodel.PhaseComm)
@@ -340,15 +306,13 @@ func (d *TopkDSA) Reduce(cm cluster.Endpoint, acc []float64, t int) allreduce.Re
 	} else {
 		mineCh = d.out.Fill(cm, cur.Indexes, cur.Values)
 	}
-	gs := &d.gs
-	gs.chunks = collectives.AllgathervInto(cm, mineCh, gs.chunks)
-	update, nz := gs.sumChunks(n)
+	update, nz, _ := d.sum(cm, mineCh, n)
 	cm.Clock().SetPhase(netmodel.PhaseCompute)
 	d.fillSum += float64(nz) / float64(n)
 	d.fillCount++
 	return allreduce.Result{
 		Update:      update,
-		Contributed: localIdx,
+		Contributed: mine.Indexes,
 		LocalK:      mine.NNZ(),
 		GlobalK:     nz,
 	}
@@ -366,16 +330,17 @@ type GTopk struct {
 	thScratch []float64
 	pairs     []idxVal
 	sel       *sparse.Vec // local selection scratch
+	// pieces is the capacity the tree and broadcast hops are drawn at,
 	// wide holds a received hop's values widened from the f32 wire, and
 	// children is this rank's broadcast children.
+	pieces   collectives.PieceClass
 	wide     []float64
 	children []int
 	// mergeA/mergeB ping-pong the tree partial sums; trunc receives the
 	// re-selected top-k at each level.
 	mergeA, mergeB *sparse.Vec
 	trunc          *sparse.Vec
-	update         []float64
-	touched        []int32 // update indexes written last iteration
+	update         allreduce.SparseUpdate
 	contributed    []int32 // Intersect scratch
 }
 
@@ -412,13 +377,14 @@ func (g *GTopk) Reduce(cm cluster.Endpoint, acc []float64, t int) allreduce.Resu
 	sent := false
 	for dist := 1; dist < p; dist *= 2 {
 		if rank&dist != 0 {
-			ch := collectives.WireChunk(cm, cur.Indexes, cur.Values)
+			ch := g.pieces.Chunk(cm, cur.Indexes, cur.Values)
 			cm.SendChunk(rank&^dist, tagGTopk+dist, ch, cooWireWords(cm, cur.NNZ()))
 			sent = true
 			break
 		}
 		if rank|dist < p {
 			inCh, in := recvView(cm, rank|dist, tagGTopk+dist, n, &g.wide)
+			g.pieces.Received(inCh)
 			cm.Clock().Compute(float64(cur.NNZ() + in.NNZ()))
 			merged := sparse.AddTo(g.mergeA, cur, &in)
 			g.mergeA, g.mergeB = g.mergeB, g.mergeA
@@ -441,6 +407,7 @@ func (g *GTopk) Reduce(cm cluster.Endpoint, acc []float64, t int) allreduce.Resu
 	if sent {
 		var in sparse.Vec
 		bcast, in = recvView(cm, parentOf(rank, p), tagGTopk+(1<<20), n, &g.wide)
+		g.pieces.Received(bcast)
 		cur = &in
 	} else if p > 1 {
 		// Root: round the final set through the wire precision before it
@@ -450,23 +417,13 @@ func (g *GTopk) Reduce(cm cluster.Endpoint, acc []float64, t int) allreduce.Resu
 	}
 	g.children = appendChildren(g.children[:0], rank, p)
 	for _, child := range g.children {
-		ch := collectives.WireChunk(cm, cur.Indexes, cur.Values)
+		ch := g.pieces.Chunk(cm, cur.Indexes, cur.Values)
 		cm.SendChunk(child, tagGTopk+(1<<20), ch, cooWireWords(cm, cur.NNZ()))
 	}
 	cm.Clock().SetPhase(netmodel.PhaseCompute)
 
-	// Scatter the final top-k into the instance update buffer, zeroing
-	// exactly what the previous iteration wrote.
-	if len(g.update) != n {
-		g.update = make([]float64, n)
-		g.touched = g.touched[:0]
-	}
-	update := g.update
-	sparse.ZeroIndexes(update, g.touched)
-	g.touched = append(g.touched[:0], cur.Indexes...)
-	for i, idx := range cur.Indexes {
-		update[idx] = cur.Values[i]
-	}
+	update := g.update.Begin(n)
+	g.update.Set(cur.Indexes, cur.Values)
 	g.contributed = sparse.AppendIntersect(g.contributed[:0], localIdx, cur.Indexes)
 	globalK := cur.NNZ()
 	if sent {

@@ -553,7 +553,7 @@ func (s *Session) Restore(c *checkpoint.Checkpoint) error {
 // draws the same batches the original run would have. The RNG
 // consumption per iteration is workload-dependent (BERT's masking draws
 // a variable count), so the streams are advanced by replaying the batch
-// draws; gradients touched by the replay are discarded by the next
+// draws; gradients the replay writes are discarded by the next
 // step's ZeroGrads.
 func (s *Session) SkipTo(iteration int) {
 	local := s.Cluster.LocalRanks()
